@@ -55,10 +55,6 @@ from .syntax import (
 from .theory import common_predecessor, search_preference, solve_theories
 
 
-def _kind(v: Verdict) -> str:
-    return v.kind
-
-
 def _holds(v: Verdict) -> bool | None:
     if isinstance(v, Derivable):
         return True

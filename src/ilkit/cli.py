@@ -27,7 +27,12 @@ from .syntax import Neg, ParseError, parse, render
 
 _POSITIVE, _NEGATIVE, _UNKNOWN, _USAGE = 0, 1, 2, 3
 
-RULES_CHOICES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
 
 
 def _budget(args) -> Budget:
@@ -272,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         if logic:
             sp.add_argument("--logic", choices=LOGICS, default=ILM)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--max-worlds", type=int, default=Budget().max_worlds)
-        sp.add_argument("--max-steps", type=int, default=Budget().max_steps)
-        sp.add_argument("--max-backtracks", type=int, default=Budget().max_backtracks)
+        sp.add_argument("--max-worlds", type=_positive_int, default=Budget().max_worlds)
+        sp.add_argument("--max-steps", type=_positive_int, default=Budget().max_steps)
+        sp.add_argument("--max-backtracks", type=_positive_int, default=Budget().max_backtracks)
 
     sp = sub.add_parser("prove", help="decide derivability")
     sp.add_argument("formula")
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("rules", help="check an admissible-rule instance")
-    sp.add_argument("rule", choices=list(RULES_CHOICES))
+    sp.add_argument("rule", choices=list(cls.RULES))
     sp.add_argument("formulas", nargs="+")
     common(sp, logic=False)
     sp.set_defaults(fn=cmd_rules)

@@ -37,6 +37,8 @@ from .syntax import (
 )
 from .theory import (
     DTheory,
+    TheoryQuery,
+    _succ_constraints,
     box_incl,
     crit_obligations,
     crit_succ,
@@ -44,7 +46,6 @@ from .theory import (
     extend_deficiency_ilm,
     extend_problem,
     search_preference,
-    solve_theories,
     succ,
 )
 
@@ -640,53 +641,43 @@ def _item_constraints(F: LabeledFrame, item) -> list[tuple[Formula, bool]]:
     return extra
 
 
-def _box_lookahead(
-    F: LabeledFrame, x: str, B: Formula, t: DTheory, extra, own
-) -> bool:
-    """Would a fresh B-critical successor of x with theory t leave one of
-    its false boxes permanently unwitnessable? In any completed extension,
-    an R-maximal refuter of []E carries ~E together with []E and satisfies
+def _box_lookahead(F: LabeledFrame, t: DTheory, base: TheoryQuery) -> bool:
+    """Would a fresh successor of x with theory t leave one of its false
+    boxes permanently unwitnessable? base holds x's inherited and critical
+    constraints plus the item's own. In any completed extension, an
+    R-maximal refuter of []E carries ~E together with []E and satisfies
     every inherited constraint, so emptiness of that set is final."""
-    gx_crit = crit_obligations(F.nu[x], B)
-    base: list[tuple[Formula, bool]] = list(extra)
-    base += [(o, True) for o in gx_crit]
-    base += [(o, True) for o in own]
-    for b in t.boxes():
-        base.append((b.body, True))
-        base.append((b, True))
-    for bx in F.adequate.modal_atoms:
-        if not isinstance(bx, Box) or t.models(bx):
-            continue
-        cs = base + [(bx.body, False), (bx, True)]
-        if next(iter(solve_theories(F.adequate, F.logic, cs)), None) is None:
-            return False
-    return True
+    false_boxes = [
+        bx for bx in F.adequate.modal_atoms if isinstance(bx, Box) and not t.models(bx)
+    ]
+    if not false_boxes:
+        return True
+    base = base.where(_succ_constraints(t))
+    return not any(
+        base.where(((bx.body, False), (bx, True))).is_empty() for bx in false_boxes
+    )
 
 
 def _deficiency_lookahead(
-    F: LabeledFrame, x: str, B: Formula, t: DTheory, extra
+    F: LabeledFrame, x: str, t: DTheory, base: TheoryQuery
 ) -> bool:
-    """Would a fresh B-critical successor of x with theory t leave some
-    deficiency of x permanently uneliminable? Any S_x exit it could ever
-    get, incidental or constructed, must satisfy the deficiency's candidate
-    constraints, so an empty candidate set now is final."""
+    """Would a fresh successor of x with theory t leave some deficiency of x
+    permanently uneliminable? base holds x's inherited and critical
+    constraints plus the successor constraints of x. Any S_x exit it could
+    ever get, incidental or constructed, must satisfy the deficiency's
+    candidate constraints, so an empty candidate set now is final."""
     gx = F.nu[x]
+    with_boxes = None
     for rho in F.adequate.modal_atoms:
         if not isinstance(rho, Rhd) or not gx.models(rho):
             continue
         if not t.models(rho.left) or t.models(rho.right):
             continue
-        cs = list(extra)
-        cs.append((rho.right, True))
-        for f in crit_obligations(gx, B):
-            cs.append((f, True))
-        for b in gx.boxes():
-            cs.append((b.body, True))
-            cs.append((b, True))
-        if F.logic == ILM:
-            for b in t.boxes():
-                cs.append((b, True))
-        if next(iter(solve_theories(F.adequate, F.logic, cs)), None) is None:
+        if with_boxes is None:
+            with_boxes = base
+            if F.logic == ILM:
+                with_boxes = base.where((b, True) for b in t.boxes())
+        if with_boxes.where(((rho.right, True),)).is_empty():
             return False
     return True
 
@@ -695,37 +686,51 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     """Theory-level candidates for eliminating the item with a fresh world.
     An empty list means the item can never be eliminated on any extension
     of F: the constraint set only grows as the frame grows, and a reusable
-    world's theory would itself be a solution of it."""
+    world's theory would itself be a solution of it.
+
+    The answer depends on F only through the item's world theory, its
+    criticality label, the inherited constraints and, for an ILM
+    deficiency, y's theory. It is memoised on those per adequate set, so
+    the most-constrained scan of every frame in a search and the
+    elimination that follows it share one list; callers do not mutate it.
+    """
     extra = _item_constraints(F, item)
     if isinstance(item, Problem):
-        x = item.world
+        x, gy = item.world, None
         body = item.formula.left
-        if isinstance(body, Rhd):
-            B = body.right
-            own = (single_neg(body.left),)
-        else:
-            B = BOT
-            own = ()
-        stream = extend_problem(F.nu[x], item.formula, extra=extra, logic=F.logic)
+        B = body.right if isinstance(body, Rhd) else BOT
     else:
         x = item.x
         B = criticality_label(F, item.x, item.y)
+        gy = F.nu[item.y] if F.logic == ILM else None
+    gx = F.nu[x]
+    memo = F.adequate._sat_cache.setdefault(("__candidates__", F.logic), {})
+    key = (type(item), item.formula, gx, B, gy, tuple(extra))
+    got = memo.get(key)
+    if got is not None:
+        return got
+    if isinstance(item, Problem):
+        own = (single_neg(body.left),) if isinstance(body, Rhd) else ()
+        stream = extend_problem(gx, item.formula, extra=extra, logic=F.logic)
+    else:
         own = (single_neg(item.formula.right),)
         if F.logic == ILM:
-            stream = extend_deficiency_ilm(
-                F.nu[item.x], B, F.nu[item.y], item.formula, extra=extra, logic=F.logic
-            )
+            stream = extend_deficiency_ilm(gx, B, gy, item.formula, extra=extra, logic=F.logic)
         else:
-            stream = extend_deficiency_il(
-                F.nu[item.x], B, item.formula, extra=extra, logic=F.logic
-            )
+            stream = extend_deficiency_il(gx, B, item.formula, extra=extra, logic=F.logic)
+    # the candidate-independent halves of both lookaheads, built once
+    common = TheoryQuery(F.adequate, F.logic, extra)
+    common = common.where((f, True) for f in crit_obligations(gx, B))
+    box_base = common.where((o, True) for o in own)
+    deficiency_base = common.where(_succ_constraints(gx))
     good = [
         t
         for t in stream
-        if _deficiency_lookahead(F, x, B, t, extra)
-        and _box_lookahead(F, x, B, t, extra, own)
+        if _deficiency_lookahead(F, x, t, deficiency_base)
+        and _box_lookahead(F, t, box_base)
     ]
     good.sort(key=search_preference)
+    memo[key] = good
     return good
 
 

@@ -35,7 +35,6 @@ from .semantics import (
 )
 from .syntax import (
     And,
-    BOT,
     Box,
     Diamond,
     Formula,
@@ -49,7 +48,7 @@ from .syntax import (
     parse,
     render,
 )
-from .theory import enumerate_theories, search_preference
+from .theory import _and_parts, enumerate_theories, search_preference
 
 
 @dataclass(frozen=True)
@@ -296,17 +295,6 @@ def axiom_instance(name: str, *args: Formula) -> Formula:
 
 SCHEMATA = ("L1", "L2", "L3", "J1", "J2", "J3", "J4", "J5", "M")
 _ARITY = {"L1": 2, "L2": 1, "L3": 1, "J1": 2, "J2": 3, "J3": 3, "J4": 2, "J5": 1, "M": 3}
-
-
-def _and_parts(f: Formula):
-    if (
-        isinstance(f, Implies)
-        and f.right == BOT
-        and isinstance(f.left, Implies)
-        and is_neg(f.left.right)
-    ):
-        return f.left.left, f.left.right.left
-    return None
 
 
 def _diamond_body(f: Formula):

@@ -505,7 +505,10 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", p.where()) from None
     if p.peek() != "<end>":
         raise ParseError(f"trailing input {p.peek()!r}", p.where())
     return f

@@ -44,16 +44,20 @@ class DTheory:
     """A maximal, Boolean-coherent, locally saturated subset of an adequate
     set."""
 
-    __slots__ = ("adequate", "assignment", "members", "_bits", "_models_cache")
+    __slots__ = ("adequate", "assignment", "_bits", "_models_cache", "_preference")
 
     def __init__(self, adequate: AdequateSet, assignment: dict[Formula, bool]):
         self.adequate = adequate
         self.assignment = assignment
-        self.members = frozenset(
-            f for f in adequate.sorted_members if eval_bool(f, assignment)
-        )
-        self._bits = tuple(f in self.members for f in adequate.sorted_members)
+        self._bits = tuple(eval_bool(f, assignment) for f in adequate.sorted_members)
         self._models_cache: dict[Formula, bool] = {}
+        self._preference: tuple | None = None
+
+    @property
+    def members(self) -> frozenset[Formula]:
+        # built on demand: a materialised adequate set holds thousands of
+        # theories, and the bit-pattern already records membership
+        return frozenset(f for f, bit in zip(self.adequate.sorted_members, self._bits) if bit)
 
     def models(self, f: Formula) -> bool:
         """Truth of any Boolean combination over D's modal atoms."""
@@ -64,15 +68,12 @@ class DTheory:
         return got
 
     def boxes(self) -> tuple[Box, ...]:
-        return tuple(f for f in self.adequate.boxed_members if self._member(f))
+        return tuple(f for f in self.adequate.boxed_members if self.models(f))
 
     def rhds(self) -> tuple[Rhd, ...]:
         return tuple(
             f for f in self.adequate.modal_atoms if isinstance(f, Rhd) and self.models(f)
         )
-
-    def _member(self, f: Formula) -> bool:
-        return self.models(f)
 
     def key(self):
         return self._bits
@@ -230,17 +231,111 @@ def _solve(
     yield from rec(0, {}, pending)
 
 
-def _all_theories(D: AdequateSet, logic: str) -> list[DTheory] | None:
+class _TheoryIndex:
+    """Bitset view of the sorted theory list of a materialised adequate set:
+    theory i is bit i, and each formula's mask has the bits of the theories
+    that make it true. Masks come from the assignments, never through
+    DTheory.models, so the theories' own caches stay empty."""
+
+    __slots__ = ("theories", "full", "_masks")
+
+    def __init__(self, theories: list[DTheory], atoms: tuple[Formula, ...]):
+        self.theories = theories
+        self.full = (1 << len(theories)) - 1
+        self._masks: dict[Formula, int] = {BOT: 0}
+        for a in atoms:
+            bits = "".join("1" if t.assignment[a] else "0" for t in reversed(theories))
+            self._masks[a] = int(bits or "0", 2)
+
+    def mask(self, f: Formula) -> int:
+        got = self._masks.get(f)
+        if got is None:
+            if not isinstance(f, Implies):
+                raise KeyError(f)
+            got = (self.full & ~self.mask(f.left)) | self.mask(f.right)
+            self._masks[f] = got
+        return got
+
+    def narrow(self, m: int, constraints: Iterable[tuple[Formula, bool]]) -> int:
+        """m restricted to the theories meeting every constraint."""
+        for f, v in constraints:
+            if not m:
+                break
+            fm = self.mask(f)
+            m &= fm if v else self.full ^ fm
+        return m
+
+    def walk(self, m: int) -> Iterator[DTheory]:
+        """The theories of mask m, lowest bit (first in sorted order) first."""
+        theories = self.theories
+        while m:
+            low = m & -m
+            yield theories[low.bit_length() - 1]
+            m ^= low
+
+
+def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
+    """The materialised index of D, built on first use; None when D has
+    more than _CACHE_ATOMS modal atoms."""
     if len(D.modal_atoms) > _CACHE_ATOMS:
         return None
-    key = ("__all__", logic)
+    key = ("__index__", logic)
     cached = D._sat_cache.get(key)
     if cached is None:
-        cached = sorted(
+        theories = sorted(
             (DTheory(D, a) for a in _solve(D, logic, ())), key=lambda t: t.key()
         )
+        cached = _TheoryIndex(theories, D.modal_atoms)
         D._sat_cache[key] = cached
     return cached
+
+
+class TheoryQuery:
+    """The DTheories of D meeting a conjunction of (formula, value)
+    constraints, in the membership bit-pattern order of solve_theories.
+
+    On a materialised adequate set (at most _CACHE_ATOMS modal atoms) the
+    query is a bitmask over the index; otherwise it keeps the constraints
+    for the pruned search. `where` adds constraints; on the index it ANDs
+    only the new ones, so a base shared by many candidates is built once.
+    """
+
+    __slots__ = ("adequate", "logic", "_index", "_mask", "_constraints")
+
+    def __init__(
+        self, D: AdequateSet, logic: str, constraints: Iterable[tuple[Formula, bool]] = ()
+    ):
+        self.adequate = D
+        self.logic = logic
+        self._index = _theory_index(D, logic)
+        if self._index is None:
+            self._mask = None
+            self._constraints = tuple(constraints)
+        else:
+            self._mask = self._index.narrow(self._index.full, constraints)
+            self._constraints = ()
+
+    def where(self, constraints: Iterable[tuple[Formula, bool]]) -> "TheoryQuery":
+        q = TheoryQuery.__new__(TheoryQuery)
+        q.adequate, q.logic, q._index = self.adequate, self.logic, self._index
+        q._mask, q._constraints = self._mask, self._constraints
+        if self._index is None:
+            q._constraints += tuple(constraints)
+        else:
+            q._mask = self._index.narrow(self._mask, constraints)
+        return q
+
+    def is_empty(self) -> bool:
+        if self._index is not None:
+            return not self._mask
+        return next(_solve(self.adequate, self.logic, self._constraints), None) is None
+
+    def __iter__(self) -> Iterator[DTheory]:
+        if self._index is not None:
+            return self._index.walk(self._mask)
+        D = self.adequate
+        found = (DTheory(D, a) for a in _solve(D, self.logic, self._constraints))
+        return iter(sorted(found, key=lambda t: t.key()))
 
 
 def solve_theories(
@@ -248,17 +343,7 @@ def solve_theories(
 ) -> Iterator[DTheory]:
     """Stream of DTheories satisfying the constraints, ordered by the
     membership bit-pattern over the sorted adequate set."""
-    constraints = tuple(constraints)
-    cached = _all_theories(D, logic)
-    if cached is not None:
-        for t in cached:
-            if all(t.models(f) == v for f, v in constraints):
-                yield t
-        return
-    found = sorted(
-        (DTheory(D, a) for a in _solve(D, logic, constraints)), key=lambda t: t.key()
-    )
-    yield from found
+    yield from TheoryQuery(D, logic, constraints)
 
 
 def enumerate_theories(
@@ -276,13 +361,16 @@ def enumerate_theories(
 def search_preference(t: DTheory) -> tuple:
     """Candidate order for the construction: theories with fewer false box
     and rhd atoms first (each false one is a pending existential), ties by
-    the canonical bit-pattern."""
-    pending = sum(
-        1
-        for a in t.adequate.modal_atoms
-        if isinstance(a, (Box, Rhd)) and not t.models(a)
-    )
-    return (pending, t.key())
+    the canonical bit-pattern. Computed once per theory."""
+    got = t._preference
+    if got is None:
+        pending = sum(
+            1
+            for a in t.adequate.modal_atoms
+            if isinstance(a, (Box, Rhd)) and not t.assignment[a]
+        )
+        got = t._preference = (pending, t.key())
+    return got
 
 
 def _same_adequate(g: DTheory, d: DTheory) -> None:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ilkit.cli import main
 
 
@@ -66,6 +68,29 @@ def test_usage_errors():
     assert run_cli("prove", "p ->")[0] == 3
     assert run_cli("prove", "--logic", "gl", "p |> q")[0] == 3
     assert main(["nonsense-command"]) == 3
+
+
+@pytest.mark.parametrize("flag", ["--max-worlds", "--max-steps", "--max-backtracks"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_budget_is_a_usage_error(flag, value, capsys):
+    code, out = run_cli("prove", "[]p -> p", flag, value)
+    assert code == 3
+    assert out == ""
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert run_cli("rules", "i", "p", flag, value)[0] == 3
+
+
+def test_too_deep_formula_exits_as_parse_error():
+    # a fresh process keeps the default recursion limit, which the parser
+    # would otherwise overflow and exit 1, the code of a negative answer
+    proc = subprocess.run(
+        [sys.executable, "-m", "ilkit.cli", "prove", "~" * 3000 + "p"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "nested too deeply" in proc.stderr
 
 
 def test_classify_tsg_cli():

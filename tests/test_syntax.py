@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,6 +79,14 @@ def test_parse_errors_have_position():
         parse("p q")
     with pytest.raises(ParseError):
         parse("(p -> q")
+
+
+def test_parse_too_deep_is_a_parse_error():
+    # deeper than the interpreter's recursion limit: a ParseError, never a
+    # RecursionError that would escape as a crash
+    depth = sys.getrecursionlimit() + 100
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("~" * depth + "p")
 
 
 def test_render_examples():

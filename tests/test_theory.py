@@ -1,25 +1,37 @@
 import itertools
+import random
 
 import pytest
+from conftest import random_formula
 
-from ilkit.semantics import ILM
+from ilkit import theory
+from ilkit.construction import fresh_candidate_theories, seed_frame
+from ilkit.semantics import IL, ILM
 from ilkit.syntax import (
     BOT,
+    And,
     Atom,
     Box,
+    Implies,
     Neg,
+    Or,
     Rhd,
     adequate_closure,
+    eval_bool,
     parse,
 )
 from ilkit.theory import (
+    DTheory,
     TheoryError,
+    TheoryQuery,
     box_incl,
     common_predecessor,
     crit_succ,
     enumerate_theories,
     extend_deficiency_ilm,
     extend_problem,
+    search_preference,
+    solve_theories,
     succ,
 )
 
@@ -251,3 +263,123 @@ def test_common_predecessor_no_boxes_everything():
     D, ts = theories([p])
     gs = list(common_predecessor(ts[0], ts[1]))
     assert len(gs) == len(ts)
+
+
+# --- the bitset index against a linear reference filter ----------------------
+
+
+def _seeded_adequate(seed, lo, hi):
+    """A seeded adequate set with between lo and hi modal atoms."""
+    rng = random.Random(seed)
+    while True:
+        seeds = []
+        while True:
+            seeds.append(random_formula(rng, 2, atoms=("p", "q", "r", "s")))
+            D = adequate_closure(seeds)
+            if len(D.modal_atoms) >= lo:
+                break
+        if len(D.modal_atoms) <= hi:
+            return D
+
+
+def _random_constraints(rng, D, least=0):
+    """Constraints over D: members, their negations, Boolean combinations,
+    now and then bot, and now and then a contradictory pair."""
+    members = D.sorted_members
+    out = []
+    for _ in range(rng.randrange(least, least + 4)):
+        a, b = rng.choice(members), rng.choice(members)
+        f = rng.choice([a, Neg(a), And(a, b), Or(a, b), Implies(a, b)])
+        out.append((BOT if rng.random() < 0.03 else f, rng.random() < 0.5))
+    if out and rng.random() < 0.1:
+        f, v = rng.choice(out)
+        out.append((f, not v))
+    return out
+
+
+def _linear_reference(D, assignments, constraints):
+    kept = [
+        a for a in assignments if all(eval_bool(f, a) == v for f, v in constraints)
+    ]
+    return sorted(DTheory(D, a).key() for a in kept)
+
+
+def _check_against_reference(D, rng, queries, least):
+    materialised = len(D.modal_atoms) <= theory._CACHE_ATOMS
+    assert (theory._theory_index(D, ILM) is not None) == materialised
+    for logic in (IL, ILM):
+        assignments = list(theory._solve(D, logic, ()))
+        for _ in range(queries):
+            cs = _random_constraints(rng, D, least)
+            want = _linear_reference(D, assignments, cs)
+            got = [t.key() for t in solve_theories(D, logic, cs)]
+            assert got == want, (logic, cs)
+            # narrowing a shared base gives the same answer as one query
+            cut = rng.randrange(len(cs) + 1)
+            q = TheoryQuery(D, logic, cs[:cut]).where(cs[cut:])
+            assert [t.key() for t in q] == want
+            assert q.is_empty() == (not want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_matches_linear_filter(seed):
+    D = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
+    _check_against_reference(D, random.Random(1000 + seed), 25, 0)
+
+
+@pytest.mark.parametrize(
+    "text", ["(p |> q) & (q |> r) -> p |> r", "p |> q -> (p & []r) |> (q & []r)"]
+)
+def test_index_matches_linear_filter_under_axioms(text):
+    # J2 and M instances inside D make the IL and ILM theory lists differ
+    D = adequate_closure([parse(text)])
+    _check_against_reference(D, random.Random(text), 25, 0)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_unmaterialised_matches_linear_filter(seed):
+    D = _seeded_adequate(seed, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 2)
+    # the pruned search builds a theory per answer: keep answers few
+    _check_against_reference(D, random.Random(2000 + seed), 4, 3)
+
+
+def test_index_leaves_theory_caches_empty():
+    D = adequate_closure([parse("(p |> q) & (q |> r) -> p |> r")])
+    ts = list(solve_theories(D, ILM, [(parse("p |> q"), True), (parse("q |> r"), False)]))
+    assert ts
+    assert all(not t._models_cache for t in ts)
+
+
+def test_search_preference_is_computed_once():
+    D, ts = theories([parse("p |> q"), Box(p)])
+    t = ts[-1]
+    first = search_preference(t)
+    assert search_preference(t) is first
+    pending = sum(
+        1 for a in D.modal_atoms if isinstance(a, (Box, Rhd)) and not t.models(a)
+    )
+    assert first == (pending, t.key())
+
+
+def test_candidate_memo_follows_frame_content():
+    D = adequate_closure([parse("~(p |> q)"), parse("[]~r")])
+    root = next(iter(enumerate_theories(D, include=[parse("~(p |> q)")])))
+    F = seed_frame(D, ILM, root)
+    item = F.worklist[0]
+    cands = fresh_candidate_theories(F, item)
+    assert cands
+    assert fresh_candidate_theories(F, item) is cands
+    assert fresh_candidate_theories(F.copy(), item) is cands
+    # a new predecessor of the item's world adds an obligation that removes
+    # the candidates carrying r: the copy must not get its parent's list
+    r = Atom("r")
+    assert any(t.models(r) for t in cands)
+    g = F.copy()
+    w = g.add_world(root, obligations=[Neg(r)])
+    g.R.add((w, item.world))
+    got = fresh_candidate_theories(g, item)
+    assert got is not cands
+    assert got and not any(t.models(r) for t in got)
+    # and the memoised answer is the one a cold computation gives
+    D._sat_cache.pop(("__candidates__", ILM))
+    assert fresh_candidate_theories(g, item) == got
