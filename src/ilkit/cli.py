@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 positive answer, 1 negative answer, 2 unknown / budget
-exhausted, 3 usage or parse errors. All output is deterministic for fixed
-inputs and budgets.
+exhausted, 3 usage, parse or internal errors. All output is deterministic
+for fixed inputs and budgets.
 """
 
 from __future__ import annotations
@@ -350,6 +350,9 @@ def main(argv=None) -> int:
         return _USAGE
     except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return _USAGE
+    except Exception as e:  # a failure inside ilkit is no answer: never exit 0 or 1
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return _USAGE
 
 

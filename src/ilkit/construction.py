@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
+from .relation import find_cycle, image, reach, transitive_closure
 from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, _Forcer, check_logic
 from .syntax import (
     AdequateSet,
@@ -147,12 +149,6 @@ class LabeledFrame:
         self.obligations[name] = frozenset(obligations)
         return name
 
-    def successors(self, w: str) -> list[str]:
-        return [y for y in self.worlds if (w, y) in self.R]
-
-    def predecessors(self, w: str) -> list[str]:
-        return [a for a in self.worlds if (a, w) in self.R]
-
     def effective_obligations(self, w: str) -> frozenset[Formula]:
         """Constraints on every R-successor of w: w's own obligations plus
         those of all its R-predecessors (R is kept transitive)."""
@@ -203,76 +199,61 @@ def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> Label
 # --- cones -------------------------------------------------------------------
 
 
-def _lfp(seed: set[str], step) -> set[str]:
-    out = set(seed)
-    todo = list(seed)
-    while todo:
-        y = todo.pop()
-        for z in step(y):
-            if z not in out:
-                out.add(z)
-                todo.append(z)
-    return out
+class _Adjacency:
+    """The adjacency maps of one frame state. A frame pass builds one and
+    answers all its cone queries from it; it goes stale when R, S or the
+    edge labels change."""
+
+    def __init__(self, F: LabeledFrame):
+        self.succ = image(F.R)
+        self.s_at = image(((x, y), z) for x, y, z in F.S)  # y S_x z
+        self.s_any = image((y, z) for _, y, z in F.S)  # y S_x z for some x
+        self.seeds = image(((x, lab), y) for (x, y), lab in F.edge_label.items())
+
+    @cached_property
+    def s_plus(self) -> dict[str, set[str]]:
+        """y -> worlds reached from y by one or more S steps of any index."""
+        step = lambda n: self.s_any.get(n, ())
+        return {y: reach(zs, step) for y, zs in self.s_any.items()}
+
+
+def _critical_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
+    return reach(
+        adj.seeds.get((x, C), ()),
+        lambda y: (*adj.succ.get(y, ()), *adj.s_at.get((x, y), ())),
+    )
+
+
+def _generalized_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
+    return reach(
+        adj.seeds.get((x, C), ()),
+        lambda y: (*adj.succ.get(y, ()), *adj.s_any.get(y, ())),
+    )
+
+
+def _m_cone(adj: _Adjacency, x: str, A: Formula) -> set[str]:
+    def step(y):
+        yield from adj.succ.get(y, ())
+        yield from adj.s_at.get((x, y), ())
+        for u in adj.s_plus.get(y, ()):
+            yield from adj.succ.get(u, ())
+
+    return reach(adj.seeds.get((x, A), ()), step)
 
 
 def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """Worlds reached from a C-labeled edge of x via S_x and R steps."""
-    seed = {y for ((a, y), lab) in F.edge_label.items() if a == x and lab == C}
-
-    def step(y):
-        for (a, b, c) in F.S:
-            if a == x and b == y:
-                yield c
-        for (a, b) in F.R:
-            if a == y:
-                yield b
-
-    return _lfp(seed, step)
+    return _critical_cone(_Adjacency(F), x, C)
 
 
 def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """The critical cone closed under S steps with arbitrary index."""
-    seed = {y for ((a, y), lab) in F.edge_label.items() if a == x and lab == C}
-
-    def step(y):
-        for (a, b, c) in F.S:
-            if b == y:
-                yield c
-        for (a, b) in F.R:
-            if a == y:
-                yield b
-
-    return _lfp(seed, step)
+    return _generalized_cone(_Adjacency(F), x, C)
 
 
 def m_cone(F: LabeledFrame, x: str, A: Formula) -> set[str]:
     """Critical cone closed additionally under (S-path then R-step)."""
-    seed = {y for ((a, y), lab) in F.edge_label.items() if a == x and lab == A}
-    s_pair: dict[str, set[str]] = {}
-    for (a, b, c) in F.S:
-        s_pair.setdefault(b, set()).add(c)
-    str_reach: dict[str, set[str]] = {}
-
-    def s_reach(y):
-        got = str_reach.get(y)
-        if got is None:
-            got = _lfp(set(s_pair.get(y, ())), lambda u: s_pair.get(u, ()))
-            str_reach[y] = got
-        return got
-
-    def step(y):
-        for (a, b) in F.R:
-            if a == y:
-                yield b
-        for (a, b, c) in F.S:
-            if a == x and b == y:
-                yield c
-        for u in s_reach(y):
-            for (a, b) in F.R:
-                if a == u:
-                    yield b
-
-    return _lfp(seed, step)
+    return _m_cone(_Adjacency(F), x, A)
 
 
 # --- imperfections and closure ----------------------------------------------
@@ -283,33 +264,25 @@ def find_imperfections(F, logic: str | None = None) -> list[Imperfection]:
     ordered. Accepts a labeled frame or a plain Veltman frame."""
     logic = check_logic(logic or getattr(F, "logic", IL))
     R, S = F.R, F.S
-    succ_map: dict[str, set[str]] = {}
-    for (a, b) in R:
-        succ_map.setdefault(a, set()).add(b)
-    s_index: dict[str, dict[str, set[str]]] = {}
-    for (a, b, c) in S:
-        s_index.setdefault(a, {}).setdefault(b, set()).add(c)
+    succ = image(R)
+    s_at = image(((a, b), c) for a, b, c in S)
     out = []
-    for (a, b) in R:
-        for c in succ_map.get(b, ()):
-            if (a, c) not in R:
-                out.append(Imperfection(0, (a, b, c)))
     for (a, b) in R:
         if (a, b, b) not in S:
             out.append(Imperfection(1, (a, b)))
-    for a, rows in s_index.items():
-        for b, cs in rows.items():
-            for c in cs:
-                for d in rows.get(c, ()):
-                    if d not in cs:
-                        out.append(Imperfection(2, (a, b, c, d)))
-    for (a, b) in R:
-        for c in succ_map.get(b, ()):
+        for c in succ.get(b, ()):
+            if (a, c) not in R:
+                out.append(Imperfection(0, (a, b, c)))
             if (a, b, c) not in S:
                 out.append(Imperfection(3, (a, b, c)))
+    for (a, b), cs in s_at.items():
+        for c in cs:
+            for d in s_at.get((a, c), ()):
+                if d not in cs:
+                    out.append(Imperfection(2, (a, b, c, d)))
     if logic == ILM:
         for (a, b, c) in S:
-            for d in succ_map.get(c, ()):
+            for d in succ.get(c, ()):
                 if (b, d) not in R:
                     out.append(Imperfection(4, (a, b, c, d)))
     out.sort(key=lambda i: (i.kind, i.payload))
@@ -367,136 +340,98 @@ def close_trace(F: LabeledFrame, logic: str | None = None) -> Iterator[tuple[Imp
 
 def close(F: LabeledFrame, logic: str | None = None) -> LabeledFrame:
     """Fixpoint of imperfection elimination: same worlds and labels, R and S
-    only grow, no imperfection remains. The fixpoint is unique, so the
-    batched computation below agrees with close_trace."""
+    only grow, no imperfection remains. The fixpoint is unique, so this
+    worklist computation agrees with close_trace.
+
+    Each edge and triple enters the indexes when it is taken off the
+    worklist and is then joined, once, with every rule premise indexed so
+    far. Of any two premises that fire a rule, the later one taken off
+    finds the earlier in the indexes, so no conclusion is missed."""
     logic = check_logic(logic or F.logic)
     g = F.copy()
     R, S = g.R, g.S
-    changed = True
-    while changed:
-        changed = False
-        # transitive closure of R
-        added = True
-        while added:
-            added = False
-            for (a, b) in list(R):
-                for (b2, c) in list(R):
-                    if b == b2 and (a, c) not in R:
-                        R.add((a, c))
-                        added = True
-        before = len(S)
-        for (a, b) in R:
-            S.add((a, b, b))
-        for (a, b) in list(R):
-            for (b2, c) in list(R):
-                if b == b2:
-                    S.add((a, b, c))
-        # S_x transitivity
-        added = True
-        while added:
-            added = False
-            s_index: dict[str, dict[str, set[str]]] = {}
-            for (a, b, c) in S:
-                s_index.setdefault(a, {}).setdefault(b, set()).add(c)
-            for a, rows in s_index.items():
-                for b, cs in list(rows.items()):
-                    for c in list(cs):
-                        for d in rows.get(c, ()):
-                            if d not in cs:
-                                S.add((a, b, d))
-                                cs.add(d)
-                                added = True
-        if len(S) != before:
-            changed = True
-        if logic == ILM:
-            for (a, b, c) in list(S):
-                for (c2, d) in list(R):
-                    if c == c2 and (b, d) not in R:
-                        R.add((b, d))
-                        changed = True
+    succ: dict[str, set[str]] = {}  # a -> {b : a R b}
+    pred: dict[str, set[str]] = {}  # b -> {a : a R b}
+    s_at: dict[tuple[str, str], set[str]] = {}  # (a, b) -> {c : b S_a c}
+    s_to: dict[tuple[str, str], set[str]] = {}  # (a, c) -> {b : b S_a c}
+    s_into: dict[str, set[str]] = {}  # c -> {b : b S_a c for some a}
+    todo: list[tuple[str, ...]] = [*R, *S]
+
+    def add(fact, into):
+        if fact not in into:
+            into.add(fact)
+            todo.append(fact)
+
+    while todo:
+        fact = todo.pop()
+        if len(fact) == 2:
+            a, b = fact
+            succ.setdefault(a, set()).add(b)
+            pred.setdefault(b, set()).add(a)
+            add((a, b, b), S)  # kind 1
+            for c in succ.get(b, ()):  # kinds 0 and 3, a R b R c
+                add((a, c), R)
+                add((a, b, c), S)
+            for z in pred.get(a, ()):  # kinds 0 and 3, z R a R b
+                add((z, b), R)
+                add((z, a, b), S)
+            if logic == ILM:  # kind 4, y S_x a R b
+                for y in s_into.get(a, ()):
+                    add((y, b), R)
+        else:
+            a, b, c = fact
+            s_at.setdefault((a, b), set()).add(c)
+            s_to.setdefault((a, c), set()).add(b)
+            s_into.setdefault(c, set()).add(b)
+            for d in s_at.get((a, c), ()):  # kind 2, b S_a c S_a d
+                add((a, b, d), S)
+            for u in s_to.get((a, b), ()):  # kind 2, u S_a b S_a c
+                add((a, u, c), S)
+            if logic == ILM:  # kind 4, b S_a c R d
+                for d in succ.get(c, ()):
+                    add((b, d), R)
     _propagate_obligations(g)
     return g
 
 
 def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
-    """Closure of a plain frame under the same conditions."""
-    check_logic(logic)
-    g = LabeledFrame(AdequateSet(()), ILM if logic != IL else IL)
-    g.worlds = sorted(frame.worlds)
-    g.R = set(frame.R)
-    g.S = set(frame.S)
-    g.obligations = {w: frozenset() for w in g.worlds}
-    closed = close(g, g.logic)
+    """Closure of a plain frame under the same conditions. Raises ValueError
+    when R, before or after closing, has a cycle: no Veltman frame extends
+    such a frame."""
+    g = LabeledFrame(AdequateSet(()), logic, sorted(frame.worlds), frame.R, frame.S)
+    closed = close(g)
+    cycle = find_cycle(g.worlds, frame.R) or find_cycle(g.worlds, closed.R)
+    if cycle:
+        raise ValueError("R has a cycle: " + " -> ".join(cycle))
     return VeltmanFrame(frozenset(closed.worlds), frozenset(closed.R), frozenset(closed.S))
 
 
 def check_mcone_invariance(before: LabeledFrame, after: LabeledFrame) -> bool:
     """True iff every labeled M-cone coincides on the two frames."""
-    for x in before.worlds:
-        for lab in before.labels_from(x):
-            if m_cone(before, x, lab) != m_cone(after, x, lab):
-                return False
-    return True
+    adj_before, adj_after = _Adjacency(before), _Adjacency(after)
+    return all(
+        _m_cone(adj_before, x, lab) == _m_cone(adj_after, x, lab)
+        for x in before.worlds
+        for lab in before.labels_from(x)
+    )
 
 
 def depth(F) -> int:
     """Length of the longest R-chain (0 for edgeless frames)."""
-    worlds = list(F.worlds)
-    R = F.R
+    if find_cycle(F.worlds, F.R):
+        raise ValueError("R has a cycle")
+    succ = image(F.R)
     memo: dict[str, int] = {}
-    on_path: set[str] = set()
 
     def longest(w: str) -> int:
-        if w in memo:
-            return memo[w]
-        if w in on_path:
-            raise ValueError("R has a cycle")
-        on_path.add(w)
-        best = 0
-        for (a, b) in R:
-            if a == w:
-                best = max(best, 1 + longest(b))
-        on_path.discard(w)
-        memo[w] = best
-        return best
+        if w not in memo:
+            memo[w] = max((1 + longest(b) for b in succ.get(w, ())), default=0)
+        return memo[w]
 
-    return max((longest(w) for w in worlds), default=0)
+    return max((longest(w) for w in F.worlds), default=0)
 
 
 # --- frame validation ---------------------------------------------------------
-
-
-def _acyclic(worlds, pairs) -> bool:
-    adj: dict[str, list[str]] = {}
-    for (a, b) in pairs:
-        adj.setdefault(a, []).append(b)
-    color: dict[str, int] = {}
-
-    def visit(n) -> bool:
-        color[n] = 1
-        for m in adj.get(n, ()):
-            c = color.get(m)
-            if c == 1:
-                return False
-            if c is None and not visit(m):
-                return False
-        color[n] = 2
-        return True
-
-    return all(visit(n) for n in worlds if n not in color)
-
-
-def _pairs_transitive_closure(pairs) -> set[tuple[str, str]]:
-    out = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(out):
-            for (b2, c) in list(out):
-                if b == b2 and (a, c) not in out:
-                    out.add((a, c))
-                    changed = True
-    return out
 
 
 def quasi_frame_violations(F: LabeledFrame) -> list[str]:
@@ -504,7 +439,7 @@ def quasi_frame_violations(F: LabeledFrame) -> list[str]:
     Checks the quasi-frame conditions, the ILM additions when applicable,
     obligation satisfaction, and strict box growth along R."""
     out: list[str] = []
-    if not _acyclic(F.worlds, F.R):
+    if find_cycle(F.worlds, F.R):
         out.append("R has a cycle")
     for (x, y, z) in sorted(F.S):
         if (x, y) not in F.R or (x, z) not in F.R:
@@ -522,32 +457,29 @@ def quasi_frame_violations(F: LabeledFrame) -> list[str]:
         bx, by = F.effective_boxes(x), F.effective_boxes(y)
         if not (bx <= by and bx != by):
             out.append(f"no box growth on edge {(x, y)}")
+    adj = _Adjacency(F)
+    # the M-cone contains the critical cone, so under ILM it is the only
+    # cone whose criticality needs checking
+    cone, kind = (_m_cone, "m-criticality") if F.logic == ILM else (_critical_cone, "criticality")
     for x in F.worlds:
         labs = F.labels_from(x)
-        cones = {render(lab): generalized_cone(F, x, lab) for lab in labs}
+        cones = {render(lab): _generalized_cone(adj, x, lab) for lab in labs}
         for i, a in enumerate(labs):
             for b in labs[i + 1 :]:
                 if cones[render(a)] & cones[render(b)]:
                     out.append(f"generalized cones overlap at {x}: {render(a)} / {render(b)}")
         for lab in labs:
-            for y in sorted(critical_cone(F, x, lab)):
+            for y in sorted(cone(adj, x, lab)):
                 if not crit_succ(F.nu[x], lab, F.nu[y]):
-                    out.append(f"criticality {render(lab)} fails at {y} (cone of {x})")
+                    out.append(f"{kind} {render(lab)} fails at {y} (cone of {x})")
     if F.logic == ILM:
         for (x, y, z) in sorted(F.S):
             if not box_incl(F.nu[y], F.nu[z]):
                 out.append(f"box inclusion fails on {(x, y, z)}")
             if not F.obligations.get(y, frozenset()) <= F.obligations.get(z, frozenset()):
                 out.append(f"obligation inclusion fails on {(x, y, z)}")
-        for x in F.worlds:
-            for lab in F.labels_from(x):
-                for y in sorted(m_cone(F, x, lab)):
-                    if not crit_succ(F.nu[x], lab, F.nu[y]):
-                        out.append(f"m-criticality {render(lab)} fails at {y} (cone of {x})")
-        rtr = _pairs_transitive_closure(F.R)
-        stro = _pairs_transitive_closure({(y, z) for (_, y, z) in F.S})
-        comp = {(a, c) for (a, b) in rtr for (b2, c) in stro if b == b2}
-        if not _acyclic(F.worlds, comp):
+        comp = {(a, c) for (a, b) in transitive_closure(F.R) for c in adj.s_plus.get(b, ())}
+        if find_cycle(F.worlds, comp):
             out.append("R;S composition has a cycle")
     return out
 
@@ -559,17 +491,18 @@ def find_problems(F: LabeledFrame, D: AdequateSet | None = None) -> list[Problem
     """False rhd members without a witness in the right critical cone, and
     false box members without a refuting successor."""
     D = D or F.adequate
+    adj = _Adjacency(F)
     out = []
     for x in F.worlds:
         t = F.nu[x]
         for a in D.modal_atoms:
             if isinstance(a, Rhd) and not t.models(a):
-                cone = critical_cone(F, x, a.right)
+                cone = _critical_cone(adj, x, a.right)
                 if not any(F.nu[y].models(a.left) for y in cone):
                     out.append(Problem(x, Neg(a)))
             elif isinstance(a, Box) and not t.models(a):
                 if not any(
-                    F.nu[y].models(Neg(a.body)) for y in F.successors(x)
+                    F.nu[y].models(Neg(a.body)) for y in adj.succ.get(x, ())
                 ):
                     out.append(Problem(x, Neg(a)))
     return out
@@ -578,18 +511,16 @@ def find_problems(F: LabeledFrame, D: AdequateSet | None = None) -> list[Problem
 def find_deficiencies(F: LabeledFrame, D: AdequateSet | None = None) -> list[Deficiency]:
     D = D or F.adequate
     out = []
-    s_index: dict[tuple[str, str], list[str]] = {}
-    for (a, b, c) in F.S:
-        s_index.setdefault((a, b), []).append(c)
+    s_at = image(((a, b), c) for a, b, c in F.S)
     for x in F.worlds:
         t = F.nu[x]
         for a in D.modal_atoms:
             if not isinstance(a, Rhd) or not t.models(a):
                 continue
-            for y in F.successors(x):
-                if not F.nu[y].models(a.left):
+            for y in F.worlds:
+                if (x, y) not in F.R or not F.nu[y].models(a.left):
                     continue
-                if not any(F.nu[z].models(a.right) for z in s_index.get((x, y), ())):
+                if not any(F.nu[z].models(a.right) for z in s_at.get((x, y), ())):
                     out.append(Deficiency(x, y, a))
     return out
 
@@ -607,20 +538,18 @@ def refresh_worklist(F: LabeledFrame) -> None:
 # --- elimination ---------------------------------------------------------------
 
 
-def _reachable(F: LabeledFrame, src: str) -> set[str]:
-    return _lfp({src}, lambda w: (b for (a, b) in F.R if a == w))
-
-
 def _inherited_crit_constraints(F: LabeledFrame, x: str) -> list[tuple[Formula, bool]]:
     """Criticality constraints a fresh R-successor of x inherits from cones
     of x's ancestors that already contain x."""
     cs: list[tuple[Formula, bool]] = []
-    cone_of = m_cone if F.logic == ILM else critical_cone
+    cone_of = _m_cone if F.logic == ILM else _critical_cone
+    adj = None
     for a in F.worlds:
         if (a, x) not in F.R:
             continue
         for lab in F.labels_from(a):
-            if x in cone_of(F, a, lab):
+            adj = adj or _Adjacency(F)
+            if x in cone_of(adj, a, lab):
                 for f in crit_obligations(F.nu[a], lab):
                     cs.append((f, True))
     return cs
@@ -734,79 +663,68 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     return good
 
 
+def _extensions(
+    F: LabeledFrame, x: str, item, reusable, link, obligations: list[Formula], _state
+) -> Iterator[LabeledFrame]:
+    """Extensions of F that eliminate item by linking x to a world: first
+    every reusable existing world, then a fresh world per candidate theory,
+    each closed and re-validated. No world that reaches x is reused, since
+    the link would close an R-cycle."""
+    pred = image((b, a) for a, b in F.R)
+    back = reach({x}, lambda w: pred.get(w, ()))
+    for y in F.worlds:
+        if y in back or not reusable(y):
+            continue
+        g = F.copy()
+        link(g, y)
+        done = _finish(g)
+        if done is not None:
+            yield done
+    for t in fresh_candidate_theories(F, item):
+        if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
+            _state.cut = True
+            break
+        g = F.copy()
+        link(g, g.add_world(t, obligations))
+        done = _finish(g)
+        if done is not None:
+            yield done
+
+
 def eliminate_problem(
     F: LabeledFrame, prob: Problem, _state=None
 ) -> Iterator[LabeledFrame]:
     """Extensions of F eliminating the problem: existing worlds brought into
-    position first, then fresh witnesses, each closed and re-validated."""
-    x = prob.world
-    nf = prob.formula
-    body = nf.left
-    gx = F.nu[x]
-    back = {w for w in F.worlds if x in _reachable(F, w)}
-
+    position first, then fresh witnesses, each closed and re-validated.
+    ~(A |> B) needs a B-labeled edge to a B-critical A world, and a fresh
+    witness keeps ~A at every later world; ~[]A needs an edge to a ~A
+    successor, which is the same with B = bot and no label."""
+    x, body = prob.world, prob.formula.left
     if isinstance(body, Rhd):
-        A, B = body.left, body.right
-        # reuse: label an edge to an existing compatible world
-        for y in F.worlds:
-            if y == x or y in back:
-                continue
-            t = F.nu[y]
-            if not (t.models(A) and crit_succ(gx, B, t)):
-                continue
-            if (x, y) in F.R and F.edge_label.get((x, y)) is not None:
-                continue
-            g = F.copy()
-            g.R.add((x, y))
-            g.edge_label[(x, y)] = B
-            done = _finish(g)
-            if done is not None:
-                yield done
-        # fresh witness
-        for t in fresh_candidate_theories(F, prob):
-            if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
-                _state.cut = True
-                break
-            g = F.copy()
-            w = g.add_world(t, obligations=[single_neg(A)])
-            g.R.add((x, w))
-            g.edge_label[(x, w)] = B
-            done = _finish(g)
-            if done is not None:
-                yield done
-    elif isinstance(body, Box):
-        A = body.body
-        for y in F.worlds:
-            if y == x or y in back or (x, y) in F.R:
-                continue
-            t = F.nu[y]
-            if not (t.models(Neg(A)) and succ(gx, t)):
-                continue
-            g = F.copy()
-            g.R.add((x, y))
-            done = _finish(g)
-            if done is not None:
-                yield done
-        for t in fresh_candidate_theories(F, prob):
-            if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
-                _state.cut = True
-                break
-            g = F.copy()
-            w = g.add_world(t)
-            g.R.add((x, w))
-            done = _finish(g)
-            if done is not None:
-                yield done
-    else:  # pragma: no cover
-        raise ValueError(f"not a problem formula: {nf!r}")
+        want, crit, label = body.left, body.right, body.right
+        obligations = [single_neg(body.left)]
+    else:
+        want, crit, label, obligations = Neg(body.body), BOT, None, []
+    gx = F.nu[x]
+
+    def reusable(y):
+        t = F.nu[y]
+        taken = (x, y) in F.R and (label is None or (x, y) in F.edge_label)
+        return not taken and t.models(want) and crit_succ(gx, crit, t)
+
+    def link(g, y):
+        g.R.add((x, y))
+        if label is not None:
+            g.edge_label[(x, y)] = label
+
+    return _extensions(F, x, prob, reusable, link, obligations, _state)
 
 
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
     """The formula B with y in the B-critical cone of x; bot if none."""
-    for lab in F.labels_from(x):
-        if y in critical_cone(F, x, lab):
-            return lab
-    return BOT
+    labs = F.labels_from(x)
+    adj = _Adjacency(F) if labs else None
+    return next((lab for lab in labs if y in _critical_cone(adj, x, lab)), BOT)
 
 
 def eliminate_deficiency(
@@ -818,37 +736,17 @@ def eliminate_deficiency(
     x, y, cd = defi.x, defi.y, defi.formula
     gx = F.nu[x]
     B = criticality_label(F, x, y)
-    back = {w for w in F.worlds if x in _reachable(F, w)}
 
-    def attach(g: LabeledFrame, z: str) -> LabeledFrame | None:
+    def reusable(z):
+        t = F.nu[z]
+        fits = t.models(cd.right) and crit_succ(gx, B, t)
+        return fits and (logic != ILM or box_incl(F.nu[y], t)) and (x, y, z) not in F.S
+
+    def link(g, z):
         g.R.add((x, z))
         g.S.add((x, y, z))
-        return _finish(g)
 
-    for z in F.worlds:
-        if z == x or z in back:
-            continue
-        t = F.nu[z]
-        if not (t.models(cd.right) and crit_succ(gx, B, t)):
-            continue
-        if logic == ILM and not box_incl(F.nu[y], t):
-            continue
-        if (x, y, z) in F.S:
-            continue
-        g = F.copy()
-        done = attach(g, z)
-        if done is not None:
-            yield done
-
-    for t in fresh_candidate_theories(F, defi):
-        if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
-            _state.cut = True
-            break
-        g = F.copy()
-        z = g.add_world(t, obligations=[single_neg(cd.right)])
-        done = attach(g, z)
-        if done is not None:
-            yield done
+    return _extensions(F, x, defi, reusable, link, [single_neg(cd.right)], _state)
 
 
 def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:

@@ -163,6 +163,18 @@ def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
     return None
 
 
+def _run_search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
+    """_search with room for its recursion: one level per elimination step,
+    a handful of Python frames each. The interpreter's limit is raised for
+    the call only and restored after it, so no other code runs under it."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 20 * st.budget.max_steps + 1000))
+    try:
+        return _search(frame, st)
+    finally:
+        sys.setrecursionlimit(old)
+
+
 _sat_cache: dict[tuple[str, Formula, Budget], Sat | Unsat | Exhausted] = {}
 
 
@@ -186,10 +198,6 @@ def satisfiable(
     eng = _engine_logic(logic)
     from .syntax import adequate_closure
 
-    # one _search level per elimination step, a handful of Python frames each
-    need = 20 * budget.max_steps + 1000
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
     D = adequate_closure([f])
     st = _State(budget, observer)
     result: Sat | Unsat | Exhausted | None = None
@@ -200,7 +208,7 @@ def satisfiable(
             continue
         if observer is not None:
             observer("root", None, frame)
-        found = _search(frame, st)
+        found = _run_search(frame, st)
         if found is not None:
             model = found.to_model()
             world = found.worlds[0]
@@ -223,8 +231,7 @@ def complete_frame(
     """Run the elimination search from a prepared labeled frame; returns the
     finished frame (or None) and the search state with its counters."""
     st = _State(budget, observer)
-    found = _search(frame, st)
-    return found, st
+    return _run_search(frame, st), st
 
 
 def _certify(logic: str, model: VeltmanModel, world: str, f: Formula, frame) -> bool:

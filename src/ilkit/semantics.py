@@ -10,8 +10,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Mapping
 
+from .relation import find_cycle, image, transitive_closure
 from .syntax import Atom, Bot, Box, Formula, Implies, Rhd, atoms
 
 GL = "gl"
@@ -45,8 +47,17 @@ class VeltmanFrame:
             frozenset((x, y, z) for x, y, z in S),
         )
 
-    def successors(self, w: str) -> list[str]:
-        return sorted(y for (x, y) in self.R if x == w)
+    # Adjacency maps, built on first use; the frame is immutable, so they
+    # never go stale. Callers read them and do not mutate them.
+    @cached_property
+    def succ(self) -> dict[str, set[str]]:
+        """w -> the R-successors of w."""
+        return image(self.R)
+
+    @cached_property
+    def s_exits(self) -> dict[tuple[str, str], set[str]]:
+        """(x, y) -> the z with y S_x z."""
+        return image(((x, y), z) for x, y, z in self.S)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,63 +101,36 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
-def _has_cycle(nodes: Iterable[str], edges: set[tuple[str, str]]) -> tuple[str, ...] | None:
-    adj: dict[str, list[str]] = {n: [] for n in nodes}
-    for x, y in edges:
-        adj.setdefault(x, []).append(y)
-    color: dict[str, int] = {}
-    trail: list[str] = []
-
-    def visit(n: str):
-        color[n] = 1
-        trail.append(n)
-        for m in sorted(adj.get(n, ())):
-            c = color.get(m)
-            if c == 1:
-                return tuple(trail[trail.index(m):] + [m])
-            if c is None:
-                found = visit(m)
-                if found:
-                    return found
-        trail.pop()
-        color[n] = 2
-        return None
-
-    for n in sorted(adj):
-        if n not in color:
-            found = visit(n)
-            if found:
-                return found
-    return None
-
-
 def validate_il(frame: VeltmanFrame) -> ValidationReport:
     """Check the frame conditions of the base interpretability logic; every
     violation is reported with a witness tuple."""
     out: list[Violation] = []
     W, R, S = frame.worlds, frame.R, frame.S
-    for x, y in sorted(R):
+    pairs = sorted(R)
+    succ = frame.succ
+    for x, y in pairs:
         if x not in W or y not in W:
             out.append(Violation("r_domain", (x, y)))
-    cyc = _has_cycle(W, set(R))
+    cyc = find_cycle(W, R)
     if cyc:
         out.append(Violation("converse_well_founded", cyc))
-    for (x, y), (y2, z) in itertools.product(sorted(R), sorted(R)):
-        if y == y2 and (x, z) not in R:
-            out.append(Violation("r_transitive", (x, y, z)))
+    for x, y in pairs:
+        for z in sorted(succ.get(y, ())):
+            if (x, z) not in R:
+                out.append(Violation("r_transitive", (x, y, z)))
     for x, y, z in sorted(S):
         if (x, y) not in R or (x, z) not in R:
             out.append(Violation("s_over_successors", (x, y, z)))
-    for x, y in sorted(R):
+    for x, y in pairs:
         if (x, y, y) not in S:
             out.append(Violation("s_reflexive", (x, y)))
-    for x, y in sorted(R):
-        for y2, z in sorted(R):
-            if y == y2 and (x, y, z) not in S:
+    for x, y in pairs:
+        for z in sorted(succ.get(y, ())):
+            if (x, y, z) not in S:
                 out.append(Violation("r_inside_s", (x, y, z)))
     for x, u, v in sorted(S):
-        for x2, v2, w in sorted(S):
-            if x == x2 and v == v2 and (x, u, w) not in S:
+        for w in sorted(frame.s_exits.get((x, v), ())):
+            if (x, u, w) not in S:
                 out.append(Violation("s_transitive", (x, u, v, w)))
     return ValidationReport(tuple(out))
 
@@ -155,8 +139,8 @@ def validate_ilm(frame: VeltmanFrame) -> ValidationReport:
     """validate_il plus the ILM frame condition y S_x z R u -> y R u."""
     out = list(validate_il(frame).violations)
     for x, y, z in sorted(frame.S):
-        for z2, u in sorted(frame.R):
-            if z == z2 and (y, u) not in frame.R:
+        for u in sorted(frame.succ.get(z, ())):
+            if (y, u) not in frame.R:
                 out.append(Violation("ilm_condition", (x, y, z, u)))
     return ValidationReport(tuple(out))
 
@@ -175,12 +159,8 @@ class _Forcer:
     def __init__(self, model: VeltmanModel):
         self.m = model
         self.memo: dict[tuple[str, Formula], bool] = {}
-        self.succ: dict[str, list[str]] = {w: [] for w in model.frame.worlds}
-        for x, y in model.frame.R:
-            self.succ[x].append(y)
-        self.s_exits: dict[tuple[str, str], list[str]] = {}
-        for x, y, z in model.frame.S:
-            self.s_exits.setdefault((x, y), []).append(z)
+        self.succ = model.frame.succ
+        self.s_exits = model.frame.s_exits
 
     def forces(self, w: str, f: Formula) -> bool:
         key = (w, f)
@@ -194,11 +174,11 @@ class _Forcer:
         elif isinstance(f, Implies):
             v = (not self.forces(w, f.left)) or self.forces(w, f.right)
         elif isinstance(f, Box):
-            v = all(self.forces(u, f.body) for u in self.succ[w])
+            v = all(self.forces(u, f.body) for u in self.succ.get(w, ()))
         elif isinstance(f, Rhd):
             v = all(
                 any(self.forces(z, f.right) for z in self.s_exits.get((w, u), ()))
-                for u in self.succ[w]
+                for u in self.succ.get(w, ())
                 if self.forces(u, f.left)
             )
         else:  # pragma: no cover
@@ -218,7 +198,7 @@ def generated_submodel(model: VeltmanModel, m: str) -> VeltmanModel:
     preserved at every retained world."""
     if m not in model.frame.worlds:
         raise KeyError(f"unknown world {m!r}")
-    keep = {m} | {y for (x, y) in model.frame.R if x == m}
+    keep = {m} | model.frame.succ.get(m, set())
     frame = VeltmanFrame(
         frozenset(keep),
         frozenset((x, y) for (x, y) in model.frame.R if x in keep and y in keep),
@@ -296,7 +276,7 @@ def glue_above_world(model: VeltmanModel, m: str) -> tuple[VeltmanModel, str]:
     if m not in model.frame.worlds:
         raise KeyError(f"unknown world {m!r}")
     root = _fresh_root(set(model.frame.worlds))
-    above = {m} | {y for (x, y) in model.frame.R if x == m}
+    above = {m} | model.frame.succ.get(m, set())
     R = set(model.frame.R) | {(root, x) for x in above}
     S = set(model.frame.S)
     S |= {(root, x, x) for x in above}
@@ -327,16 +307,10 @@ def glue_selfprover(
     R = set(left.frame.R) | set(right.frame.R)
     R |= {(w, x) for x in worlds if x != w}
     R |= {(l, y) for (x, y) in right.frame.R if x == r}
-    # transitive closure (l's new edges may need lifting to l's ancestors)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(R):
-            for (b2, c) in list(R):
-                if b == b2 and (a, c) not in R:
-                    R.add((a, c))
-                    changed = True
-    S = {(x, y, z) for (x, y) in R for z in worlds if z == y or (y, z) in R if (x, z) in R}
+    # l's new edges may need lifting to l's ancestors
+    R = transitive_closure(R)
+    succ = image(R)
+    S = {(x, y, z) for x, y in R for z in (y, *succ.get(y, ()))}
     S.add((w, l, r))
     frame = VeltmanFrame(frozenset(worlds), frozenset(R), frozenset(S))
     val = dict(left.val)

@@ -127,6 +127,36 @@ def test_close_cli(tmp_path):
     assert ["a", "b", "c"] in data["S"]
 
 
+def test_close_cli_rejects_a_cyclic_r(tmp_path, capsys):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"worlds": ["a", "b"], "R": [["a", "b"], ["b", "a"]]}))
+    code, out = run_cli("close", str(frame))
+    assert code == 3
+    assert out == ""
+    assert "R has a cycle: a -> b -> a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, argv, exc",
+    [
+        ("cmd_prove", ["prove", "p"], RuntimeError("boom")),
+        ("cmd_sat", ["sat", "p"], RecursionError("maximum recursion depth exceeded")),
+    ],
+)
+def test_unexpected_failure_is_no_answer(monkeypatch, capsys, command, argv, exc):
+    # exit 1 would read as a negative answer; any failure exits 3
+    import ilkit.cli
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(ilkit.cli, command, fail)
+    code, out = run_cli(*argv)
+    assert code == 3
+    assert out == ""
+    assert capsys.readouterr().err == f"error: {type(exc).__name__}: {exc}\n"
+
+
 def test_checkproof_cli(tmp_path):
     proof = tmp_path / "proof.txt"
     proof.write_text(

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from ilkit.construction import (
     Deficiency,
     LabeledFrame,
@@ -165,23 +167,34 @@ def test_close_ilm_kind4():
     assert ("b", "d") in g.R
 
 
-def test_close_trace_matches_close():
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_close_trace_matches_close(logic):
     rng = random.Random(3)
     D = small_D()
-    for _ in range(20):
-        worlds = [f"v{i}" for i in range(rng.randrange(2, 5))]
+    t = pick(D, excl=[Box(p)])
+    with_s = 0
+    for _ in range(40):
+        worlds = [f"v{i}" for i in range(rng.randrange(2, 6))]
         R = set()
         for i in range(len(worlds)):
             for j in range(i + 1, len(worlds)):
                 if rng.random() < 0.6:
                     R.add((worlds[i], worlds[j]))
-        t = pick(D, excl=[Box(p)])
-        f = frame_with(D, ILM, worlds, R, set(), {w: t for w in worlds})
+        # S triples over R-successors in either order; under ILM some of
+        # them close an R-cycle, which both closures must reach alike
+        S = {(x, y, z) for (x, y) in R for (x2, z) in R if x2 == x and rng.random() < 0.3}
+        with_s += bool(S)
+        f = frame_with(D, logic, worlds, R, S, {w: t for w in worlds})
+        for w in worlds:
+            if rng.random() < 0.3:
+                f.obligations[w] = frozenset({p})
         stepped = f
-        for _, stepped in close_trace(f, ILM):
+        for _, stepped in close_trace(f, logic):
             pass
-        batched = close(f, ILM)
+        batched = close(f, logic)
         assert stepped.R == batched.R and stepped.S == batched.S
+        assert stepped.obligations == batched.obligations
+    assert with_s >= 20
 
 
 def test_close_trace_mcone_invariance():
@@ -416,6 +429,39 @@ def test_generalized_cone_strictly_wider_via_foreign_s_step():
     assert "z" not in critical_cone(f, "a", q)
     assert "z" in generalized_cone(f, "a", q)
     assert critical_cone(f, "a", q) <= m_cone(f, "a", q) <= generalized_cone(f, "a", q)
+
+
+def test_cone_inclusions_on_random_ilm_frames():
+    # critical cone <= M-cone <= generalized cone, on quasi-frames and on
+    # their closures: under ILM the M-cone criticality check of
+    # quasi_frame_violations covers the critical one
+    rng = random.Random(23)
+    D = small_D()
+    checked = 0
+    for _ in range(60):
+        f = _random_quasi_ilm_frame(rng, D, rng.randrange(2, 7))
+        for (x, y) in sorted(f.R):
+            if rng.random() < 0.4:
+                f.edge_label[(x, y)] = rng.choice((p, q, BOT))
+        for g in (f, close(f, ILM)):
+            for x in g.worlds:
+                for lab in g.labels_from(x):
+                    crit = critical_cone(g, x, lab)
+                    assert crit <= m_cone(g, x, lab) <= generalized_cone(g, x, lab)
+                    checked += bool(crit)
+    assert checked >= 50
+
+
+def test_close_frame_rejects_a_cyclic_r():
+    two_cycle = VeltmanFrame.make(["a", "b"], [("a", "b"), ("b", "a")])
+    for logic in (IL, ILM):
+        with pytest.raises(ValueError, match="R has a cycle: a -> b -> a"):
+            close_frame(two_cycle, logic)
+    # an acyclic R whose ILM closure is cyclic: b S_a c and c R b give b R b
+    f = VeltmanFrame.make(["a", "b", "c"], [("a", "b"), ("a", "c"), ("c", "b")], [("a", "b", "c")])
+    with pytest.raises(ValueError, match="R has a cycle: b -> b"):
+        close_frame(f, ILM)
+    assert ("b", "b") not in close_frame(f, IL).R
 
 
 def test_m_cone_equals_critical_cone_on_full_ilm_frames():

@@ -273,3 +273,25 @@ def test_world_reuse_under_tight_budget():
     assert len(res.model.frame.worlds) <= 5
     assert forces(res.model, res.world, f)
     assert validate_ilm(res.model.frame).ok
+
+
+def test_queries_leave_the_recursion_limit_alone():
+    # the search raises the interpreter's limit for itself only, so what
+    # the parser accepts does not depend on what ran before it
+    import sys
+
+    from ilkit.classify import sigma1_countermodel
+    from ilkit.decide import Budget
+    from ilkit.syntax import ParseError
+
+    too_deep = "~" * 3000 + "p"
+    limit = sys.getrecursionlimit()
+    # a budget no other test uses, so the query is searched, not cached
+    assert isinstance(derivable(ILM, parse("[]p -> p"), Budget(max_steps=2411)), Refuted)
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(ParseError):
+        parse(too_deep)
+    sigma1_countermodel(parse("p & []q"))
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(ParseError):
+        parse(too_deep)

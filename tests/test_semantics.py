@@ -53,6 +53,53 @@ def test_validate_cycle():
     assert any(v.condition == "converse_well_founded" for v in rep.violations)
 
 
+def _violations_by_nested_loops(frame, ilm):
+    """validate_il / validate_ilm written out as scans over all pairs of
+    pairs, in their report order."""
+    import itertools
+
+    from ilkit.relation import find_cycle
+
+    W, R, S = frame.worlds, sorted(frame.R), sorted(frame.S)
+    out = [("r_domain", (x, y)) for x, y in R if x not in W or y not in W]
+    cyc = find_cycle(W, R)
+    if cyc:
+        out.append(("converse_well_founded", cyc))
+    RR = list(itertools.product(R, R))
+    out += [("r_transitive", (x, y, z)) for (x, y), (y2, z) in RR if y == y2 and (x, z) not in R]
+    out += [("s_over_successors", (x, y, z)) for x, y, z in S if (x, y) not in R or (x, z) not in R]
+    out += [("s_reflexive", (x, y)) for x, y in R if (x, y, y) not in S]
+    out += [("r_inside_s", (x, y, z)) for (x, y), (y2, z) in RR if y == y2 and (x, y, z) not in S]
+    out += [
+        ("s_transitive", (x, u, v, w))
+        for (x, u, v), (x2, v2, w) in itertools.product(S, S)
+        if x == x2 and v == v2 and (x, u, w) not in S
+    ]
+    if ilm:
+        out += [
+            ("ilm_condition", (x, y, z, u))
+            for (x, y, z), (z2, u) in itertools.product(S, R)
+            if z == z2 and (y, u) not in R
+        ]
+    return out
+
+
+def test_validate_matches_nested_loop_definitions():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        worlds = [f"w{i}" for i in range(rng.randrange(1, 6))]
+        names = worlds + ["x"]  # an occasional pair outside the worlds
+        R = {(a, b) for a in names for b in names if rng.random() < 0.2}
+        S = {(a, b, c) for a in names for b in names for c in names if rng.random() < 0.05}
+        frame = VeltmanFrame.make(worlds, R, S)
+        for ilm, check in ((False, validate_il), (True, validate_ilm)):
+            got = [(v.condition, v.witness) for v in check(frame).violations]
+            assert got == _violations_by_nested_loops(frame, ilm)
+            seen |= {c for c, _ in got}
+    assert len(seen) == 8  # every condition was violated somewhere
+
+
 def test_validate_ilm_identity_s_is_vacuous():
     # one root with two incomparable successors, S = identity only: a valid
     # IL frame on which the ILM condition never fires
@@ -334,9 +381,9 @@ def _enumerate_il_frames_upto(n_max):
 
 
 def _cyclic(worlds, R):
-    from ilkit.semantics import _has_cycle
+    from ilkit.relation import find_cycle
 
-    return _has_cycle(worlds, set(R)) is not None
+    return find_cycle(worlds, R) is not None
 
 
 def test_lemma_3_2_correspondence_sampled_4_world_frames():
