@@ -13,13 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .construction import (
-    LabeledFrame,
-    close,
-    quasi_frame_violations,
-    refresh_worklist,
-    verify_truth_lemma,
-)
+from .construction import LabeledFrame, verify_truth_lemma
 from .decide import (
     Budget,
     DEFAULT_BUDGET,
@@ -334,10 +328,6 @@ def sigma1_countermodel(
                 frame.R = {("m0", "l"), ("m0", "r")}
                 frame.S = {("m0", "l", "r")}
                 frame.exempt_root = "m0"
-                frame = close(frame)
-                if quasi_frame_violations(frame):
-                    continue
-                refresh_worklist(frame)
                 found, st = complete_frame(frame, budget)
                 if found is None:
                     if st.cut:

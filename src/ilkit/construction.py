@@ -93,7 +93,14 @@ class Imperfection:
 
 
 class LabeledFrame:
-    """Mutable working frame; value-semantic copies back the search."""
+    """Mutable working frame; value-semantic copies back the search.
+
+    A frame keeps what its queries derive from it: its adjacency maps and,
+    per world, the constraints a fresh successor of that world must meet.
+    A copy starts without them and `add_world` drops them; a frame whose
+    R, S, labels or obligations are edited in place after a query must be
+    copied first. The search edits only fresh copies.
+    """
 
     def __init__(
         self,
@@ -120,6 +127,7 @@ class LabeledFrame:
             self.obligations.setdefault(w, frozenset())
         self.exempt_root = exempt_root
         self.worklist: list = []
+        self._forget()
 
     def copy(self) -> "LabeledFrame":
         g = LabeledFrame.__new__(LabeledFrame)
@@ -133,7 +141,13 @@ class LabeledFrame:
         g.obligations = dict(self.obligations)
         g.exempt_root = self.exempt_root
         g.worklist = list(self.worklist)
+        g._forget()
         return g
+
+    def _forget(self) -> None:
+        """Drop what queries derived from the frame (see the class doc)."""
+        self._adj: _Adjacency | None = None
+        self._constraints: dict[str, tuple[tuple[Formula, bool], ...]] = {}
 
     def order(self) -> dict[str, int]:
         return {w: i for i, w in enumerate(self.worlds)}
@@ -147,6 +161,7 @@ class LabeledFrame:
         self.worlds.append(name)
         self.nu[name] = theory
         self.obligations[name] = frozenset(obligations)
+        self._forget()
         return name
 
     def effective_obligations(self, w: str) -> frozenset[Formula]:
@@ -165,14 +180,20 @@ class LabeledFrame:
         out |= self.effective_obligations(w)
         return frozenset(out)
 
-    def labels_from(self, x: str) -> list[Formula]:
-        seen = []
-        for (a, b), lab in sorted(
+    def labels_by_world(self) -> dict[str, list[Formula]]:
+        """x -> the distinct labels of x's edges, ordered by edge, then
+        label; worlds without a labeled edge are absent."""
+        out: dict[str, list[Formula]] = {}
+        for (a, _), lab in sorted(
             self.edge_label.items(), key=lambda kv: (kv[0], kv[1].key())
         ):
-            if a == x and lab not in seen:
-                seen.append(lab)
-        return seen
+            labs = out.setdefault(a, [])
+            if lab not in labs:
+                labs.append(lab)
+        return out
+
+    def labels_from(self, x: str) -> list[Formula]:
+        return self.labels_by_world().get(x, [])
 
     def to_frame(self) -> VeltmanFrame:
         return VeltmanFrame(frozenset(self.worlds), frozenset(self.R), frozenset(self.S))
@@ -200,9 +221,9 @@ def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> Label
 
 
 class _Adjacency:
-    """The adjacency maps of one frame state. A frame pass builds one and
-    answers all its cone queries from it; it goes stale when R, S or the
-    edge labels change."""
+    """The adjacency maps of one frame state, from which the cone queries
+    are answered. It goes stale when R, S or the edge labels change, so a
+    frame keeps one only until it is copied or grows a world."""
 
     def __init__(self, F: LabeledFrame):
         self.succ = image(F.R)
@@ -215,6 +236,13 @@ class _Adjacency:
         """y -> worlds reached from y by one or more S steps of any index."""
         step = lambda n: self.s_any.get(n, ())
         return {y: reach(zs, step) for y, zs in self.s_any.items()}
+
+
+def _adjacency(F: LabeledFrame) -> _Adjacency:
+    """F's adjacency maps, built on first use and kept with F."""
+    if F._adj is None:
+        F._adj = _Adjacency(F)
+    return F._adj
 
 
 def _critical_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
@@ -305,20 +333,23 @@ def _apply_imperfection(imp: Imperfection, R: set, S: set) -> None:
         raise ValueError(imp)
 
 
-def _propagate_obligations(F: LabeledFrame) -> None:
+def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, str]]) -> None:
     """Under ILM, obligations flow along S-transitions (the obligation set
-    is the out-of-D part of the boxes, and S preserves boxes)."""
+    is the out-of-D part of the boxes, and S preserves boxes). The given
+    triples are examined first; a world whose obligations grow passes them
+    on along every S-transition out of it."""
     if F.logic != ILM:
         return
-    changed = True
-    while changed:
-        changed = False
-        for (a, b, c) in F.S:
-            ob = F.obligations.get(b, frozenset())
-            oc = F.obligations.get(c, frozenset())
-            if not ob <= oc:
-                F.obligations[c] = oc | ob
-                changed = True
+    ob = F.obligations
+    todo = [(b, c) for _, b, c in triples]
+    out = None  # b -> {c : b S_a c for some a}, built when first needed
+    while todo:
+        b, c = todo.pop()
+        ob_b, ob_c = ob.get(b, frozenset()), ob.get(c, frozenset())
+        if not ob_b <= ob_c:
+            ob[c] = ob_c | ob_b
+            out = out or image((y, z) for _, y, z in F.S)
+            todo.extend((c, d) for d in out.get(c, ()))
 
 
 def close_trace(F: LabeledFrame, logic: str | None = None) -> Iterator[tuple[Imperfection, LabeledFrame]]:
@@ -329,16 +360,18 @@ def close_trace(F: LabeledFrame, logic: str | None = None) -> Iterator[tuple[Imp
     while True:
         imps = find_imperfections(g, logic)
         if not imps:
-            _propagate_obligations(g)
+            _propagate_obligations(g, g.S)
             return
         imp = imps[0]
         g = g.copy()
         _apply_imperfection(imp, g.R, g.S)
-        _propagate_obligations(g)
+        _propagate_obligations(g, g.S)
         yield imp, g
 
 
-def close(F: LabeledFrame, logic: str | None = None) -> LabeledFrame:
+def close(
+    F: LabeledFrame, logic: str | None = None, since: LabeledFrame | None = None
+) -> LabeledFrame:
     """Fixpoint of imperfection elimination: same worlds and labels, R and S
     only grow, no imperfection remains. The fixpoint is unique, so this
     worklist computation agrees with close_trace.
@@ -346,16 +379,29 @@ def close(F: LabeledFrame, logic: str | None = None) -> LabeledFrame:
     Each edge and triple enters the indexes when it is taken off the
     worklist and is then joined, once, with every rule premise indexed so
     far. Of any two premises that fire a rule, the later one taken off
-    finds the earlier in the indexes, so no conclusion is missed."""
+    finds the earlier in the indexes, so no conclusion is missed.
+
+    since, when given, is a closed frame that F extends (F's R, S and
+    obligations contain its own): its facts enter the indexes unjoined,
+    since any rule they fire together already holds, and only the facts it
+    lacks go on the worklist. Without since every fact is new."""
     logic = check_logic(logic or F.logic)
     g = F.copy()
     R, S = g.R, g.S
+    old_R, old_S = (since.R, since.S) if since is not None else ((), ())
     succ: dict[str, set[str]] = {}  # a -> {b : a R b}
     pred: dict[str, set[str]] = {}  # b -> {a : a R b}
     s_at: dict[tuple[str, str], set[str]] = {}  # (a, b) -> {c : b S_a c}
     s_to: dict[tuple[str, str], set[str]] = {}  # (a, c) -> {b : b S_a c}
     s_into: dict[str, set[str]] = {}  # c -> {b : b S_a c for some a}
-    todo: list[tuple[str, ...]] = [*R, *S]
+    for a, b in old_R:
+        succ.setdefault(a, set()).add(b)
+        pred.setdefault(b, set()).add(a)
+    for a, b, c in old_S:
+        s_at.setdefault((a, b), set()).add(c)
+        s_to.setdefault((a, c), set()).add(b)
+        s_into.setdefault(c, set()).add(b)
+    todo: list[tuple[str, ...]] = [*R.difference(old_R), *S.difference(old_S)]
 
     def add(fact, into):
         if fact not in into:
@@ -390,7 +436,7 @@ def close(F: LabeledFrame, logic: str | None = None) -> LabeledFrame:
             if logic == ILM:  # kind 4, b S_a c R d
                 for d in succ.get(c, ()):
                     add((b, d), R)
-    _propagate_obligations(g)
+    _propagate_obligations(g, S.difference(old_S))
     return g
 
 
@@ -434,35 +480,60 @@ def depth(F) -> int:
 # --- frame validation ---------------------------------------------------------
 
 
-def quasi_frame_violations(F: LabeledFrame) -> list[str]:
+def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -> list[str]:
     """Violated invariants of the working frame, as readable strings.
     Checks the quasi-frame conditions, the ILM additions when applicable,
-    obligation satisfaction, and strict box growth along R."""
+    obligation satisfaction, and strict box growth along R.
+
+    since, when given, is a settled frame and F the closure of a child of
+    it. The checks of single edges and triples then run only where F
+    differs from since: on new edges and triples, and on edges at worlds
+    whose effective obligations changed. R is transitive in a closed
+    frame, so an R-cycle shows as a new self-loop. The cone overlap,
+    criticality and R;S composition checks read whole cones and paths and
+    always cover the whole frame. With since the list can be shorter than
+    a whole-frame call's, but it is empty exactly when that one is.
+    Without since every edge and triple is new."""
+    old_R, old_S = (since.R, since.S) if since is not None else ((), ())
+    old_ob = since.obligations if since is not None else {}
+    new_R, new_S = F.R.difference(old_R), F.S.difference(old_S)
+    grown = {w for w in F.worlds if F.obligations.get(w) != old_ob.get(w)}
+    # worlds whose effective obligations may differ from since's
+    moved = grown.union((b for _, b in new_R), (b for a, b in F.R if a in grown))
+    edges = sorted(new_R.union(e for e in old_R if e[0] in moved or e[1] in moved))
     out: list[str] = []
-    if find_cycle(F.worlds, F.R):
+    if find_cycle((), new_R):
         out.append("R has a cycle")
-    for (x, y, z) in sorted(F.S):
+    for (x, y, z) in sorted(new_S):
         if (x, y) not in F.R or (x, z) not in F.R:
             out.append(f"S triple outside R: {(x, y, z)}")
-    for (x, y) in sorted(F.R):
+    for (x, y) in sorted(new_R):
         if not succ(F.nu[x], F.nu[y]):
             out.append(f"succ fails on edge {(x, y)}")
-    for (x, y) in sorted(F.R):
-        for o in sorted(F.effective_obligations(x), key=lambda f: f.key()):
+    eff: dict[str, list[Formula]] = {}
+    for (x, y) in edges:
+        if x not in eff:
+            eff[x] = sorted(F.effective_obligations(x), key=lambda f: f.key())
+        for o in eff[x]:
             if not F.nu[y].models(o):
                 out.append(f"obligation {render(o)} of {x} fails at {y}")
-    for (x, y) in sorted(F.R):
+    boxes: dict[str, frozenset[Formula]] = {}
+    for (x, y) in edges:
         if F.exempt_root is not None and x == F.exempt_root:
             continue
-        bx, by = F.effective_boxes(x), F.effective_boxes(y)
+        for w in (x, y):
+            if w not in boxes:
+                boxes[w] = F.effective_boxes(w)
+        bx, by = boxes[x], boxes[y]
         if not (bx <= by and bx != by):
             out.append(f"no box growth on edge {(x, y)}")
-    adj = _Adjacency(F)
+    adj = _adjacency(F)
+    labels = F.labels_by_world()
     # the M-cone contains the critical cone, so under ILM it is the only
     # cone whose criticality needs checking
     cone, kind = (_m_cone, "m-criticality") if F.logic == ILM else (_critical_cone, "criticality")
     for x in F.worlds:
-        labs = F.labels_from(x)
+        labs = labels.get(x, ())
         cones = {render(lab): _generalized_cone(adj, x, lab) for lab in labs}
         for i, a in enumerate(labs):
             for b in labs[i + 1 :]:
@@ -473,8 +544,9 @@ def quasi_frame_violations(F: LabeledFrame) -> list[str]:
                 if not crit_succ(F.nu[x], lab, F.nu[y]):
                     out.append(f"{kind} {render(lab)} fails at {y} (cone of {x})")
     if F.logic == ILM:
-        for (x, y, z) in sorted(F.S):
-            if not box_incl(F.nu[y], F.nu[z]):
+        touched = (t for t in old_S if t[1] in grown or t[2] in grown)
+        for (x, y, z) in sorted(new_S.union(touched)):
+            if (x, y, z) in new_S and not box_incl(F.nu[y], F.nu[z]):
                 out.append(f"box inclusion fails on {(x, y, z)}")
             if not F.obligations.get(y, frozenset()) <= F.obligations.get(z, frozenset()):
                 out.append(f"obligation inclusion fails on {(x, y, z)}")
@@ -487,52 +559,79 @@ def quasi_frame_violations(F: LabeledFrame) -> list[str]:
 # --- problems and deficiencies -----------------------------------------------
 
 
+def _problems_at(F: LabeledFrame, worlds, D: AdequateSet) -> Iterator[Problem]:
+    """Every false rhd or box member of the given worlds, witnessed or not."""
+    for x in worlds:
+        t = F.nu[x]
+        for a in D.modal_atoms:
+            if isinstance(a, (Rhd, Box)) and not t.models(a):
+                yield Problem(x, Neg(a))
+
+
+def _deficiencies_on(F: LabeledFrame, edges, D: AdequateSet) -> Iterator[Deficiency]:
+    """Every rhd member C |> D of x with C at y, for the given edges x R y,
+    answered or not; ordered by x, then the rhd, then y."""
+    succ = image(edges)
+    for x in F.worlds:
+        ys = succ.get(x)
+        if not ys:
+            continue
+        t = F.nu[x]
+        for a in D.modal_atoms:
+            if isinstance(a, Rhd) and t.models(a):
+                for y in F.worlds:
+                    if y in ys and F.nu[y].models(a.left):
+                        yield Deficiency(x, y, a)
+
+
+def _is_open(F: LabeledFrame, adj: _Adjacency, item) -> bool:
+    """No witness yet: for ~(A |> B) no A world in the B-critical cone, for
+    ~[]A no ~A successor, for a deficiency no S_x exit to a D world."""
+    if isinstance(item, Deficiency):
+        right = item.formula.right
+        return not any(F.nu[z].models(right) for z in adj.s_at.get((item.x, item.y), ()))
+    x, body = item.world, item.formula.left
+    if isinstance(body, Rhd):
+        return not any(F.nu[y].models(body.left) for y in _critical_cone(adj, x, body.right))
+    refuter = Neg(body.body)
+    return not any(F.nu[y].models(refuter) for y in adj.succ.get(x, ()))
+
+
 def find_problems(F: LabeledFrame, D: AdequateSet | None = None) -> list[Problem]:
     """False rhd members without a witness in the right critical cone, and
     false box members without a refuting successor."""
-    D = D or F.adequate
-    adj = _Adjacency(F)
-    out = []
-    for x in F.worlds:
-        t = F.nu[x]
-        for a in D.modal_atoms:
-            if isinstance(a, Rhd) and not t.models(a):
-                cone = _critical_cone(adj, x, a.right)
-                if not any(F.nu[y].models(a.left) for y in cone):
-                    out.append(Problem(x, Neg(a)))
-            elif isinstance(a, Box) and not t.models(a):
-                if not any(
-                    F.nu[y].models(Neg(a.body)) for y in adj.succ.get(x, ())
-                ):
-                    out.append(Problem(x, Neg(a)))
-    return out
+    adj = _adjacency(F)
+    return [p for p in _problems_at(F, F.worlds, D or F.adequate) if _is_open(F, adj, p)]
 
 
 def find_deficiencies(F: LabeledFrame, D: AdequateSet | None = None) -> list[Deficiency]:
-    D = D or F.adequate
-    out = []
-    s_at = image(((a, b), c) for a, b, c in F.S)
-    for x in F.worlds:
-        t = F.nu[x]
-        for a in D.modal_atoms:
-            if not isinstance(a, Rhd) or not t.models(a):
-                continue
-            for y in F.worlds:
-                if (x, y) not in F.R or not F.nu[y].models(a.left):
-                    continue
-                if not any(F.nu[z].models(a.right) for z in s_at.get((x, y), ())):
-                    out.append(Deficiency(x, y, a))
-    return out
+    adj = _adjacency(F)
+    return [d for d in _deficiencies_on(F, F.R, D or F.adequate) if _is_open(F, adj, d)]
 
 
-def refresh_worklist(F: LabeledFrame) -> None:
+def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None:
+    """Set F's worklist to its open problems and deficiencies: the items of
+    the current worklist that are still open, in their order, then the
+    others in key order.
+
+    since, when given, is a settled frame whose worklist F carries and
+    which F extends by worlds, edges and triples. Only since's items and
+    the items of new worlds and new edges are examined then: an item
+    closed on since stays closed, because its witnesses (a cone, the
+    successors, the S-exits) only grow with R, S and the labels. Without
+    since every world and edge is new."""
+    old_nu, old_R, old_items = (since.nu, since.R, since.worklist) if since is not None else ({}, (), [])
+    D = F.adequate
+    maybe = [
+        *old_items,
+        *_problems_at(F, [w for w in F.worlds if w not in old_nu], D),
+        *_deficiencies_on(F, F.R.difference(old_R), D),
+    ]
+    adj = _adjacency(F)
+    current = {it for it in maybe if _is_open(F, adj, it)}
+    kept = [it for it in F.worklist if it in current]
     order = F.order()
-    current = find_problems(F) + find_deficiencies(F)
-    keys = {item: None for item in current}
-    kept = [it for it in F.worklist if it in keys]
-    kept_set = set(kept)
-    fresh = sorted((it for it in current if it not in kept_set), key=lambda i: i.key(order))
-    F.worklist = kept + fresh
+    F.worklist = kept + sorted(current.difference(kept), key=lambda i: i.key(order))
 
 
 # --- elimination ---------------------------------------------------------------
@@ -543,31 +642,37 @@ def _inherited_crit_constraints(F: LabeledFrame, x: str) -> list[tuple[Formula, 
     of x's ancestors that already contain x."""
     cs: list[tuple[Formula, bool]] = []
     cone_of = _m_cone if F.logic == ILM else _critical_cone
-    adj = None
+    labels = F.labels_by_world()
     for a in F.worlds:
         if (a, x) not in F.R:
             continue
-        for lab in F.labels_from(a):
-            adj = adj or _Adjacency(F)
-            if x in cone_of(adj, a, lab):
+        for lab in labels.get(a, ()):
+            if x in cone_of(_adjacency(F), a, lab):
                 for f in crit_obligations(F.nu[a], lab):
                     cs.append((f, True))
     return cs
 
 
-def _finish(F: LabeledFrame) -> LabeledFrame | None:
-    g = close(F)
-    if quasi_frame_violations(g):
+def _finish(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame | None:
+    """F settled: closed, checked and with its worklist refreshed, or None
+    if it violates an invariant. since is the settled frame F was made
+    from by one step, or None to settle F from scratch."""
+    g = close(F, since=since)
+    if quasi_frame_violations(g, since=since):
         return None
-    refresh_worklist(g)
+    refresh_worklist(g, since=since)
     return g
 
 
-def _item_constraints(F: LabeledFrame, item) -> list[tuple[Formula, bool]]:
-    x = item.world if isinstance(item, Problem) else item.x
-    extra = [(o, True) for o in sorted(F.effective_obligations(x), key=lambda f: f.key())]
-    extra += _inherited_crit_constraints(F, x)
-    return extra
+def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool], ...]:
+    """What every fresh R-successor of x must satisfy: x's effective
+    obligations and the criticality it inherits. Kept per frame and world."""
+    got = F._constraints.get(x)
+    if got is None:
+        extra = [(o, True) for o in sorted(F.effective_obligations(x), key=lambda f: f.key())]
+        extra += _inherited_crit_constraints(F, x)
+        got = F._constraints[x] = tuple(extra)
+    return got
 
 
 def _box_lookahead(F: LabeledFrame, t: DTheory, base: TheoryQuery) -> bool:
@@ -623,7 +728,6 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     the most-constrained scan of every frame in a search and the
     elimination that follows it share one list; callers do not mutate it.
     """
-    extra = _item_constraints(F, item)
     if isinstance(item, Problem):
         x, gy = item.world, None
         body = item.formula.left
@@ -632,9 +736,10 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
         x = item.x
         B = criticality_label(F, item.x, item.y)
         gy = F.nu[item.y] if F.logic == ILM else None
+    extra = _successor_constraints(F, x)
     gx = F.nu[x]
     memo = F.adequate._sat_cache.setdefault(("__candidates__", F.logic), {})
-    key = (type(item), item.formula, gx, B, gy, tuple(extra))
+    key = (type(item), item.formula, gx, B, gy, extra)
     got = memo.get(key)
     if got is not None:
         return got
@@ -668,8 +773,13 @@ def _extensions(
 ) -> Iterator[LabeledFrame]:
     """Extensions of F that eliminate item by linking x to a world: first
     every reusable existing world, then a fresh world per candidate theory,
-    each closed and re-validated. No world that reaches x is reused, since
-    the link would close an R-cycle."""
+    each settled (`_finish`). No world that reaches x is reused, since the
+    link would close an R-cycle.
+
+    Under a search (_state given) F must be settled: closed, free of
+    violations and with a worklist of exactly its open items. Each child
+    is then settled against F and re-checks only what its step changed."""
+    since = F if _state is not None else None
     pred = image((b, a) for a, b in F.R)
     back = reach({x}, lambda w: pred.get(w, ()))
     for y in F.worlds:
@@ -677,7 +787,7 @@ def _extensions(
             continue
         g = F.copy()
         link(g, y)
-        done = _finish(g)
+        done = _finish(g, since)
         if done is not None:
             yield done
     for t in fresh_candidate_theories(F, item):
@@ -686,7 +796,7 @@ def _extensions(
             break
         g = F.copy()
         link(g, g.add_world(t, obligations))
-        done = _finish(g)
+        done = _finish(g, since)
         if done is not None:
             yield done
 
@@ -723,16 +833,14 @@ def eliminate_problem(
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
     """The formula B with y in the B-critical cone of x; bot if none."""
     labs = F.labels_from(x)
-    adj = _Adjacency(F) if labs else None
-    return next((lab for lab in labs if y in _critical_cone(adj, x, lab)), BOT)
+    return next((lab for lab in labs if y in _critical_cone(_adjacency(F), x, lab)), BOT)
 
 
 def eliminate_deficiency(
-    F: LabeledFrame, defi: Deficiency, logic: str | None = None, _state=None
+    F: LabeledFrame, defi: Deficiency, _state=None
 ) -> Iterator[LabeledFrame]:
     """Extensions of F giving y an S_x exit to a world carrying the rhd's
     right side: existing worlds first, then fresh ones."""
-    logic = check_logic(logic or F.logic)
     x, y, cd = defi.x, defi.y, defi.formula
     gx = F.nu[x]
     B = criticality_label(F, x, y)
@@ -740,7 +848,7 @@ def eliminate_deficiency(
     def reusable(z):
         t = F.nu[z]
         fits = t.models(cd.right) and crit_succ(gx, B, t)
-        return fits and (logic != ILM or box_incl(F.nu[y], t)) and (x, y, z) not in F.S
+        return fits and (F.logic != ILM or box_incl(F.nu[y], t)) and (x, y, z) not in F.S
 
     def link(g, z):
         g.R.add((x, z))
@@ -752,7 +860,7 @@ def eliminate_deficiency(
 def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
     if isinstance(item, Problem):
         return eliminate_problem(F, item, _state)
-    return eliminate_deficiency(F, item, None, _state)
+    return eliminate_deficiency(F, item, _state)
 
 
 # --- truth lemma ----------------------------------------------------------------

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 
 from .construction import (
     LabeledFrame,
+    close,
     eliminate,
     fresh_candidate_theories,
-    seed_frame,
     quasi_frame_violations,
+    refresh_worklist,
+    seed_frame,
     verify_truth_lemma,
 )
 from .semantics import (
@@ -201,23 +203,29 @@ def satisfiable(
     D = adequate_closure([f])
     st = _State(budget, observer)
     result: Sat | Unsat | Exhausted | None = None
-    roots = sorted(enumerate_theories(D, include=[f], logic=eng), key=search_preference)
-    for root in roots:
-        frame = seed_frame(D, eng, root)
-        if quasi_frame_violations(frame):
-            continue
-        if observer is not None:
-            observer("root", None, frame)
-        found = _run_search(frame, st)
-        if found is not None:
-            model = found.to_model()
-            world = found.worlds[0]
-            if not _certify(logic, model, world, f, found):
+    try:
+        roots = sorted(enumerate_theories(D, include=[f], logic=eng), key=search_preference)
+        for root in roots:
+            frame = seed_frame(D, eng, root)
+            if quasi_frame_violations(frame):
                 continue
-            result = Sat(model, world)
-            break
-        if st.cut:
-            break
+            if observer is not None:
+                observer("root", None, frame)
+            found = _run_search(frame, st)
+            if found is not None:
+                model = found.to_model()
+                world = found.worlds[0]
+                if not _certify(logic, model, world, f, found):
+                    continue
+                result = Sat(model, world)
+                break
+            if st.cut:
+                break
+    finally:
+        # the caches hold D's theories, and each theory points back at D:
+        # dropping them here frees the query's theories without waiting
+        # for the cyclic collector. No result holds a theory.
+        D._sat_cache.clear()
     if result is None:
         result = Exhausted(st.report()) if st.cut else Unsat()
     if observer is None:
@@ -229,8 +237,18 @@ def complete_frame(
     frame: LabeledFrame, budget: Budget = DEFAULT_BUDGET, observer=None
 ) -> tuple[LabeledFrame | None, "_State"]:
     """Run the elimination search from a prepared labeled frame; returns the
-    finished frame (or None) and the search state with its counters."""
+    finished frame (or None) and the search state with its counters.
+
+    The search needs a settled frame: closed, free of quasi-frame
+    violations and with a worklist of exactly its open items. The given
+    frame is settled first (on a copy; settling a settled frame changes
+    nothing); if it violates an invariant, no search runs and the answer
+    is None with an uncut state."""
     st = _State(budget, observer)
+    frame = close(frame)
+    if quasi_frame_violations(frame):
+        return None, st
+    refresh_worklist(frame)
     return _run_search(frame, st), st
 
 

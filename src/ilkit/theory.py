@@ -44,12 +44,13 @@ class DTheory:
     """A maximal, Boolean-coherent, locally saturated subset of an adequate
     set."""
 
-    __slots__ = ("adequate", "assignment", "_bits", "_models_cache", "_preference")
+    __slots__ = ("adequate", "assignment", "_bits", "_hash", "_models_cache", "_preference")
 
     def __init__(self, adequate: AdequateSet, assignment: dict[Formula, bool]):
         self.adequate = adequate
         self.assignment = assignment
         self._bits = tuple(eval_bool(f, assignment) for f in adequate.sorted_members)
+        self._hash = hash(self._bits)
         self._models_cache: dict[Formula, bool] = {}
         self._preference: tuple | None = None
 
@@ -86,7 +87,7 @@ class DTheory:
         )
 
     def __hash__(self):
-        return hash(self._bits)
+        return self._hash
 
     def __repr__(self):
         shown = ", ".join(repr(f) for f in sorted(self.members, key=lambda g: g.key()))
@@ -374,20 +375,38 @@ def search_preference(t: DTheory) -> tuple:
 
 
 def _same_adequate(g: DTheory, d: DTheory) -> None:
-    if g.adequate != d.adequate:
+    if g.adequate is not d.adequate and g.adequate != d.adequate:
         raise TheoryError("theories over different adequate sets")
+
+
+def _memo(D: AdequateSet, name: str) -> dict:
+    """The answers of one theory test on D's theories. The tests below are
+    pure functions of theories, and a search asks each again on every
+    frame that holds the same pair."""
+    got = D._sat_cache.get(name)
+    if got is None:
+        got = D._sat_cache[name] = {}
+    return got
 
 
 def succ(g: DTheory, d: DTheory) -> bool:
     """The successor relation: every box of g persists, with its body."""
     _same_adequate(g, d)
-    return all(d.models(b.body) and d.models(b) for b in g.boxes())
+    memo = _memo(g.adequate, "__succ__")
+    got = memo.get((g, d))
+    if got is None:
+        got = memo[g, d] = all(d.models(b.body) and d.models(b) for b in g.boxes())
+    return got
 
 
 def box_incl(g: DTheory, d: DTheory) -> bool:
     """Box inclusion: every box of g is a box of d."""
     _same_adequate(g, d)
-    return all(d.models(b) for b in g.boxes())
+    memo = _memo(g.adequate, "__box_incl__")
+    got = memo.get((g, d))
+    if got is None:
+        got = memo[g, d] = all(d.models(b) for b in g.boxes())
+    return got
 
 
 def crit_succ(g: DTheory, c: Formula, d: DTheory) -> bool:
@@ -400,17 +419,14 @@ def crit_succ(g: DTheory, c: Formula, d: DTheory) -> bool:
     successor obligations).
     """
     _same_adequate(g, d)
-    if not succ(g, d):
-        return False
-    if c == BOT:
-        return True
-    for f in crit_obligations(g, c):
-        if not d.models(f):
-            return False
-        boxed = Box(f)
-        if boxed in g.adequate.members and not d.models(boxed):
-            return False
-    return True
+    memo = _memo(g.adequate, "__crit_succ__")
+    got = memo.get((g, c, d))
+    if got is None:
+        got = memo[g, c, d] = succ(g, d) and all(
+            d.models(f) and (Box(f) not in g.adequate.members or d.models(Box(f)))
+            for f in crit_obligations(g, c)
+        )
+    return got
 
 
 def crit_obligations(g: DTheory, c: Formula) -> tuple[Formula, ...]:
@@ -419,9 +435,13 @@ def crit_obligations(g: DTheory, c: Formula) -> tuple[Formula, ...]:
     'holds at every later world' constraints."""
     if c == BOT:
         return ()
-    out = [single_neg(c)]
-    out.extend(single_neg(r.left) for r in g.rhds() if r.right == c)
-    return tuple(dict.fromkeys(out))
+    memo = _memo(g.adequate, "__crit_obligations__")
+    got = memo.get((g, c))
+    if got is None:
+        out = [single_neg(c)]
+        out.extend(single_neg(r.left) for r in g.rhds() if r.right == c)
+        got = memo[g, c] = tuple(dict.fromkeys(out))
+    return got
 
 
 def _succ_constraints(g: DTheory) -> list[tuple[Formula, bool]]:

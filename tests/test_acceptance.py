@@ -11,6 +11,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from conftest import (
     all_gl_formulas,
     enumerate_il_frames,
@@ -49,6 +51,7 @@ from ilkit.semantics import (
     IL,
     ILM,
     VeltmanModel,
+    _Forcer,
     forces,
     frame_validates,
     validate,
@@ -67,6 +70,7 @@ from ilkit.syntax import (
     Rhd,
     Top,
     adequate_closure,
+    atoms,
     parse,
     render,
 )
@@ -416,6 +420,48 @@ def test_criterion_9_brute_force_agreement():
         "9 brute-force agreement",
         f"{len(formulas)} formulas vs {len(frames)} frames, 0 disagreements",
     )
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_derivable_has_no_countermodel_on_small_frames(logic):
+    # the Derivable side has no certificate: an invariant check that
+    # rejects too much turns a refutable query into a false Derivable.
+    # Check each Derivable verdict against every frame of at most three
+    # worlds (ILM: those satisfying the M condition) and every valuation.
+    frames = [fr for fr in enumerate_il_frames(3) if logic == IL or validate_ilm(fr).ok]
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        a, b, c = (random_formula(rng, 1, atoms=("p", "q")) for _ in range(3))
+        pick = lambda: rng.choice([a, b, c])
+        k = rng.randrange(6)
+        if k == 0:  # J2-shaped
+            f = Implies(And(Rhd(a, b), Rhd(b, c)), Rhd(pick(), pick()))
+        elif k == 1:  # M-shaped
+            f = Implies(Rhd(a, b), Rhd(And(pick(), Box(c)), And(pick(), Box(c))))
+        elif k == 2:  # J1-shaped
+            f = Implies(And(Rhd(a, c), Box(Implies(b, a))), Rhd(rng.choice([a, b, Or(a, b)]), c))
+        elif k == 3:  # J4-shaped
+            f = Implies(And(Rhd(a, b), Diamond(c)), Diamond(pick()))
+        elif k == 4:  # J3-shaped
+            f = Implies(And(Rhd(a, b), Rhd(c, pick())), Rhd(Or(a, c), pick()))
+        else:  # two successors
+            f = Implies(And(Diamond(a), Diamond(b)), Or(Rhd(pick(), pick()), Diamond(And(a, b))))
+        if not isinstance(derivable(logic, f), Derivable):
+            continue
+        checked += 1
+        names = sorted(atoms(f))
+        for fr in frames:
+            worlds = sorted(fr.worlds)
+            for bits in itertools.product(range(1 << len(names)), repeat=len(worlds)):
+                val = {
+                    w: frozenset(n for i, n in enumerate(names) if v >> i & 1)
+                    for w, v in zip(worlds, bits)
+                }
+                forcer = _Forcer(VeltmanModel(fr, val))
+                assert all(forcer.forces(w, f) for w in worlds), (render(f), fr, val)
+    print("derivable verdicts checked:", checked)
+    assert checked >= 30
 
 
 def test_criterion_10_determinism(tmp_path):

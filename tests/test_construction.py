@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import ilkit.construction as construction
+from conftest import random_formula
 from ilkit.construction import (
     Deficiency,
     LabeledFrame,
@@ -21,15 +23,21 @@ from ilkit.construction import (
     labeled_frame_to_json,
     m_cone,
     quasi_frame_violations,
+    refresh_worklist,
     seed_frame,
     verify_truth_lemma,
 )
+from ilkit.decide import Budget, satisfiable
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces
 from ilkit.syntax import (
     BOT,
+    And,
     Atom,
     Box,
+    Diamond,
+    Implies,
     Neg,
+    Or,
     Rhd,
     adequate_closure,
     parse,
@@ -528,3 +536,59 @@ def test_criticality_label_recovery():
     )
     assert criticality_label(f, "a", "b") == q
     assert criticality_label(f, "a", "c") == BOT
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_step_settling_matches_whole_frame(monkeypatch, logic):
+    # every search step settles its child against the parent; settling the
+    # same child from scratch must close it to the same R, S and
+    # obligations, reject it exactly when the step path does, and give the
+    # same worklist in the same order
+    real = construction._finish
+    seen = {"steps": 0, "rejected": 0}
+
+    def checked(F, since=None):
+        assert since is not None, "a search step must pass its parent"
+        step, whole = close(F, since=since), close(F)
+        assert (step.R, step.S, step.obligations) == (whole.R, whole.S, whole.obligations)
+        bad = bool(quasi_frame_violations(step, since=since))
+        assert bad == bool(quasi_frame_violations(whole))
+        if not bad:
+            refresh_worklist(step, since=since)
+            refresh_worklist(whole)
+            assert step.worklist == whole.worklist
+        seen["steps"] += 1
+        seen["rejected"] += bad
+        return real(F, since)
+
+    monkeypatch.setattr(construction, "_finish", checked)
+    rng = random.Random(4)
+    budget = Budget(max_worlds=8, max_steps=150, max_backtracks=200)
+    for _ in range(30):
+        # the refutation queries of admissible rules iii and iv, and a
+        # false rhd: searches with deficiencies, labels and backtracking
+        a, b = random_formula(rng), random_formula(rng)
+        rhs = Implies(Diamond(a), Diamond(b)) if rng.random() < 0.5 else Implies(a, Or(b, Diamond(b)))
+        for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b))):
+            # an observer bypasses the query cache, so every query searches
+            satisfiable(logic, f, budget, observer=lambda *event: None)
+    assert seen["steps"] >= 500
+    assert seen["rejected"] >= 10
+
+
+def test_step_check_covers_old_edges_whose_obligations_grew():
+    # the child links w (obligation p) below x, so x and y inherit p; x's
+    # only extra box is q, y's are p and q: the old edge x R y loses its
+    # box growth, though no new edge violates anything
+    D = adequate_closure([Box(p), Box(q)])
+    tw = pick(D, IL, excl=[Box(p), Box(q)])
+    tx = pick(D, IL, incl=[p, Box(q)], excl=[Box(p)])
+    ty = pick(D, IL, incl=[p, q, Box(p), Box(q)])
+    parent = frame_with(D, IL, ["w", "x", "y"], {("x", "y")}, {("x", "y", "y")}, {"w": tw, "x": tx, "y": ty})
+    parent.obligations["w"] = frozenset([p])
+    assert close(parent).R == parent.R and quasi_frame_violations(parent) == []
+    child = parent.copy()
+    child.R.add(("w", "x"))
+    whole = quasi_frame_violations(close(child))
+    assert whole == ["no box growth on edge ('x', 'y')"]
+    assert quasi_frame_violations(close(child, since=parent), since=parent) == whole

@@ -295,3 +295,34 @@ def test_queries_leave_the_recursion_limit_alone():
     assert sys.getrecursionlimit() == limit
     with pytest.raises(ParseError):
         parse(too_deep)
+
+
+def test_queries_leave_no_cyclic_theories():
+    # a theory points at its adequate set, whose caches hold the theories:
+    # a query must break that cycle when it returns, or every query's
+    # theories wait for the cyclic collector
+    import gc
+
+    from ilkit.syntax import AdequateSet
+    from ilkit.theory import DTheory
+
+    queries = [
+        (ILM, "(p |> q) & (q |> r) & ~(p |> r)"),
+        (IL, "~(p |> q) & <>p & [](q -> r)"),
+        (ILM, "(p |> q) -> ((p & []r) |> (q & []r))"),
+        (GL, "[]([]p -> p) -> []p"),
+        (IL, "(p |> q) & ~(<>p -> <>q)"),
+    ]
+    gc.collect()
+    old = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for logic, text in queries:
+            # an observer bypasses the query cache, so every query searches
+            satisfiable(logic, parse(text), observer=lambda *event: None)
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, (DTheory, AdequateSet))]
+    finally:
+        gc.set_debug(old)
+        gc.garbage.clear()
+    assert leaked == []
