@@ -316,41 +316,46 @@ def sigma1_countermodel(
     if isinstance(pre, Derivable):
         raise ValueError("formula is essentially Sigma_1; no countermodel exists")
 
-    d0s = sorted(solve_theories(D, ILM, [(f, True)]), key=search_preference)
-    for d0 in d0s:
-        d1_cs = [(f, False)] + [(b, True) for b in d0.boxes()]
-        for d1 in sorted(solve_theories(D, ILM, d1_cs), key=search_preference):
-            for gamma in common_predecessor(d0, d1):
-                frame = LabeledFrame(D, ILM)
-                frame.worlds = ["m0", "l", "r"]
-                frame.nu = {"m0": gamma, "l": d0, "r": d1}
-                frame.obligations = {w: frozenset() for w in frame.worlds}
-                frame.R = {("m0", "l"), ("m0", "r")}
-                frame.S = {("m0", "l", "r")}
-                frame.exempt_root = "m0"
-                found, st = complete_frame(frame, budget)
-                if found is None:
-                    if st.cut:
-                        raise Sigma1CountermodelError(
-                            f"budget exhausted while completing the seed: {st.report()}"
-                        )
-                    continue
-                base = found.to_model()
-                if not verify_truth_lemma(base, found.nu, D):
-                    continue
-                val = dict(base.val)
-                val["l"] = val["l"] | {p.name}
-                val["r"] = val["r"] | {q.name}
-                model = VeltmanModel(base.frame, val)
-                if not validate_ilm(model.frame).ok:
-                    continue
-                if forces(model, "m0", query):
-                    continue
-                return Sigma1Countermodel(model, "m0", (p, q), query)
-    raise Sigma1CountermodelError(
-        "no realizable theory pair (f in d0, boxes of d0 in d1, ~f in d1) "
-        "completes to a certified model"
-    )
+    try:
+        d0s = sorted(solve_theories(D, ILM, [(f, True)]), key=search_preference)
+        for d0 in d0s:
+            d1_cs = [(f, False)] + [(b, True) for b in d0.boxes()]
+            for d1 in sorted(solve_theories(D, ILM, d1_cs), key=search_preference):
+                for gamma in common_predecessor(d0, d1):
+                    frame = LabeledFrame(D, ILM)
+                    frame.worlds = ["m0", "l", "r"]
+                    frame.nu = {"m0": gamma, "l": d0, "r": d1}
+                    frame.obligations = {w: frozenset() for w in frame.worlds}
+                    frame.R = {("m0", "l"), ("m0", "r")}
+                    frame.S = {("m0", "l", "r")}
+                    frame.exempt_root = "m0"
+                    found, st = complete_frame(frame, budget)
+                    if found is None:
+                        if st.cut:
+                            raise Sigma1CountermodelError(
+                                f"budget exhausted while completing the seed: {st.report()}"
+                            )
+                        continue
+                    base = found.to_model()
+                    if not verify_truth_lemma(base, found.nu, D):
+                        continue
+                    val = dict(base.val)
+                    val["l"] = val["l"] | {p.name}
+                    val["r"] = val["r"] | {q.name}
+                    model = VeltmanModel(base.frame, val)
+                    if not validate_ilm(model.frame).ok:
+                        continue
+                    if forces(model, "m0", query):
+                        continue
+                    return Sigma1Countermodel(model, "m0", (p, q), query)
+        raise Sigma1CountermodelError(
+            "no realizable theory pair (f in d0, boxes of d0 in d1, ~f in d1) "
+            "completes to a certified model"
+        )
+    finally:
+        # as in satisfiable: the caches hold D's theories, which point back
+        # at D; the countermodel holds no theory
+        D._sat_cache.clear()
 
 
 # --- self provers and t.s.g.'s ---------------------------------------------------

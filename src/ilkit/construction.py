@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .relation import find_cycle, image, reach, transitive_closure
+from .relation import find_cycle, image, reach
 from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, _Forcer, check_logic
 from .syntax import (
     AdequateSet,
@@ -44,9 +44,6 @@ from .theory import (
     box_incl,
     crit_obligations,
     crit_succ,
-    extend_deficiency_il,
-    extend_deficiency_ilm,
-    extend_problem,
     search_preference,
     succ,
 )
@@ -483,7 +480,9 @@ def depth(F) -> int:
 def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -> list[str]:
     """Violated invariants of the working frame, as readable strings.
     Checks the quasi-frame conditions, the ILM additions when applicable,
-    obligation satisfaction, and strict box growth along R.
+    obligation satisfaction, and strict box growth along R. F must be
+    closed: the R;S composition check takes R as its own transitive
+    closure.
 
     since, when given, is a settled frame and F the closure of a child of
     it. The checks of single edges and triples then run only where F
@@ -550,7 +549,7 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
                 out.append(f"box inclusion fails on {(x, y, z)}")
             if not F.obligations.get(y, frozenset()) <= F.obligations.get(z, frozenset()):
                 out.append(f"obligation inclusion fails on {(x, y, z)}")
-        comp = {(a, c) for (a, b) in transitive_closure(F.R) for c in adj.s_plus.get(b, ())}
+        comp = {(a, c) for (a, b) in F.R for c in adj.s_plus.get(b, ())}
         if find_cycle(F.worlds, comp):
             out.append("R;S composition has a cycle")
     return out
@@ -678,9 +677,10 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
 def _box_lookahead(F: LabeledFrame, t: DTheory, base: TheoryQuery) -> bool:
     """Would a fresh successor of x with theory t leave one of its false
     boxes permanently unwitnessable? base holds x's inherited and critical
-    constraints plus the item's own. In any completed extension, an
-    R-maximal refuter of []E carries ~E together with []E and satisfies
-    every inherited constraint, so emptiness of that set is final."""
+    constraints plus the fresh world's obligations. In any completed
+    extension, an R-maximal refuter of []E carries ~E together with []E
+    and satisfies every inherited constraint, so emptiness of that set is
+    final."""
     false_boxes = [
         bx for bx in F.adequate.modal_atoms if isinstance(bx, Box) and not t.models(bx)
     ]
@@ -716,11 +716,25 @@ def _deficiency_lookahead(
     return True
 
 
+def _fresh_obligations(item) -> tuple[Formula, ...]:
+    """What a fresh witness for item keeps at every later world: ~A for
+    ~(A |> B), nothing for ~[]E, ~D for a deficiency of C |> D."""
+    if isinstance(item, Deficiency):
+        return (single_neg(item.formula.right),)
+    body = item.formula.left
+    return (single_neg(body.left),) if isinstance(body, Rhd) else ()
+
+
 def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     """Theory-level candidates for eliminating the item with a fresh world.
     An empty list means the item can never be eliminated on any extension
     of F: the constraint set only grows as the frame grows, and a reusable
     world's theory would itself be a solution of it.
+
+    A candidate is a B-critical successor of x's theory that meets x's
+    successor constraints and the item: A for ~(A |> B), ~E and []E for
+    ~[]E (B = bot), and for a deficiency of C |> D, D and, under ILM, every
+    box of y. Both lookaheads narrow the same query.
 
     The answer depends on F only through the item's world theory, its
     criticality label, the inherited constraints and, for an ILM
@@ -743,23 +757,23 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     got = memo.get(key)
     if got is not None:
         return got
-    if isinstance(item, Problem):
-        own = (single_neg(body.left),) if isinstance(body, Rhd) else ()
-        stream = extend_problem(gx, item.formula, extra=extra, logic=F.logic)
-    else:
-        own = (single_neg(item.formula.right),)
-        if F.logic == ILM:
-            stream = extend_deficiency_ilm(gx, B, gy, item.formula, extra=extra, logic=F.logic)
-        else:
-            stream = extend_deficiency_il(gx, B, item.formula, extra=extra, logic=F.logic)
-    # the candidate-independent halves of both lookaheads, built once
+    crit = crit_obligations(gx, B)
     common = TheoryQuery(F.adequate, F.logic, extra)
-    common = common.where((f, True) for f in crit_obligations(gx, B))
-    box_base = common.where((o, True) for o in own)
+    common = common.where((f, True) for f in crit)
+    box_base = common.where((o, True) for o in _fresh_obligations(item))
     deficiency_base = common.where(_succ_constraints(gx))
+    own = [(Box(f), True) for f in crit if Box(f) in F.adequate.members]
+    if isinstance(item, Deficiency):
+        own.append((item.formula.right, True))
+        if gy is not None:
+            own += [(b, True) for b in gy.boxes()]
+    elif isinstance(body, Rhd):
+        own.append((body.left, True))
+    else:
+        own += [(body.body, False), (body, True)]
     good = [
         t
-        for t in stream
+        for t in deficiency_base.where(own)
         if _deficiency_lookahead(F, x, t, deficiency_base)
         and _box_lookahead(F, t, box_base)
     ]
@@ -768,9 +782,7 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     return good
 
 
-def _extensions(
-    F: LabeledFrame, x: str, item, reusable, link, obligations: list[Formula], _state
-) -> Iterator[LabeledFrame]:
+def _extensions(F: LabeledFrame, x: str, item, reusable, link, _state) -> Iterator[LabeledFrame]:
     """Extensions of F that eliminate item by linking x to a world: first
     every reusable existing world, then a fresh world per candidate theory,
     each settled (`_finish`). No world that reaches x is reused, since the
@@ -790,6 +802,7 @@ def _extensions(
         done = _finish(g, since)
         if done is not None:
             yield done
+    obligations = _fresh_obligations(item)
     for t in fresh_candidate_theories(F, item):
         if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
             _state.cut = True
@@ -812,9 +825,8 @@ def eliminate_problem(
     x, body = prob.world, prob.formula.left
     if isinstance(body, Rhd):
         want, crit, label = body.left, body.right, body.right
-        obligations = [single_neg(body.left)]
     else:
-        want, crit, label, obligations = Neg(body.body), BOT, None, []
+        want, crit, label = Neg(body.body), BOT, None
     gx = F.nu[x]
 
     def reusable(y):
@@ -827,7 +839,7 @@ def eliminate_problem(
         if label is not None:
             g.edge_label[(x, y)] = label
 
-    return _extensions(F, x, prob, reusable, link, obligations, _state)
+    return _extensions(F, x, prob, reusable, link, _state)
 
 
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
@@ -854,7 +866,7 @@ def eliminate_deficiency(
         g.R.add((x, z))
         g.S.add((x, y, z))
 
-    return _extensions(F, x, defi, reusable, link, [single_neg(cd.right)], _state)
+    return _extensions(F, x, defi, reusable, link, _state)
 
 
 def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:

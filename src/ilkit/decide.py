@@ -44,7 +44,6 @@ from .syntax import (
     Neg,
     Or,
     Rhd,
-    is_neg,
     is_rhd_free,
     modal_atoms_of,
     parse,
@@ -320,12 +319,6 @@ def axiom_instance(name: str, *args: Formula) -> Formula:
 
 SCHEMATA = ("L1", "L2", "L3", "J1", "J2", "J3", "J4", "J5", "M")
 _ARITY = {"L1": 2, "L2": 1, "L3": 1, "J1": 2, "J2": 3, "J3": 3, "J4": 2, "J5": 1, "M": 3}
-
-
-def _diamond_body(f: Formula):
-    if is_neg(f) and isinstance(f.left, Box) and is_neg(f.left.body):
-        return f.left.body.left
-    return None
 
 
 def _match_schema(name: str, f: Formula) -> bool:

@@ -561,10 +561,6 @@ def _level(f: Formula) -> int:
     return _LEVEL[op]
 
 
-def _wrap(f: Formula, strict_below: int, text: str) -> str:
-    return f"({text})" if _level(f) < strict_below else text
-
-
 def render(f: Formula) -> str:
     """Minimal-parentheses text form; parse(render(f)) == f."""
     if f._render is not None:

@@ -452,81 +452,6 @@ def _succ_constraints(g: DTheory) -> list[tuple[Formula, bool]]:
     return cs
 
 
-def _crit_constraints(g: DTheory, c: Formula) -> list[tuple[Formula, bool]]:
-    cs = _succ_constraints(g)
-    for f in crit_obligations(g, c):
-        cs.append((f, True))
-        boxed = Box(f)
-        if boxed in g.adequate.members:
-            cs.append((boxed, True))
-    return cs
-
-
-def extend_problem(
-    g: DTheory,
-    nf: Formula,
-    extra: Iterable[tuple[Formula, bool]] = (),
-    logic: str = ILM,
-) -> Iterator[DTheory]:
-    """Candidate theories witnessing a false rhd or box member of g.
-
-    For ~(A |> B): candidates d with crit_succ(g, B, d) and A in d (the
-    no-more-A obligation is attached by the construction layer). For ~[]A:
-    candidates d with succ(g, d), ~A in d and []A in d.
-    """
-    if not is_neg(nf):
-        raise TheoryError(f"not a negated formula: {nf!r}")
-    body = nf.left
-    if isinstance(body, Rhd):
-        cs = _crit_constraints(g, body.right)
-        cs.append((body.left, True))
-    elif isinstance(body, Box):
-        cs = _succ_constraints(g)
-        cs.append((body.body, False))
-        cs.append((body, True))
-    else:
-        raise TheoryError(f"not a rhd or box problem: {nf!r}")
-    cs.extend(extra)
-    yield from solve_theories(g.adequate, logic, cs)
-
-
-def extend_deficiency_ilm(
-    g: DTheory,
-    b: Formula,
-    d: DTheory,
-    cd: Rhd,
-    extra: Iterable[tuple[Formula, bool]] = (),
-    logic: str = ILM,
-) -> Iterator[DTheory]:
-    """Candidate theories completing an unanswered C |> D member of g at a
-    b-critical successor d: b-critical successors of g containing D's right
-    side and including all boxes of d."""
-    if not isinstance(cd, Rhd):
-        raise TheoryError(f"not a rhd formula: {cd!r}")
-    cs = _crit_constraints(g, b)
-    cs.append((cd.right, True))
-    for bx in d.boxes():
-        cs.append((bx, True))
-    cs.extend(extra)
-    yield from solve_theories(g.adequate, logic, cs)
-
-
-def extend_deficiency_il(
-    g: DTheory,
-    b: Formula,
-    cd: Rhd,
-    extra: Iterable[tuple[Formula, bool]] = (),
-    logic: str = IL,
-) -> Iterator[DTheory]:
-    """The IL variant: no box inclusion requirement."""
-    if not isinstance(cd, Rhd):
-        raise TheoryError(f"not a rhd formula: {cd!r}")
-    cs = _crit_constraints(g, b)
-    cs.append((cd.right, True))
-    cs.extend(extra)
-    yield from solve_theories(g.adequate, logic, cs)
-
-
 def common_predecessor(d0: DTheory, d1: DTheory, logic: str = ILM) -> Iterator[DTheory]:
     """Theories g with succ(g, d0) and succ(g, d1)."""
     _same_adequate(d0, d1)

@@ -42,7 +42,7 @@ from ilkit.syntax import (
     adequate_closure,
     parse,
 )
-from ilkit.theory import box_incl, enumerate_theories
+from ilkit.theory import box_incl, crit_succ, enumerate_theories, search_preference
 
 p, q = Atom("p"), Atom("q")
 
@@ -576,6 +576,52 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
     assert seen["rejected"] >= 10
 
 
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_fresh_candidates_meet_their_item(monkeypatch, logic):
+    # every candidate list a search asks for: each theory is a B-critical
+    # successor of x's theory that meets x's successor constraints and the
+    # item (A for ~(A |> B), ~E and []E for ~[]E, D for a deficiency of
+    # C |> D, with y's boxes under ILM), and the list is in
+    # search_preference order
+    import ilkit.decide as decide
+
+    real = construction.fresh_candidate_theories
+    seen = {"rhd": 0, "box": 0, "deficiency": 0}
+
+    def checked(F, item):
+        got = real(F, item)
+        if isinstance(item, Problem):
+            x, body = item.world, item.formula.left
+            if isinstance(body, Rhd):
+                kind, B, meets = "rhd", body.right, [(body.left, True)]
+            else:
+                kind, B, meets = "box", BOT, [(body.body, False), (body, True)]
+        else:
+            x, kind = item.x, "deficiency"
+            B = construction.criticality_label(F, item.x, item.y)
+            meets = [(item.formula.right, True)]
+        meets += construction._successor_constraints(F, x)
+        for t in got:
+            assert crit_succ(F.nu[x], B, t)
+            assert all(t.models(f) == v for f, v in meets)
+            if kind == "deficiency" and F.logic == ILM:
+                assert box_incl(F.nu[item.y], t)
+        assert got == sorted(got, key=search_preference)
+        seen[kind] += bool(got)
+        return got
+
+    monkeypatch.setattr(construction, "fresh_candidate_theories", checked)
+    monkeypatch.setattr(decide, "fresh_candidate_theories", checked)
+    rng = random.Random(6)
+    budget = Budget(max_worlds=8, max_steps=100, max_backtracks=100)
+    for _ in range(30):
+        a, b = random_formula(rng), random_formula(rng)
+        rhs = Implies(Diamond(a), Diamond(b)) if rng.random() < 0.5 else Implies(a, Or(b, Diamond(b)))
+        for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Box(b)))):
+            satisfiable(logic, f, budget, observer=lambda *event: None)
+    assert min(seen.values()) >= 100, seen
+
+
 def test_step_check_covers_old_edges_whose_obligations_grew():
     # the child links w (obligation p) below x, so x and y inherit p; x's
     # only extra box is q, y's are p and q: the old edge x R y loses its
@@ -592,3 +638,16 @@ def test_step_check_covers_old_edges_whose_obligations_grew():
     whole = quasi_frame_violations(close(child))
     assert whole == ["no box growth on edge ('x', 'y')"]
     assert quasi_frame_violations(close(child, since=parent), since=parent) == whole
+
+
+def test_rs_composition_cycle_in_a_closed_ilm_frame():
+    # b S_w a with a R b: closing adds b R b and a S_w b, and a R b S_w a
+    # is a cycle of R;S. The check reads the closed frame's R as its own
+    # transitive closure.
+    D = adequate_closure([Box(p)])
+    t = pick(D, ILM, incl=[Box(p)])
+    R = {("w", "a"), ("w", "b"), ("a", "b")}
+    f = frame_with(D, ILM, ["w", "a", "b"], R, {("w", "b", "a")}, {"w": t, "a": t, "b": t})
+    g = close(f)
+    assert close(g).R == g.R
+    assert "R;S composition has a cycle" in quasi_frame_violations(g)

@@ -303,6 +303,7 @@ def test_queries_leave_no_cyclic_theories():
     # theories wait for the cyclic collector
     import gc
 
+    from ilkit.classify import sigma1_countermodel
     from ilkit.syntax import AdequateSet
     from ilkit.theory import DTheory
 
@@ -320,6 +321,8 @@ def test_queries_leave_no_cyclic_theories():
         for logic, text in queries:
             # an observer bypasses the query cache, so every query searches
             satisfiable(logic, parse(text), observer=lambda *event: None)
+        for text in ("p & []q", "<>p", "[]p -> q"):
+            sigma1_countermodel(parse(text))
         gc.collect()
         leaked = [type(o).__name__ for o in gc.garbage if isinstance(o, (DTheory, AdequateSet))]
     finally:

@@ -5,7 +5,13 @@ import pytest
 from conftest import random_formula
 
 from ilkit import theory
-from ilkit.construction import fresh_candidate_theories, seed_frame
+from ilkit.construction import (
+    Deficiency,
+    LabeledFrame,
+    Problem,
+    fresh_candidate_theories,
+    seed_frame,
+)
 from ilkit.semantics import IL, ILM
 from ilkit.syntax import (
     BOT,
@@ -28,8 +34,6 @@ from ilkit.theory import (
     common_predecessor,
     crit_succ,
     enumerate_theories,
-    extend_deficiency_ilm,
-    extend_problem,
     search_preference,
     solve_theories,
     succ,
@@ -153,10 +157,27 @@ def test_crit_succ_composition_with_expressible_boxes():
                 assert crit_succ(g, c, e), (c, g, d, e)
 
 
-def test_extend_problem_rhd():
+def _problem_candidates(g, nf):
+    # the fresh witnesses of a problem at the root of a one-world frame
+    return fresh_candidate_theories(seed_frame(g.adequate, ILM, g), Problem("w0", nf))
+
+
+def _deficiency_candidates(g, d, cd, label=None):
+    # the fresh S-exits for x R y, y carrying d; a label on the edge puts y
+    # in x's critical cone for it
+    F = LabeledFrame(g.adequate, ILM)
+    F.worlds, F.nu = ["x", "y"], {"x": g, "y": d}
+    F.obligations = {"x": frozenset(), "y": frozenset()}
+    F.R = {("x", "y")}
+    if label is not None:
+        F.edge_label[("x", "y")] = label
+    return fresh_candidate_theories(F, Deficiency("x", "y", cd))
+
+
+def test_fresh_problem_rhd():
     D, ts = theories([Neg(Rhd(p, q))])
     g = next(t for t in ts if t.models(Neg(Rhd(p, q))))
-    cands = list(extend_problem(g, Neg(Rhd(p, q))))
+    cands = _problem_candidates(g, Neg(Rhd(p, q)))
     assert cands
     for d in cands:
         assert crit_succ(g, q, d)
@@ -164,17 +185,17 @@ def test_extend_problem_rhd():
         assert d.models(Neg(q))
 
 
-def test_extend_problem_bot_reduces_to_succ():
+def test_fresh_problem_bot_reduces_to_succ():
     D, ts = theories([Neg(Rhd(p, BOT))])
     g = next(t for t in ts if t.models(Neg(Rhd(p, BOT))))
-    cands = list(extend_problem(g, Neg(Rhd(p, BOT))))
+    cands = _problem_candidates(g, Neg(Rhd(p, BOT)))
     assert cands
     for d in cands:
         assert succ(g, d)
         assert d.models(p)
 
 
-def test_extend_problem_contradiction_empty():
+def test_fresh_problem_contradiction_empty():
     # g with []~p and ~(p |> q): successor must contain ~p yet witness p
     D = adequate_closure([parse("[]~p"), parse("p |> q")])
     ts = list(
@@ -182,13 +203,13 @@ def test_extend_problem_contradiction_empty():
     )
     assert ts
     for g in ts:
-        assert list(extend_problem(g, Neg(Rhd(p, q)))) == []
+        assert _problem_candidates(g, Neg(Rhd(p, q))) == []
 
 
-def test_extend_problem_box():
+def test_fresh_problem_box():
     D, ts = theories([Neg(Box(p))])
     g = next(t for t in ts if t.models(Neg(Box(p))))
-    cands = list(extend_problem(g, Neg(Box(p))))
+    cands = _problem_candidates(g, Neg(Box(p)))
     assert cands
     for d in cands:
         assert succ(g, d)
@@ -196,11 +217,11 @@ def test_extend_problem_box():
         assert d.models(Box(p))
 
 
-def test_extend_deficiency_ilm():
+def test_fresh_deficiency_ilm():
     D, ts = theories([parse("p |> q")])
     g = next(t for t in ts if t.models(Rhd(p, q)))
     d = next(t for t in ts if t.models(p) and not t.models(q))
-    cands = list(extend_deficiency_ilm(g, BOT, d, Rhd(p, q)))
+    cands = _deficiency_candidates(g, d, Rhd(p, q))
     assert cands
     for t in cands:
         assert t.models(q)
@@ -208,22 +229,22 @@ def test_extend_deficiency_ilm():
         assert box_incl(d, t)
 
 
-def test_extend_deficiency_preserves_boxes():
+def test_fresh_deficiency_preserves_boxes():
     D = adequate_closure([parse("p |> q"), parse("[]r")])
     g = next(iter(enumerate_theories(D, include=[parse("p |> q")])))
     d = next(iter(enumerate_theories(D, include=[p, parse("[]r")])))
-    cands = list(extend_deficiency_ilm(g, BOT, d, Rhd(p, q)))
+    cands = _deficiency_candidates(g, d, Rhd(p, q))
     for t in cands:
         assert t.models(parse("[]r"))
     assert cands
 
 
-def test_extend_deficiency_inconsistent_empty():
+def test_fresh_deficiency_inconsistent_empty():
     # q-criticality forbids a q witness
     D, ts = theories([parse("p |> q")])
     g = next(t for t in ts if t.models(Rhd(p, q)))
     d = next(t for t in ts if t.models(p) and not t.models(q))
-    assert list(extend_deficiency_ilm(g, q, d, Rhd(p, q))) == []
+    assert _deficiency_candidates(g, d, Rhd(p, q), label=q) == []
 
 
 def test_relation_algebra():
