@@ -481,18 +481,23 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     """Violated invariants of the working frame, as readable strings.
     Checks the quasi-frame conditions, the ILM additions when applicable,
     obligation satisfaction, and strict box growth along R. F must be
-    closed: the R;S composition check takes R as its own transitive
-    closure.
+    closed.
+
+    No cycle of the composition R;S+ needs its own check. Under ILM a
+    closed frame has y R u whenever y S_x z R u (kind 4), so along a cycle
+    a0 R b0 S+ a1 R b1 S+ ... a0 the rule, applied backwards along each
+    S-chain, gives b0 R b1 R ... R b0: a cycle of R, which R's
+    transitivity turns into a self-loop, reported below.
 
     since, when given, is a settled frame and F the closure of a child of
     it. The checks of single edges and triples then run only where F
     differs from since: on new edges and triples, and on edges at worlds
     whose effective obligations changed. R is transitive in a closed
-    frame, so an R-cycle shows as a new self-loop. The cone overlap,
-    criticality and R;S composition checks read whole cones and paths and
-    always cover the whole frame. With since the list can be shorter than
-    a whole-frame call's, but it is empty exactly when that one is.
-    Without since every edge and triple is new."""
+    frame, so an R-cycle shows as a new self-loop. The cone overlap and
+    criticality checks read whole cones and always cover the whole frame.
+    With since the list can be shorter than a whole-frame call's, but it
+    is empty exactly when that one is. Without since every edge and triple
+    is new."""
     old_R, old_S = (since.R, since.S) if since is not None else ((), ())
     old_ob = since.obligations if since is not None else {}
     new_R, new_S = F.R.difference(old_R), F.S.difference(old_S)
@@ -549,9 +554,6 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
                 out.append(f"box inclusion fails on {(x, y, z)}")
             if not F.obligations.get(y, frozenset()) <= F.obligations.get(z, frozenset()):
                 out.append(f"obligation inclusion fails on {(x, y, z)}")
-        comp = {(a, c) for (a, b) in F.R for c in adj.s_plus.get(b, ())}
-        if find_cycle(F.worlds, comp):
-            out.append("R;S composition has a cycle")
     return out
 
 
@@ -762,7 +764,9 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     common = common.where((f, True) for f in crit)
     box_base = common.where((o, True) for o in _fresh_obligations(item))
     deficiency_base = common.where(_succ_constraints(gx))
-    own = [(Box(f), True) for f in crit if Box(f) in F.adequate.members]
+    # no []f for f in crit: box_base holds f at every later world, so
+    # _box_lookahead already rejects a theory with []f false
+    own: list[tuple[Formula, bool]] = []
     if isinstance(item, Deficiency):
         own.append((item.formula.right, True))
         if gy is not None:

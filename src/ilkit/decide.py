@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import itertools
 import re
-import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 from .construction import (
     LabeledFrame,
-    close,
+    _finish,
     eliminate,
     fresh_candidate_theories,
-    quasi_frame_violations,
-    refresh_worklist,
     seed_frame,
     verify_truth_lemma,
 )
@@ -128,52 +126,60 @@ def _engine_logic(logic: str) -> str:
     return ILM if logic == GL else logic
 
 
-def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
-    if not frame.worklist:
-        model = frame.to_model()
-        if verify_truth_lemma(model, frame.nu, frame.adequate):
-            return frame
-        return None
-    if st.steps >= st.budget.max_steps:
-        st.cut = True
-        return None
-    # most-constrained item first; an item with no candidate theory can
-    # never be eliminated on any extension, so the frame is dead
+def _most_constrained(frame: LabeledFrame):
+    """The open item with the fewest fresh candidates, the first of them on
+    a tie; None if some item has none. Such an item can never be
+    eliminated on any extension, so the frame is dead."""
     best = None
-    for pos, it in enumerate(frame.worklist):
+    for it in frame.worklist:
         n = len(fresh_candidate_theories(frame, it))
         if n == 0:
             return None
         if best is None or n < best[0]:
-            best = (n, pos, it)
-    item = best[2]
-    for cand in eliminate(frame, item, st):
+            best = (n, it)
+    return best[1]
+
+
+def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
+    """Depth-first elimination search from a settled frame, as one loop.
+
+    Each stack entry is an expanded frame's chosen item and the iterator of
+    its children (settled extensions that eliminate the item). Every child
+    taken is a step, every child that fails is a backtrack. A budget cut
+    fails the frame at hand, and so each entry it unwinds still counts one
+    backtrack for the child that failed under it."""
+    budget = st.budget
+    stack: list[tuple[object, Iterator[LabeledFrame]]] = []
+    while True:
+        failed = True
+        if not frame.worklist:
+            if verify_truth_lemma(frame.to_model(), frame.nu, frame.adequate):
+                return frame
+        elif st.steps >= budget.max_steps:
+            st.cut = True
+        else:
+            item = _most_constrained(frame)
+            if item is not None:
+                stack.append((item, eliminate(frame, item, st)))
+                failed = False
+        while stack:
+            if failed:
+                st.backtracks += 1
+                if st.backtracks >= budget.max_backtracks or st.steps >= budget.max_steps:
+                    st.cut = True
+                    stack.pop()
+                    continue
+            item, children = stack[-1]
+            frame = next(children, None)
+            if frame is not None:
+                break
+            stack.pop()
+            failed = True
+        else:
+            return None
         st.steps += 1
         if st.observer is not None:
-            st.observer("eliminated", item, cand)
-        found = _search(cand, st)
-        if found is not None:
-            return found
-        st.backtracks += 1
-        if st.backtracks >= st.budget.max_backtracks:
-            st.cut = True
-            return None
-        if st.steps >= st.budget.max_steps:
-            st.cut = True
-            return None
-    return None
-
-
-def _run_search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
-    """_search with room for its recursion: one level per elimination step,
-    a handful of Python frames each. The interpreter's limit is raised for
-    the call only and restored after it, so no other code runs under it."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 20 * st.budget.max_steps + 1000))
-    try:
-        return _search(frame, st)
-    finally:
-        sys.setrecursionlimit(old)
+            st.observer("eliminated", item, frame)
 
 
 _sat_cache: dict[tuple[str, Formula, Budget], Sat | Unsat | Exhausted] = {}
@@ -205,12 +211,12 @@ def satisfiable(
     try:
         roots = sorted(enumerate_theories(D, include=[f], logic=eng), key=search_preference)
         for root in roots:
+            # a one-world seed has no edge, triple or label for any
+            # invariant to read, so it needs no check
             frame = seed_frame(D, eng, root)
-            if quasi_frame_violations(frame):
-                continue
             if observer is not None:
                 observer("root", None, frame)
-            found = _run_search(frame, st)
+            found = _search(frame, st)
             if found is not None:
                 model = found.to_model()
                 world = found.worlds[0]
@@ -244,11 +250,8 @@ def complete_frame(
     nothing); if it violates an invariant, no search runs and the answer
     is None with an uncut state."""
     st = _State(budget, observer)
-    frame = close(frame)
-    if quasi_frame_violations(frame):
-        return None, st
-    refresh_worklist(frame)
-    return _run_search(frame, st), st
+    frame = _finish(frame)
+    return (None if frame is None else _search(frame, st)), st
 
 
 def _certify(logic: str, model: VeltmanModel, world: str, f: Formula, frame) -> bool:

@@ -328,10 +328,8 @@ def frame_validates(frame: VeltmanFrame, f: Formula, limit: int = 1 << 16) -> bo
     names = sorted(atoms(f))
     worlds = sorted(frame.worlds)
     cells = [(w, a) for w in worlds for a in names]
-    if len(cells) < 64 and 2 ** len(cells) > limit:
-        raise BudgetExceededError(
-            f"{2 ** len(cells)} valuations exceed limit {limit}"
-        )
+    if 2 ** len(cells) > limit:
+        raise BudgetExceededError(f"2^{len(cells)} valuations exceed limit {limit}")
     for bits in itertools.product((False, True), repeat=len(cells)):
         val: dict[str, set[str]] = {w: set() for w in worlds}
         for (w, a), b in zip(cells, bits):

@@ -379,34 +379,16 @@ def _same_adequate(g: DTheory, d: DTheory) -> None:
         raise TheoryError("theories over different adequate sets")
 
 
-def _memo(D: AdequateSet, name: str) -> dict:
-    """The answers of one theory test on D's theories. The tests below are
-    pure functions of theories, and a search asks each again on every
-    frame that holds the same pair."""
-    got = D._sat_cache.get(name)
-    if got is None:
-        got = D._sat_cache[name] = {}
-    return got
-
-
 def succ(g: DTheory, d: DTheory) -> bool:
     """The successor relation: every box of g persists, with its body."""
     _same_adequate(g, d)
-    memo = _memo(g.adequate, "__succ__")
-    got = memo.get((g, d))
-    if got is None:
-        got = memo[g, d] = all(d.models(b.body) and d.models(b) for b in g.boxes())
-    return got
+    return all(d.models(b.body) and d.models(b) for b in g.boxes())
 
 
 def box_incl(g: DTheory, d: DTheory) -> bool:
     """Box inclusion: every box of g is a box of d."""
     _same_adequate(g, d)
-    memo = _memo(g.adequate, "__box_incl__")
-    got = memo.get((g, d))
-    if got is None:
-        got = memo[g, d] = all(d.models(b) for b in g.boxes())
-    return got
+    return all(d.models(b) for b in g.boxes())
 
 
 def crit_succ(g: DTheory, c: Formula, d: DTheory) -> bool:
@@ -418,24 +400,20 @@ def crit_succ(g: DTheory, c: Formula, d: DTheory) -> bool:
     adequate set can express them (outside it they live on as frame-level
     successor obligations).
     """
-    _same_adequate(g, d)
-    memo = _memo(g.adequate, "__crit_succ__")
-    got = memo.get((g, c, d))
-    if got is None:
-        got = memo[g, c, d] = succ(g, d) and all(
-            d.models(f) and (Box(f) not in g.adequate.members or d.models(Box(f)))
-            for f in crit_obligations(g, c)
-        )
-    return got
+    return succ(g, d) and all(
+        d.models(f) and (Box(f) not in g.adequate.members or d.models(Box(f)))
+        for f in crit_obligations(g, c)
+    )
 
 
 def crit_obligations(g: DTheory, c: Formula) -> tuple[Formula, ...]:
     """Successor-obligation formulas a c-critical successor of g carries:
     the boxed halves of the critical-successor definition, rendered as
-    'holds at every later world' constraints."""
+    'holds at every later world' constraints. Memoised per adequate set:
+    a search asks again on every frame that holds the same world."""
     if c == BOT:
         return ()
-    memo = _memo(g.adequate, "__crit_obligations__")
+    memo = g.adequate._sat_cache.setdefault("__crit_obligations__", {})
     got = memo.get((g, c))
     if got is None:
         out = [single_neg(c)]

@@ -64,6 +64,13 @@ def test_unknown_exit_code():
     assert code == 2
 
 
+def test_huge_step_budget_is_accepted():
+    # the search keeps its own stack, so no budget sizes an interpreter limit
+    code, out = run_proc("prove", "--max-steps", "999999999", "p")
+    assert code == 1
+    assert out.strip() == "refuted"
+
+
 def test_usage_errors():
     assert run_cli("prove", "p ->")[0] == 3
     assert run_cli("prove", "--logic", "gl", "p |> q")[0] == 3

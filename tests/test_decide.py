@@ -1,11 +1,13 @@
 import pytest
 
 from ilkit.decide import (
+    Budget,
     Derivable,
     Proof,
     ProofLine,
     Refuted,
     Sat,
+    Unknown,
     Unsat,
     axiom_instance,
     check_proof,
@@ -275,9 +277,33 @@ def test_world_reuse_under_tight_budget():
     assert validate_ilm(res.model.frame).ok
 
 
+@pytest.mark.parametrize(
+    "logic, text, budget, report",
+    [
+        # the step cut fires two steps below the root: 58 backtracks, then
+        # one from each of the two frames above it as the cut unwinds
+        (IL, "[]((q |> p) |> []bot)", Budget(max_steps=60), (60, 60)),
+        # the backtrack cut fires three steps below the root, and each of
+        # the three frames above it counts one more backtrack
+        (ILM, "~~[]q | (s & s |> (p |> bot))", Budget(max_backtracks=40), (43, 43)),
+    ],
+)
+def test_budget_cut_reports(logic, text, budget, report):
+    steps, backtracks = report
+    assert derivable(logic, parse(text), budget) == Unknown(
+        (
+            ("steps", steps),
+            ("backtracks", backtracks),
+            ("max_worlds", budget.max_worlds),
+            ("max_steps", budget.max_steps),
+            ("max_backtracks", budget.max_backtracks),
+        )
+    )
+
+
 def test_queries_leave_the_recursion_limit_alone():
-    # the search raises the interpreter's limit for itself only, so what
-    # the parser accepts does not depend on what ran before it
+    # no query touches the interpreter's limit, so what the parser accepts
+    # does not depend on what ran before it
     import sys
 
     from ilkit.classify import sigma1_countermodel

@@ -330,6 +330,13 @@ def test_frame_validates_budget():
         frame_validates(m.frame, big, limit=1 << 10)
 
 
+def test_frame_validates_budget_holds_from_64_cells():
+    # 64 worlds times one atom: 2^64 valuations, never to be enumerated
+    frame = VeltmanFrame.make([f"w{i}" for i in range(64)])
+    with pytest.raises(BudgetExceededError):
+        frame_validates(frame, parse("p -> p"))
+
+
 def test_lemma_3_2_correspondence_small_frames():
     # frames with <= 3 worlds: ILM validity of the canonical instance of
     # Montagna's principle coincides with the frame condition
