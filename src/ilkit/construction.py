@@ -809,7 +809,7 @@ def _extensions(F: LabeledFrame, x: str, item, reusable, link, _state) -> Iterat
     obligations = _fresh_obligations(item)
     for t in fresh_candidate_theories(F, item):
         if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
-            _state.cut = True
+            _state.cut = _state.cut or "max_worlds"
             break
         g = F.copy()
         link(g, g.add_world(t, obligations))

@@ -73,7 +73,7 @@ class Unsat:
 
 @dataclass(frozen=True)
 class Exhausted:
-    report: tuple[tuple[str, int], ...]
+    report: tuple[tuple[str, int | str], ...]
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
-    report: tuple[tuple[str, int], ...]
+    report: tuple[tuple[str, int | str], ...]
 
     kind = "unknown"
 
@@ -102,17 +102,21 @@ Verdict = Derivable | Refuted | Unknown
 
 
 class _State:
+    """Search counters. `cut` is None until a budget limit cuts a branch,
+    then the name of the first limit that did (a Budget field name)."""
+
     __slots__ = ("budget", "steps", "backtracks", "cut", "observer")
 
     def __init__(self, budget: Budget, observer=None):
         self.budget = budget
         self.steps = 0
         self.backtracks = 0
-        self.cut = False
+        self.cut: str | None = None
         self.observer = observer
 
     def report(self):
         return (
+            ("limit", self.cut),
             ("steps", self.steps),
             ("backtracks", self.backtracks),
             ("max_worlds", self.budget.max_worlds),
@@ -156,7 +160,7 @@ def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
             if verify_truth_lemma(frame.to_model(), frame.nu, frame.adequate):
                 return frame
         elif st.steps >= budget.max_steps:
-            st.cut = True
+            st.cut = st.cut or "max_steps"
         else:
             item = _most_constrained(frame)
             if item is not None:
@@ -165,8 +169,9 @@ def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
         while stack:
             if failed:
                 st.backtracks += 1
-                if st.backtracks >= budget.max_backtracks or st.steps >= budget.max_steps:
-                    st.cut = True
+                spent = st.backtracks >= budget.max_backtracks
+                if spent or st.steps >= budget.max_steps:
+                    st.cut = st.cut or ("max_backtracks" if spent else "max_steps")
                     stack.pop()
                     continue
             item, children = stack[-1]

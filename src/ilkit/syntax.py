@@ -562,35 +562,48 @@ def _level(f: Formula) -> int:
 
 
 def render(f: Formula) -> str:
-    """Minimal-parentheses text form; parse(render(f)) == f."""
+    """Minimal-parentheses text form; parse(render(f)) == f.
+
+    Each node's text is cached on it. Nodes are rendered children first
+    from an explicit stack, so no depth overflows: an expanded node goes
+    back on the stack as (node, op, kids) under its print-form children."""
     if f._render is not None:
         return f._render
-    op, kids = _sugar(f)
-    if op == "bot":
-        out = "bot"
-    elif op == "top":
-        out = "top"
-    elif op == "name":
-        out = kids[0]
-    elif op in ("~", "[]", "<>"):
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            node, op, kids = g
+            node._render = _text(op, kids)
+        elif g._render is None:
+            op, kids = _sugar(g)
+            stack.append((g, op, kids))
+            if op != "name":
+                stack.extend(kids)
+    return f._render
+
+
+def _text(op: str, kids: tuple) -> str:
+    """The text of one print-form node whose children are rendered."""
+    if op in ("bot", "top"):
+        return op
+    if op == "name":
+        return kids[0]
+    if op in ("~", "[]", "<>"):
         body = kids[0]
-        t = render(body)
+        t = body._render
         if _level(body) < _LEVEL["unary"]:
             t = f"({t})"
-        out = op + t
+        return op + t
+    a, b = kids
+    lvl = _LEVEL[op]
+    ta, tb = a._render, b._render
+    if op == "|>":
+        # non-associative: bracket any |> child
+        ta = f"({ta})" if _level(a) <= lvl else ta
+        tb = f"({tb})" if _level(b) <= lvl else tb
     else:
-        a, b = kids
-        lvl = _LEVEL[op]
-        ta = render(a)
-        tb = render(b)
-        if op == "|>":
-            # non-associative: bracket any |> child
-            ta = f"({ta})" if _level(a) <= lvl else ta
-            tb = f"({tb})" if _level(b) <= lvl else tb
-        else:
-            # right-associative binary
-            ta = f"({ta})" if _level(a) <= lvl else ta
-            tb = f"({tb})" if _level(b) < lvl else tb
-        out = f"{ta} {op} {tb}"
-    f._render = out
-    return out
+        # right-associative binary
+        ta = f"({ta})" if _level(a) <= lvl else ta
+        tb = f"({tb})" if _level(b) < lvl else tb
+    return f"{ta} {op} {tb}"

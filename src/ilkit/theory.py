@@ -31,8 +31,8 @@ from .syntax import (
     single_neg,
 )
 
-# theories are enumerated by full materialization when the modal-atom count
-# is at most this; larger adequate sets use the pruned search per query
+# an adequate set with at most this many modal atoms is answered from a truth
+# table (_TheoryIndex); larger ones use the pruned search per query
 _CACHE_ATOMS = 12
 
 
@@ -46,10 +46,13 @@ class DTheory:
 
     __slots__ = ("adequate", "assignment", "_bits", "_hash", "_models_cache", "_preference")
 
-    def __init__(self, adequate: AdequateSet, assignment: dict[Formula, bool]):
+    def __init__(self, adequate: AdequateSet, assignment: dict[Formula, bool], bits=None):
+        # bits, when given, are the values of adequate.sorted_members
         self.adequate = adequate
         self.assignment = assignment
-        self._bits = tuple(eval_bool(f, assignment) for f in adequate.sorted_members)
+        if bits is None:
+            bits = tuple(eval_bool(f, assignment) for f in adequate.sorted_members)
+        self._bits = bits
         self._hash = hash(self._bits)
         self._models_cache: dict[Formula, bool] = {}
         self._preference: tuple | None = None
@@ -233,20 +236,41 @@ def _solve(
 
 
 class _TheoryIndex:
-    """Bitset view of the sorted theory list of a materialised adequate set:
-    theory i is bit i, and each formula's mask has the bits of the theories
-    that make it true. Masks come from the assignments, never through
-    DTheory.models, so the theories' own caches stay empty."""
+    """Truth table of a materialised adequate set over its modal atoms.
 
-    __slots__ = ("theories", "full", "_masks")
+    Row r is the r-th assignment to D's n modal atoms in _solve's order
+    (atom order, False first): atom i holds in row r when bit n-1-i of r is
+    set. A formula's mask has the bits of the rows that make it true, and
+    `valid` those of the rows meeting every saturation constraint. A valid
+    row's sort key is an integer whose bits, most significant first, are
+    the values of D's sorted members, so key order is DTheory.key() order.
+    A row's DTheory is built when a walk first reaches it. Masks never go
+    through DTheory.models, so the theories' own caches stay empty."""
 
-    def __init__(self, theories: list[DTheory], atoms: tuple[Formula, ...]):
-        self.theories = theories
-        self.full = (1 << len(theories)) - 1
+    __slots__ = ("adequate", "full", "valid", "_masks", "_keys", "_theories")
+
+    def __init__(self, D: AdequateSet, logic: str):
+        rows = 1 << len(D.modal_atoms)
+        self.adequate = D
+        self.full = (1 << rows) - 1
         self._masks: dict[Formula, int] = {BOT: 0}
-        for a in atoms:
-            bits = "".join("1" if t.assignment[a] else "0" for t in reversed(theories))
-            self._masks[a] = int(bits or "0", 2)
+        for i, a in enumerate(D.modal_atoms):
+            # runs of `run` rows with atom i false, then true, repeated
+            run = rows >> (i + 1)
+            m, width = ((1 << run) - 1) << run, 2 * run
+            while width < rows:
+                m |= m << width
+                width *= 2
+            self._masks[a] = m
+        self.valid = self.narrow(self.full, ((f, True) for f in saturation_constraints(D, logic)))
+        # character r of a reversed binary mask is row r; a valid row's key
+        # reads its character off every member's mask
+        valid = f"{self.valid:0{rows}b}"[::-1]
+        cols = [f"{self.mask(f):0{rows}b}"[::-1] for f in D.sorted_members]
+        self._keys: dict[int, int] = {
+            r: int("".join(k), 2) for r, k in enumerate(zip(*cols)) if valid[r] == "1"
+        }
+        self._theories: dict[int, DTheory] = {}
 
     def mask(self, f: Formula) -> int:
         got = self._masks.get(f)
@@ -258,7 +282,7 @@ class _TheoryIndex:
         return got
 
     def narrow(self, m: int, constraints: Iterable[tuple[Formula, bool]]) -> int:
-        """m restricted to the theories meeting every constraint."""
+        """m restricted to the rows meeting every constraint."""
         for f, v in constraints:
             if not m:
                 break
@@ -267,12 +291,22 @@ class _TheoryIndex:
         return m
 
     def walk(self, m: int) -> Iterator[DTheory]:
-        """The theories of mask m, lowest bit (first in sorted order) first."""
-        theories = self.theories
+        """The theories of the valid rows in mask m, in sorted order."""
+        rows = []
         while m:
             low = m & -m
-            yield theories[low.bit_length() - 1]
+            rows.append(low.bit_length() - 1)
             m ^= low
+        rows.sort(key=self._keys.__getitem__)
+        D, on = self.adequate, "1".__eq__
+        n, width = len(D.modal_atoms), len(D.sorted_members)
+        for r in rows:
+            t = self._theories.get(r)
+            if t is None:
+                assignment = dict(zip(D.modal_atoms, map(on, f"{r:0{n}b}")))
+                bits = tuple(map(on, f"{self._keys[r]:0{width}b}"))
+                t = self._theories[r] = DTheory(D, assignment, bits)
+            yield t
 
 
 def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
@@ -283,11 +317,7 @@ def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
     key = ("__index__", logic)
     cached = D._sat_cache.get(key)
     if cached is None:
-        theories = sorted(
-            (DTheory(D, a) for a in _solve(D, logic, ())), key=lambda t: t.key()
-        )
-        cached = _TheoryIndex(theories, D.modal_atoms)
-        D._sat_cache[key] = cached
+        cached = D._sat_cache[key] = _TheoryIndex(D, logic)
     return cached
 
 
@@ -313,7 +343,7 @@ class TheoryQuery:
             self._mask = None
             self._constraints = tuple(constraints)
         else:
-            self._mask = self._index.narrow(self._index.full, constraints)
+            self._mask = self._index.narrow(self._index.valid, constraints)
             self._constraints = ()
 
     def where(self, constraints: Iterable[tuple[Formula, bool]]) -> "TheoryQuery":

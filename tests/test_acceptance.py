@@ -6,6 +6,7 @@ All checks are exact (zero tolerance); corpora are seeded and fixed.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -465,9 +466,10 @@ def test_derivable_has_no_countermodel_on_small_frames(logic):
 
 
 def test_criterion_10_determinism(tmp_path):
-    def run(*argv):
+    def run(*argv, hash_seed=None):
+        env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": hash_seed}
         proc = subprocess.run(
-            [sys.executable, "-m", "ilkit.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "ilkit.cli", *argv], capture_output=True, text=True, env=env
         )
         return proc.returncode, proc.stdout, proc.stderr
 
@@ -493,7 +495,13 @@ def test_criterion_10_determinism(tmp_path):
         a = run(*cmd)
         b = run(*cmd)
         assert a == b, cmd
+    # the output must not depend on the interpreter's hash seed either
+    for cmd in commands[0], commands[3], commands[5]:
+        assert run(*cmd, hash_seed="1") == run(*cmd, hash_seed="2"), cmd
     run("prove", "--logic", "gl", "p -> []p", "--cert", str(cert1))
     run("prove", "--logic", "gl", "p -> []p", "--cert", str(cert2))
     assert cert1.read_bytes() == cert2.read_bytes()
-    _report("10 determinism", f"{len(commands)} commands byte-identical across runs")
+    _report(
+        "10 determinism",
+        f"{len(commands)} commands byte-identical across runs, 3 across hash seeds",
+    )

@@ -282,16 +282,25 @@ def test_world_reuse_under_tight_budget():
     [
         # the step cut fires two steps below the root: 58 backtracks, then
         # one from each of the two frames above it as the cut unwinds
-        (IL, "[]((q |> p) |> []bot)", Budget(max_steps=60), (60, 60)),
+        (IL, "[]((q |> p) |> []bot)", Budget(max_steps=60), ("max_steps", 60, 60)),
         # the backtrack cut fires three steps below the root, and each of
         # the three frames above it counts one more backtrack
-        (ILM, "~~[]q | (s & s |> (p |> bot))", Budget(max_backtracks=40), (43, 43)),
+        (
+            ILM,
+            "~~[]q | (s & s |> (p |> bot))",
+            Budget(max_backtracks=40),
+            ("max_backtracks", 43, 43),
+        ),
+        # a countermodel needs three worlds, and two leave room for only
+        # one successor of the root
+        (GL, "~(<>p & <>~p & <><>q)", Budget(max_worlds=2), ("max_worlds", 8, 8)),
     ],
 )
 def test_budget_cut_reports(logic, text, budget, report):
-    steps, backtracks = report
+    limit, steps, backtracks = report
     assert derivable(logic, parse(text), budget) == Unknown(
         (
+            ("limit", limit),
             ("steps", steps),
             ("backtracks", backtracks),
             ("max_worlds", budget.max_worlds),

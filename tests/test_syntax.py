@@ -112,6 +112,19 @@ def test_render_parenthesization():
     assert render(Box(Implies(p, q))) == "[](p -> q)"
 
 
+def test_render_deeper_than_the_parser_accepts():
+    # parse rejects this nesting, so the chain is built in code; rendering
+    # must not recurse once per level
+    f = p
+    for _ in range(3000):
+        f = Neg(f)
+    assert render(f) == "~" * 3000 + "p"
+    g = Atom("q")
+    for _ in range(1500):
+        g = Box(Rhd(g, p))
+    assert render(g) == "[](" * 1500 + "q" + " |> p)" * 1500
+
+
 # hypothesis strategy over formula trees
 _atoms = st.sampled_from([p, q, r, Atom("s0")])
 _formulas = st.recursive(

@@ -364,6 +364,37 @@ def test_unmaterialised_matches_linear_filter(seed):
     _check_against_reference(D, random.Random(2000 + seed), 4, 3)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_index_bits_match_evaluation(seed):
+    # the index reads a theory's membership bits off its sort key; they
+    # must be what evaluating D's sorted members under it gives
+    D = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
+    for logic in (IL, ILM):
+        ts = list(solve_theories(D, logic))
+        assert ts
+        for t in ts:
+            assert t._bits == tuple(eval_bool(f, t.assignment) for f in D.sorted_members)
+
+
+def test_index_builds_only_the_theories_walked(monkeypatch):
+    D = _seeded_adequate(0, theory._CACHE_ATOMS, theory._CACHE_ATOMS)
+    built = []
+    init = DTheory.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(DTheory, "__init__", counting)
+    q = TheoryQuery(D, ILM, [(D.modal_atoms[0], True), (D.modal_atoms[-1], False)])
+    assert not q.is_empty() and not built
+    ts = list(q)
+    assert len(built) == len(ts)
+    assert len(ts) < len(theory._theory_index(D, ILM)._keys)
+    # a second walk reuses the theories the first one built
+    assert list(q) == ts and len(built) == len(ts)
+
+
 def test_index_leaves_theory_caches_empty():
     D = adequate_closure([parse("(p |> q) & (q |> r) -> p |> r")])
     ts = list(solve_theories(D, ILM, [(parse("p |> q"), True), (parse("q |> r"), False)]))
