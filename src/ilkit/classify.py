@@ -38,13 +38,17 @@ from .syntax import (
     Rhd,
     Top,
     adequate_closure,
+    atoms,
     conj,
     disj,
+    eval_bool,
     fresh_atoms,
     is_neg,
     modal_atoms_of,
+    parse,
     render,
     subformulas,
+    substitute,
 )
 from .theory import common_predecessor, search_preference, solve_theories
 
@@ -84,7 +88,20 @@ def _impl3(a, b):
 # --- admissible rules ---------------------------------------------------------
 
 
-RULES = ("i", "ii", "iii", "iv", "v", "vi", "vii")
+# Each rule's left side and right sides as templates over its instance
+# (a, b); under rule v, c stands for the conjunction of the <>A_i.
+RULES = {
+    name: (parse(lhs), tuple(map(parse, rhs)))
+    for name, lhs, rhs in (
+        ("i", "[]a", ("a",)),
+        ("ii", "[]a | []b", ("[]a", "[]b")),
+        ("iii", "a |> b", ("a -> b | <>b",)),
+        ("iv", "a |> b", ("<>a -> <>b",)),
+        ("v", "c -> a |> b", ("a |> b",)),
+        ("vi", "a | <>a", ("[]bot -> a",)),
+        ("vii", "top |> a", ("[]bot -> a",)),
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -114,62 +131,31 @@ def check_rule(rule: str, instance, budget: Budget = DEFAULT_BUDGET) -> RuleRepo
     """
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    side: list[Verdict] = []
-    if rule == "i":
-        (a,) = instance
-        lhs = [Box(a)]
-        rhs = [a]
-        rhs_mode = "all"
-    elif rule == "ii":
-        a, b = instance
-        lhs = [Or(Box(a), Box(b))]
-        rhs = [Box(a), Box(b)]
-        rhs_mode = "any"
-    elif rule == "iii":
-        a, b = instance
-        lhs = [Rhd(a, b)]
-        rhs = [Implies(a, Or(b, Diamond(b)))]
-        rhs_mode = "all"
-    elif rule == "iv":
-        a, b = instance
-        lhs = [Rhd(a, b)]
-        rhs = [Implies(Diamond(a), Diamond(b))]
-        rhs_mode = "all"
-    elif rule == "v":
+    lhs, rhs = RULES[rule]
+    side: tuple[Verdict, ...] = ()
+    if rule == "v":
         ais, a, b = instance
         if not ais:
             raise ValueError("rule v needs at least one side formula")
-        lhs = [Implies(conj([Diamond(ai) for ai in ais]), Rhd(a, b))]
-        rhs = [Rhd(a, b)]
-        rhs_mode = "all"
-        side = [derivable(ILM, Neg(ai), budget) for ai in ais]
-    elif rule == "vi":
-        (a,) = instance
-        lhs = [Or(a, Diamond(a))]
-        rhs = [Implies(Box(BOT), a)]
-        rhs_mode = "all"
-    else:  # vii
-        (a,) = instance
-        lhs = [Rhd(Top(), a)]
-        rhs = [Implies(Box(BOT), a)]
-        rhs_mode = "all"
-
-    lhs_v = tuple(derivable(ILM, f, budget) for f in lhs)
-    rhs_v = tuple(derivable(ILM, f, budget) for f in rhs)
-    agree: bool | None
-    if side and any(_holds(v) is not False for v in side):
-        # some A_i is provably inconsistent (or undecided): rule not applicable
-        agree = None
+        binding = {"a": a, "b": b, "c": conj([Diamond(ai) for ai in ais])}
+        side = tuple(derivable(ILM, Neg(ai), budget) for ai in ais)
     else:
-        l = _holds(lhs_v[0])
-        if rhs_mode == "any":
-            r: bool | None = False
-            for v in rhs_v:
-                r = _or3(r, _holds(v))
-        else:
-            r = _holds(rhs_v[0])
-        agree = None if (l is None or r is None) else (l == r)
-    return RuleReport(rule, lhs_v, tuple(rhs_v), tuple(side), agree)
+        names = sorted(atoms(lhs))
+        if len(instance) != len(names):
+            raise ValueError(f"rule {rule} takes {len(names)} formulas, got {len(instance)}")
+        binding = dict(zip(names, instance))
+    lhs_v = (derivable(ILM, substitute(lhs, binding), budget),)
+    rhs_v = tuple(derivable(ILM, substitute(t, binding), budget) for t in rhs)
+    agree: bool | None = None
+    # a side formula A_i that is provably inconsistent (or undecided) makes
+    # the rule inapplicable; the right sides are one OR (rule ii has two)
+    if not any(_holds(v) is not False for v in side):
+        l, r = _holds(lhs_v[0]), False
+        for v in rhs_v:
+            r = _or3(r, _holds(v))
+        if l is not None and r is not None:
+            agree = l == r
+    return RuleReport(rule, lhs_v, rhs_v, side, agree)
 
 
 # --- essentially Delta_1 --------------------------------------------------------
@@ -456,19 +442,17 @@ def canonical_modal_dnf(f: Formula, max_atoms: int = 14) -> TsgDecomposition:
     """Reduced disjunctive normal form over the modal atoms of f, with the
     positive boxes of each disjunct merged into one box. Disjuncts that
     cannot fit the required shape are flagged, not repaired."""
-    atoms = sorted(modal_atoms_of(f), key=lambda g: g.key())
-    if len(atoms) > max_atoms:
-        raise ValueError(f"too many modal atoms ({len(atoms)})")
-    from .syntax import eval_bool
-
+    modal = sorted(modal_atoms_of(f), key=lambda g: g.key())
+    if len(modal) > max_atoms:
+        raise ValueError(f"too many modal atoms ({len(modal)})")
     minterms = []
-    for bits in range(1 << len(atoms)):
-        assign = {a: bool(bits >> i & 1) for i, a in enumerate(atoms)}
+    for bits in range(1 << len(modal)):
+        assign = {a: bool(bits >> i & 1) for i, a in enumerate(modal)}
         if eval_bool(f, assign):
             minterms.append(bits)
     if not minterms:
         return TsgDecomposition((), (), ())
-    primes = _prime_implicants(len(atoms), minterms)
+    primes = _prime_implicants(len(modal), minterms)
     cover = _min_cover(primes, minterms)
     conjuncts = []
     boxes = []
@@ -476,7 +460,7 @@ def canonical_modal_dnf(f: Formula, max_atoms: int = 14) -> TsgDecomposition:
     for v, mask in sorted(cover):
         pos_boxes: list[Formula] = []
         lits: list[Formula] = []
-        for i, a in enumerate(atoms):
+        for i, a in enumerate(modal):
             if not (mask >> i) & 1:
                 continue
             positive = bool((v >> i) & 1)

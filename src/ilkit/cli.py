@@ -17,6 +17,7 @@ from .decide import Budget, Derivable, Refuted, Unknown, check_proof, derivable,
 from .semantics import (
     ILM,
     LOGICS,
+    VeltmanModel,
     forces,
     model_from_dict,
     model_to_dict,
@@ -46,10 +47,18 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _write_cert(args, payload: dict) -> None:
+def _write_cert(args, logic: str, query, holds: str, world: str, model) -> None:
+    """The certificate file of --cert: model forces holds at world."""
     if getattr(args, "cert", None):
+        cert = {
+            "logic": logic,
+            "query": render(query),
+            "holds": holds,
+            "world": world,
+            "model": model_to_dict(model),
+        }
         with open(args.cert, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(cert, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
@@ -69,16 +78,7 @@ def cmd_prove(args) -> int:
     payload = _verdict_payload(args.logic, f, v)
     _emit(args, payload, f"{v.kind}")
     if isinstance(v, Refuted):
-        _write_cert(
-            args,
-            {
-                "logic": args.logic,
-                "query": render(f),
-                "holds": render(Neg(f)),
-                "world": v.world,
-                "model": model_to_dict(v.model),
-            },
-        )
+        _write_cert(args, args.logic, f, render(Neg(f)), v.world, v.model)
         return _NEGATIVE
     if isinstance(v, Derivable):
         return _POSITIVE
@@ -97,16 +97,7 @@ def cmd_sat(args) -> int:
             "model": model_to_dict(res.model),
         }
         _emit(args, payload, f"satisfiable at {res.world}")
-        _write_cert(
-            args,
-            {
-                "logic": args.logic,
-                "query": render(f),
-                "holds": render(f),
-                "world": res.world,
-                "model": model_to_dict(res.model),
-            },
-        )
+        _write_cert(args, args.logic, f, render(f), res.world, res.model)
         return _POSITIVE
     if isinstance(res, Unsat):
         _emit(args, {"logic": args.logic, "query": render(f), "answer": "unsatisfiable"}, "unsatisfiable")
@@ -126,7 +117,7 @@ def cmd_countermodel(args) -> int:
             "model": model_to_dict(v.model),
         }
         _emit(args, payload, f"countermodel at {v.world}:\n{json.dumps(model_to_dict(v.model), indent=2, sort_keys=True)}")
-        _write_cert(args, {**payload, "holds": render(Neg(f))})
+        _write_cert(args, args.logic, f, render(Neg(f)), v.world, v.model)
         return _POSITIVE
     if isinstance(v, Derivable):
         _emit(args, {"logic": args.logic, "query": render(f), "verdict": "derivable"}, "derivable: no countermodel")
@@ -169,13 +160,7 @@ def cmd_close(args) -> int:
         data = json.load(fh)
     model = model_from_dict(data)
     closed = close_frame(model.frame, args.logic)
-    out = {
-        "worlds": sorted(closed.worlds),
-        "R": sorted([x, y] for (x, y) in closed.R),
-        "S": sorted([x, y, z] for (x, y, z) in closed.S),
-        "val": {w: sorted(model.val.get(w, ())) for w in sorted(closed.worlds)},
-    }
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(json.dumps(model_to_dict(VeltmanModel(closed, model.val)), indent=2, sort_keys=True))
     return _POSITIVE
 
 
@@ -194,17 +179,9 @@ def cmd_classify(args) -> int:
     if kind == "sigma1":
         rep = cls.classify_sigma1(f, budget)
         _emit(args, rep.to_dict(), f"{rep.answer}" + (f" (witness {render(rep.witness)})" if rep.witness is not None else ""))
-        if args.cert and rep.countermodel is not None:
-            _write_cert(
-                args,
-                {
-                    "logic": ILM,
-                    "query": render(rep.reduction_query),
-                    "holds": f"~({render(rep.reduction_query)})",
-                    "world": rep.countermodel[1],
-                    "model": model_to_dict(rep.countermodel[0]),
-                },
-            )
+        if rep.countermodel is not None:
+            query = rep.reduction_query
+            _write_cert(args, ILM, query, f"~({render(query)})", rep.countermodel[1], rep.countermodel[0])
         return {"yes": _POSITIVE, "no": _NEGATIVE}.get(rep.answer, _UNKNOWN)
     if kind == "delta1":
         rep = cls.classify_delta1(f, budget)

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .relation import find_cycle, image, reach
-from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, _Forcer, check_logic
+from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, _Forcer, check_logic, validate
 from .syntax import (
     AdequateSet,
     Atom,
@@ -284,32 +284,21 @@ def m_cone(F: LabeledFrame, x: str, A: Formula) -> set[str]:
 # --- imperfections and closure ----------------------------------------------
 
 
+# the imperfection kind of each closure violation that validate reports
+_KIND = {"r_transitive": 0, "s_reflexive": 1, "s_transitive": 2, "r_inside_s": 3, "ilm_condition": 4}
+
+
 def find_imperfections(F, logic: str | None = None) -> list[Imperfection]:
     """All imperfections of kinds 0-3 (plus 4 under ILM), deterministically
-    ordered. Accepts a labeled frame or a plain Veltman frame."""
+    ordered: the closure violations validate reports. Accepts a labeled
+    frame or a plain Veltman frame."""
     logic = check_logic(logic or getattr(F, "logic", IL))
-    R, S = F.R, F.S
-    succ = image(R)
-    s_at = image(((a, b), c) for a, b, c in S)
-    out = []
-    for (a, b) in R:
-        if (a, b, b) not in S:
-            out.append(Imperfection(1, (a, b)))
-        for c in succ.get(b, ()):
-            if (a, c) not in R:
-                out.append(Imperfection(0, (a, b, c)))
-            if (a, b, c) not in S:
-                out.append(Imperfection(3, (a, b, c)))
-    for (a, b), cs in s_at.items():
-        for c in cs:
-            for d in s_at.get((a, c), ()):
-                if d not in cs:
-                    out.append(Imperfection(2, (a, b, c, d)))
-    if logic == ILM:
-        for (a, b, c) in S:
-            for d in succ.get(c, ()):
-                if (b, d) not in R:
-                    out.append(Imperfection(4, (a, b, c, d)))
+    frame = F if isinstance(F, VeltmanFrame) else VeltmanFrame.make(F.worlds, F.R, F.S)
+    out = [
+        Imperfection(_KIND[v.condition], v.witness)
+        for v in validate(frame, logic).violations
+        if v.condition in _KIND
+    ]
     out.sort(key=lambda i: (i.kind, i.payload))
     return out
 

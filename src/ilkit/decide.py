@@ -26,7 +26,6 @@ from .construction import (
 )
 from .semantics import (
     GL,
-    IL,
     ILM,
     VeltmanModel,
     check_logic,
@@ -34,20 +33,21 @@ from .semantics import (
     validate,
 )
 from .syntax import (
-    And,
     Box,
-    Diamond,
     Formula,
     Implies,
     Neg,
-    Or,
-    Rhd,
+    adequate_closure,
+    atoms,
+    eval_bool,
     is_rhd_free,
+    match,
     modal_atoms_of,
     parse,
     render,
+    substitute,
 )
-from .theory import _and_parts, enumerate_theories, search_preference
+from .theory import AXIOMS, SCHEMATA, enumerate_theories, search_preference
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,6 @@ def satisfiable(
         if got is not None:
             return got
     eng = _engine_logic(logic)
-    from .syntax import adequate_closure
-
     D = adequate_closure([f])
     st = _State(budget, observer)
     result: Sat | Unsat | Exhausted | None = None
@@ -260,7 +258,7 @@ def complete_frame(
 
 
 def _certify(logic: str, model: VeltmanModel, world: str, f: Formula, frame) -> bool:
-    rep = validate(model.frame, ILM if logic == GL else logic)
+    rep = validate(model.frame, _engine_logic(logic))
     if not rep.ok:
         return False
     if not forces(model, world, f):
@@ -293,91 +291,20 @@ def countermodel(logic: str, f: Formula, budget: Budget = DEFAULT_BUDGET):
 # --- axiom schemata -----------------------------------------------------------
 
 
+_ARITY = {name: len(atoms(t)) for name, t in SCHEMATA.items()}
+
+
 def axiom_instance(name: str, *args: Formula) -> Formula:
     """Build a schema instance; args are the substituted formulas."""
-    if name == "L1":
-        a, b = args
-        return Implies(Box(Implies(a, b)), Implies(Box(a), Box(b)))
-    if name == "L2":
-        (a,) = args
-        return Implies(Box(a), Box(Box(a)))
-    if name == "L3":
-        (a,) = args
-        return Implies(Box(Implies(Box(a), a)), Box(a))
-    if name == "J1":
-        a, b = args
-        return Implies(Box(Implies(a, b)), Rhd(a, b))
-    if name == "J2":
-        a, b, c = args
-        return Implies(And(Rhd(a, b), Rhd(b, c)), Rhd(a, c))
-    if name == "J3":
-        a, b, c = args
-        return Implies(And(Rhd(a, c), Rhd(b, c)), Rhd(Or(a, b), c))
-    if name == "J4":
-        a, b = args
-        return Implies(Rhd(a, b), Implies(Diamond(a), Diamond(b)))
-    if name == "J5":
-        (a,) = args
-        return Rhd(Diamond(a), a)
-    if name == "M":
-        a, b, c = args
-        return Implies(Rhd(a, b), Rhd(And(a, Box(c)), And(b, Box(c))))
-    raise ValueError(f"unknown schema {name!r}")
-
-
-SCHEMATA = ("L1", "L2", "L3", "J1", "J2", "J3", "J4", "J5", "M")
-_ARITY = {"L1": 2, "L2": 1, "L3": 1, "J1": 2, "J2": 3, "J3": 3, "J4": 2, "J5": 1, "M": 3}
+    if name not in SCHEMATA:
+        raise ValueError(f"unknown schema {name!r}")
+    if len(args) != _ARITY[name]:
+        raise ValueError(f"{name} takes {_ARITY[name]} formulas, got {len(args)}")
+    return substitute(SCHEMATA[name], dict(zip("abc", args)))
 
 
 def _match_schema(name: str, f: Formula) -> bool:
-    try:
-        if name == "L1":
-            assert isinstance(f, Implies) and isinstance(f.left, Box)
-            body = f.left.body
-            assert isinstance(body, Implies)
-            return f == axiom_instance("L1", body.left, body.right)
-        if name == "L2":
-            assert isinstance(f, Implies) and isinstance(f.left, Box)
-            return f == axiom_instance("L2", f.left.body)
-        if name == "L3":
-            assert isinstance(f, Implies) and isinstance(f.left, Box)
-            body = f.left.body
-            assert isinstance(body, Implies) and isinstance(body.left, Box)
-            return f == axiom_instance("L3", body.right)
-        if name == "J1":
-            assert isinstance(f, Implies) and isinstance(f.right, Rhd)
-            return f == axiom_instance("J1", f.right.left, f.right.right)
-        if name == "J2":
-            assert isinstance(f, Implies) and isinstance(f.right, Rhd)
-            parts = _and_parts(f.left)
-            assert parts is not None and isinstance(parts[0], Rhd)
-            return f == axiom_instance(
-                "J2", parts[0].left, parts[0].right, f.right.right
-            )
-        if name == "J3":
-            assert isinstance(f, Implies) and isinstance(f.right, Rhd)
-            parts = _and_parts(f.left)
-            assert parts is not None and isinstance(parts[0], Rhd) and isinstance(parts[1], Rhd)
-            return f == axiom_instance(
-                "J3", parts[0].left, parts[1].left, parts[0].right
-            )
-        if name == "J4":
-            assert isinstance(f, Implies) and isinstance(f.left, Rhd)
-            return f == axiom_instance("J4", f.left.left, f.left.right)
-        if name == "J5":
-            assert isinstance(f, Rhd)
-            return f == axiom_instance("J5", f.right)
-        if name == "M":
-            assert isinstance(f, Implies) and isinstance(f.left, Rhd)
-            assert isinstance(f.right, Rhd)
-            parts = _and_parts(f.right.left)
-            assert parts is not None and isinstance(parts[1], Box)
-            return f == axiom_instance(
-                "M", f.left.left, f.left.right, parts[1].body
-            )
-    except AssertionError:
-        return False
-    return False
+    return match(SCHEMATA[name], f) is not None
 
 
 def is_tautology(f: Formula, limit: int = 1 << 18) -> bool:
@@ -385,8 +312,6 @@ def is_tautology(f: Formula, limit: int = 1 << 18) -> bool:
     atoms = sorted(modal_atoms_of(f), key=lambda g: g.key())
     if 2 ** len(atoms) > limit:
         raise ValueError(f"too many modal atoms ({len(atoms)})")
-    from .syntax import eval_bool
-
     for bits in itertools.product((False, True), repeat=len(atoms)):
         if not eval_bool(f, dict(zip(atoms, bits))):
             return False
@@ -412,16 +337,11 @@ class Proof:
         return self.lines[-1].formula
 
 
-_GL_RULES = {"Taut", "L1", "L2", "L3", "MP", "Nec"}
-_IL_RULES = _GL_RULES | {"J1", "J2", "J3", "J4", "J5"}
-_ILM_RULES = _IL_RULES | {"M"}
-
-
 def check_proof(proof: Proof, logic: str) -> bool:
     """Every line a valid schema instance or rule application, with the
     axioms gated by the logic. GL proofs must stay rhd-free."""
     check_logic(logic)
-    allowed = {GL: _GL_RULES, IL: _IL_RULES, ILM: _ILM_RULES}[logic]
+    allowed = {"Taut", "MP", "Nec", *AXIOMS[logic]}
     for i, line in enumerate(proof.lines):
         for k in line.premises:
             if not (1 <= k <= i):

@@ -267,6 +267,40 @@ def eval3(f: Formula, assign) -> bool | None:
     return assign.get(f)
 
 
+def substitute(t: Formula, binding) -> Formula:
+    """The instance of template t: every atom of t, a metavariable, is
+    replaced by the formula its name is bound to."""
+    if isinstance(t, Atom):
+        return binding[t.name]
+    if isinstance(t, Implies):
+        return Implies(substitute(t.left, binding), substitute(t.right, binding))
+    if isinstance(t, Box):
+        return Box(substitute(t.body, binding))
+    if isinstance(t, Rhd):
+        return Rhd(substitute(t.left, binding), substitute(t.right, binding))
+    return t
+
+
+def match(t: Formula, f: Formula, binding=None) -> dict[str, Formula] | None:
+    """The least extension of binding under which f is the instance of
+    template t, or None if there is none."""
+    out = dict(binding or ())
+    stack = [(t, f)]
+    while stack:
+        t, f = stack.pop()
+        if isinstance(t, Atom):
+            if out.setdefault(t.name, f) != f:
+                return None
+        elif type(t) is not type(f):
+            return None
+        elif isinstance(t, Box):
+            stack.append((t.body, f.body))
+        elif not isinstance(t, Bot):
+            stack.append((t.right, f.right))
+            stack.append((t.left, f.left))
+    return out
+
+
 def fresh_atoms(avoid: Formula, n: int) -> list[Formula]:
     """n atoms not occurring in `avoid`, deterministic given `avoid`."""
     if n < 1:

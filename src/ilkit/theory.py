@@ -4,8 +4,8 @@ A DTheory fixes a truth value for every modal atom (propositional atom,
 box or rhd formula) of an adequate set D; membership of a D-formula is its
 Boolean value under that assignment, so exactly one of each complementary
 pair is a member. Enumeration additionally imposes local axiom saturation:
-every schema instance whose constituents all lie in D must come out true.
-Saturation is a sound over-approximation of consistency; the decision
+every instance of a schema in SCHEMATA, the one table of the logics' axioms,
+whose modal atoms all lie in D must come out true. Saturation is a sound over-approximation of consistency; the decision
 engine's final truth-lemma certification is the arbiter.
 """
 
@@ -13,23 +13,68 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .semantics import IL, ILM, check_logic
+from .semantics import GL, IL, ILM, check_logic
 from .syntax import (
     AdequateSet,
-    And,
     BOT,
     Box,
-    Diamond,
     Formula,
     Implies,
-    Neg,
-    Or,
     Rhd,
+    atoms,
     eval3,
     eval_bool,
     is_neg,
+    match,
+    modal_atoms_of,
+    parse,
     single_neg,
+    substitute,
 )
+
+# The axiom schemata as templates: every atom is a metavariable (a, b, c).
+SCHEMATA = {
+    name: parse(text)
+    for name, text in (
+        ("L1", "[](a -> b) -> []a -> []b"),
+        ("L2", "[]a -> [][]a"),
+        ("L3", "[]([]a -> a) -> []a"),
+        ("J1", "[](a -> b) -> a |> b"),
+        ("J2", "(a |> b) & (b |> c) -> a |> c"),
+        ("J3", "(a |> c) & (b |> c) -> (a | b) |> c"),
+        ("J4", "a |> b -> <>a -> <>b"),
+        ("J5", "<>a |> a"),
+        ("M", "a |> b -> a & []c |> b & []c"),
+    )
+}
+AXIOMS = {GL: ("L1", "L2", "L3")}
+AXIOMS[IL] = AXIOMS[GL] + ("J1", "J2", "J3", "J4", "J5")
+AXIOMS[ILM] = AXIOMS[IL] + ("M",)
+
+
+def _plan(t: Formula) -> tuple[tuple[Formula, bool], ...]:
+    """The order in which saturation finds t's modal atoms in D, as (atom,
+    looked up) pairs: an atom whose metavariables are all bound is looked
+    up, otherwise the one binding the most (the largest on a tie) is
+    matched."""
+    todo, bound, plan = set(modal_atoms_of(t)), set(), []
+    while todo:
+        g = max(todo, key=lambda g: (atoms(g) <= bound, len(atoms(g) - bound), g.key()))
+        todo.remove(g)
+        plan.append((g, atoms(g) <= bound))
+        bound |= atoms(g)
+    return tuple(plan)
+
+
+# per logic, the templates that saturate theories, each with its plan: the
+# axioms and, under IL and ILM, the derived principle A |> bot -> []~A
+_DERIVED = parse("a |> bot -> []~a")
+_SATURATED = {
+    logic: tuple(
+        (t, _plan(t)) for t in [SCHEMATA[n] for n in AXIOMS[logic]] + [_DERIVED] * (logic != GL)
+    )
+    for logic in AXIOMS
+}
 
 # an adequate set with at most this many modal atoms is answered from a truth
 # table (_TheoryIndex); larger ones use the pruned search per query
@@ -105,89 +150,33 @@ def _norm_constraint(f: Formula, want: bool) -> tuple[Formula, bool]:
 
 
 def saturation_constraints(D: AdequateSet, logic: str) -> tuple[Formula, ...]:
-    """All axiom-schema instances whose constituent formulas lie in D, as
-    formulas that must evaluate true. Cached per adequate set and logic."""
+    """Every instance of the logic's schemata (plus the derived principle
+    under IL and ILM) whose modal atoms all lie in D, as formulas that must
+    evaluate true. Cached per adequate set and logic."""
     check_logic(logic)
     cached = D._sat_cache.get(logic)
     if cached is not None:
         return cached
-    members = D.members
-    boxes = [f for f in D.sorted_members if isinstance(f, Box)]
-    rhds = sorted(
-        (f for f in D.modal_atoms if isinstance(f, Rhd)), key=lambda f: f.key()
-    )
+    by_type: dict[type, list[Formula]] = {}
+    for f in D.modal_atoms:
+        by_type.setdefault(type(f), []).append(f)
     out: list[Formula] = []
-
-    for b in boxes:
-        body = b.body
-        # L1
-        if isinstance(body, Implies):
-            if Box(body.left) in members and Box(body.right) in members:
-                out.append(Implies(b, Implies(Box(body.left), Box(body.right))))
-        # L2
-        if Box(b) in members:
-            out.append(Implies(b, Box(b)))
-        # L3
-        if isinstance(body, Implies) and isinstance(body.left, Box) and body.left.body == body.right:
-            out.append(Implies(b, body.left))
-
-    if logic in (IL, ILM):
-        for rh in rhds:
-            a, b = rh.left, rh.right
-            # J1
-            if Box(Implies(a, b)) in members:
-                out.append(Implies(Box(Implies(a, b)), rh))
-            # J4
-            if Box(Neg(a)) in members and Box(Neg(b)) in members:
-                out.append(Implies(rh, Implies(Diamond(a), Diamond(b))))
-            # J5
-            if a == Diamond(b):
-                out.append(rh)
-            # derived: A |> bot entails []~A
-            if b == BOT and Box(Neg(a)) in members:
-                out.append(Implies(rh, Box(Neg(a))))
-        for r1 in rhds:
-            for r2 in rhds:
-                # J2
-                if r1.right == r2.left and Rhd(r1.left, r2.right) in members:
-                    out.append(Implies(And(r1, r2), Rhd(r1.left, r2.right)))
-                # J3
-                if r1.right == r2.right and Rhd(Or(r1.left, r2.left), r1.right) in members:
-                    out.append(
-                        Implies(And(r1, r2), Rhd(Or(r1.left, r2.left), r1.right))
-                    )
-                # M (Montagna's principle), ILM only
-                if logic == ILM:
-                    lhs2 = r2.left
-                    rhs2 = r2.right
-                    m_shape = (
-                        _and_parts(lhs2) is not None and _and_parts(rhs2) is not None
-                    )
-                    if m_shape:
-                        a2, c2 = _and_parts(lhs2)
-                        b2, c3 = _and_parts(rhs2)
-                        if (
-                            a2 == r1.left
-                            and b2 == r1.right
-                            and isinstance(c2, Box)
-                            and c2 == c3
-                        ):
-                            out.append(Implies(r1, r2))
+    for template, plan in _SATURATED[logic]:
+        bindings: list[dict[str, Formula]] = [{}]
+        for g, bound in plan:
+            if bound:
+                bindings = [b for b in bindings if substitute(g, b) in D.members]
+            else:
+                bindings = [
+                    got
+                    for b in bindings
+                    for f in by_type.get(type(g), ())
+                    if (got := match(g, f, b)) is not None
+                ]
+        out.extend(substitute(template, b) for b in bindings)
     result = tuple(dict.fromkeys(out))
     D._sat_cache[logic] = result
     return result
-
-
-def _and_parts(f: Formula):
-    """Decompose an expanded conjunction ~(x -> ~y) into (x, y)."""
-    if (
-        isinstance(f, Implies)
-        and f.right == BOT
-        and isinstance(f.left, Implies)
-        and is_neg(f.left.right)
-    ):
-        return f.left.left, f.left.right.left
-    return None
 
 
 def _solve(

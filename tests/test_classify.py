@@ -48,6 +48,15 @@ def test_rule_ii_disjunction():
     assert [v.kind for v in rep.rhs] == ["refuted", "derivable"]
 
 
+def test_rule_instance_of_wrong_size_is_rejected():
+    with pytest.raises(ValueError):
+        check_rule("ii", (p,))
+    with pytest.raises(ValueError):
+        check_rule("i", (p, q))
+    with pytest.raises(ValueError):
+        check_rule("v", ([], p, q))
+
+
 def test_rule_v_side_condition():
     ok = check_rule("v", ([p], p, q))
     assert ok.agree is True

@@ -148,6 +148,40 @@ def test_imperfection_kind4_only_ilm():
     assert any(i.kind == 4 and i.payload == ("a", "b", "c", "d") for i in ilm)
 
 
+def test_find_imperfections_exact_lists():
+    # b S_a c S_a d without b S_a d (kind 2), and a R d without d S_a d
+    f = VeltmanFrame.make(
+        "abcd",
+        {("a", "b"), ("a", "c"), ("a", "d")},
+        {("a", "b", "b"), ("a", "c", "c"), ("a", "b", "c"), ("a", "c", "d")},
+    )
+    assert [(i.kind, i.payload) for i in find_imperfections(f, IL)] == [
+        (1, ("a", "d")),
+        (2, ("a", "b", "c", "d")),
+    ]
+    # an ILM labeled frame with b S_a c R d (kind 4) and the R-cycle c R d R c
+    g = LabeledFrame(
+        adequate_closure([]),
+        ILM,
+        list("abcd"),
+        {("a", "b"), ("a", "c"), ("c", "d"), ("d", "c")},
+        {("a", "b", "b"), ("a", "c", "c"), ("a", "b", "c")},
+    )
+    want = [
+        (0, ("a", "c", "d")),
+        (0, ("c", "d", "c")),
+        (0, ("d", "c", "d")),
+        (1, ("c", "d")),
+        (1, ("d", "c")),
+        (3, ("a", "c", "d")),
+        (3, ("c", "d", "c")),
+        (3, ("d", "c", "d")),
+        (4, ("a", "b", "c", "d")),
+    ]
+    assert [(i.kind, i.payload) for i in find_imperfections(g)] == want
+    assert [(i.kind, i.payload) for i in find_imperfections(g, IL)] == want[:-1]
+
+
 def test_close_chain():
     D = small_D()
     t0 = pick(D, excl=[Box(p)])

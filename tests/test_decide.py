@@ -161,6 +161,14 @@ def test_schema_match_negative():
     assert not _match_schema("M", axiom_instance("J2", p, q, r))
 
 
+def test_axiom_instance_rejects_bad_calls():
+    with pytest.raises(ValueError):
+        axiom_instance("K", p, q)
+    for name, args in (("L1", (p,)), ("L2", (p, q)), ("J2", (p, q)), ("M", (p, q, r, p))):
+        with pytest.raises(ValueError):
+            axiom_instance(name, *args)
+
+
 # --- proof checking ---------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from ilkit.construction import (
     fresh_candidate_theories,
     seed_frame,
 )
+from ilkit.decide import axiom_instance
 from ilkit.semantics import IL, ILM
 from ilkit.syntax import (
     BOT,
@@ -24,6 +25,7 @@ from ilkit.syntax import (
     Rhd,
     adequate_closure,
     eval_bool,
+    modal_atoms_of,
     parse,
 )
 from ilkit.theory import (
@@ -34,6 +36,7 @@ from ilkit.theory import (
     common_predecessor,
     crit_succ,
     enumerate_theories,
+    saturation_constraints,
     search_preference,
     solve_theories,
     succ,
@@ -84,6 +87,60 @@ def test_saturation_prunes_axiom_violations():
     # the J5 instance <>p |> p is forced true whenever it lies in D
     D2, ts2 = theories([Rhd(parse("<>p"), p)])
     assert all(t.models(Rhd(parse("<>p"), p)) for t in ts2)
+
+
+_LOGIC_AXIOMS = {
+    IL: {"L1": 2, "L2": 1, "L3": 1, "J1": 2, "J2": 3, "J3": 3, "J4": 2, "J5": 1},
+}
+_LOGIC_AXIOMS[ILM] = {**_LOGIC_AXIOMS[IL], "M": 3}
+
+
+def _instances_by_brute_force(D):
+    """Per schema (and "derived", for A |> bot -> []~A), its instances with
+    each metavariable bound to a member of D, kept when their modal atoms
+    lie in D. Each metavariable sits right under a box or rhd of the
+    schema, so in any instance kept it is a subformula of D: no instance is
+    missed."""
+    found = {"derived": {Implies(Rhd(a, BOT), Box(Neg(a))) for a in D.sorted_members}}
+    for name, arity in _LOGIC_AXIOMS[ILM].items():
+        found[name] = {
+            axiom_instance(name, *args)
+            for args in itertools.product(D.sorted_members, repeat=arity)
+        }
+    return {name: {f for f in fs if modal_atoms_of(f) <= D.members} for name, fs in found.items()}
+
+
+def _saturation_inputs():
+    """The closure of the negation of each schema instance over p, q and r
+    (and of A |> bot -> []~A), then 30 seeded sets: the negation of a
+    schema instance over small arguments, sometimes with a random formula,
+    at most 12 members each."""
+    a, b, c = Atom("p"), Atom("q"), Atom("r")
+    sets = [
+        adequate_closure([Neg(axiom_instance(name, *(a, b, c)[:n]))])
+        for name, n in _LOGIC_AXIOMS[ILM].items()
+    ]
+    sets.append(adequate_closure([parse("~(p |> bot -> []~p)")]))
+    pool, rng = (a, b, BOT, Neg(a), Box(b)), random.Random(23)
+    while len(sets) < 10 + 30:
+        name, n = rng.choice(list(_LOGIC_AXIOMS[ILM].items()))
+        seed = [Neg(axiom_instance(name, *(rng.choice(pool) for _ in range(n))))]
+        if rng.random() < 0.5:
+            seed.append(random_formula(rng, 2, ("p", "q")))
+        D = adequate_closure(seed)
+        if len(D) <= 12:
+            sets.append(D)
+    return sets
+
+
+def test_saturation_matches_brute_force():
+    for D in _saturation_inputs():
+        found = _instances_by_brute_force(D)
+        for logic in (IL, ILM):
+            want = set().union(found["derived"], *(found[n] for n in _LOGIC_AXIOMS[logic]))
+            got = saturation_constraints(D, logic)
+            assert len(set(got)) == len(got)
+            assert set(got) == want, (D.sorted_members, logic)
 
 
 def test_succ():
