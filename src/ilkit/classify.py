@@ -134,9 +134,9 @@ def check_rule(rule: str, instance, budget: Budget = DEFAULT_BUDGET) -> RuleRepo
     lhs, rhs = RULES[rule]
     side: tuple[Verdict, ...] = ()
     if rule == "v":
+        if len(instance) != 3 or not instance[0]:
+            raise ValueError("rule v takes side formulas A_1 .. A_n (n >= 1), then A and B")
         ais, a, b = instance
-        if not ais:
-            raise ValueError("rule v needs at least one side formula")
         binding = {"a": a, "b": b, "c": conj([Diamond(ai) for ai in ais])}
         side = tuple(derivable(ILM, Neg(ai), budget) for ai in ais)
     else:
@@ -308,13 +308,9 @@ def sigma1_countermodel(
             d1_cs = [(f, False)] + [(b, True) for b in d0.boxes()]
             for d1 in sorted(solve_theories(D, ILM, d1_cs), key=search_preference):
                 for gamma in common_predecessor(d0, d1):
-                    frame = LabeledFrame(D, ILM)
-                    frame.worlds = ["m0", "l", "r"]
-                    frame.nu = {"m0": gamma, "l": d0, "r": d1}
-                    frame.obligations = {w: frozenset() for w in frame.worlds}
-                    frame.R = {("m0", "l"), ("m0", "r")}
-                    frame.S = {("m0", "l", "r")}
-                    frame.exempt_root = "m0"
+                    R, S = {("m0", "l"), ("m0", "r")}, {("m0", "l", "r")}
+                    nu = {"m0": gamma, "l": d0, "r": d1}
+                    frame = LabeledFrame(D, ILM, ["m0", "l", "r"], R, S, nu, exempt_root="m0")
                     found, st = complete_frame(frame, budget)
                     if found is None:
                         if st.cut:

@@ -212,25 +212,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    budget = _budget(args)
-    instance: tuple
-    if args.rule in ("i", "vi", "vii"):
-        if len(args.formulas) != 1:
-            print(f"rule {args.rule} takes one formula", file=sys.stderr)
-            return _USAGE
-        instance = (parse(args.formulas[0]),)
-    elif args.rule in ("ii", "iii", "iv"):
-        if len(args.formulas) != 2:
-            print(f"rule {args.rule} takes two formulas", file=sys.stderr)
-            return _USAGE
-        instance = tuple(parse(t) for t in args.formulas)
-    else:  # v
-        if len(args.formulas) < 3:
-            print("rule v takes at least three formulas: A_1 .. A_n A B", file=sys.stderr)
-            return _USAGE
-        fs = [parse(t) for t in args.formulas]
-        instance = (fs[:-2], fs[-2], fs[-1])
-    rep = cls.check_rule(args.rule, instance, budget)
+    fs = [parse(t) for t in args.formulas]
+    instance = (fs[:-2], *fs[-2:]) if args.rule == "v" else tuple(fs)
+    rep = cls.check_rule(args.rule, instance, _budget(args))
     _emit(args, rep.to_dict(), f"agree={rep.agree}")
     if rep.agree is None:
         return _UNKNOWN

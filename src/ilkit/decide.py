@@ -269,9 +269,6 @@ def _certify(logic: str, model: VeltmanModel, world: str, f: Formula, frame) -> 
 def derivable(logic: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> Verdict:
     """Refuted iff the negation has a certified model (attached); Derivable
     iff that search is exhausted; Unknown on a budget cut."""
-    check_logic(logic)
-    if logic == GL and not is_rhd_free(f):
-        raise ValueError("GL queries must not contain |>")
     res = satisfiable(logic, Neg(f), budget)
     if isinstance(res, Sat):
         return Refuted(res.model, res.world)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
+from .relation import reach
+
 
 class Formula:
     """A node of a formula tree. Immutable, hashable, structurally equal."""
@@ -63,13 +65,15 @@ class Atom(Formula):
     __hash__ = Formula.__hash__
 
 
-class Implies(Formula):
+class _Binary(Formula):
+    """A binary node; each subclass has its own hash tag _TAG."""
+
     __slots__ = ("left", "right")
 
     def __init__(self, left: Formula, right: Formula):
         self.left = left
         self.right = right
-        self._hash = hash(("->", left._hash, right._hash))
+        self._hash = hash((self._TAG, left._hash, right._hash))
         self._render = None
         self.size = 1 + left.size + right.size
 
@@ -77,13 +81,23 @@ class Implies(Formula):
         if self is other:
             return True
         return (
-            isinstance(other, Implies)
+            type(other) is type(self)
             and self._hash == other._hash
             and self.left == other.left
             and self.right == other.right
         )
 
     __hash__ = Formula.__hash__
+
+
+class Implies(_Binary):
+    __slots__ = ()
+    _TAG = "->"
+
+
+class Rhd(_Binary):
+    __slots__ = ()
+    _TAG = "|>"
 
 
 class Box(Formula):
@@ -99,29 +113,6 @@ class Box(Formula):
         if self is other:
             return True
         return isinstance(other, Box) and self._hash == other._hash and self.body == other.body
-
-    __hash__ = Formula.__hash__
-
-
-class Rhd(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula):
-        self.left = left
-        self.right = right
-        self._hash = hash(("|>", left._hash, right._hash))
-        self._render = None
-        self.size = 1 + left.size + right.size
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Rhd)
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
 
     __hash__ = Formula.__hash__
 
@@ -187,23 +178,17 @@ def disj(parts: list[Formula]) -> Formula:
     return out
 
 
+def _kids(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f."""
+    if isinstance(f, _Binary):
+        return (f.left, f.right)
+    if isinstance(f, Box):
+        return (f.body,)
+    return ()
+
+
 def subformulas(f: Formula) -> frozenset[Formula]:
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if isinstance(g, Implies):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Box):
-            stack.append(g.body)
-        elif isinstance(g, Rhd):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    return frozenset(reach([f], _kids))
 
 
 def atoms(f: Formula) -> frozenset[str]:
@@ -215,30 +200,14 @@ def is_rhd_free(f: Formula) -> bool:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Bot, Atom)):
-        return 0
-    if isinstance(f, Implies):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    if isinstance(f, Box):
-        return 1 + modal_depth(f.body)
-    return 1 + max(modal_depth(f.left), modal_depth(f.right))
+    return max(map(modal_depth, _kids(f)), default=0) + isinstance(f, (Box, Rhd))
 
 
-def modal_atoms_of(f: Formula) -> frozenset[Formula]:
-    """Maximal non-Boolean subformulas: atoms, boxes and rhds reached by
-    decomposing implications only."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Bot):
-            continue
-        if isinstance(g, Implies):
-            stack.append(g.left)
-            stack.append(g.right)
-        else:
-            out.add(g)
-    return frozenset(out)
+def modal_atoms_of(*fs: Formula) -> frozenset[Formula]:
+    """Maximal non-Boolean subformulas of fs: atoms, boxes and rhds reached
+    by decomposing implications only."""
+    reached = reach(fs, lambda g: (g.left, g.right) if isinstance(g, Implies) else ())
+    return frozenset(g for g in reached if not isinstance(g, (Bot, Implies)))
 
 
 def eval_bool(f: Formula, assign) -> bool:
@@ -272,12 +241,10 @@ def substitute(t: Formula, binding) -> Formula:
     replaced by the formula its name is bound to."""
     if isinstance(t, Atom):
         return binding[t.name]
-    if isinstance(t, Implies):
-        return Implies(substitute(t.left, binding), substitute(t.right, binding))
+    if isinstance(t, _Binary):
+        return type(t)(substitute(t.left, binding), substitute(t.right, binding))
     if isinstance(t, Box):
         return Box(substitute(t.body, binding))
-    if isinstance(t, Rhd):
-        return Rhd(substitute(t.left, binding), substitute(t.right, binding))
     return t
 
 
@@ -326,10 +293,7 @@ class AdequateSet:
     def __init__(self, members: Iterable[Formula]):
         self.members = frozenset(members)
         self.sorted_members = tuple(sorted(self.members, key=lambda f: f.key()))
-        ma: set[Formula] = set()
-        for f in self.members:
-            ma |= modal_atoms_of(f)
-        self.modal_atoms = tuple(sorted(ma, key=_atom_order_key))
+        self.modal_atoms = tuple(sorted(modal_atoms_of(*self.members), key=_atom_order_key))
         self.boxed_members = tuple(f for f in self.sorted_members if isinstance(f, Box))
         self._sat_cache = {}
 
@@ -356,43 +320,30 @@ def _atom_order_key(f: Formula):
     return (rank, f.size, render(f))
 
 
+def _closure_kids(f: Formula) -> tuple[Formula, ...]:
+    return (f.left,) if is_neg(f) else _kids(f)
+
+
 def closure_subformulas(f: Formula) -> frozenset[Formula]:
     """Subformulas with ~ read as primitive: ~g contributes itself and the
     subformulas of g, never a bare bot."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        if is_neg(g):
-            stack.append(g.left)
-        elif isinstance(g, Implies):
-            stack.append(g.left)
-            stack.append(g.right)
-        elif isinstance(g, Box):
-            stack.append(g.body)
-        elif isinstance(g, Rhd):
-            stack.append(g.left)
-            stack.append(g.right)
-    return frozenset(out)
+    return frozenset(reach([f], _closure_kids))
 
 
 def adequate_closure(seed: Iterable[Formula]) -> AdequateSet:
     """Smallest superset of `seed` closed under subformulas and single
     negations. Idempotent and monotone."""
-    subs: set[Formula] = set()
-    for f in seed:
-        subs |= closure_subformulas(f)
-    out = set(subs)
-    for f in subs:
-        if not is_neg(f):
-            out.add(Neg(f))
-    return AdequateSet(out)
+    subs = reach(seed, _closure_kids)
+    return AdequateSet(subs | {Neg(f) for f in subs if not is_neg(f)})
 
 
 # --- parsing ---------------------------------------------------------------
+
+# The connectives, read by both the parser and the printer. Binary ones go
+# loosest first and associate to the right, except |>, which does not
+# associate: a second |> must be bracketed.
+_BINARY = (("<->", Iff), ("->", Implies), ("|>", Rhd), ("|", Or), ("&", And))
+_UNARY = {"~": Neg, "[]": Box, "<>": Diamond}
 
 
 class ParseError(ValueError):
@@ -414,9 +365,10 @@ _UNICODE = {
     "▷": "|>",
 }
 
-_MULTI = ("<->", "[]", "<>", "->", "|>")
-_SINGLE = "~&|()"
 _IDENT = re.compile(r"[a-z][a-z0-9_]*")
+# longest first, so <-> wins over ->, and |> over |
+_TOKENS = sorted([*(op for op, _ in _BINARY), *_UNARY, "(", ")", *_UNICODE], key=len, reverse=True)
+_TOKEN = re.compile("|".join(map(re.escape, _TOKENS)) + "|" + _IDENT.pattern)
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -424,30 +376,14 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     i = 0
     n = len(text)
     while i < n:
-        c = text[i]
-        if c.isspace():
+        if text[i].isspace():
             i += 1
             continue
-        if c in _UNICODE:
-            t = _UNICODE[c]
-            toks.append((t, i))
-            i += 1
-            continue
-        for m in _MULTI:
-            if text.startswith(m, i):
-                toks.append((m, i))
-                i += len(m)
-                break
-        else:
-            if c in _SINGLE:
-                toks.append((c, i))
-                i += 1
-            else:
-                m2 = _IDENT.match(text, i)
-                if not m2:
-                    raise ParseError(f"unexpected character {c!r}", i)
-                toks.append((m2.group(), i))
-                i = m2.end()
+        m = _TOKEN.match(text, i)
+        if not m:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        toks.append((_UNICODE.get(m.group(), m.group()), i))
+        i = m.end()
     toks.append(("<end>", n))
     return toks
 
@@ -468,73 +404,34 @@ class _Parser:
             raise ParseError(f"expected {tok!r}, found {self.peek()!r}", self.where())
         self.pos += 1
 
-    def formula(self) -> Formula:
-        # <-> binds loosest, right-associative
-        f = self.implication()
-        if self.peek() == "<->":
-            self.eat("<->")
-            return Iff(f, self.formula())
-        return f
-
-    def implication(self) -> Formula:
-        f = self.rhd()
-        if self.peek() == "->":
-            self.eat("->")
-            return Implies(f, self.implication())
-        return f
-
-    def rhd(self) -> Formula:
-        f = self.disjunction()
-        if self.peek() == "|>":
-            self.eat("|>")
-            # non-associative: a second |> must be bracketed
-            return Rhd(f, self.disjunction())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        if self.peek() == "|":
-            self.eat("|")
-            return Or(f, self.disjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        if self.peek() == "&":
-            self.eat("&")
-            return And(f, self.conjunction())
-        return f
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose outermost connective binds no looser than
+        _BINARY[level]."""
+        if level == len(_BINARY):
+            return self.unary()
+        f = self.formula(level + 1)
+        op, build = _BINARY[level]
+        if self.peek() != op:
+            return f
+        self.pos += 1
+        return build(f, self.formula(level + (op == "|>")))
 
     def unary(self) -> Formula:
         t = self.peek()
-        if t == "~":
-            self.eat("~")
-            return Neg(self.unary())
-        if t == "[]":
-            self.eat("[]")
-            return Box(self.unary())
-        if t == "<>":
-            self.eat("<>")
-            return Diamond(self.unary())
-        return self.atomic()
-
-    def atomic(self) -> Formula:
-        t = self.peek()
-        if t == "bot":
-            self.eat("bot")
-            return BOT
-        if t == "top":
-            self.eat("top")
-            return Top()
+        if not (t in _UNARY or t == "(" or _IDENT.fullmatch(t)):
+            raise ParseError(f"unexpected token {t!r}", self.where())
+        self.pos += 1
+        if t in _UNARY:
+            return _UNARY[t](self.unary())
         if t == "(":
-            self.eat("(")
             f = self.formula()
             self.eat(")")
             return f
-        if _IDENT.fullmatch(t):
-            self.eat(t)
-            return Atom(t)
-        raise ParseError(f"unexpected token {t!r}", self.where())
+        if t == "bot":
+            return BOT
+        if t == "top":
+            return Top()
+        return Atom(t)
 
 
 def parse(text: str) -> Formula:
@@ -550,7 +447,8 @@ def parse(text: str) -> Formula:
 
 # --- printing --------------------------------------------------------------
 
-_LEVEL = {"atom": 1000, "unary": 600, "&": 500, "|": 400, "|>": 300, "->": 200, "<->": 100}
+# binding strength: the index in _BINARY, then unary, then atomic
+_LEVEL = {op: i for i, (op, _) in enumerate(_BINARY)} | dict.fromkeys(_UNARY, len(_BINARY))
 
 
 def _sugar(f: Formula):
@@ -587,12 +485,7 @@ def _sugar(f: Formula):
 
 
 def _level(f: Formula) -> int:
-    op = _sugar(f)[0]
-    if op in ("bot", "top", "name"):
-        return _LEVEL["atom"]
-    if op in ("~", "[]", "<>"):
-        return _LEVEL["unary"]
-    return _LEVEL[op]
+    return _LEVEL.get(_sugar(f)[0], len(_BINARY) + 1)
 
 
 def render(f: Formula) -> str:
@@ -623,21 +516,17 @@ def _text(op: str, kids: tuple) -> str:
         return op
     if op == "name":
         return kids[0]
-    if op in ("~", "[]", "<>"):
+    if op in _UNARY:
         body = kids[0]
         t = body._render
-        if _level(body) < _LEVEL["unary"]:
+        if _level(body) < _LEVEL[op]:
             t = f"({t})"
         return op + t
     a, b = kids
     lvl = _LEVEL[op]
     ta, tb = a._render, b._render
-    if op == "|>":
-        # non-associative: bracket any |> child
-        ta = f"({ta})" if _level(a) <= lvl else ta
-        tb = f"({tb})" if _level(b) <= lvl else tb
-    else:
-        # right-associative binary
-        ta = f"({ta})" if _level(a) <= lvl else ta
-        tb = f"({tb})" if _level(b) < lvl else tb
+    # the right operand is bracketed as the parser reads it: at the same
+    # level for a right-associative connective, one level tighter for |>
+    ta = f"({ta})" if _level(a) <= lvl else ta
+    tb = f"({tb})" if _level(b) < lvl + (op == "|>") else tb
     return f"{ta} {op} {tb}"

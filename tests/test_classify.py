@@ -55,6 +55,8 @@ def test_rule_instance_of_wrong_size_is_rejected():
         check_rule("i", (p, q))
     with pytest.raises(ValueError):
         check_rule("v", ([], p, q))
+    with pytest.raises(ValueError, match="rule v takes side formulas"):
+        check_rule("v", (p, q))
 
 
 def test_rule_v_side_condition():

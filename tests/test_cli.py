@@ -122,6 +122,12 @@ def test_rules_cli():
     assert json.loads(out)["agree"] is True
 
 
+@pytest.mark.parametrize("argv", [("i", "p", "q"), ("ii", "p"), ("v", "p", "q"), ("v", "q")])
+def test_rules_of_the_wrong_size_are_usage_errors(argv, capsys):
+    assert run_cli("rules", *argv) == (3, "")
+    assert f"rule {argv[0]} takes" in capsys.readouterr().err
+
+
 def test_close_cli(tmp_path):
     frame = tmp_path / "frame.json"
     frame.write_text(

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from ilkit.syntax import (
     closure_subformulas,
     BOT,
+    AdequateSet,
     And,
     Atom,
     Box,
@@ -27,6 +28,7 @@ from ilkit.syntax import (
     render,
     single_neg,
     subformulas,
+    _atom_order_key,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -79,6 +81,30 @@ def test_parse_errors_have_position():
         parse("p q")
     with pytest.raises(ParseError):
         parse("(p -> q")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p -> ", "unexpected token '<end>' (at position 5)"),
+        ("p |> q |> r", "trailing input '|>' (at position 7)"),
+        ("(p -> q", "expected ')', found '<end>' (at position 7)"),
+        ("p < q", "unexpected character '<' (at position 2)"),
+        ("p ▷ q ▷ r", "trailing input '|>' (at position 6)"),
+        ("p q", "trailing input 'q' (at position 2)"),
+        ("", "unexpected token '<end>' (at position 0)"),
+        ("p & & q", "unexpected token '&' (at position 4)"),
+        ("[] ", "unexpected token '<end>' (at position 3)"),
+        ("~(p |> q |> r)", "expected ')', found '|>' (at position 9)"),
+        ("p | > q", "unexpected character '>' (at position 4)"),
+        ("P", "unexpected character 'P' (at position 0)"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
+    assert e.value.position == int(message.rsplit(" ", 1)[1][:-1])
 
 
 def test_parse_too_deep_is_a_parse_error():
@@ -232,3 +258,23 @@ def test_misc_queries():
     assert modal_atoms_of(parse("p & []q -> (p |> q)")) == frozenset(
         [p, Box(q), Rhd(p, q)]
     )
+
+
+@given(_formulas, _formulas)
+def test_modal_atoms_of_several_is_the_union(f, g):
+    assert modal_atoms_of(f, g) == modal_atoms_of(f) | modal_atoms_of(g)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        ["p -> q"],
+        ["[]p -> q |> r", "~<>r", "bot"],
+        ["p & []q", "[]q", "(p |> q) <-> []~r"],
+    ],
+)
+def test_adequate_set_modal_atoms_are_the_members_union(members):
+    fs = [parse(t) for t in members]
+    D = AdequateSet(fs)
+    union = set().union(*map(modal_atoms_of, fs))
+    assert D.modal_atoms == tuple(sorted(union, key=_atom_order_key))
