@@ -102,7 +102,8 @@ def cmd_sat(args) -> int:
     if isinstance(res, Unsat):
         _emit(args, {"logic": args.logic, "query": render(f), "answer": "unsatisfiable"}, "unsatisfiable")
         return _NEGATIVE
-    _emit(args, {"logic": args.logic, "query": render(f), "answer": "unknown"}, "unknown (budget)")
+    payload = {"logic": args.logic, "query": render(f), "answer": "unknown", "budget": dict(res.report)}
+    _emit(args, payload, "unknown (budget)")
     return _UNKNOWN
 
 
@@ -119,11 +120,9 @@ def cmd_countermodel(args) -> int:
         _emit(args, payload, f"countermodel at {v.world}:\n{json.dumps(model_to_dict(v.model), indent=2, sort_keys=True)}")
         _write_cert(args, args.logic, f, render(Neg(f)), v.world, v.model)
         return _POSITIVE
-    if isinstance(v, Derivable):
-        _emit(args, {"logic": args.logic, "query": render(f), "verdict": "derivable"}, "derivable: no countermodel")
-        return _NEGATIVE
-    _emit(args, {"logic": args.logic, "query": render(f), "verdict": "unknown"}, "unknown (budget)")
-    return _UNKNOWN
+    derived = isinstance(v, Derivable)
+    _emit(args, _verdict_payload(args.logic, f, v), "derivable: no countermodel" if derived else "unknown (budget)")
+    return _NEGATIVE if derived else _UNKNOWN
 
 
 def _load_model(path: str):

@@ -549,16 +549,16 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
 # --- problems and deficiencies -----------------------------------------------
 
 
-def _problems_at(F: LabeledFrame, worlds, D: AdequateSet) -> Iterator[Problem]:
+def _problems_at(F: LabeledFrame, worlds) -> Iterator[Problem]:
     """Every false rhd or box member of the given worlds, witnessed or not."""
     for x in worlds:
         t = F.nu[x]
-        for a in D.modal_atoms:
+        for a in F.adequate.modal_atoms:
             if isinstance(a, (Rhd, Box)) and not t.models(a):
                 yield Problem(x, Neg(a))
 
 
-def _deficiencies_on(F: LabeledFrame, edges, D: AdequateSet) -> Iterator[Deficiency]:
+def _deficiencies_on(F: LabeledFrame, edges) -> Iterator[Deficiency]:
     """Every rhd member C |> D of x with C at y, for the given edges x R y,
     answered or not; ordered by x, then the rhd, then y."""
     succ = image(edges)
@@ -567,7 +567,7 @@ def _deficiencies_on(F: LabeledFrame, edges, D: AdequateSet) -> Iterator[Deficie
         if not ys:
             continue
         t = F.nu[x]
-        for a in D.modal_atoms:
+        for a in F.adequate.modal_atoms:
             if isinstance(a, Rhd) and t.models(a):
                 for y in F.worlds:
                     if y in ys and F.nu[y].models(a.left):
@@ -587,16 +587,16 @@ def _is_open(F: LabeledFrame, adj: _Adjacency, item) -> bool:
     return not any(F.nu[y].models(refuter) for y in adj.succ.get(x, ()))
 
 
-def find_problems(F: LabeledFrame, D: AdequateSet | None = None) -> list[Problem]:
+def find_problems(F: LabeledFrame) -> list[Problem]:
     """False rhd members without a witness in the right critical cone, and
     false box members without a refuting successor."""
     adj = _adjacency(F)
-    return [p for p in _problems_at(F, F.worlds, D or F.adequate) if _is_open(F, adj, p)]
+    return [p for p in _problems_at(F, F.worlds) if _is_open(F, adj, p)]
 
 
-def find_deficiencies(F: LabeledFrame, D: AdequateSet | None = None) -> list[Deficiency]:
+def find_deficiencies(F: LabeledFrame) -> list[Deficiency]:
     adj = _adjacency(F)
-    return [d for d in _deficiencies_on(F, F.R, D or F.adequate) if _is_open(F, adj, d)]
+    return [d for d in _deficiencies_on(F, F.R) if _is_open(F, adj, d)]
 
 
 def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None:
@@ -611,11 +611,10 @@ def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None
     successors, the S-exits) only grow with R, S and the labels. Without
     since every world and edge is new."""
     old_nu, old_R, old_items = (since.nu, since.R, since.worklist) if since is not None else ({}, (), [])
-    D = F.adequate
     maybe = [
         *old_items,
-        *_problems_at(F, [w for w in F.worlds if w not in old_nu], D),
-        *_deficiencies_on(F, F.R.difference(old_R), D),
+        *_problems_at(F, [w for w in F.worlds if w not in old_nu]),
+        *_deficiencies_on(F, F.R.difference(old_R)),
     ]
     adj = _adjacency(F)
     current = {it for it in maybe if _is_open(F, adj, it)}
@@ -625,22 +624,6 @@ def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None
 
 
 # --- elimination ---------------------------------------------------------------
-
-
-def _inherited_crit_constraints(F: LabeledFrame, x: str) -> list[tuple[Formula, bool]]:
-    """Criticality constraints a fresh R-successor of x inherits from cones
-    of x's ancestors that already contain x."""
-    cs: list[tuple[Formula, bool]] = []
-    cone_of = _m_cone if F.logic == ILM else _critical_cone
-    labels = F.labels_by_world()
-    for a in F.worlds:
-        if (a, x) not in F.R:
-            continue
-        for lab in labels.get(a, ()):
-            if x in cone_of(_adjacency(F), a, lab):
-                for f in crit_obligations(F.nu[a], lab):
-                    cs.append((f, True))
-    return cs
 
 
 def _finish(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame | None:
@@ -656,11 +639,18 @@ def _finish(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame 
 
 def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool], ...]:
     """What every fresh R-successor of x must satisfy: x's effective
-    obligations and the criticality it inherits. Kept per frame and world."""
+    obligations and the criticality it inherits from the labeled cones of
+    x's ancestors that already contain x. Kept per frame and world."""
     got = F._constraints.get(x)
     if got is None:
         extra = [(o, True) for o in sorted(F.effective_obligations(x), key=lambda f: f.key())]
-        extra += _inherited_crit_constraints(F, x)
+        cone_of = _m_cone if F.logic == ILM else _critical_cone
+        labels = F.labels_by_world()
+        for a in F.worlds:
+            if (a, x) in F.R:
+                for lab in labels.get(a, ()):
+                    if x in cone_of(_adjacency(F), a, lab):
+                        extra += [(f, True) for f in crit_obligations(F.nu[a], lab)]
         got = F._constraints[x] = tuple(extra)
     return got
 
@@ -707,13 +697,34 @@ def _deficiency_lookahead(
     return True
 
 
-def _fresh_obligations(item) -> tuple[Formula, ...]:
-    """What a fresh witness for item keeps at every later world: ~A for
-    ~(A |> B), nothing for ~[]E, ~D for a deficiency of C |> D."""
+def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
+    """The formula B with y in the B-critical cone of x; bot if none."""
+    labs = F.labels_from(x)
+    return next((lab for lab in labs if y in _critical_cone(_adjacency(F), x, lab)), BOT)
+
+
+def _witness(F: LabeledFrame, item) -> tuple:
+    """What a witness w of the item is, as the row (x, B, (f, v), fresh,
+    avoids, label, y, boxes_of): a B-critical successor of x at which f is
+    true exactly when v. A fresh w also meets the pairs of fresh and keeps
+    ~a at every later world for each a in avoids (the negation is built
+    where it is used, so a memo hit in fresh_candidate_theories builds no
+    formula). The link is x R w, with the edge labeled label, or with
+    y S_x w, and then w also carries the boxes of boxes_of. One row per
+    item kind:
+
+      ~(A |> B) at x      B, A true, keeps ~A, edge labeled B
+      ~[]E at x           bot, E false, fresh also has []E
+      C |> D along x R y  y's criticality label, D true, keeps ~D,
+                          y S_x w, and y's boxes under ILM"""
     if isinstance(item, Deficiency):
-        return (single_neg(item.formula.right),)
-    body = item.formula.left
-    return (single_neg(body.left),) if isinstance(body, Rhd) else ()
+        x, y, D = item.x, item.y, item.formula.right
+        boxes_of = F.nu[y] if F.logic == ILM else None
+        return x, criticality_label(F, x, y), (D, True), (), (D,), None, y, boxes_of
+    x, body = item.world, item.formula.left
+    if isinstance(body, Rhd):
+        return x, body.right, (body.left, True), (), (body.left,), body.right, None, None
+    return x, BOT, (body.body, False), ((body, True),), (), None, None, None
 
 
 def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
@@ -722,48 +733,31 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     of F: the constraint set only grows as the frame grows, and a reusable
     world's theory would itself be a solution of it.
 
-    A candidate is a B-critical successor of x's theory that meets x's
-    successor constraints and the item: A for ~(A |> B), ~E and []E for
-    ~[]E (B = bot), and for a deficiency of C |> D, D and, under ILM, every
-    box of y. Both lookaheads narrow the same query.
-
-    The answer depends on F only through the item's world theory, its
-    criticality label, the inherited constraints and, for an ILM
-    deficiency, y's theory. It is memoised on those per adequate set, so
-    the most-constrained scan of every frame in a search and the
-    elimination that follows it share one list; callers do not mutate it.
-    """
-    if isinstance(item, Problem):
-        x, gy = item.world, None
-        body = item.formula.left
-        B = body.right if isinstance(body, Rhd) else BOT
-    else:
-        x = item.x
-        B = criticality_label(F, item.x, item.y)
-        gy = F.nu[item.y] if F.logic == ILM else None
+    A candidate is a fresh witness (`_witness`) that meets x's successor
+    constraints. Both lookaheads narrow the same query. The answer depends
+    on F only through the item's world theory, its criticality label, the
+    inherited constraints and, for an ILM deficiency, y's theory. It is
+    memoised on those per adequate set, so the most-constrained scan of
+    every frame in a search and the elimination that follows it share one
+    list; callers do not mutate it."""
+    x, B, meets, fresh, avoids, _, _, boxes_of = _witness(F, item)
     extra = _successor_constraints(F, x)
     gx = F.nu[x]
     memo = F.adequate._sat_cache.setdefault(("__candidates__", F.logic), {})
-    key = (type(item), item.formula, gx, B, gy, extra)
+    key = (item.formula, gx, B, boxes_of, extra)
     got = memo.get(key)
     if got is not None:
         return got
     crit = crit_obligations(gx, B)
     common = TheoryQuery(F.adequate, F.logic, extra)
     common = common.where((f, True) for f in crit)
-    box_base = common.where((o, True) for o in _fresh_obligations(item))
+    box_base = common.where((single_neg(a), True) for a in avoids)
     deficiency_base = common.where(_succ_constraints(gx))
     # no []f for f in crit: box_base holds f at every later world, so
     # _box_lookahead already rejects a theory with []f false
-    own: list[tuple[Formula, bool]] = []
-    if isinstance(item, Deficiency):
-        own.append((item.formula.right, True))
-        if gy is not None:
-            own += [(b, True) for b in gy.boxes()]
-    elif isinstance(body, Rhd):
-        own.append((body.left, True))
-    else:
-        own += [(body.body, False), (body, True)]
+    own = [meets, *fresh]
+    if boxes_of is not None:
+        own += [(b, True) for b in boxes_of.boxes()]
     good = [
         t
         for t in deficiency_base.where(own)
@@ -775,97 +769,50 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     return good
 
 
-def _extensions(F: LabeledFrame, x: str, item, reusable, link, _state) -> Iterator[LabeledFrame]:
-    """Extensions of F that eliminate item by linking x to a world: first
-    every reusable existing world, then a fresh world per candidate theory,
-    each settled (`_finish`). No world that reaches x is reused, since the
-    link would close an R-cycle.
+def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
+    """Extensions of F that eliminate the open item by linking x to a
+    witness (`_witness`): first every existing world that is one, in
+    F.worlds order, then a fresh world per candidate theory, each settled
+    (`_finish`). No world that reaches x is reused, since the link would
+    close an R-cycle, nor, for ~(A |> B), a world whose edge from x already
+    carries a label, which the link would overwrite. No other world needs
+    passing over: one already linked as the item asks (x R w for ~[]E,
+    y S_x w for a deficiency) would witness it, and the item is open.
 
     Under a search (_state given) F must be settled: closed, free of
     violations and with a worklist of exactly its open items. Each child
     is then settled against F and re-checks only what its step changed."""
+    x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     since = F if _state is not None else None
+    gx = F.nu[x]
     pred = image((b, a) for a, b in F.R)
-    back = reach({x}, lambda w: pred.get(w, ()))
-    for y in F.worlds:
-        if y in back or not reusable(y):
+    back = reach({x}, lambda u: pred.get(u, ()))
+
+    def link(g, w):
+        g.R.add((x, w))
+        if label is not None:
+            g.edge_label[(x, w)] = label
+        if y is not None:
+            g.S.add((x, y, w))
+        return _finish(g, since)
+
+    for w in F.worlds:
+        t = F.nu[w]
+        if w in back or (label is not None and (x, w) in F.edge_label):
             continue
-        g = F.copy()
-        link(g, y)
-        done = _finish(g, since)
-        if done is not None:
-            yield done
-    obligations = _fresh_obligations(item)
+        if t.models(f) == v and crit_succ(gx, B, t) and (boxes_of is None or box_incl(boxes_of, t)):
+            done = link(F.copy(), w)
+            if done is not None:
+                yield done
+    keeps = [single_neg(a) for a in avoids]
     for t in fresh_candidate_theories(F, item):
         if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
             _state.cut = _state.cut or "max_worlds"
             break
         g = F.copy()
-        link(g, g.add_world(t, obligations))
-        done = _finish(g, since)
+        done = link(g, g.add_world(t, keeps))
         if done is not None:
             yield done
-
-
-def eliminate_problem(
-    F: LabeledFrame, prob: Problem, _state=None
-) -> Iterator[LabeledFrame]:
-    """Extensions of F eliminating the problem: existing worlds brought into
-    position first, then fresh witnesses, each closed and re-validated.
-    ~(A |> B) needs a B-labeled edge to a B-critical A world, and a fresh
-    witness keeps ~A at every later world; ~[]A needs an edge to a ~A
-    successor, which is the same with B = bot and no label."""
-    x, body = prob.world, prob.formula.left
-    if isinstance(body, Rhd):
-        want, crit, label = body.left, body.right, body.right
-    else:
-        want, crit, label = Neg(body.body), BOT, None
-    gx = F.nu[x]
-
-    def reusable(y):
-        t = F.nu[y]
-        taken = (x, y) in F.R and (label is None or (x, y) in F.edge_label)
-        return not taken and t.models(want) and crit_succ(gx, crit, t)
-
-    def link(g, y):
-        g.R.add((x, y))
-        if label is not None:
-            g.edge_label[(x, y)] = label
-
-    return _extensions(F, x, prob, reusable, link, _state)
-
-
-def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
-    """The formula B with y in the B-critical cone of x; bot if none."""
-    labs = F.labels_from(x)
-    return next((lab for lab in labs if y in _critical_cone(_adjacency(F), x, lab)), BOT)
-
-
-def eliminate_deficiency(
-    F: LabeledFrame, defi: Deficiency, _state=None
-) -> Iterator[LabeledFrame]:
-    """Extensions of F giving y an S_x exit to a world carrying the rhd's
-    right side: existing worlds first, then fresh ones."""
-    x, y, cd = defi.x, defi.y, defi.formula
-    gx = F.nu[x]
-    B = criticality_label(F, x, y)
-
-    def reusable(z):
-        t = F.nu[z]
-        fits = t.models(cd.right) and crit_succ(gx, B, t)
-        return fits and (F.logic != ILM or box_incl(F.nu[y], t)) and (x, y, z) not in F.S
-
-    def link(g, z):
-        g.R.add((x, z))
-        g.S.add((x, y, z))
-
-    return _extensions(F, x, defi, reusable, link, _state)
-
-
-def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
-    if isinstance(item, Problem):
-        return eliminate_problem(F, item, _state)
-    return eliminate_deficiency(F, item, _state)
 
 
 # --- truth lemma ----------------------------------------------------------------

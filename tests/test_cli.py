@@ -64,6 +64,31 @@ def test_unknown_exit_code():
     assert code == 2
 
 
+def test_every_unknown_json_verdict_carries_its_budget():
+    # prove, countermodel and sat cut by the same step budget all report it
+    budget = ("--json", "--logic", "il", "--max-steps", "60")
+    f = "[]((q |> p) |> []bot)"
+    runs = {
+        "prove": run_cli("prove", *budget, f),
+        "countermodel": run_cli("countermodel", *budget, f),
+        "sat": run_cli("sat", *budget, f"~{f}"),
+    }
+    expected = {
+        "backtracks": 60,
+        "limit": "max_steps",
+        "max_backtracks": 8000,
+        "max_steps": 60,
+        "max_worlds": 16,
+        "steps": 60,
+    }
+    for command, (code, out) in runs.items():
+        assert code == 2, command
+        assert json.loads(out)["budget"] == expected, command
+    assert json.loads(runs["countermodel"][1]) == json.loads(runs["prove"][1])
+    assert run_cli("countermodel", "--logic", "il", "--max-steps", "60", f) == (2, "unknown (budget)\n")
+    assert run_cli("countermodel", "--json", "--logic", "il", "p -> p")[0] == 1
+
+
 def test_huge_step_budget_is_accepted():
     # the search keeps its own stack, so no budget sizes an interpreter limit
     code, out = run_proc("prove", "--max-steps", "999999999", "p")

@@ -14,8 +14,7 @@ from ilkit.construction import (
     close_trace,
     critical_cone,
     depth,
-    eliminate_deficiency,
-    eliminate_problem,
+    eliminate,
     find_deficiencies,
     find_imperfections,
     find_problems,
@@ -41,6 +40,7 @@ from ilkit.syntax import (
     Rhd,
     adequate_closure,
     parse,
+    single_neg,
 )
 from ilkit.theory import box_incl, crit_succ, enumerate_theories, search_preference
 
@@ -330,7 +330,7 @@ def test_eliminate_problem_one_point():
     D = adequate_closure([Neg(Rhd(p, BOT))])
     g = next(iter(enumerate_theories(D, include=[Neg(Rhd(p, BOT))])))
     f = seed_frame(D, ILM, g)
-    outs = list(eliminate_problem(f, Problem("w0", Neg(Rhd(p, BOT)))))
+    outs = list(eliminate(f, Problem("w0", Neg(Rhd(p, BOT)))))
     assert outs
     two = outs[0]
     assert len(two.worlds) == 2
@@ -344,13 +344,13 @@ def test_eliminate_deficiency_adds_s_edge():
     g = next(iter(enumerate_theories(D, include=[Rhd(p, q), Neg(Rhd(p, BOT))])))
     f = seed_frame(D, ILM, g)
     # eliminate the problem first to get a p-successor
-    outs = list(eliminate_problem(f, f.worklist[0]))
+    outs = list(eliminate(f, f.worklist[0]))
     assert outs
     f2 = outs[0]
     defs = [i for i in f2.worklist if isinstance(i, Deficiency)]
     assert defs
     d = defs[0]
-    outs2 = list(eliminate_deficiency(f2, d))
+    outs2 = list(eliminate(f2, d))
     assert outs2
     f3 = outs2[0]
     zs = [z for (x, y, z) in f3.S if x == d.x and y == d.y and f3.nu[z].models(q)]
@@ -367,7 +367,26 @@ def test_eliminate_problem_empty_stream():
     f = seed_frame(D, ILM, g)
     probs = [i for i in f.worklist if isinstance(i, Problem) and i.formula == Neg(Rhd(p, q))]
     assert probs
-    assert list(eliminate_problem(f, probs[0])) == []
+    assert list(eliminate(f, probs[0])) == []
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_eliminate_never_relabels_an_edge(logic):
+    # w1 witnesses ~(p |> q) through its q-labeled edge and is r-critical
+    # too; reusing it for ~(p |> r) would relabel the edge and reopen
+    # ~(p |> q), so every child links a fresh world instead
+    r = Atom("r")
+    D = adequate_closure([parse("p |> q"), parse("p |> r")])
+    g = pick(D, logic, incl=[Neg(Rhd(p, q)), Neg(Rhd(p, r))])
+    f = seed_frame(D, logic, g)
+    f2 = next(c for c in eliminate(f, f.worklist[0]) if crit_succ(g, r, c.nu["w1"]))
+    assert f2.edge_label == {("w0", "w1"): q}
+    assert f2.worklist == [Problem("w0", Neg(Rhd(p, r)))]
+    children = list(eliminate(f2, f2.worklist[0]))
+    assert children
+    for c in children:
+        assert c.edge_label[("w0", "w1")] == q
+        assert Problem("w0", Neg(Rhd(p, q))) not in find_problems(c)
 
 
 def test_verify_truth_lemma_single_world():
@@ -654,6 +673,101 @@ def test_fresh_candidates_meet_their_item(monkeypatch, logic):
         for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Box(b)))):
             satisfiable(logic, f, budget, observer=lambda *event: None)
     assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_eliminate_children_meet_their_item(monkeypatch, logic):
+    # every link an elimination in a search tries, and so every child it
+    # yields: x is linked to a world w that does not reach x, reused
+    # worlds come first, in frame order, and w is a witness of the item:
+    # for ~(A |> B) a new B label on the edge x R w to a B-critical A
+    # world, for ~[]E a ~E successor, for a deficiency of C |> D along
+    # x R y a critical y S_x w with D at w and, under ILM, y's boxes; a
+    # fresh w keeps ~A (~D, nothing for ~[]E) at every later world
+    import ilkit.decide as decide
+
+    real_eliminate, real_finish = construction.eliminate, construction._finish
+    tried = []  # (frame, settled frame or None) per settling of a link
+    seen = {(kind, how): 0 for kind in ("rhd", "box", "deficiency") for how in ("reused", "fresh")}
+
+    def finish(F, since=None):
+        done = real_finish(F, since)
+        tried.append((F, done))
+        return done
+
+    def check_link(F, item, g):
+        """The world g links to x for item, and whether it is fresh."""
+        if isinstance(item, Problem):
+            x, body = item.world, item.formula.left
+            kind = "rhd" if isinstance(body, Rhd) else "box"
+        else:
+            x, kind = item.x, "deficiency"
+        fresh = len(g.worlds) > len(F.worlds)
+        if fresh:
+            (w,) = set(g.worlds) - set(F.worlds)
+        else:
+            new = (g.R - F.R) | (g.S - F.S) | (set(g.edge_label) - set(F.edge_label))
+            (w,) = {fact[-1] for fact in new}
+            # R is transitive in a settled frame
+            assert w != x and (w, x) not in F.R
+        gx, t = g.nu[x], g.nu[w]
+        assert (x, w) in g.R
+        if kind == "rhd":
+            A, B = body.left, body.right
+            assert (x, w) not in F.edge_label and g.edge_label[(x, w)] == B
+            assert t.models(A) and crit_succ(gx, B, t)
+        elif kind == "box":
+            A = None
+            assert t.models(Neg(body.body)) and crit_succ(gx, BOT, t)
+        else:
+            A, B = item.formula.right, construction.criticality_label(F, x, item.y)
+            assert (x, item.y, w) in g.S and t.models(A) and crit_succ(gx, B, t)
+            if logic == ILM:
+                assert box_incl(g.nu[item.y], t)
+        if fresh:
+            assert g.obligations[w] == frozenset([single_neg(A)] if A is not None else [])
+        return kind, w, fresh
+
+    def checked(F, item, _state=None):
+        order = F.order()
+        last, fresh_seen = -1, False
+        children = real_eliminate(F, item, _state)
+        while True:
+            tried.clear()
+            child = next(children, None)
+            for g, done in tried:
+                kind, w, fresh = check_link(F, item, g)
+                if not fresh:
+                    assert not fresh_seen, "a reused world after a fresh one"
+                    assert order[w] > last, "reused worlds out of frame order"
+                    last = order[w]
+                fresh_seen = fresh
+                if done is not None:
+                    assert done is child
+                    seen[kind, "fresh" if fresh else "reused"] += 1
+            if child is None:
+                return
+            assert tried and tried[-1][1] is child
+            yield child
+
+    monkeypatch.setattr(construction, "_finish", finish)
+    monkeypatch.setattr(decide, "eliminate", checked)
+    rng = random.Random(6)
+    budget = Budget(max_worlds=8, max_steps=100, max_backtracks=100)
+    for _ in range(100):
+        # besides the queries above, ones with worlds to reuse: an A world
+        # and a B world for an A |> B deficiency, and a second ~(A |> B)
+        a, b = random_formula(rng), random_formula(rng)
+        rhs = Implies(Diamond(a), Diamond(b)) if rng.random() < 0.5 else Implies(a, Or(b, Diamond(b)))
+        for f in (
+            And(Rhd(a, b), Neg(rhs)),
+            Neg(Rhd(a, b)),
+            And(Rhd(a, b), Diamond(And(a, Diamond(b)))),
+            And(Rhd(a, b), And(Diamond(b), Diamond(a))),
+            And(Neg(Rhd(a, b)), Diamond(Neg(Rhd(a, b)))),
+        ):
+            satisfiable(logic, f, budget, observer=lambda *event: None)
+    assert min(seen.values()) >= 15, seen
 
 
 def test_step_check_covers_old_edges_whose_obligations_grew():
