@@ -39,11 +39,13 @@ from .syntax import (
 )
 from .theory import (
     DTheory,
+    LoggedTheory,
     TheoryQuery,
     _succ_constraints,
     box_incl,
     crit_obligations,
     crit_succ,
+    existential_atoms,
     search_preference,
     succ,
 )
@@ -739,7 +741,12 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     inherited constraints and, for an ILM deficiency, y's theory. It is
     memoised on those per adequate set, so the most-constrained scan of
     every frame in a search and the elimination that follows it share one
-    list; callers do not mutate it."""
+    list; callers do not mutate it.
+
+    It reads those two theories only on their rhd and box atoms (`rhds()`
+    through crit_obligations, `boxes()`, `models(rho)` for a rhd rho), the
+    values every LoggedTheory's log starts with. So a memo hit, which
+    reads nothing, hides no read a Nogoods cube needs."""
     x, B, meets, fresh, avoids, _, _, boxes_of = _witness(F, item)
     extra = _successor_constraints(F, x)
     gx = F.nu[x]
@@ -769,6 +776,37 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     return good
 
 
+class Nogoods:
+    """Read sets of failed subtrees, each kept as a cube: the (formula,
+    value) pairs a world's theory gave to every `models` read while the
+    subtree that added the world ran (a LoggedTheory's log).
+
+    The search reads a world's theory only through `models` and through
+    the memos keyed on theories (`fresh_candidate_theories`,
+    `crit_obligations`), whose answers depend on a theory only through its
+    rhd and box atoms, and every log starts with those. So a theory that
+    agrees with a cube, put in place of the failed one, makes the same
+    reads, gets the same answers and fails the same way: skipping it loses
+    no model. A subtree cut by the budget did not fail on its reads, so it
+    is never learned from. Cubes are indexed by their rhd and box values."""
+
+    def __init__(self, D: AdequateSet):
+        self._atoms = existential_atoms(D)
+        self._cubes: dict[tuple[bool, ...], list[tuple[tuple[Formula, bool], ...]]] = {}
+
+    def learn(self, t: LoggedTheory) -> None:
+        reads = list(t.reads.items())
+        k = len(self._atoms)
+        self._cubes.setdefault(tuple(v for _, v in reads[:k]), []).append(tuple(reads[k:]))
+
+    def covers(self, t: DTheory) -> bool:
+        """Does t agree with a kept cube?"""
+        if not self._cubes:
+            return False
+        rests = self._cubes.get(tuple(t.assignment[a] for a in self._atoms), ())
+        return any(all(t.models(f) == v for f, v in rest) for rest in rests)
+
+
 def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
     """Extensions of F that eliminate the open item by linking x to a
     witness (`_witness`): first every existing world that is one, in
@@ -781,7 +819,11 @@ def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
 
     Under a search (_state given) F must be settled: closed, free of
     violations and with a worklist of exactly its open items. Each child
-    is then settled against F and re-checks only what its step changed."""
+    is then settled against F and re-checks only what its step changed.
+    A fresh world then carries a LoggedTheory. When the child's subtree
+    fails (the search asks for the next child) and no budget cut happened
+    inside it, its log is kept (`Nogoods`), and each later candidate that
+    agrees with a kept cube is skipped and reported to the observer."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     since = F if _state is not None else None
     gx = F.nu[x]
@@ -805,14 +847,23 @@ def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
             if done is not None:
                 yield done
     keeps = [single_neg(a) for a in avoids]
+    nogoods = Nogoods(F.adequate) if _state is not None else None
     for t in fresh_candidate_theories(F, item):
-        if _state is not None and len(F.worlds) >= _state.budget.max_worlds:
-            _state.cut = _state.cut or "max_worlds"
-            break
+        if nogoods is not None:
+            if len(F.worlds) >= _state.budget.max_worlds:
+                _state.cut_by("max_worlds")
+                break
+            if nogoods.covers(t):
+                if _state.observer is not None:
+                    _state.observer("skipped", item, t)
+                continue
+            t, cuts = LoggedTheory(t), _state.cuts
         g = F.copy()
         done = link(g, g.add_world(t, keeps))
         if done is not None:
             yield done
+        if nogoods is not None and _state.cuts == cuts:
+            nogoods.learn(t)
 
 
 # --- truth lemma ----------------------------------------------------------------

@@ -18,6 +18,7 @@ from typing import Iterator
 
 from .construction import (
     LabeledFrame,
+    Nogoods,
     _finish,
     eliminate,
     fresh_candidate_theories,
@@ -47,7 +48,7 @@ from .syntax import (
     render,
     substitute,
 )
-from .theory import AXIOMS, SCHEMATA, enumerate_theories, search_preference
+from .theory import AXIOMS, SCHEMATA, LoggedTheory, enumerate_theories, search_preference
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,30 @@ class Unknown:
 Verdict = Derivable | Refuted | Unknown
 
 
+class CertificationError(RuntimeError):
+    """The search finished a model that fails certification: a fault of the
+    engine, never an answer."""
+
+
 class _State:
     """Search counters. `cut` is None until a budget limit cuts a branch,
-    then the name of the first limit that did (a Budget field name)."""
+    then the name of the first limit that did (a Budget field name).
+    `cuts` counts every cut: a search cut by max_worlds goes on, so `cut`
+    alone cannot tell whether a later subtree was cut too."""
 
-    __slots__ = ("budget", "steps", "backtracks", "cut", "observer")
+    __slots__ = ("budget", "steps", "backtracks", "cut", "cuts", "observer")
 
     def __init__(self, budget: Budget, observer=None):
         self.budget = budget
         self.steps = 0
         self.backtracks = 0
         self.cut: str | None = None
+        self.cuts = 0
         self.observer = observer
+
+    def cut_by(self, limit: str) -> None:
+        self.cut = self.cut or limit
+        self.cuts += 1
 
     def report(self):
         return (
@@ -151,7 +164,9 @@ def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
     its children (settled extensions that eliminate the item). Every child
     taken is a step, every child that fails is a backtrack. A budget cut
     fails the frame at hand, and so each entry it unwinds still counts one
-    backtrack for the child that failed under it."""
+    backtrack for the child that failed under it. A finished frame is
+    returned only if its model passes the truth lemma; one that fails it
+    fails like a dead frame."""
     budget = st.budget
     stack: list[tuple[object, Iterator[LabeledFrame]]] = []
     while True:
@@ -160,7 +175,7 @@ def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
             if verify_truth_lemma(frame.to_model(), frame.nu, frame.adequate):
                 return frame
         elif st.steps >= budget.max_steps:
-            st.cut = st.cut or "max_steps"
+            st.cut_by("max_steps")
         else:
             item = _most_constrained(frame)
             if item is not None:
@@ -171,7 +186,7 @@ def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
                 st.backtracks += 1
                 spent = st.backtracks >= budget.max_backtracks
                 if spent or st.steps >= budget.max_steps:
-                    st.cut = st.cut or ("max_backtracks" if spent else "max_steps")
+                    st.cut_by("max_backtracks" if spent else "max_steps")
                     stack.pop()
                     continue
             item, children = stack[-1]
@@ -197,7 +212,13 @@ def satisfiable(
 
     Sat carries a model and world that pass frame validation, a forcing
     check and the truth lemma. Unsat means the whole backtracking space was
-    exhausted within the budget; Exhausted means a limit cut the search.
+    exhausted within the budget; Exhausted means a limit cut the search. A
+    found model that fails certification raises CertificationError.
+
+    Each root world carries a LoggedTheory. A root whose search fails
+    without a cut leaves its log as a cube (construction.Nogoods), and a
+    later root that agrees with a kept cube is skipped and reported to the
+    observer as ("skipped_root", None, theory).
     """
     check_logic(logic)
     if logic == GL and not is_rhd_free(f):
@@ -213,7 +234,13 @@ def satisfiable(
     result: Sat | Unsat | Exhausted | None = None
     try:
         roots = sorted(enumerate_theories(D, include=[f], logic=eng), key=search_preference)
+        nogoods = Nogoods(D)
         for root in roots:
+            if nogoods.covers(root):
+                if observer is not None:
+                    observer("skipped_root", None, root)
+                continue
+            root = LoggedTheory(root)
             # a one-world seed has no edge, triple or label for any
             # invariant to read, so it needs no check
             frame = seed_frame(D, eng, root)
@@ -221,14 +248,13 @@ def satisfiable(
                 observer("root", None, frame)
             found = _search(frame, st)
             if found is not None:
-                model = found.to_model()
-                world = found.worlds[0]
-                if not _certify(logic, model, world, f, found):
-                    continue
+                model, world = found.to_model(), found.worlds[0]
+                _certify(logic, model, world, f)
                 result = Sat(model, world)
                 break
             if st.cut:
                 break
+            nogoods.learn(root)
     finally:
         # the caches hold D's theories, and each theory points back at D:
         # dropping them here frees the query's theories without waiting
@@ -257,13 +283,13 @@ def complete_frame(
     return (None if frame is None else _search(frame, st)), st
 
 
-def _certify(logic: str, model: VeltmanModel, world: str, f: Formula, frame) -> bool:
-    rep = validate(model.frame, _engine_logic(logic))
-    if not rep.ok:
-        return False
+def _certify(logic: str, model: VeltmanModel, world: str, f: Formula) -> None:
+    """Raise CertificationError unless the model is a frame of the logic
+    forcing f at world. The search already checked its truth lemma."""
+    if not validate(model.frame, _engine_logic(logic)).ok:
+        raise CertificationError(f"the model found for {render(f)} is no {logic} frame")
     if not forces(model, world, f):
-        return False
-    return verify_truth_lemma(model, frame.nu, frame.adequate)
+        raise CertificationError(f"the model found for {render(f)} does not force it at {world}")
 
 
 def derivable(logic: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> Verdict:

@@ -142,6 +142,35 @@ class DTheory:
         return f"DTheory({{{shown}}})"
 
 
+def existential_atoms(D: AdequateSet) -> tuple[Formula, ...]:
+    """D's rhd and box atoms, in modal-atom order (they come first)."""
+    return tuple(a for a in D.modal_atoms if isinstance(a, (Rhd, Box)))
+
+
+class LoggedTheory(DTheory):
+    """A theory as a new object that logs every `models` read in `reads`,
+    in first-read order. The log starts with the theory's values on D's rhd
+    and box atoms (`existential_atoms`) and is the first cache a read
+    looks in: a formula read again is logged already. It equals and hashes
+    as the theory it copies and shares that theory's caches, so memos
+    keyed on theories hit for either. The search gives each world it adds
+    one, so a log holds the reads of exactly one world."""
+
+    __slots__ = ("reads",)
+
+    def __init__(self, t: DTheory):
+        self.adequate, self.assignment = t.adequate, t.assignment
+        self._bits, self._hash = t._bits, t._hash
+        self._models_cache, self._preference = t._models_cache, t._preference
+        self.reads = {a: t.assignment[a] for a in existential_atoms(t.adequate)}
+
+    def models(self, f: Formula) -> bool:
+        got = self.reads.get(f)
+        if got is None:
+            got = self.reads[f] = DTheory.models(self, f)
+        return got
+
+
 def _norm_constraint(f: Formula, want: bool) -> tuple[Formula, bool]:
     while is_neg(f):
         f = f.left
@@ -429,7 +458,9 @@ def crit_obligations(g: DTheory, c: Formula) -> tuple[Formula, ...]:
     """Successor-obligation formulas a c-critical successor of g carries:
     the boxed halves of the critical-successor definition, rendered as
     'holds at every later world' constraints. Memoised per adequate set:
-    a search asks again on every frame that holds the same world."""
+    a search asks again on every frame that holds the same world. It reads
+    g only through `rhds()`, whose values every LoggedTheory's log starts
+    with, so a memo hit hides no read a search's nogoods need."""
     if c == BOT:
         return ()
     memo = g.adequate._sat_cache.setdefault("__crit_obligations__", {})

@@ -1,9 +1,10 @@
 """Shared corpus builders for the test suite. Everything is seeded, so the
 corpora are identical across runs."""
 
+import functools
 import itertools
 
-from ilkit.semantics import VeltmanFrame
+from ilkit.semantics import ILM, VeltmanFrame, VeltmanModel, _Forcer, validate_ilm
 from ilkit.syntax import (
     And,
     Atom,
@@ -13,6 +14,7 @@ from ilkit.syntax import (
     Neg,
     Or,
     Rhd,
+    atoms,
     modal_depth,
 )
 
@@ -91,6 +93,32 @@ def enumerate_il_frames(n_max):
                 if closed:
                     out.append(VeltmanFrame.make(worlds, R, S))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def small_frames(logic, n_max=3):
+    """Every frame of the logic with at most n_max worlds: the IL frames,
+    and under ILM those meeting the M condition. GL reads only R, and the
+    IL frames carry every transitive, irreflexive R."""
+    return tuple(fr for fr in enumerate_il_frames(n_max) if logic != ILM or validate_ilm(fr).ok)
+
+
+def small_countermodel(f, frames):
+    """A (frame, valuation, world) at which f fails, with f's atoms valued
+    in every way on every given frame; None if f holds throughout."""
+    names = sorted(atoms(f))
+    for fr in frames:
+        worlds = sorted(fr.worlds)
+        for bits in itertools.product(range(1 << len(names)), repeat=len(worlds)):
+            val = {
+                w: frozenset(n for i, n in enumerate(names) if v >> i & 1)
+                for w, v in zip(worlds, bits)
+            }
+            forcer = _Forcer(VeltmanModel(fr, val))
+            for w in worlds:
+                if not forcer.forces(w, f):
+                    return fr, val, w
+    return None
 
 
 def all_gl_formulas(max_nodes, max_modal_depth=2):

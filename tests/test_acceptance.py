@@ -19,6 +19,8 @@ from conftest import (
     enumerate_il_frames,
     random_formula,
     random_transitive_dag,
+    small_countermodel,
+    small_frames,
 )
 from ilkit.classify import (
     almost_loeb,
@@ -41,6 +43,7 @@ from ilkit.decide import (
     Derivable,
     Refuted,
     Unknown,
+    Unsat,
     _ARITY,
     SCHEMATA,
     axiom_instance,
@@ -52,7 +55,6 @@ from ilkit.semantics import (
     IL,
     ILM,
     VeltmanModel,
-    _Forcer,
     forces,
     frame_validates,
     validate,
@@ -71,7 +73,6 @@ from ilkit.syntax import (
     Rhd,
     Top,
     adequate_closure,
-    atoms,
     parse,
     render,
 )
@@ -429,7 +430,7 @@ def test_derivable_has_no_countermodel_on_small_frames(logic):
     # rejects too much turns a refutable query into a false Derivable.
     # Check each Derivable verdict against every frame of at most three
     # worlds (ILM: those satisfying the M condition) and every valuation.
-    frames = [fr for fr in enumerate_il_frames(3) if logic == IL or validate_ilm(fr).ok]
+    frames = small_frames(logic, 3)
     rng = random.Random(17)
     checked = 0
     for _ in range(60):
@@ -451,18 +452,41 @@ def test_derivable_has_no_countermodel_on_small_frames(logic):
         if not isinstance(derivable(logic, f), Derivable):
             continue
         checked += 1
-        names = sorted(atoms(f))
-        for fr in frames:
-            worlds = sorted(fr.worlds)
-            for bits in itertools.product(range(1 << len(names)), repeat=len(worlds)):
-                val = {
-                    w: frozenset(n for i, n in enumerate(names) if v >> i & 1)
-                    for w, v in zip(worlds, bits)
-                }
-                forcer = _Forcer(VeltmanModel(fr, val))
-                assert all(forcer.forces(w, f) for w in worlds), (render(f), fr, val)
+        assert small_countermodel(f, frames) is None, render(f)
     print("derivable verdicts checked:", checked)
     assert checked >= 30
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[][](p |> r) | []((bot -> q) |> (r -> r))",
+        "q | (p |> p) |> ([]r |> bot)",
+        "(bot |> ~q) |> ((r |> p) |> ~r)",
+        "top |> (q & q |> (p |> r))",
+    ],
+)
+def test_nogoods_decide_budget_cut_rules(text):
+    # four instances of the rules corpus that a search without nogoods
+    # leaves Unknown under the default budget: the skipped roots and
+    # candidates no longer use up the steps
+    f = parse(text)
+    assert derivable(ILM, f) == Derivable()
+    assert small_countermodel(f, small_frames(ILM, 3)) is None
+
+
+def test_nogoods_decide_the_il_j2_chain():
+    # J2 applied three times, to (p |> q) & (q |> r), then with r |> s,
+    # then with s |> t, derives p |> t. Without nogoods the search tries
+    # every fresh witness of each root and is cut; with them it skips
+    # those that fail for the reason an earlier one failed.
+    f = parse("(p |> q) & (q |> r) & (r |> s) & (s |> t) -> p |> t")
+    events = []
+    assert satisfiable(IL, Neg(f), observer=lambda ev, item, got: events.append(ev)) == Unsat()
+    assert events.count("skipped_root") + events.count("skipped") >= 1
+    assert derivable(IL, f) == Derivable()
+    # three worlds take 85 s over five atoms; two take well under one
+    assert small_countermodel(f, small_frames(IL, 2)) is None
 
 
 def test_criterion_10_determinism(tmp_path):

@@ -234,3 +234,13 @@ def test_byte_determinism_subprocess():
     c = run_proc("classify", "sigma1", "<>p", "--json")
     d = run_proc("classify", "sigma1", "<>p", "--json")
     assert c == d
+
+
+def test_failed_certificate_exits_3(monkeypatch, capsys):
+    # a model that fails certification is an internal error, not an answer
+    import ilkit.decide as decide
+
+    monkeypatch.setattr(decide, "forces", lambda *args: False)
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    assert run_cli("prove", "--logic", "ilm", "p")[0] == 3
+    assert "CertificationError" in capsys.readouterr().err

@@ -291,13 +291,14 @@ def test_world_reuse_under_tight_budget():
         # the step cut fires two steps below the root: 58 backtracks, then
         # one from each of the two frames above it as the cut unwinds
         (IL, "[]((q |> p) |> []bot)", Budget(max_steps=60), ("max_steps", 60, 60)),
-        # the backtrack cut fires three steps below the root, and each of
-        # the three frames above it counts one more backtrack
+        # the backtrack cut fires one step below the root, and the frame
+        # above it counts one more backtrack; candidates the search's
+        # nogoods cover cost neither a step nor a backtrack
         (
             ILM,
             "~~[]q | (s & s |> (p |> bot))",
             Budget(max_backtracks=40),
-            ("max_backtracks", 43, 43),
+            ("max_backtracks", 41, 41),
         ),
         # a countermodel needs three worlds, and two leave room for only
         # one successor of the root
@@ -372,3 +373,112 @@ def test_queries_leave_no_cyclic_theories():
         gc.set_debug(old)
         gc.garbage.clear()
     assert leaked == []
+
+
+@pytest.mark.parametrize("logic, text", [(ILM, "p"), (GL, "[]p -> p")])
+def test_failed_certificate_is_an_error(monkeypatch, logic, text):
+    # a model the search finds but the forcing check rejects is a fault of
+    # the engine: it must not read as Unsat, and so as Derivable, nor be
+    # cached
+    import ilkit.decide as decide
+    from ilkit.decide import CertificationError
+
+    monkeypatch.setattr(decide, "forces", lambda *args: False)
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    with pytest.raises(CertificationError) as err:
+        derivable(logic, parse(text))
+    assert not isinstance(err.value, ValueError)
+    assert decide._sat_cache == {}
+
+
+def _certificate(res):
+    from ilkit.semantics import model_to_dict
+
+    return (model_to_dict(res.model), res.world) if isinstance(res, Sat) else res
+
+
+def test_differential_against_recorded():
+    # tests/differential.json holds the verdicts of ~300 seeded queries,
+    # each under the default and a cut-prone budget, recorded before the
+    # search learned nogoods (tests/differential.py). Every refutation
+    # keeps its certificate byte for byte and every Derivable stays; an
+    # Unknown may only become decided, and a new Derivable must have no
+    # countermodel of at most three worlds.
+    import json
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.dirname(__file__))
+    from conftest import small_countermodel, small_frames
+    from differential import record
+
+    with open(os.path.join(os.path.dirname(__file__), "differential.json")) as fh:
+        rows = json.load(fh)["rows"]
+    assert len(rows) == 600
+    newly = 0
+    for row in rows:
+        got = record(row["logic"], row["query"], Budget(*row["budget"]))
+        if row["verdict"] != "unknown":
+            assert got == row
+        elif got["verdict"] != "unknown":
+            newly += 1
+            if got["verdict"] == "derivable":
+                f = parse(row["query"])
+                assert small_countermodel(f, small_frames(row["logic"], 3)) is None, row
+    # the nogoods decide these; a change that decides more moves the count
+    assert newly == 11
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_memo_hits_need_no_replay(monkeypatch, logic):
+    # a memo hit reads no theory, so no log records what the memoised
+    # function read. Every log starts with the rhd and box values those
+    # memos read, so with both memos emptied before every call the search
+    # must take the same steps, skip the same roots and candidates and
+    # return the same model
+    import random
+
+    import ilkit.construction as construction
+    import ilkit.decide as decide
+    import ilkit.theory as theory
+    from conftest import random_formula
+
+    def run(f):
+        events = []
+
+        def seen(ev, item, got):
+            if ev.startswith("skipped"):
+                got = got.key()
+            else:
+                got = (tuple(got.worlds), sorted(got.R), sorted(got.S), [got.nu[w].key() for w in got.worlds])
+            events.append((ev, item, got))
+
+        return _certificate(satisfiable(logic, f, Budget(max_worlds=8, max_steps=150, max_backtracks=200), seen)), events
+
+    rng = random.Random(23)
+    queries = []
+    for _ in range(25):
+        a, b = random_formula(rng), random_formula(rng)
+        queries += [And(Rhd(a, b), Neg(Implies(Diamond(a), Diamond(b)))), Neg(Rhd(a, b))]
+    with_memos = [run(f) for f in queries]
+
+    real_fresh, real_crit = construction.fresh_candidate_theories, theory.crit_obligations
+
+    def fresh(F, item):
+        F.adequate._sat_cache.pop(("__candidates__", F.logic), None)
+        return real_fresh(F, item)
+
+    def crit(g, c):
+        g.adequate._sat_cache.pop("__crit_obligations__", None)
+        return real_crit(g, c)
+
+    for mod, name, fn in (
+        (construction, "fresh_candidate_theories", fresh),
+        (decide, "fresh_candidate_theories", fresh),
+        (construction, "crit_obligations", crit),
+        (theory, "crit_obligations", crit),
+    ):
+        monkeypatch.setattr(mod, name, fn)
+    without = [run(f) for f in queries]
+    assert without == with_memos
+    assert sum(ev.startswith("skipped") for _, events in with_memos for ev, _, _ in events) >= 20
