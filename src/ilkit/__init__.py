@@ -80,17 +80,22 @@ from .decide import (
     render_proof,
     satisfiable,
 )
-from .classify import (
-    almost_loeb,
-    canonical_modal_dnf,
-    check_rule,
-    check_tsg_decomposition,
-    classify_delta1,
-    classify_sigma1,
-    dagger_check,
-    is_self_prover,
-    is_tsg,
-    sigma1_countermodel,
-)
+
+# classify is loaded on first use of one of its names (PEP 562), so that a
+# command that classifies nothing does not pay for importing it.
+_CLASSIFY = frozenset((
+    "almost_loeb", "canonical_modal_dnf", "check_rule", "check_tsg_decomposition",
+    "classify_delta1", "classify_sigma1", "dagger_check", "is_self_prover", "is_tsg",
+    "sigma1_countermodel",
+))
+
+
+def __getattr__(name):
+    if name in _CLASSIFY:
+        from . import classify
+
+        return getattr(classify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ Sigma-ness of f & []f, f & []~f and f.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .construction import LabeledFrame, verify_truth_lemma
 from .decide import (
@@ -104,8 +104,7 @@ RULES = {
 }
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(NamedTuple):
     rule: str
     lhs: tuple[Verdict, ...]
     rhs: tuple[Verdict, ...]
@@ -161,8 +160,7 @@ def check_rule(rule: str, instance, budget: Budget = DEFAULT_BUDGET) -> RuleRepo
 # --- essentially Delta_1 --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Delta1Report:
+class Delta1Report(NamedTuple):
     answer: str  # "top" | "bottom" | "no" | "unknown"
     top_verdict: Verdict
     bottom_verdict: Verdict
@@ -202,8 +200,7 @@ def classify_delta1(f: Formula, budget: Budget = DEFAULT_BUDGET) -> Delta1Report
 # --- essentially Sigma_1 ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sigma1Report:
+class Sigma1Report(NamedTuple):
     answer: str  # "yes" | "no" | "unknown"
     reduction_query: Formula
     fresh: tuple[Formula, Formula]
@@ -281,8 +278,7 @@ class Sigma1CountermodelError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Sigma1Countermodel:
+class Sigma1Countermodel(NamedTuple):
     model: VeltmanModel
     world: str
     fresh: tuple[Formula, Formula]
@@ -353,8 +349,7 @@ def is_tsg(f: Formula, budget: Budget = DEFAULT_BUDGET) -> Sigma1Report:
     return classify_sigma1(And(f, Box(f)), budget)
 
 
-@dataclass(frozen=True)
-class TsgDecomposition:
+class TsgDecomposition(NamedTuple):
     """Modal disjunctive shape: disjuncts (phi_l, A_l) with phi_l a tuple of
     literals and diamond-style literals and A_l the merged box body, plus
     pure box disjuncts C_m."""
@@ -476,8 +471,7 @@ def canonical_modal_dnf(f: Formula, max_atoms: int = 14) -> TsgDecomposition:
     return TsgDecomposition(tuple(conjuncts), tuple(boxes), tuple(dict.fromkeys(flags)))
 
 
-@dataclass(frozen=True)
-class TsgReport:
+class TsgReport(NamedTuple):
     equivalent: Verdict
     irredundant: tuple[Verdict, ...]
     shape_flags: tuple[str, ...]
@@ -518,8 +512,7 @@ def check_tsg_decomposition(
 # --- almost-Löb and the two-sided check ------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlmostLoebReport:
+class AlmostLoebReport(NamedTuple):
     witness: str | None  # "boxbot" | "bottom" | None | "unknown"
     boxbot_verdict: Verdict
     bottom_verdict: Verdict
@@ -551,8 +544,7 @@ def almost_loeb(f: Formula, budget: Budget = DEFAULT_BUDGET) -> AlmostLoebReport
     return AlmostLoebReport("unknown", vb, vn, None)
 
 
-@dataclass(frozen=True)
-class DaggerReport:
+class DaggerReport(NamedTuple):
     sigma_selfprover: Sigma1Report  # f & []f
     sigma_antiprover: Sigma1Report  # f & []~f
     sigma_f: Sigma1Report

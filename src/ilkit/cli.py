@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import classify as cls
 from .construction import close_frame
 from .decide import Budget, Derivable, Refuted, Unknown, check_proof, derivable, parse_proof, satisfiable, Sat, Unsat
 from .semantics import (
@@ -172,6 +171,8 @@ def cmd_checkproof(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import classify as cls
+
     f = parse(args.formula)
     budget = _budget(args)
     kind = args.kind
@@ -211,6 +212,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    from . import classify as cls
+
     fs = [parse(t) for t in args.formulas]
     instance = (fs[:-2], *fs[-2:]) if args.rule == "v" else tuple(fs)
     rep = cls.check_rule(args.rule, instance, _budget(args))
@@ -224,6 +227,21 @@ def cmd_export_dot(args) -> int:
     model, _ = _load_model(args.model)
     sys.stdout.write(model_to_dot(model))
     return _POSITIVE
+
+
+class _RuleNames:
+    """The names in classify.RULES, as argparse choices that import classify
+    only when the rules command is parsed or its help is shown."""
+
+    def __contains__(self, name) -> bool:
+        from .classify import RULES
+
+        return name in RULES
+
+    def __iter__(self):
+        from .classify import RULES
+
+        return iter(RULES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("rules", help="check an admissible-rule instance")
-    sp.add_argument("rule", choices=list(cls.RULES))
+    # a metavar keeps argparse from listing the choices while it builds
+    sp.add_argument("rule", choices=_RuleNames(), metavar="rule", help="one of %(choices)s")
     sp.add_argument("formulas", nargs="+")
     common(sp, logic=False)
     sp.set_defaults(fn=cmd_rules)

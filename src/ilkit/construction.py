@@ -20,9 +20,8 @@ backtracking in the decision engine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .relation import find_cycle, image, reach
 from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, _Forcer, check_logic, validate
@@ -51,8 +50,7 @@ from .theory import (
 )
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     """A world whose theory makes a rhd or box formula false without a
     witness for the failure."""
 
@@ -63,8 +61,7 @@ class Problem:
         return (0, order[self.world], "", self.formula.key())
 
 
-@dataclass(frozen=True)
-class Deficiency:
+class Deficiency(NamedTuple):
     """An rhd member C |> D of x, a successor y carrying C, and no S_x exit
     from y to a D world."""
 
@@ -76,8 +73,7 @@ class Deficiency:
         return (1, order[self.x], self.y, self.formula.key())
 
 
-@dataclass(frozen=True)
-class Imperfection:
+class Imperfection(NamedTuple):
     """A local violation of a frame closure condition.
 
     kind 0: aRbRc without aRc        (payload a, b, c)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .construction import (
     LabeledFrame,
@@ -51,8 +50,7 @@ from .syntax import (
 from .theory import AXIOMS, SCHEMATA, LoggedTheory, enumerate_theories, search_preference
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     max_worlds: int = 16
     max_steps: int = 2500
     max_backtracks: int = 8000
@@ -61,39 +59,33 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class Sat:
+class Sat(NamedTuple):
     model: VeltmanModel
     world: str
 
 
-@dataclass(frozen=True)
-class Unsat:
+class Unsat(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(NamedTuple):
     report: tuple[tuple[str, int | str], ...]
 
 
-@dataclass(frozen=True)
-class Derivable:
+class Derivable(NamedTuple):
     proof: "Proof | None" = None
 
     kind = "derivable"
 
 
-@dataclass(frozen=True)
-class Refuted:
+class Refuted(NamedTuple):
     model: VeltmanModel
     world: str
 
     kind = "refuted"
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(NamedTuple):
     report: tuple[tuple[str, int | str], ...]
 
     kind = "unknown"
@@ -202,7 +194,10 @@ def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
             st.observer("eliminated", item, frame)
 
 
+# Answers by (logic, query, budget), oldest first; past _SAT_CACHE_SIZE
+# entries the oldest is evicted, so a long-lived process stays bounded.
 _sat_cache: dict[tuple[str, Formula, Budget], Sat | Unsat | Exhausted] = {}
+_SAT_CACHE_SIZE = 4096
 
 
 def satisfiable(
@@ -263,6 +258,8 @@ def satisfiable(
     if result is None:
         result = Exhausted(st.report()) if st.cut else Unsat()
     if observer is None:
+        if len(_sat_cache) >= _SAT_CACHE_SIZE:
+            del _sat_cache[next(iter(_sat_cache))]
         _sat_cache[key] = result
     return result
 
@@ -344,15 +341,13 @@ def is_tautology(f: Formula, limit: int = 1 << 18) -> bool:
 # --- proofs ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(NamedTuple):
     formula: Formula
     rule: str
     premises: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Proof:
+class Proof(NamedTuple):
     lines: tuple[ProofLine, ...]
 
     @property

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .relation import find_cycle, image, transitive_closure
 from .syntax import Atom, Bot, Box, Formula, Implies, Rhd, atoms
@@ -33,11 +32,36 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
 class VeltmanFrame:
-    worlds: frozenset[str]
-    R: frozenset[tuple[str, str]]
-    S: frozenset[tuple[str, str, str]]
+    """An immutable frame, equal and hashed by (worlds, R, S). The
+    `__dict__` slot holds the cached adjacency maps."""
+
+    __slots__ = ("worlds", "R", "S", "__dict__")
+
+    def __init__(self, worlds: frozenset[str], R: frozenset[tuple[str, str]], S: frozenset[tuple[str, str, str]]):
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "S", S)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return VeltmanFrame, (self.worlds, self.R, self.S)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.worlds, self.R, self.S) == (other.worlds, other.R, other.S)
+
+    def __hash__(self):
+        return hash((self.worlds, self.R, self.S))
+
+    def __repr__(self):
+        return f"VeltmanFrame(worlds={self.worlds!r}, R={self.R!r}, S={self.S!r})"
 
     @staticmethod
     def make(worlds, R=(), S=()) -> "VeltmanFrame":
@@ -60,10 +84,24 @@ class VeltmanFrame:
         return image(((x, y), z) for x, y, z in self.S)
 
 
-@dataclass(frozen=True, eq=False)
 class VeltmanModel:
-    frame: VeltmanFrame
-    val: Mapping[str, frozenset[str]]
+    """A frame with a valuation; equal only to itself, since `val` is a
+    dict."""
+
+    __slots__ = ("frame", "val")
+
+    def __init__(self, frame: VeltmanFrame, val: Mapping[str, frozenset[str]]):
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "val", val)
+
+    __setattr__ = VeltmanFrame.__setattr__
+    __delattr__ = VeltmanFrame.__delattr__
+
+    def __reduce__(self):
+        return VeltmanModel, (self.frame, self.val)
+
+    def __repr__(self):
+        return f"VeltmanModel(frame={self.frame!r}, val={self.val!r})"
 
     @staticmethod
     def make(worlds, R=(), S=(), val=None) -> "VeltmanModel":
@@ -78,8 +116,7 @@ class VeltmanModel:
         return self.frame.worlds
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str
     witness: tuple
 
@@ -87,8 +124,7 @@ class Violation:
         return f"{self.condition}{self.witness}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property

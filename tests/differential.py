@@ -15,7 +15,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import astuple
 
 from conftest import random_formula
 from ilkit.decide import DEFAULT_BUDGET, Budget, Refuted, derivable
@@ -75,7 +74,7 @@ def record(logic: str, text: str, budget: Budget) -> dict:
     return {
         "logic": logic,
         "query": text,
-        "budget": list(astuple(budget)),
+        "budget": [budget.max_worlds, budget.max_steps, budget.max_backtracks],
         "verdict": v.kind,
         "certificate": certificate_hash(v) if isinstance(v, Refuted) else None,
     }

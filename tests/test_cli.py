@@ -147,10 +147,46 @@ def test_rules_cli():
     assert json.loads(out)["agree"] is True
 
 
-@pytest.mark.parametrize("argv", [("i", "p", "q"), ("ii", "p"), ("v", "p", "q"), ("v", "q")])
+@pytest.mark.parametrize("argv", [("i", "p", "q"), ("ii", "p"), ("v", "p", "q"), ("v", "q"), ("viii", "p")])
 def test_rules_of_the_wrong_size_are_usage_errors(argv, capsys):
     assert run_cli("rules", *argv) == (3, "")
-    assert f"rule {argv[0]} takes" in capsys.readouterr().err
+    # check_rule names a rule given the wrong size; argparse rejects a name not in RULES
+    expected = f"invalid choice: {argv[0]!r}" if argv[0] == "viii" else f"rule {argv[0]} takes"
+    assert expected in capsys.readouterr().err
+
+
+def test_rules_help_lists_every_rule():
+    code, out = run_cli("rules", "--help")
+    assert code == 0
+    assert "one of i, ii, iii, iv, v, vi, vii" in out
+
+
+_COLD_IMPORT = """
+import sys
+import ilkit.cli
+print(sorted(m for m in ("dataclasses", "ilkit.classify") if m in sys.modules))
+assert ilkit.cli.main(["prove", "--json", "p -> p"]) == 0
+print("ilkit.classify" in sys.modules)
+import ilkit
+names = (
+    "almost_loeb", "canonical_modal_dnf", "check_rule", "check_tsg_decomposition",
+    "classify_delta1", "classify_sigma1", "dagger_check", "is_self_prover", "is_tsg",
+    "sigma1_countermodel",
+)
+for name in names:
+    assert getattr(ilkit, name) is getattr(sys.modules["ilkit.classify"], name), name
+print(len(names))
+"""
+
+
+def test_cold_import_loads_only_what_prove_runs():
+    # a fresh interpreter, since this one has long imported everything
+    proc = subprocess.run([sys.executable, "-c", _COLD_IMPORT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"  # neither dataclasses nor classify after `import ilkit.cli`
+    assert lines[-2] == "False"  # prove ran without classify
+    assert lines[-1] == "10"  # and each classify name still resolves through ilkit
 
 
 def test_close_cli(tmp_path):

@@ -482,3 +482,17 @@ def test_memo_hits_need_no_replay(monkeypatch, logic):
     without = [run(f) for f in queries]
     assert without == with_memos
     assert sum(ev.startswith("skipped") for _, events in with_memos for ev, _, _ in events) >= 20
+
+
+def test_sat_cache_evicts_the_oldest_answer(monkeypatch):
+    import ilkit.decide as decide
+
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    monkeypatch.setattr(decide, "_SAT_CACHE_SIZE", 2)
+    queries = [parse(t) for t in ("p", "p & ~p", "[]p", "<>p")]
+    answers = [satisfiable(GL, f) for f in queries]
+    assert [type(a) for a in answers] == [Sat, Unsat, Sat, Sat]
+    assert list(decide._sat_cache) == [(GL, f, Budget()) for f in queries[2:]]
+    # an evicted query is decided again, the same way
+    assert satisfiable(GL, queries[1]) == Unsat()
+    assert list(decide._sat_cache) == [(GL, f, Budget()) for f in (queries[3], queries[1])]
