@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .construction import LabeledFrame, verify_truth_lemma
+from .construction import LabeledFrame
 from .decide import (
     Budget,
     DEFAULT_BUDGET,
@@ -237,7 +237,11 @@ def _is_box_disjunction(f: Formula) -> bool:
     return False
 
 
-def _witness_candidates(f: Formula, cap: int) -> list[Formula]:
+# how many witness shapes classify_sigma1 tries, each one derivability query
+_WITNESS_CAP = 400
+
+
+def _witness_candidates(f: Formula) -> list[Formula]:
     subs = sorted(subformulas(f), key=lambda g: g.key())
     base = [Top(), BOT] + subs + [Neg(s) for s in subs if not is_neg(s)]
     seen: dict[Formula, None] = {}
@@ -248,12 +252,10 @@ def _witness_candidates(f: Formula, cap: int) -> list[Formula]:
     cands += [Box(b) for b in pool]
     cands += [Box(And(a, b)) for a, b in itertools.combinations(pool, 2)]
     cands += [Or(Box(a), Box(b)) for a, b in itertools.combinations(pool, 2)]
-    return cands[:cap]
+    return cands[:_WITNESS_CAP]
 
 
-def classify_sigma1(
-    f: Formula, budget: Budget = DEFAULT_BUDGET, witness_cap: int = 400
-) -> Sigma1Report:
+def classify_sigma1(f: Formula, budget: Budget = DEFAULT_BUDGET) -> Sigma1Report:
     """yes iff the fresh-variable reduction query is derivable; on yes a
     disjunction-of-boxes equivalent is searched for (best effort, bounded);
     on no the engine's countermodel of the query is attached."""
@@ -265,7 +267,7 @@ def classify_sigma1(
         return Sigma1Report("unknown", query, (p, q), v)
     if _is_box_disjunction(f):
         return Sigma1Report("yes", query, (p, q), v, witness=f, witness_note="syntactic")
-    for cand in _witness_candidates(f, witness_cap):
+    for cand in _witness_candidates(f):
         w = derivable(ILM, Iff(f, cand), budget)
         if isinstance(w, Derivable):
             return Sigma1Report("yes", query, (p, q), v, witness=cand, witness_note="certified")
@@ -315,8 +317,6 @@ def sigma1_countermodel(
                             )
                         continue
                     base = found.to_model()
-                    if not verify_truth_lemma(base, found.nu, D):
-                        continue
                     val = dict(base.val)
                     val["l"] = val["l"] | {p.name}
                     val["r"] = val["r"] | {q.name}

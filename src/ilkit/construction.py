@@ -19,8 +19,6 @@ backtracking in the decision engine.
 
 from __future__ import annotations
 
-import json
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .relation import find_cycle, image, reach
@@ -226,12 +224,6 @@ class _Adjacency:
         self.s_any = image((y, z) for _, y, z in F.S)  # y S_x z for some x
         self.seeds = image(((x, lab), y) for (x, y), lab in F.edge_label.items())
 
-    @cached_property
-    def s_plus(self) -> dict[str, set[str]]:
-        """y -> worlds reached from y by one or more S steps of any index."""
-        step = lambda n: self.s_any.get(n, ())
-        return {y: reach(zs, step) for y, zs in self.s_any.items()}
-
 
 def _adjacency(F: LabeledFrame) -> _Adjacency:
     """F's adjacency maps, built on first use and kept with F."""
@@ -241,6 +233,15 @@ def _adjacency(F: LabeledFrame) -> _Adjacency:
 
 
 def _critical_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
+    """The C-critical cone of x. On a closed ILM frame it is also the
+    M-cone, so the search reads only this cone in both logics.
+
+    The M-cone's extra step goes from y along one or more S steps of any
+    index, then one R step: y S_a1 z1 S_a2 ... zk R u. A closed ILM frame
+    has z R u whenever z S_a z' R u (closure rule kind 4), so applying
+    the rule backwards along the S-path gives zk-1 R u, ..., y R u. The
+    extra step reaches only R-successors of y, which the R step already
+    takes. On an unclosed frame the two cones can differ (`m_cone`)."""
     return reach(
         adj.seeds.get((x, C), ()),
         lambda y: (*adj.succ.get(y, ()), *adj.s_at.get((x, y), ())),
@@ -255,10 +256,12 @@ def _generalized_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
 
 
 def _m_cone(adj: _Adjacency, x: str, A: Formula) -> set[str]:
+    s_step = lambda n: adj.s_any.get(n, ())
+
     def step(y):
         yield from adj.succ.get(y, ())
         yield from adj.s_at.get((x, y), ())
-        for u in adj.s_plus.get(y, ()):
+        for u in reach(s_step(y), s_step):  # one or more S steps, any index
             yield from adj.succ.get(u, ())
 
     return reach(adj.seeds.get((x, A), ()), step)
@@ -275,7 +278,9 @@ def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
 
 
 def m_cone(F: LabeledFrame, x: str, A: Formula) -> set[str]:
-    """Critical cone closed additionally under (S-path then R-step)."""
+    """Critical cone closed additionally under (S-path then R-step). On a
+    frame closed under ILM it is the critical cone (see `_critical_cone`),
+    so only a frame that is not can tell the two apart."""
     return _m_cone(_Adjacency(F), x, A)
 
 
@@ -468,7 +473,9 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     """Violated invariants of the working frame, as readable strings.
     Checks the quasi-frame conditions, the ILM additions when applicable,
     obligation satisfaction, and strict box growth along R. F must be
-    closed.
+    closed. Criticality is checked over the critical cone in both logics:
+    under ILM the M-cone of a closed frame is the same cone
+    (`_critical_cone`).
 
     No cycle of the composition R;S+ needs its own check. Under ILM a
     closed frame has y R u whenever y S_x z R u (kind 4), so along a cycle
@@ -520,20 +527,22 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
             out.append(f"no box growth on edge {(x, y)}")
     adj = _adjacency(F)
     labels = F.labels_by_world()
-    # the M-cone contains the critical cone, so under ILM it is the only
-    # cone whose criticality needs checking
-    cone, kind = (_m_cone, "m-criticality") if F.logic == ILM else (_critical_cone, "criticality")
     for x in F.worlds:
         labs = labels.get(x, ())
-        cones = {render(lab): _generalized_cone(adj, x, lab) for lab in labs}
+        # The overlap check is no consequence of the others: on
+        # tests/differential.json, 3,827 of 4,820 IL rejections and 3 of
+        # 312 ILM rejections report only the overlap, and without it the
+        # refuted IL row ((p |> (bot -> r)) |> (r & p) & (r |> bot)) |> bot
+        # & []bot gets another countermodel.
+        cones = {lab: _generalized_cone(adj, x, lab) for lab in labs}
         for i, a in enumerate(labs):
             for b in labs[i + 1 :]:
-                if cones[render(a)] & cones[render(b)]:
+                if cones[a] & cones[b]:
                     out.append(f"generalized cones overlap at {x}: {render(a)} / {render(b)}")
         for lab in labs:
-            for y in sorted(cone(adj, x, lab)):
+            for y in sorted(_critical_cone(adj, x, lab)):
                 if not crit_succ(F.nu[x], lab, F.nu[y]):
-                    out.append(f"{kind} {render(lab)} fails at {y} (cone of {x})")
+                    out.append(f"criticality {render(lab)} fails at {y} (cone of {x})")
     if F.logic == ILM:
         touched = (t for t in old_S if t[1] in grown or t[2] in grown)
         for (x, y, z) in sorted(new_S.union(touched)):
@@ -642,12 +651,11 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
     got = F._constraints.get(x)
     if got is None:
         extra = [(o, True) for o in sorted(F.effective_obligations(x), key=lambda f: f.key())]
-        cone_of = _m_cone if F.logic == ILM else _critical_cone
         labels = F.labels_by_world()
         for a in F.worlds:
             if (a, x) in F.R:
                 for lab in labels.get(a, ()):
-                    if x in cone_of(_adjacency(F), a, lab):
+                    if x in _critical_cone(_adjacency(F), a, lab):
                         extra += [(f, True) for f in crit_obligations(F.nu[a], lab)]
         got = F._constraints[x] = tuple(extra)
     return got
@@ -742,7 +750,7 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     It reads those two theories only on their rhd and box atoms (`rhds()`
     through crit_obligations, `boxes()`, `models(rho)` for a rhd rho), the
     values every LoggedTheory's log starts with. So a memo hit, which
-    reads nothing, hides no read a Nogoods cube needs."""
+    reads nothing, hides no read a `nogoods` cube needs."""
     x, B, meets, fresh, avoids, _, _, boxes_of = _witness(F, item)
     extra = _successor_constraints(F, x)
     gx = F.nu[x]
@@ -772,56 +780,59 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     return good
 
 
-class Nogoods:
-    """Read sets of failed subtrees, each kept as a cube: the (formula,
-    value) pairs a world's theory gave to every `models` read while the
-    subtree that added the world ran (a LoggedTheory's log).
+def nogoods(
+    D: AdequateSet, theories: Iterable[DTheory], state, skipped: str, item=None
+) -> Iterator[LoggedTheory]:
+    """The theories a search tries, in order, each as a LoggedTheory, less
+    those that agree with the read set of a failed subtree. A theory
+    covered by a kept cube is skipped and reported to the state's observer
+    as (skipped, item, theory). When the caller asks for the next theory,
+    the subtree of the last one has failed, and its log is kept as a cube
+    unless a budget cut happened while it ran (`state.cuts` moved).
 
-    The search reads a world's theory only through `models` and through
-    the memos keyed on theories (`fresh_candidate_theories`,
-    `crit_obligations`), whose answers depend on a theory only through its
-    rhd and box atoms, and every log starts with those. So a theory that
-    agrees with a cube, put in place of the failed one, makes the same
-    reads, gets the same answers and fails the same way: skipping it loses
-    no model. A subtree cut by the budget did not fail on its reads, so it
-    is never learned from. Cubes are indexed by their rhd and box values."""
+    A cube holds the (formula, value) pairs a world's theory gave to every
+    `models` read while the subtree that added the world ran. The search
+    reads a world's theory only through `models` and through the memos
+    keyed on theories (`fresh_candidate_theories`, `crit_obligations`),
+    whose answers depend on a theory only through its rhd and box atoms,
+    and every log starts with those. So a theory that agrees with a cube,
+    put in place of the failed one, makes the same reads, gets the same
+    answers and fails the same way: skipping it loses no model. A subtree
+    cut by the budget did not fail on its reads, so it is never learned
+    from. Cubes are indexed by their rhd and box values."""
+    atoms = existential_atoms(D)
+    k = len(atoms)
+    cubes: dict[tuple[bool, ...], list[tuple[tuple[Formula, bool], ...]]] = {}
+    for t in theories:
+        rests = cubes.get(tuple(t.assignment[a] for a in atoms), ()) if cubes else ()
+        if any(all(t.models(f) == v for f, v in rest) for rest in rests):
+            if state.observer is not None:
+                state.observer(skipped, item, t)
+            continue
+        t, cuts = LoggedTheory(t), state.cuts
+        yield t
+        if state.cuts == cuts:
+            reads = list(t.reads.items())
+            cubes.setdefault(tuple(v for _, v in reads[:k]), []).append(tuple(reads[k:]))
 
-    def __init__(self, D: AdequateSet):
-        self._atoms = existential_atoms(D)
-        self._cubes: dict[tuple[bool, ...], list[tuple[tuple[Formula, bool], ...]]] = {}
 
-    def learn(self, t: LoggedTheory) -> None:
-        reads = list(t.reads.items())
-        k = len(self._atoms)
-        self._cubes.setdefault(tuple(v for _, v in reads[:k]), []).append(tuple(reads[k:]))
+def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
+    """Extensions of the settled frame F that eliminate the open item by
+    linking x to a witness (`_witness`): first every existing world that
+    is one, in F.worlds order, then a fresh world per candidate theory,
+    each settled against F (`_finish`), so each child re-checks only what
+    its step changed. No world that reaches x is reused, since the link
+    would close an R-cycle, nor, for ~(A |> B), a world whose edge from x
+    already carries a label, which the link would overwrite. No other
+    world needs passing over: one already linked as the item asks (x R w
+    for ~[]E, y S_x w for a deficiency) would witness it, and the item is
+    open.
 
-    def covers(self, t: DTheory) -> bool:
-        """Does t agree with a kept cube?"""
-        if not self._cubes:
-            return False
-        rests = self._cubes.get(tuple(t.assignment[a] for a in self._atoms), ())
-        return any(all(t.models(f) == v for f, v in rest) for rest in rests)
-
-
-def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
-    """Extensions of F that eliminate the open item by linking x to a
-    witness (`_witness`): first every existing world that is one, in
-    F.worlds order, then a fresh world per candidate theory, each settled
-    (`_finish`). No world that reaches x is reused, since the link would
-    close an R-cycle, nor, for ~(A |> B), a world whose edge from x already
-    carries a label, which the link would overwrite. No other world needs
-    passing over: one already linked as the item asks (x R w for ~[]E,
-    y S_x w for a deficiency) would witness it, and the item is open.
-
-    Under a search (_state given) F must be settled: closed, free of
-    violations and with a worklist of exactly its open items. Each child
-    is then settled against F and re-checks only what its step changed.
-    A fresh world then carries a LoggedTheory. When the child's subtree
-    fails (the search asks for the next child) and no budget cut happened
-    inside it, its log is kept (`Nogoods`), and each later candidate that
-    agrees with a kept cube is skipped and reported to the observer."""
+    F is settled: closed, free of violations and with a worklist of
+    exactly its open items. state is the search's `decide._State`. The
+    fresh candidates go through `nogoods`, and a frame of
+    `state.budget.max_worlds` worlds gets no fresh world."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
-    since = F if _state is not None else None
     gx = F.nu[x]
     pred = image((b, a) for a, b in F.R)
     back = reach({x}, lambda u: pred.get(u, ()))
@@ -832,7 +843,7 @@ def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
             g.edge_label[(x, w)] = label
         if y is not None:
             g.S.add((x, y, w))
-        return _finish(g, since)
+        return _finish(g, F)
 
     for w in F.worlds:
         t = F.nu[w]
@@ -843,23 +854,16 @@ def eliminate(F: LabeledFrame, item, _state=None) -> Iterator[LabeledFrame]:
             if done is not None:
                 yield done
     keeps = [single_neg(a) for a in avoids]
-    nogoods = Nogoods(F.adequate) if _state is not None else None
-    for t in fresh_candidate_theories(F, item):
-        if nogoods is not None:
-            if len(F.worlds) >= _state.budget.max_worlds:
-                _state.cut_by("max_worlds")
-                break
-            if nogoods.covers(t):
-                if _state.observer is not None:
-                    _state.observer("skipped", item, t)
-                continue
-            t, cuts = LoggedTheory(t), _state.cuts
+    for t in nogoods(F.adequate, fresh_candidate_theories(F, item), state, "skipped", item):
+        # F's world count is fixed here, so this cut fires at the first
+        # candidate, before any cube is kept
+        if len(F.worlds) >= state.budget.max_worlds:
+            state.cut_by("max_worlds")
+            break
         g = F.copy()
         done = link(g, g.add_world(t, keeps))
         if done is not None:
             yield done
-        if nogoods is not None and _state.cuts == cuts:
-            nogoods.learn(t)
 
 
 # --- truth lemma ----------------------------------------------------------------
@@ -874,30 +878,3 @@ def verify_truth_lemma(model: VeltmanModel, nu: dict[str, DTheory], D: AdequateS
             if forcer.forces(w, f) != t.models(f):
                 return False
     return True
-
-
-# --- debug dump ------------------------------------------------------------------
-
-
-def labeled_frame_to_dict(F: LabeledFrame) -> dict:
-    model = F.to_model()
-    return {
-        "worlds": sorted(F.worlds),
-        "R": sorted([x, y] for (x, y) in F.R),
-        "S": sorted([x, y, z] for (x, y, z) in F.S),
-        "val": {w: sorted(model.val[w]) for w in sorted(F.worlds)},
-        "nu": {
-            w: sorted(render(f) for f in F.nu[w].members) for w in sorted(F.worlds)
-        },
-        "edge_labels": sorted(
-            [x, y, render(lab)] for ((x, y), lab) in F.edge_label.items()
-        ),
-        "obligations": {
-            w: sorted(render(f) for f in F.obligations.get(w, ()))
-            for w in sorted(F.worlds)
-        },
-    }
-
-
-def labeled_frame_to_json(F: LabeledFrame) -> str:
-    return json.dumps(labeled_frame_to_dict(F), indent=2, sort_keys=True)

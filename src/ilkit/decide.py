@@ -17,10 +17,10 @@ from typing import Iterator, NamedTuple
 
 from .construction import (
     LabeledFrame,
-    Nogoods,
     _finish,
     eliminate,
     fresh_candidate_theories,
+    nogoods,
     seed_frame,
     verify_truth_lemma,
 )
@@ -47,7 +47,7 @@ from .syntax import (
     render,
     substitute,
 )
-from .theory import AXIOMS, SCHEMATA, LoggedTheory, enumerate_theories, search_preference
+from .theory import AXIOMS, SCHEMATA, enumerate_theories, search_preference
 
 
 class Budget(NamedTuple):
@@ -210,10 +210,10 @@ def satisfiable(
     exhausted within the budget; Exhausted means a limit cut the search. A
     found model that fails certification raises CertificationError.
 
-    Each root world carries a LoggedTheory. A root whose search fails
-    without a cut leaves its log as a cube (construction.Nogoods), and a
-    later root that agrees with a kept cube is skipped and reported to the
-    observer as ("skipped_root", None, theory).
+    The roots go through construction.nogoods: a root whose search fails
+    without a cut leaves its log as a cube, and a later root that agrees
+    with a kept cube is skipped and reported to the observer as
+    ("skipped_root", None, theory).
     """
     check_logic(logic)
     if logic == GL and not is_rhd_free(f):
@@ -229,13 +229,7 @@ def satisfiable(
     result: Sat | Unsat | Exhausted | None = None
     try:
         roots = sorted(enumerate_theories(D, include=[f], logic=eng), key=search_preference)
-        nogoods = Nogoods(D)
-        for root in roots:
-            if nogoods.covers(root):
-                if observer is not None:
-                    observer("skipped_root", None, root)
-                continue
-            root = LoggedTheory(root)
+        for root in nogoods(D, roots, st, "skipped_root"):
             # a one-world seed has no edge, triple or label for any
             # invariant to read, so it needs no check
             frame = seed_frame(D, eng, root)
@@ -249,7 +243,6 @@ def satisfiable(
                 break
             if st.cut:
                 break
-            nogoods.learn(root)
     finally:
         # the caches hold D's theories, and each theory points back at D:
         # dropping them here frees the query's theories without waiting
@@ -265,7 +258,7 @@ def satisfiable(
 
 
 def complete_frame(
-    frame: LabeledFrame, budget: Budget = DEFAULT_BUDGET, observer=None
+    frame: LabeledFrame, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[LabeledFrame | None, "_State"]:
     """Run the elimination search from a prepared labeled frame; returns the
     finished frame (or None) and the search state with its counters.
@@ -275,7 +268,7 @@ def complete_frame(
     frame is settled first (on a copy; settling a settled frame changes
     nothing); if it violates an invariant, no search runs and the answer
     is None with an uncut state."""
-    st = _State(budget, observer)
+    st = _State(budget)
     frame = _finish(frame)
     return (None if frame is None else _search(frame, st)), st
 

@@ -147,6 +147,27 @@ def test_sigma1_countermodel_seeded():
         assert not forces(cm.model, "r", parse(s))
 
 
+def test_sigma1_countermodel_checks_each_model_once(monkeypatch):
+    # one truth-lemma check for the refuted reduction query and one for the
+    # completed seed, both in the search; none repeated on the same model
+    import ilkit.classify as classify
+    import ilkit.decide as decide
+
+    calls = []
+    real = decide.verify_truth_lemma
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    for mod in (decide, classify):  # each module that may call it
+        if hasattr(mod, "verify_truth_lemma"):
+            monkeypatch.setattr(mod, "verify_truth_lemma", counted)
+    sigma1_countermodel(parse("p & []q"))
+    assert len(calls) == 2
+
+
 def test_sigma1_countermodel_rejects_sigma_formula():
     with pytest.raises(ValueError):
         sigma1_countermodel(Box(p))

@@ -19,14 +19,13 @@ from ilkit.construction import (
     find_imperfections,
     find_problems,
     generalized_cone,
-    labeled_frame_to_json,
     m_cone,
     quasi_frame_violations,
     refresh_worklist,
     seed_frame,
     verify_truth_lemma,
 )
-from ilkit.decide import Budget, satisfiable
+from ilkit.decide import Budget, _State, satisfiable
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces
 from ilkit.syntax import (
     BOT,
@@ -330,7 +329,7 @@ def test_eliminate_problem_one_point():
     D = adequate_closure([Neg(Rhd(p, BOT))])
     g = next(iter(enumerate_theories(D, include=[Neg(Rhd(p, BOT))])))
     f = seed_frame(D, ILM, g)
-    outs = list(eliminate(f, Problem("w0", Neg(Rhd(p, BOT)))))
+    outs = list(eliminate(f, Problem("w0", Neg(Rhd(p, BOT))), _State(Budget())))
     assert outs
     two = outs[0]
     assert len(two.worlds) == 2
@@ -344,13 +343,13 @@ def test_eliminate_deficiency_adds_s_edge():
     g = next(iter(enumerate_theories(D, include=[Rhd(p, q), Neg(Rhd(p, BOT))])))
     f = seed_frame(D, ILM, g)
     # eliminate the problem first to get a p-successor
-    outs = list(eliminate(f, f.worklist[0]))
+    outs = list(eliminate(f, f.worklist[0], _State(Budget())))
     assert outs
     f2 = outs[0]
     defs = [i for i in f2.worklist if isinstance(i, Deficiency)]
     assert defs
     d = defs[0]
-    outs2 = list(eliminate(f2, d))
+    outs2 = list(eliminate(f2, d, _State(Budget())))
     assert outs2
     f3 = outs2[0]
     zs = [z for (x, y, z) in f3.S if x == d.x and y == d.y and f3.nu[z].models(q)]
@@ -367,7 +366,7 @@ def test_eliminate_problem_empty_stream():
     f = seed_frame(D, ILM, g)
     probs = [i for i in f.worklist if isinstance(i, Problem) and i.formula == Neg(Rhd(p, q))]
     assert probs
-    assert list(eliminate(f, probs[0])) == []
+    assert list(eliminate(f, probs[0], _State(Budget()))) == []
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])
@@ -379,10 +378,10 @@ def test_eliminate_never_relabels_an_edge(logic):
     D = adequate_closure([parse("p |> q"), parse("p |> r")])
     g = pick(D, logic, incl=[Neg(Rhd(p, q)), Neg(Rhd(p, r))])
     f = seed_frame(D, logic, g)
-    f2 = next(c for c in eliminate(f, f.worklist[0]) if crit_succ(g, r, c.nu["w1"]))
+    f2 = next(c for c in eliminate(f, f.worklist[0], _State(Budget())) if crit_succ(g, r, c.nu["w1"]))
     assert f2.edge_label == {("w0", "w1"): q}
     assert f2.worklist == [Problem("w0", Neg(Rhd(p, r)))]
-    children = list(eliminate(f2, f2.worklist[0]))
+    children = list(eliminate(f2, f2.worklist[0], _State(Budget())))
     assert children
     for c in children:
         assert c.edge_label[("w0", "w1")] == q
@@ -397,18 +396,6 @@ def test_verify_truth_lemma_single_world():
     assert verify_truth_lemma(m, f.nu, D)
     flipped = VeltmanModel(m.frame, {"a": frozenset({"p"})})
     assert not verify_truth_lemma(flipped, f.nu, D)
-
-
-def test_labeled_frame_dump():
-    D = adequate_closure([p])
-    g = next(iter(enumerate_theories(D, include=[p])))
-    f = frame_with(D, ILM, ["a"], set(), set(), {"a": g})
-    import json
-
-    data = json.loads(labeled_frame_to_json(f))
-    assert data["worlds"] == ["a"]
-    assert data["val"]["a"] == ["p"]
-    assert "nu" in data and "edge_labels" in data
 
 
 def _random_quasi_ilm_frame(rng, D, n_worlds):
@@ -494,8 +481,7 @@ def test_generalized_cone_strictly_wider_via_foreign_s_step():
 
 def test_cone_inclusions_on_random_ilm_frames():
     # critical cone <= M-cone <= generalized cone, on quasi-frames and on
-    # their closures: under ILM the M-cone criticality check of
-    # quasi_frame_violations covers the critical one
+    # their closures
     rng = random.Random(23)
     D = small_D()
     checked = 0
@@ -547,6 +533,82 @@ def test_m_cone_equals_critical_cone_on_full_ilm_frames():
             for lab in g.labels_from(x):
                 assert m_cone(g, x, lab) == critical_cone(g, x, lab)
     assert checked == 25
+
+
+def test_m_cone_is_critical_cone_on_settled_ilm_frames(monkeypatch):
+    # the search reads only the critical cone under ILM too: on every
+    # frame a seeded ILM search settles, each labeled M-cone is the
+    # critical cone (IL frames are not closed under kind 4, so the
+    # argument covers ILM frames only)
+    real = construction._finish
+    seen = {"cones": 0, "s_paths": 0}
+
+    def checked(F, since=None):
+        done = real(F, since)
+        if done is not None:
+            for x in done.worlds:
+                for lab in done.labels_from(x):
+                    crit = critical_cone(done, x, lab)
+                    assert m_cone(done, x, lab) == crit
+                    seen["cones"] += 1
+                    # an S step out of the cone, where the M-cone's extra
+                    # step starts
+                    seen["s_paths"] += any(b in crit and b != c for _, b, c in done.S)
+        return done
+
+    monkeypatch.setattr(construction, "_finish", checked)
+    rng = random.Random(4)
+    budget = Budget(max_worlds=8, max_steps=150, max_backtracks=200)
+    for _ in range(30):
+        a, b = random_formula(rng), random_formula(rng)
+        rhs = Implies(Diamond(a), Diamond(b)) if rng.random() < 0.5 else Implies(a, Or(b, Diamond(b)))
+        for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b))):
+            satisfiable(ILM, f, budget, observer=lambda *event: None)
+    assert seen["cones"] >= 500 and seen["s_paths"] >= 200, seen
+
+
+def test_m_cone_differs_on_an_unclosed_ilm_frame():
+    # y is in the q-cone of a, y S_b z and z R u, but not yet y R u: the
+    # M-cone takes the S-path then the R step to u, the critical cone does
+    # not. Closing adds y R u (kind 4), and the cones agree again.
+    D = small_D()
+    g = pick(D, incl=[Neg(Rhd(p, q))])
+    t = pick(D, incl=[p, Neg(q)])
+    f = frame_with(
+        D,
+        ILM,
+        ["a", "b", "y", "z", "u"],
+        {("a", "y"), ("b", "y"), ("b", "z"), ("z", "u")},
+        {("b", "y", "z")},
+        {w: t for w in "byzu"} | {"a": g},
+        labels={("a", "y"): q},
+    )
+    assert critical_cone(f, "a", q) == {"y"}
+    assert m_cone(f, "a", q) == {"y", "u"}
+    closed = close(f)
+    assert m_cone(closed, "a", q) == critical_cone(closed, "a", q) == {"y", "u"}
+
+
+def test_cone_overlap_alone_rejects_an_il_frame():
+    # x labels its edges to y and z with p and q; y S_w z joins the two
+    # generalized cones at z, while each critical cone holds one world
+    # that meets its criticality. The overlap is the only violation.
+    D = adequate_closure([Box(p), Box(q)])
+    root = pick(D, IL, excl=[Box(p), Box(q)])
+    ty = pick(D, IL, incl=[Neg(p), Box(q)])
+    tz = pick(D, IL, incl=[Neg(q), Box(p)])
+    f = frame_with(
+        D,
+        IL,
+        ["w", "x", "y", "z"],
+        {("x", "y"), ("x", "z"), ("w", "y"), ("w", "z")},
+        {("w", "y", "z")},
+        {"w": root, "x": root, "y": ty, "z": tz},
+        labels={("x", "y"): p, ("x", "z"): q},
+    )
+    g = close(f)
+    assert critical_cone(g, "x", p) == {"y"} and critical_cone(g, "x", q) == {"z"}
+    assert quasi_frame_violations(g) == ["generalized cones overlap at x: p / q"]
 
 
 def test_mcone_invariance_across_kind4_step():
@@ -730,10 +792,10 @@ def test_eliminate_children_meet_their_item(monkeypatch, logic):
             assert g.obligations[w] == frozenset([single_neg(A)] if A is not None else [])
         return kind, w, fresh
 
-    def checked(F, item, _state=None):
+    def checked(F, item, state):
         order = F.order()
         last, fresh_seen = -1, False
-        children = real_eliminate(F, item, _state)
+        children = real_eliminate(F, item, state)
         while True:
             tried.clear()
             child = next(children, None)
