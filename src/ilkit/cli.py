@@ -154,9 +154,7 @@ def cmd_modelcheck(args) -> int:
 
 
 def cmd_close(args) -> int:
-    with open(args.frame) as fh:
-        data = json.load(fh)
-    model = model_from_dict(data)
+    model, _ = _load_model(args.frame)
     closed = close_frame(model.frame, args.logic)
     print(json.dumps(model_to_dict(VeltmanModel(closed, model.val)), indent=2, sort_keys=True))
     return _POSITIVE

@@ -431,8 +431,13 @@ def close(
 
 def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
     """Closure of a plain frame under the same conditions. Raises ValueError
+    when an R edge or S triple names a world outside the frame's worlds, or
     when R, before or after closing, has a cycle: no Veltman frame extends
     such a frame."""
+    for name, rel in (("R edge", frame.R), ("S triple", frame.S)):
+        for e in sorted(rel):
+            if not frame.worlds.issuperset(e):
+                raise ValueError(f"{name} {e} names a world outside worlds")
     g = LabeledFrame(AdequateSet(()), logic, sorted(frame.worlds), frame.R, frame.S)
     closed = close(g)
     cycle = find_cycle(g.worlds, frame.R) or find_cycle(g.worlds, closed.R)
@@ -557,12 +562,18 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
 
 
 def _problems_at(F: LabeledFrame, worlds) -> Iterator[Problem]:
-    """Every false rhd or box member of the given worlds, witnessed or not."""
+    """Every false rhd or box member of the given worlds, witnessed or not.
+    Each item formula ~a is built once per adequate set, so the rendering
+    that `Problem.key` sorts by is cached on it."""
+    D = F.adequate
+    negs = D._sat_cache.get("__problems__")
+    if negs is None:
+        negs = D._sat_cache["__problems__"] = {a: Neg(a) for a in existential_atoms(D)}
     for x in worlds:
         t = F.nu[x]
-        for a in F.adequate.modal_atoms:
-            if isinstance(a, (Rhd, Box)) and not t.models(a):
-                yield Problem(x, Neg(a))
+        for a, item in negs.items():
+            if not t.models(a):
+                yield Problem(x, item)
 
 
 def _deficiencies_on(F: LabeledFrame, edges) -> Iterator[Deficiency]:

@@ -293,7 +293,7 @@ class AdequateSet:
     def __init__(self, members: Iterable[Formula]):
         self.members = frozenset(members)
         self.sorted_members = tuple(sorted(self.members, key=lambda f: f.key()))
-        self.modal_atoms = tuple(sorted(modal_atoms_of(*self.members), key=_atom_order_key))
+        self.modal_atoms = tuple(sorted(modal_atoms_of(*self.members), key=lambda f: f.key()))
         self.boxed_members = tuple(f for f in self.sorted_members if isinstance(f, Box))
         self._sat_cache = {}
 
@@ -311,13 +311,6 @@ class AdequateSet:
 
     def __repr__(self):
         return f"AdequateSet({len(self)} formulas)"
-
-
-def _atom_order_key(f: Formula):
-    # rhds first, then boxes, then propositional atoms: theory enumeration
-    # assigns in this order, which lets axiom constraints prune early.
-    rank = 0 if isinstance(f, Rhd) else (1 if isinstance(f, Box) else 2)
-    return (rank, f.size, render(f))
 
 
 def _closure_kids(f: Formula) -> tuple[Formula, ...]:

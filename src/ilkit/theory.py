@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 from .semantics import GL, IL, ILM, check_logic
 from .syntax import (
     AdequateSet,
+    Atom,
     BOT,
     Box,
     Formula,
@@ -87,26 +88,29 @@ class TheoryError(ValueError):
 
 class DTheory:
     """A maximal, Boolean-coherent, locally saturated subset of an adequate
-    set."""
+    set. Its key is one integer: its values on D's modal atoms, the first
+    atom in the most significant bit. When D is closed under subformulas,
+    every other member is built from modal atoms that sort before it, so
+    two theories first differ on a modal atom and key order is the order
+    of their values on D's sorted members."""
 
-    __slots__ = ("adequate", "assignment", "_bits", "_hash", "_models_cache", "_preference")
+    __slots__ = ("adequate", "assignment", "_key", "_models_cache", "_preference")
 
-    def __init__(self, adequate: AdequateSet, assignment: dict[Formula, bool], bits=None):
-        # bits, when given, are the values of adequate.sorted_members
+    def __init__(self, adequate: AdequateSet, assignment: dict[Formula, bool]):
         self.adequate = adequate
         self.assignment = assignment
-        if bits is None:
-            bits = tuple(eval_bool(f, assignment) for f in adequate.sorted_members)
-        self._bits = bits
-        self._hash = hash(self._bits)
+        key = 0
+        for a in adequate.modal_atoms:
+            key = 2 * key + assignment[a]
+        self._key = key
         self._models_cache: dict[Formula, bool] = {}
         self._preference: tuple | None = None
 
     @property
     def members(self) -> frozenset[Formula]:
         # built on demand: a materialised adequate set holds thousands of
-        # theories, and the bit-pattern already records membership
-        return frozenset(f for f, bit in zip(self.adequate.sorted_members, self._bits) if bit)
+        # theories, and the assignment already fixes membership
+        return frozenset(f for f in self.adequate.sorted_members if eval_bool(f, self.assignment))
 
     def models(self, f: Formula) -> bool:
         """Truth of any Boolean combination over D's modal atoms."""
@@ -124,18 +128,18 @@ class DTheory:
             f for f in self.adequate.modal_atoms if isinstance(f, Rhd) and self.models(f)
         )
 
-    def key(self):
-        return self._bits
+    def key(self) -> int:
+        return self._key
 
     def __eq__(self, other):
         return (
             isinstance(other, DTheory)
+            and self._key == other._key
             and self.adequate == other.adequate
-            and self._bits == other._bits
         )
 
     def __hash__(self):
-        return self._hash
+        return hash(self._key)
 
     def __repr__(self):
         shown = ", ".join(repr(f) for f in sorted(self.members, key=lambda g: g.key()))
@@ -143,7 +147,7 @@ class DTheory:
 
 
 def existential_atoms(D: AdequateSet) -> tuple[Formula, ...]:
-    """D's rhd and box atoms, in modal-atom order (they come first)."""
+    """D's rhd and box atoms, in modal-atom order."""
     return tuple(a for a in D.modal_atoms if isinstance(a, (Rhd, Box)))
 
 
@@ -160,7 +164,7 @@ class LoggedTheory(DTheory):
 
     def __init__(self, t: DTheory):
         self.adequate, self.assignment = t.adequate, t.assignment
-        self._bits, self._hash = t._bits, t._hash
+        self._key = t._key
         self._models_cache, self._preference = t._models_cache, t._preference
         self.reads = {a: t.assignment[a] for a in existential_atoms(t.adequate)}
 
@@ -212,8 +216,10 @@ def _solve(
     D: AdequateSet, logic: str, constraints: Iterable[tuple[Formula, bool]]
 ) -> Iterator[dict[Formula, bool]]:
     """Assignments over D's modal atoms satisfying saturation plus the given
-    (formula, value) constraints, in lexicographic order of the atom list
-    with False before True."""
+    (formula, value) constraints. Atoms are assigned rhds first, then
+    boxes, then propositional atoms, each kind in modal-atom order, which
+    lets the axiom constraints prune early; the answers come in
+    lexicographic order of that atom list with False before True."""
     want: dict[Formula, bool] = {}
     for f, v in constraints:
         f, v = _norm_constraint(f, v)
@@ -230,7 +236,7 @@ def _solve(
         if prev is not None and prev != v:
             return
         seen[f] = v
-    atoms = D.modal_atoms
+    atoms = sorted(D.modal_atoms, key=lambda a: (Rhd, Box, Atom).index(type(a)))
     n = len(atoms)
 
     def rec(i: int, assign: dict[Formula, bool], todo: list[tuple[Formula, bool]]):
@@ -256,16 +262,15 @@ def _solve(
 class _TheoryIndex:
     """Truth table of a materialised adequate set over its modal atoms.
 
-    Row r is the r-th assignment to D's n modal atoms in _solve's order
-    (atom order, False first): atom i holds in row r when bit n-1-i of r is
-    set. A formula's mask has the bits of the rows that make it true, and
-    `valid` those of the rows meeting every saturation constraint. A valid
-    row's sort key is an integer whose bits, most significant first, are
-    the values of D's sorted members, so key order is DTheory.key() order.
-    A row's DTheory is built when a walk first reaches it. Masks never go
-    through DTheory.models, so the theories' own caches stay empty."""
+    Row r is the assignment to D's n modal atoms in which atom i holds
+    when bit n-1-i of r is set, so row r's theory has key r and rows
+    ascend in theory order. A formula's mask has the bits of the rows that
+    make it true, and `valid` those of the rows meeting every saturation
+    constraint. A row's DTheory is built when a walk first reaches it.
+    Masks never go through DTheory.models, so the theories' own caches
+    stay empty."""
 
-    __slots__ = ("adequate", "full", "valid", "_masks", "_keys", "_theories")
+    __slots__ = ("adequate", "full", "valid", "_masks", "_theories")
 
     def __init__(self, D: AdequateSet, logic: str):
         rows = 1 << len(D.modal_atoms)
@@ -281,13 +286,6 @@ class _TheoryIndex:
                 width *= 2
             self._masks[a] = m
         self.valid = self.narrow(self.full, ((f, True) for f in saturation_constraints(D, logic)))
-        # character r of a reversed binary mask is row r; a valid row's key
-        # reads its character off every member's mask
-        valid = f"{self.valid:0{rows}b}"[::-1]
-        cols = [f"{self.mask(f):0{rows}b}"[::-1] for f in D.sorted_members]
-        self._keys: dict[int, int] = {
-            r: int("".join(k), 2) for r, k in enumerate(zip(*cols)) if valid[r] == "1"
-        }
         self._theories: dict[int, DTheory] = {}
 
     def mask(self, f: Formula) -> int:
@@ -309,21 +307,17 @@ class _TheoryIndex:
         return m
 
     def walk(self, m: int) -> Iterator[DTheory]:
-        """The theories of the valid rows in mask m, in sorted order."""
-        rows = []
+        """The theories of the valid rows in mask m, in key order."""
+        D, on = self.adequate, "1".__eq__
+        n = len(D.modal_atoms)
         while m:
             low = m & -m
-            rows.append(low.bit_length() - 1)
             m ^= low
-        rows.sort(key=self._keys.__getitem__)
-        D, on = self.adequate, "1".__eq__
-        n, width = len(D.modal_atoms), len(D.sorted_members)
-        for r in rows:
+            r = low.bit_length() - 1
             t = self._theories.get(r)
             if t is None:
                 assignment = dict(zip(D.modal_atoms, map(on, f"{r:0{n}b}")))
-                bits = tuple(map(on, f"{self._keys[r]:0{width}b}"))
-                t = self._theories[r] = DTheory(D, assignment, bits)
+                t = self._theories[r] = DTheory(D, assignment)
             yield t
 
 
@@ -341,7 +335,7 @@ def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
 
 class TheoryQuery:
     """The DTheories of D meeting a conjunction of (formula, value)
-    constraints, in the membership bit-pattern order of solve_theories.
+    constraints, in the key order of solve_theories.
 
     On a materialised adequate set (at most _CACHE_ATOMS modal atoms) the
     query is a bitmask over the index; otherwise it keeps the constraints
@@ -390,8 +384,7 @@ class TheoryQuery:
 def solve_theories(
     D: AdequateSet, logic: str, constraints: Iterable[tuple[Formula, bool]] = ()
 ) -> Iterator[DTheory]:
-    """Stream of DTheories satisfying the constraints, ordered by the
-    membership bit-pattern over the sorted adequate set."""
+    """Stream of DTheories satisfying the constraints, in key order."""
     yield from TheoryQuery(D, logic, constraints)
 
 
@@ -410,7 +403,7 @@ def enumerate_theories(
 def search_preference(t: DTheory) -> tuple:
     """Candidate order for the construction: theories with fewer false box
     and rhd atoms first (each false one is a pending existential), ties by
-    the canonical bit-pattern. Computed once per theory."""
+    the key. Computed once per theory."""
     got = t._preference
     if got is None:
         pending = sum(

@@ -210,6 +210,27 @@ def test_close_cli_rejects_a_cyclic_r(tmp_path, capsys):
     assert "R has a cycle: a -> b -> a" in capsys.readouterr().err
 
 
+def test_close_cli_rejects_an_edge_outside_worlds(tmp_path, capsys):
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"worlds": ["a"], "R": [["a", "b"]]}))
+    code, out = run_cli("close", str(frame))
+    assert code == 3
+    assert out == ""
+    assert "R edge ('a', 'b') names a world outside worlds" in capsys.readouterr().err
+
+
+def test_close_cli_reads_a_certificate(tmp_path):
+    cert = tmp_path / "out.json"
+    assert run_cli("prove", "--logic", "gl", "p -> []p", "--cert", str(cert))[0] == 1
+    bare = tmp_path / "model.json"
+    bare.write_text(json.dumps(json.loads(cert.read_text())["model"]))
+    code, out = run_cli("close", str(cert), "--logic", "gl")
+    assert code == 0
+    # the certificate's model closes as the bare model does
+    assert out == run_cli("close", str(bare), "--logic", "gl")[1]
+    assert json.loads(out)["worlds"]
+
+
 @pytest.mark.parametrize(
     "command, argv, exc",
     [

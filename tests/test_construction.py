@@ -511,6 +511,16 @@ def test_close_frame_rejects_a_cyclic_r():
     assert ("b", "b") not in close_frame(f, IL).R
 
 
+def test_close_frame_rejects_worlds_outside_the_frame():
+    edge = VeltmanFrame.make(["a"], [("a", "b")])
+    triple = VeltmanFrame.make(["a", "b"], [("a", "b")], [("a", "b", "c")])
+    for logic in (IL, ILM):
+        with pytest.raises(ValueError, match=r"R edge \('a', 'b'\) names a world outside"):
+            close_frame(edge, logic)
+        with pytest.raises(ValueError, match=r"S triple \('a', 'b', 'c'\) names a world outside"):
+            close_frame(triple, logic)
+
+
 def test_m_cone_equals_critical_cone_on_full_ilm_frames():
     # once a labeled frame satisfies the full ILM frame conditions the
     # M-cone collapses onto the critical cone

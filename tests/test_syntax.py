@@ -28,7 +28,6 @@ from ilkit.syntax import (
     render,
     single_neg,
     subformulas,
-    _atom_order_key,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -277,4 +276,4 @@ def test_adequate_set_modal_atoms_are_the_members_union(members):
     fs = [parse(t) for t in members]
     D = AdequateSet(fs)
     union = set().union(*map(modal_atoms_of, fs))
-    assert D.modal_atoms == tuple(sorted(union, key=_atom_order_key))
+    assert D.modal_atoms == tuple(sorted(union, key=lambda f: f.key()))

@@ -375,11 +375,17 @@ def _random_constraints(rng, D, least=0):
     return out
 
 
+def _member_values(D, assignment):
+    """The values of D's sorted members under the assignment: the theory
+    order, computed without DTheory."""
+    return tuple(eval_bool(f, assignment) for f in D.sorted_members)
+
+
 def _linear_reference(D, assignments, constraints):
     kept = [
         a for a in assignments if all(eval_bool(f, a) == v for f, v in constraints)
     ]
-    return sorted(DTheory(D, a).key() for a in kept)
+    return sorted(kept, key=lambda a: _member_values(D, a))
 
 
 def _check_against_reference(D, rng, queries, least):
@@ -390,12 +396,12 @@ def _check_against_reference(D, rng, queries, least):
         for _ in range(queries):
             cs = _random_constraints(rng, D, least)
             want = _linear_reference(D, assignments, cs)
-            got = [t.key() for t in solve_theories(D, logic, cs)]
+            got = [t.assignment for t in solve_theories(D, logic, cs)]
             assert got == want, (logic, cs)
             # narrowing a shared base gives the same answer as one query
             cut = rng.randrange(len(cs) + 1)
             q = TheoryQuery(D, logic, cs[:cut]).where(cs[cut:])
-            assert [t.key() for t in q] == want
+            assert [t.assignment for t in q] == want
             assert q.is_empty() == (not want)
 
 
@@ -423,14 +429,30 @@ def test_unmaterialised_matches_linear_filter(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_index_bits_match_evaluation(seed):
-    # the index reads a theory's membership bits off its sort key; they
-    # must be what evaluating D's sorted members under it gives
+    # the index reads a theory's assignment off its row number, which is
+    # the theory's key; every member's mask must hold at that row exactly
+    # when evaluating the member under the assignment gives true
     D = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
     for logic in (IL, ILM):
+        index = theory._theory_index(D, logic)
         ts = list(solve_theories(D, logic))
         assert ts
         for t in ts:
-            assert t._bits == tuple(eval_bool(f, t.assignment) for f in D.sorted_members)
+            assert index.valid >> t.key() & 1
+            for f in D.sorted_members:
+                assert (index.mask(f) >> t.key() & 1) == eval_bool(f, t.assignment)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_theories_ascend_in_member_value_order(seed, logic):
+    # key order is the order of the values on D's sorted members, on both
+    # sides of the truth-table cap
+    for lo, hi in ((9, theory._CACHE_ATOMS), (theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)):
+        D = _seeded_adequate(seed, lo, hi)
+        values = [_member_values(D, t.assignment) for t in solve_theories(D, logic)]
+        assert values
+        assert all(a < b for a, b in zip(values, values[1:])), D.sorted_members
 
 
 def test_index_builds_only_the_theories_walked(monkeypatch):
@@ -447,7 +469,7 @@ def test_index_builds_only_the_theories_walked(monkeypatch):
     assert not q.is_empty() and not built
     ts = list(q)
     assert len(built) == len(ts)
-    assert len(ts) < len(theory._theory_index(D, ILM)._keys)
+    assert len(ts) < bin(theory._theory_index(D, ILM).valid).count("1")
     # a second walk reuses the theories the first one built
     assert list(q) == ts and len(built) == len(ts)
 
