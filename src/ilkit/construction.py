@@ -563,17 +563,14 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
 
 def _problems_at(F: LabeledFrame, worlds) -> Iterator[Problem]:
     """Every false rhd or box member of the given worlds, witnessed or not.
-    Each item formula ~a is built once per adequate set, so the rendering
-    that `Problem.key` sorts by is cached on it."""
-    D = F.adequate
-    negs = D._sat_cache.get("__problems__")
-    if negs is None:
-        negs = D._sat_cache["__problems__"] = {a: Neg(a) for a in existential_atoms(D)}
+    D holds each item formula ~a, so `Neg(a)` returns that node, with the
+    rendering `Problem.key` sorts by cached on it."""
+    atoms = existential_atoms(F.adequate)
     for x in worlds:
         t = F.nu[x]
-        for a, item in negs.items():
+        for a in atoms:
             if not t.models(a):
-                yield Problem(x, item)
+                yield Problem(x, Neg(a))
 
 
 def _deficiencies_on(F: LabeledFrame, edges) -> Iterator[Deficiency]:
@@ -724,11 +721,9 @@ def _witness(F: LabeledFrame, item) -> tuple:
     """What a witness w of the item is, as the row (x, B, (f, v), fresh,
     avoids, label, y, boxes_of): a B-critical successor of x at which f is
     true exactly when v. A fresh w also meets the pairs of fresh and keeps
-    ~a at every later world for each a in avoids (the negation is built
-    where it is used, so a memo hit in fresh_candidate_theories builds no
-    formula). The link is x R w, with the edge labeled label, or with
-    y S_x w, and then w also carries the boxes of boxes_of. One row per
-    item kind:
+    ~a at every later world for each a in avoids. The link is x R w, with
+    the edge labeled label, or with y S_x w, and then w also carries the
+    boxes of boxes_of. One row per item kind:
 
       ~(A |> B) at x      B, A true, keeps ~A, edge labeled B
       ~[]E at x           bot, E false, fresh also has []E

@@ -11,39 +11,58 @@ derived shapes again and emits the sugared form.
 from __future__ import annotations
 
 import re
+import weakref
+from functools import reduce
 from typing import Iterable
 
 from .relation import reach
 
 
 class Formula:
-    """A node of a formula tree. Immutable, hashable, structurally equal."""
+    """A node of a formula tree. Immutable and hash-consed: the constructors
+    return the one live node of each shape, so equal formulas are the same
+    object, and equality and hashing are the object defaults (identity).
+    Pickle, copy and deepcopy go back through the constructor."""
 
-    __slots__ = ("_hash", "_render", "size")
-
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("_render", "size", "__weakref__")
 
     def __repr__(self) -> str:
         return render(self)
+
+    def __reduce__(self):
+        return type(self), (self.name,) if isinstance(self, Atom) else _kids(self)
 
     def key(self):
         """Canonical sort key: small formulas first, ties broken textually."""
         return (self.size, render(self))
 
 
+# (class, *constructor arguments) -> a weak reference to the live node of
+# that shape. When the node dies, the reference's callback drops the entry,
+# unless a new node of that shape has taken it.
+_NODES: dict[tuple, weakref.KeyedRef] = {}
+
+
+def _forget(ref: weakref.KeyedRef) -> None:
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+def _new(key: tuple, *fields: str) -> Formula:
+    """A node of class key[0] whose fields hold key[1:], put in the table."""
+    node = object.__new__(key[0])
+    node._render, node.size = None, 1 if key[0] is Atom else 1 + sum(a.size for a in key[1:])
+    for name, value in zip(fields, key[1:]):
+        setattr(node, name, value)
+    _NODES[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
 class Bot(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        self._hash = hash(("bot",))
-        self._render = None
-        self.size = 1
-
-    def __eq__(self, other):
-        return isinstance(other, Bot)
-
-    __hash__ = Formula.__hash__
+    def __new__(cls):
+        return BOT
 
 
 class Atom(Formula):
@@ -51,73 +70,38 @@ class Atom(Formula):
 
     _NAME = re.compile(r"[a-z][a-z0-9_]*\Z")
 
-    def __init__(self, name: str):
-        if not self._NAME.match(name) or name in ("bot", "top"):
+    def __new__(cls, name: str):
+        ref = _NODES.get((cls, name))
+        if ref is None and (not cls._NAME.match(name) or name in ("bot", "top")):
             raise ValueError(f"bad atom name: {name!r}")
-        self.name = name
-        self._hash = hash(("atom", name))
-        self._render = None
-        self.size = 1
-
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.name == other.name
-
-    __hash__ = Formula.__hash__
+        return (ref and ref()) or _new((cls, name), "name")
 
 
 class _Binary(Formula):
-    """A binary node; each subclass has its own hash tag _TAG."""
-
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        self.left = left
-        self.right = right
-        self._hash = hash((self._TAG, left._hash, right._hash))
-        self._render = None
-        self.size = 1 + left.size + right.size
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is type(self)
-            and self._hash == other._hash
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    __hash__ = Formula.__hash__
+    def __new__(cls, left: Formula, right: Formula):
+        ref = _NODES.get((cls, left, right))
+        return (ref and ref()) or _new((cls, left, right), "left", "right")
 
 
 class Implies(_Binary):
     __slots__ = ()
-    _TAG = "->"
 
 
 class Rhd(_Binary):
     __slots__ = ()
-    _TAG = "|>"
 
 
 class Box(Formula):
     __slots__ = ("body",)
 
-    def __init__(self, body: Formula):
-        self.body = body
-        self._hash = hash(("[]", body._hash))
-        self._render = None
-        self.size = 1 + body.size
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Box) and self._hash == other._hash and self.body == other.body
-
-    __hash__ = Formula.__hash__
+    def __new__(cls, body: Formula):
+        ref = _NODES.get((cls, body))
+        return (ref and ref()) or _new((cls, body), "body")
 
 
-BOT = Bot()
+BOT = _new((Bot,))
 
 
 def Neg(a: Formula) -> Formula:
@@ -159,23 +143,13 @@ def single_neg(f: Formula) -> Formula:
 
 
 def conj(parts: list[Formula]) -> Formula:
-    """Right-nested conjunction of a non-empty list; [] gives top."""
-    if not parts:
-        return Top()
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
+    """Right-nested conjunction of a list; [] gives top."""
+    return reduce(lambda out, p: And(p, out), reversed(parts[:-1]), parts[-1]) if parts else TOP
 
 
 def disj(parts: list[Formula]) -> Formula:
-    """Right-nested disjunction; [] gives bot."""
-    if not parts:
-        return BOT
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
+    """Right-nested disjunction of a list; [] gives bot."""
+    return reduce(lambda out, p: Or(p, out), reversed(parts[:-1]), parts[-1]) if parts else BOT
 
 
 def _kids(f: Formula) -> tuple[Formula, ...]:
@@ -199,14 +173,40 @@ def is_rhd_free(f: Formula) -> bool:
     return not any(isinstance(g, Rhd) for g in subformulas(f))
 
 
+# modal_depth, eval_bool and eval3 recurse on formulas of at most this size,
+# so at most this deep, and fold from an explicit stack above it
+_RECURSIVE_SIZE = 500
+
+
+def _fold(f: Formula, kids, value):
+    """value(g, [the values of g's kids]) at f, computed at each node g
+    reached by kids from the bottom up. An expanded node goes back on the
+    stack as (node,) under its kids."""
+    got, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            got[g[0]] = value(g[0], [got[k] for k in kids(g[0])])
+        elif g not in got:
+            stack.append((g,))
+            stack.extend(kids(g))
+    return got[f]
+
+
 def modal_depth(f: Formula) -> int:
+    if f.size > _RECURSIVE_SIZE:
+        return _fold(f, _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)))
     return max(map(modal_depth, _kids(f)), default=0) + isinstance(f, (Box, Rhd))
+
+
+def _boolean_kids(f: Formula) -> tuple[Formula, ...]:
+    return (f.left, f.right) if isinstance(f, Implies) else ()
 
 
 def modal_atoms_of(*fs: Formula) -> frozenset[Formula]:
     """Maximal non-Boolean subformulas of fs: atoms, boxes and rhds reached
     by decomposing implications only."""
-    reached = reach(fs, lambda g: (g.left, g.right) if isinstance(g, Implies) else ())
+    reached = reach(fs, _boolean_kids)
     return frozenset(g for g in reached if not isinstance(g, (Bot, Implies)))
 
 
@@ -215,6 +215,10 @@ def eval_bool(f: Formula, assign) -> bool:
     if isinstance(f, Bot):
         return False
     if isinstance(f, Implies):
+        if f.size > _RECURSIVE_SIZE:
+            return _fold(
+                f, _boolean_kids, lambda g, v: (not v[0]) or v[1] if v else eval_bool(g, assign)
+            )
         return (not eval_bool(f.left, assign)) or eval_bool(f.right, assign)
     return assign[f]
 
@@ -224,16 +228,17 @@ def eval3(f: Formula, assign) -> bool | None:
     if isinstance(f, Bot):
         return False
     if isinstance(f, Implies):
+        if f.size > _RECURSIVE_SIZE:
+            return _fold(f, _boolean_kids, lambda g, v: _implies3(*v) if v else eval3(g, assign))
         a = eval3(f.left, assign)
-        if a is False:
-            return True
-        b = eval3(f.right, assign)
-        if b is True:
-            return True
-        if a is True and b is False:
-            return False
-        return None
+        return True if a is False else _implies3(a, eval3(f.right, assign))
     return assign.get(f)
+
+
+def _implies3(a: bool | None, b: bool | None) -> bool | None:
+    if a is False or b is True:
+        return True
+    return None if a is None or b is None else False
 
 
 def substitute(t: Formula, binding) -> Formula:

@@ -1,8 +1,12 @@
+import copy
+import gc
+import pickle
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ilkit import syntax
 from ilkit.syntax import (
     closure_subformulas,
     BOT,
@@ -20,6 +24,8 @@ from ilkit.syntax import (
     Top,
     adequate_closure,
     atoms,
+    eval3,
+    eval_bool,
     fresh_atoms,
     is_rhd_free,
     modal_atoms_of,
@@ -28,6 +34,7 @@ from ilkit.syntax import (
     render,
     single_neg,
     subformulas,
+    substitute,
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -277,3 +284,81 @@ def test_adequate_set_modal_atoms_are_the_members_union(members):
     D = AdequateSet(fs)
     union = set().union(*map(modal_atoms_of, fs))
     assert D.modal_atoms == tuple(sorted(union, key=lambda f: f.key()))
+
+
+# --- hash-consing -------------------------------------------------------------
+
+
+def test_equal_formulas_are_one_node():
+    f = parse("[](p -> q) |> ~r & <>p")
+    assert f is Rhd(Box(Implies(p, q)), And(Neg(r), Diamond(p)))
+    assert f is parse(render(f))
+    assert substitute(parse("[](a -> b) |> c"), {"a": p, "b": q, "c": And(Neg(r), Diamond(p))}) is f
+    assert Atom("p") is p and Top() is Implies(BOT, BOT)
+
+
+@pytest.mark.parametrize("text", ["bot", "p", "[]p -> q", "(p |> q) & <>~r"])
+def test_pickle_and_copies_return_the_interned_node(text):
+    f = parse(text)
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert copy.deepcopy([f, f]) == [f, f]
+
+
+def test_the_node_table_is_weak():
+    gc.collect()
+    before = len(syntax._NODES)
+    fs = [Box(Atom(f"weak_{i}")) for i in range(5000)]
+    assert len(syntax._NODES) == before + 10000
+    del fs
+    gc.collect()
+    assert len(syntax._NODES) == before
+
+
+def _neg_chain(n, f=p):
+    for _ in range(n):
+        f = Neg(f)
+    return f
+
+
+def test_deep_formulas_built_apart_are_equal():
+    a, b = _neg_chain(3000), _neg_chain(3000)
+    assert a == b and a is b
+    assert a != _neg_chain(2999)
+
+
+def test_modal_depth_at_any_depth():
+    f = p
+    for _ in range(1500):
+        f = Box(Rhd(f, q))
+    assert modal_depth(f) == 3000
+    assert modal_depth(Implies(f, Box(f))) == 3001
+
+
+def test_eval_bool_at_any_depth():
+    assert eval_bool(_neg_chain(3000), {p: True}) is True
+    assert eval_bool(_neg_chain(3001), {p: True}) is False
+    f = _neg_chain(3000, Box(q))
+    assert eval_bool(Implies(f, p), {p: False, Box(q): True}) is False
+
+
+def test_eval3_at_any_depth():
+    assert eval3(_neg_chain(3001), {}) is None
+    assert eval3(_neg_chain(3001), {p: False}) is True
+    f = q
+    for _ in range(3000):
+        f = Implies(p, f)
+    assert eval3(f, {p: True}) is None
+    assert eval3(f, {p: True, q: False}) is False
+    assert eval3(f, {p: False}) is True
+
+
+@given(_formulas, st.randoms())
+def test_the_bottom_up_evaluators_agree_with_the_recursive_ones(f, rng):
+    total = {a: rng.random() < 0.5 for a in modal_atoms_of(f)}
+    assign = {a: v for a, v in total.items() if rng.random() < 0.7}
+    want = modal_depth(f), eval_bool(f, total), eval3(f, assign)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syntax, "_RECURSIVE_SIZE", 0)
+        assert (modal_depth(f), eval_bool(f, total), eval3(f, assign)) == want

@@ -1,10 +1,11 @@
+import gc
 import itertools
 import random
 
 import pytest
 from conftest import random_formula
 
-from ilkit import theory
+from ilkit import syntax, theory
 from ilkit.construction import (
     Deficiency,
     LabeledFrame,
@@ -27,6 +28,7 @@ from ilkit.syntax import (
     eval_bool,
     modal_atoms_of,
     parse,
+    render,
 )
 from ilkit.theory import (
     DTheory,
@@ -514,3 +516,24 @@ def test_candidate_memo_follows_frame_content():
     # and the memoised answer is the one a cold computation gives
     D._sat_cache.pop(("__candidates__", ILM))
     assert fresh_candidate_theories(g, item) == got
+
+
+@pytest.mark.parametrize("cache_atoms", [theory._CACHE_ATOMS, 0])
+def test_nothing_read_off_an_adequate_set_follows_creation_order(monkeypatch, cache_atoms):
+    # formulas hash by identity, so a set of them iterates in an order that
+    # follows where its nodes were made; each set is built from fresh nodes
+    monkeypatch.setattr(theory, "_CACHE_ATOMS", cache_atoms)
+    texts = ["[]o_p -> o_q |> o_r", "~<>o_r & (o_p |> []o_q)", "(o_q |> o_p) <-> []~o_r"]
+
+    def read(texts):
+        D = adequate_closure([parse(t) for t in texts])
+        return (
+            [render(f) for f in D.sorted_members],
+            [render(a) for a in D.modal_atoms],
+            {logic: [t.key() for t in solve_theories(D, logic)] for logic in (IL, ILM)},
+        )
+
+    first = read(texts)
+    gc.collect()
+    assert (Atom, "o_p") not in syntax._NODES
+    assert read(texts[::-1]) == first
