@@ -11,6 +11,7 @@ Sigma-ness of f & []f, f & []~f and f.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import NamedTuple
 
 from .construction import LabeledFrame
@@ -27,6 +28,7 @@ from .decide import (
 from .semantics import ILM, VeltmanModel, forces, model_to_dict, validate_ilm
 from .syntax import (
     And,
+    Atom,
     BOT,
     Box,
     Diamond,
@@ -39,9 +41,10 @@ from .syntax import (
     Top,
     adequate_closure,
     atoms,
+    boolean_masks,
     conj,
     disj,
-    eval_bool,
+    eval3,
     fresh_atoms,
     is_neg,
     modal_atoms_of,
@@ -49,40 +52,22 @@ from .syntax import (
     render,
     subformulas,
     substitute,
+    truth_table,
 )
 from .theory import common_predecessor, search_preference, solve_theories
 
 
 def _holds(v: Verdict) -> bool | None:
-    if isinstance(v, Derivable):
-        return True
-    if isinstance(v, Refuted):
-        return False
-    return None
+    return {"derivable": True, "refuted": False}.get(v.kind)
 
 
-def _and3(a, b):
-    if a is False or b is False:
-        return False
-    if a is True and b is True:
-        return True
-    return None
+_parsed = lru_cache(maxsize=None)(parse)
 
 
-def _or3(a, b):
-    if a is True or b is True:
-        return True
-    if a is False and b is False:
-        return False
-    return None
-
-
-def _impl3(a, b):
-    if a is False or b is True:
-        return True
-    if a is True and b is False:
-        return False
-    return None
+def _kleene(template: str, *values: bool | None) -> bool | None:
+    """The three-valued (Kleene) value of template with its atoms a, b, c
+    bound to values; None is unknown."""
+    return eval3(_parsed(template), dict(zip(map(Atom, "abc"), values)))
 
 
 # --- admissible rules ---------------------------------------------------------
@@ -149,11 +134,10 @@ def check_rule(rule: str, instance, budget: Budget = DEFAULT_BUDGET) -> RuleRepo
     # a side formula A_i that is provably inconsistent (or undecided) makes
     # the rule inapplicable; the right sides are one OR (rule ii has two)
     if not any(_holds(v) is not False for v in side):
-        l, r = _holds(lhs_v[0]), False
+        r = False
         for v in rhs_v:
-            r = _or3(r, _holds(v))
-        if l is not None and r is not None:
-            agree = l == r
+            r = _kleene("a | b", r, _holds(v))
+        agree = _kleene("a <-> b", _holds(lhs_v[0]), r)
     return RuleReport(rule, lhs_v, rhs_v, side, agree)
 
 
@@ -309,14 +293,13 @@ def sigma1_countermodel(
                     R, S = {("m0", "l"), ("m0", "r")}, {("m0", "l", "r")}
                     nu = {"m0": gamma, "l": d0, "r": d1}
                     frame = LabeledFrame(D, ILM, ["m0", "l", "r"], R, S, nu, exempt_root="m0")
-                    found, st = complete_frame(frame, budget)
-                    if found is None:
+                    base, st = complete_frame(frame, budget)
+                    if base is None:
                         if st.cut:
                             raise Sigma1CountermodelError(
                                 f"budget exhausted while completing the seed: {st.report()}"
                             )
                         continue
-                    base = found.to_model()
                     val = dict(base.val)
                     val["l"] = val["l"] | {p.name}
                     val["r"] = val["r"] | {q.name}
@@ -434,16 +417,15 @@ def canonical_modal_dnf(f: Formula, max_atoms: int = 14) -> TsgDecomposition:
     positive boxes of each disjunct merged into one box. Disjuncts that
     cannot fit the required shape are flagged, not repaired."""
     modal = sorted(modal_atoms_of(f), key=lambda g: g.key())
-    if len(modal) > max_atoms:
-        raise ValueError(f"too many modal atoms ({len(modal)})")
-    minterms = []
-    for bits in range(1 << len(modal)):
-        assign = {a: bool(bits >> i & 1) for i, a in enumerate(modal)}
-        if eval_bool(f, assign):
-            minterms.append(bits)
+    n = len(modal)
+    if n > max_atoms:
+        raise ValueError(f"too many modal atoms ({n})")
+    # atom i holds in row r when bit i of r is set: truth_table's columns reversed
+    m = boolean_masks([f], (1 << (1 << n)) - 1, dict(zip(modal, truth_table(n)[::-1])))[f]
+    minterms = [r for r in range(1 << n) if m >> r & 1]
     if not minterms:
         return TsgDecomposition((), (), ())
-    primes = _prime_implicants(len(modal), minterms)
+    primes = _prime_implicants(n, minterms)
     cover = _min_cover(primes, minterms)
     conjuncts = []
     boxes = []
@@ -482,9 +464,8 @@ class TsgReport(NamedTuple):
         c1 = _holds(self.equivalent)
         c2: bool | None = True
         for v in self.irredundant:
-            c2 = _and3(c2, None if _holds(v) is None else not _holds(v))
-        c3 = not self.shape_flags
-        return _and3(_and3(c1, c2), c3)
+            c2 = _kleene("a & ~b", c2, _holds(v))
+        return _kleene("a & b & c", c1, c2, not self.shape_flags)
 
     def to_dict(self):
         return {
@@ -576,7 +557,7 @@ def dagger_check(f: Formula, budget: Budget = DEFAULT_BUDGET) -> DaggerReport:
     s3 = classify_sigma1(f, budget)
     esc = derivable(ILM, Implies(f, Diamond(Top())), budget)
     a1, a2, a3 = _answer3(s1), _answer3(s2), _answer3(s3)
-    dagger = _impl3(_and3(a1, a2), a3)
-    rhs = _or3(_impl3(a1, a3), _holds(esc))
-    bic = None if (dagger is None or rhs is None) else dagger == rhs
+    dagger = _kleene("a & b -> c", a1, a2, a3)
+    rhs = _kleene("(a -> b) | c", a1, a3, _holds(esc))
+    bic = _kleene("a <-> b", dagger, rhs)
     return DaggerReport(s1, s2, s3, esc, dagger, bic)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .relation import find_cycle, image, reach
-from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, _Forcer, check_logic, validate
+from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, check_logic, validate
 from .syntax import (
     AdequateSet,
     Atom,
@@ -876,11 +876,11 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
 
 
 def verify_truth_lemma(model: VeltmanModel, nu: dict[str, DTheory], D: AdequateSet) -> bool:
-    """For every world and every D formula: forced iff in the label."""
-    forcer = _Forcer(model)
-    for w in sorted(model.frame.worlds):
-        t = nu[w]
-        for f in D.sorted_members:
-            if forcer.forces(w, f) != t.models(f):
-                return False
-    return True
+    """For every world and every D formula: forced iff in the label. Both
+    sides are Boolean in D's modal atoms (forcing A -> B is, and a theory's
+    members are what its assignment makes true), so comparing the modal
+    atoms compares all of D."""
+    got, ix = model.extensions(D.modal_atoms), model.frame.index
+    return all(
+        (got[a] >> ix[w] & 1) == nu[w].models(a) for w in model.frame.worlds for a in D.modal_atoms
+    )

@@ -11,7 +11,6 @@ reported as Unknown, never converted into an answer.
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterator, NamedTuple
 
@@ -39,13 +38,14 @@ from .syntax import (
     Neg,
     adequate_closure,
     atoms,
-    eval_bool,
+    boolean_masks,
     is_rhd_free,
     match,
     modal_atoms_of,
     parse,
     render,
     substitute,
+    truth_table,
 )
 from .theory import AXIOMS, SCHEMATA, enumerate_theories, search_preference
 
@@ -149,23 +149,24 @@ def _most_constrained(frame: LabeledFrame):
     return best[1]
 
 
-def _search(frame: LabeledFrame, st: _State) -> LabeledFrame | None:
+def _search(frame: LabeledFrame, st: _State) -> VeltmanModel | None:
     """Depth-first elimination search from a settled frame, as one loop.
 
     Each stack entry is an expanded frame's chosen item and the iterator of
     its children (settled extensions that eliminate the item). Every child
     taken is a step, every child that fails is a backtrack. A budget cut
     fails the frame at hand, and so each entry it unwinds still counts one
-    backtrack for the child that failed under it. A finished frame is
-    returned only if its model passes the truth lemma; one that fails it
-    fails like a dead frame."""
+    backtrack for the child that failed under it. The model of a finished
+    frame is returned only if it passes the truth lemma; a frame whose
+    model fails it fails like a dead frame."""
     budget = st.budget
     stack: list[tuple[object, Iterator[LabeledFrame]]] = []
     while True:
         failed = True
         if not frame.worklist:
-            if verify_truth_lemma(frame.to_model(), frame.nu, frame.adequate):
-                return frame
+            model = frame.to_model()
+            if verify_truth_lemma(model, frame.nu, frame.adequate):
+                return model
         elif st.steps >= budget.max_steps:
             st.cut_by("max_steps")
         else:
@@ -235,11 +236,11 @@ def satisfiable(
             frame = seed_frame(D, eng, root)
             if observer is not None:
                 observer("root", None, frame)
-            found = _search(frame, st)
-            if found is not None:
-                model, world = found.to_model(), found.worlds[0]
-                _certify(logic, model, world, f)
-                result = Sat(model, world)
+            model = _search(frame, st)
+            if model is not None:
+                # the truth lemma's model, f's extension cached; rooted at the seed's world
+                _certify(logic, model, frame.worlds[0], f)
+                result = Sat(model, frame.worlds[0])
                 break
             if st.cut:
                 break
@@ -259,9 +260,9 @@ def satisfiable(
 
 def complete_frame(
     frame: LabeledFrame, budget: Budget = DEFAULT_BUDGET
-) -> tuple[LabeledFrame | None, "_State"]:
+) -> tuple[VeltmanModel | None, "_State"]:
     """Run the elimination search from a prepared labeled frame; returns the
-    finished frame (or None) and the search state with its counters.
+    finished frame's model (or None) and the search state with its counters.
 
     The search needs a settled frame: closed, free of quasi-frame
     violations and with a worklist of exactly its open items. The given
@@ -322,13 +323,11 @@ def _match_schema(name: str, f: Formula) -> bool:
 
 def is_tautology(f: Formula, limit: int = 1 << 18) -> bool:
     """Propositional tautology over the modal atoms of f."""
-    atoms = sorted(modal_atoms_of(f), key=lambda g: g.key())
+    atoms = modal_atoms_of(f)
     if 2 ** len(atoms) > limit:
         raise ValueError(f"too many modal atoms ({len(atoms)})")
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        if not eval_bool(f, dict(zip(atoms, bits))):
-            return False
-    return True
+    full = (1 << (1 << len(atoms))) - 1
+    return boolean_masks([f], full, dict(zip(atoms, truth_table(len(atoms)))))[f] == full
 
 
 # --- proofs ---------------------------------------------------------------------

@@ -1,19 +1,19 @@
 """Finite Veltman frames and models.
 
 A frame is (worlds, R, S) with S stored as ordered triples (x, y, z)
-meaning y S_x z. Models add a valuation. Everything here is an immutable
-value; the operations are pure.
+meaning y S_x z. Models add a valuation and cache what they force. Frames
+are immutable values; the operations are pure. Forcing is one bottom-up
+fold over a formula's subformulas, as in explicit-state model checking.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
 from .relation import find_cycle, image, transitive_closure
-from .syntax import Atom, Bot, Box, Formula, Implies, Rhd, atoms
+from .syntax import Atom, Box, Formula, Implies, Rhd, _fold, _kids, atoms, truth_table
 
 GL = "gl"
 IL = "il"
@@ -83,16 +83,26 @@ class VeltmanFrame:
         """(x, y) -> the z with y S_x z."""
         return image(((x, y), z) for x, y, z in self.S)
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Every world name that worlds, R and S contain -> its position in
+        sorted order, the place of its lanes in an extension."""
+        return {w: i for i, w in enumerate(sorted(self.worlds.union(*self.R, *self.S)))}
+
 
 class VeltmanModel:
     """A frame with a valuation; equal only to itself, since `val` is a
-    dict."""
+    dict. The model keeps its own copy of the valuation it is given, so
+    a caller may change its dict afterwards. It caches the extension of
+    every formula it has forced, so its own `val` must not change after
+    a query."""
 
-    __slots__ = ("frame", "val")
+    __slots__ = ("frame", "val", "_masks")
 
     def __init__(self, frame: VeltmanFrame, val: Mapping[str, frozenset[str]]):
         object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "val", dict(val))
+        object.__setattr__(self, "_masks", {})
 
     __setattr__ = VeltmanFrame.__setattr__
     __delattr__ = VeltmanFrame.__delattr__
@@ -105,15 +115,17 @@ class VeltmanModel:
 
     @staticmethod
     def make(worlds, R=(), S=(), val=None) -> "VeltmanModel":
-        frame = VeltmanFrame.make(worlds, R, S)
-        v = {w: frozenset(val.get(w, ())) for w in frame.worlds} if val else {
-            w: frozenset() for w in frame.worlds
-        }
-        return VeltmanModel(frame, v)
+        frame, val = VeltmanFrame.make(worlds, R, S), val or {}
+        return VeltmanModel(frame, {w: frozenset(val.get(w, ())) for w in frame.worlds})
 
     @property
     def worlds(self):
         return self.frame.worlds
+
+    def extensions(self, fs) -> dict[Formula, int]:
+        """The cached extensions, extended to fs and their subformulas: f
+        holds at w when bit `frame.index[w]` of f's extension is set."""
+        return _extensions(self.frame, fs, 1, self.val, self._masks)
 
 
 class Violation(NamedTuple):
@@ -188,45 +200,43 @@ def validate(frame: VeltmanFrame, logic: str) -> ValidationReport:
     return validate_il(frame)
 
 
-class _Forcer:
-    """Forcing evaluator with a (world, formula) memo shared across queries
-    on one model."""
+def _extensions(frame: VeltmanFrame, fs, lanes: int, val, got: dict) -> dict:
+    """got, extended to the extensions of fs and their subformulas on
+    frame. An extension has `lanes` bits per world, world i's at bit
+    i*lanes on, and lane l says whether the formula holds there under
+    valuation l. An atom not in got is true in every lane of the worlds
+    val gives it. bot is 0 and A -> B is ~A | B. A |> B holds at w in the
+    lanes where every R-successor u of w has A false or an S_w-exit with
+    B, and []A is ~A |> bot."""
+    ix = frame.index
+    one, full = (1 << lanes) - 1, (1 << lanes * len(ix)) - 1
 
-    def __init__(self, model: VeltmanModel):
-        self.m = model
-        self.memo: dict[tuple[str, Formula], bool] = {}
-        self.succ = model.frame.succ
-        self.s_exits = model.frame.s_exits
+    def value(g, v):
+        if isinstance(g, Implies):
+            return full & ~v[0] | v[1]
+        if isinstance(g, Atom):
+            return sum(one << i * lanes for w, i in ix.items() if g.name in val.get(w, ()))
+        if not isinstance(g, (Box, Rhd)):
+            return 0
+        a, b = (full & ~v[0], 0) if isinstance(g, Box) else v
+        out = full
+        for w, us in frame.succ.items():
+            m = one
+            for u in us:
+                exit_b = 0
+                for z in frame.s_exits.get((w, u), ()) if b else ():
+                    exit_b |= b >> ix[z] * lanes
+                m &= ~(a >> ix[u] * lanes) | exit_b
+            out &= ~((one & ~m) << ix[w] * lanes)
+        return out
 
-    def forces(self, w: str, f: Formula) -> bool:
-        key = (w, f)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
-        if isinstance(f, Bot):
-            v = False
-        elif isinstance(f, Atom):
-            v = f.name in self.m.val.get(w, ())
-        elif isinstance(f, Implies):
-            v = (not self.forces(w, f.left)) or self.forces(w, f.right)
-        elif isinstance(f, Box):
-            v = all(self.forces(u, f.body) for u in self.succ.get(w, ()))
-        elif isinstance(f, Rhd):
-            v = all(
-                any(self.forces(z, f.right) for z in self.s_exits.get((w, u), ()))
-                for u in self.succ.get(w, ())
-                if self.forces(u, f.left)
-            )
-        else:  # pragma: no cover
-            raise TypeError(f)
-        self.memo[key] = v
-        return v
+    return _fold(fs, _kids, value, got)
 
 
 def forces(model: VeltmanModel, w: str, f: Formula) -> bool:
     if w not in model.frame.worlds:
         raise KeyError(f"unknown world {w!r}")
-    return _Forcer(model).forces(w, f)
+    return bool(model.extensions([f])[f] >> model.frame.index[w] & 1)
 
 
 def generated_submodel(model: VeltmanModel, m: str) -> VeltmanModel:
@@ -235,17 +245,9 @@ def generated_submodel(model: VeltmanModel, m: str) -> VeltmanModel:
     if m not in model.frame.worlds:
         raise KeyError(f"unknown world {m!r}")
     keep = {m} | model.frame.succ.get(m, set())
-    frame = VeltmanFrame(
-        frozenset(keep),
-        frozenset((x, y) for (x, y) in model.frame.R if x in keep and y in keep),
-        frozenset(
-            (x, y, z)
-            for (x, y, z) in model.frame.S
-            if x in keep and y in keep and z in keep
-        ),
-    )
-    val = {w: model.val.get(w, frozenset()) for w in keep}
-    return VeltmanModel(frame, val)
+    R = [e for e in model.frame.R if keep.issuperset(e)]
+    S = [t for t in model.frame.S if keep.issuperset(t)]
+    return VeltmanModel(VeltmanFrame.make(keep, R, S), {w: model.val.get(w, frozenset()) for w in keep})
 
 
 # --- gluing constructions ---------------------------------------------------
@@ -358,24 +360,23 @@ def glue_selfprover(
 def frame_validates(frame: VeltmanFrame, f: Formula, limit: int = 1 << 16) -> bool:
     """True iff f holds at every world under every valuation of f's atoms.
 
-    Exhausts 2^(|atoms| * |worlds|) valuations; raises BudgetExceededError
-    beyond `limit` combinations.
+    One fold with a lane per valuation, the rows of the truth table over
+    the (world, atom) cells; raises BudgetExceededError beyond `limit`
+    valuations.
     """
     names = sorted(atoms(f))
     worlds = sorted(frame.worlds)
-    cells = [(w, a) for w in worlds for a in names]
-    if 2 ** len(cells) > limit:
-        raise BudgetExceededError(f"2^{len(cells)} valuations exceed limit {limit}")
-    for bits in itertools.product((False, True), repeat=len(cells)):
-        val: dict[str, set[str]] = {w: set() for w in worlds}
-        for (w, a), b in zip(cells, bits):
-            if b:
-                val[w].add(a)
-        model = VeltmanModel(frame, {w: frozenset(v) for w, v in val.items()})
-        forcer = _Forcer(model)
-        if not all(forcer.forces(w, f) for w in worlds):
-            return False
-    return True
+    cells = len(worlds) * len(names)
+    if 2**cells > limit:
+        raise BudgetExceededError(f"2^{cells} valuations exceed limit {limit}")
+    lanes, ix, columns = 1 << cells, frame.index, iter(truth_table(cells))
+    got = dict.fromkeys(map(Atom, names), 0)
+    for w in worlds:
+        for a in got:
+            got[a] |= next(columns) << ix[w] * lanes
+    ext = _extensions(frame, [f], lanes, {}, got)[f]
+    want = sum(((1 << lanes) - 1) << ix[w] * lanes for w in worlds)
+    return ext & want == want
 
 
 # --- serialization ----------------------------------------------------------

@@ -178,11 +178,12 @@ def is_rhd_free(f: Formula) -> bool:
 _RECURSIVE_SIZE = 500
 
 
-def _fold(f: Formula, kids, value):
-    """value(g, [the values of g's kids]) at f, computed at each node g
-    reached by kids from the bottom up. An expanded node goes back on the
+def _fold(fs, kids, value, got: dict) -> dict:
+    """value(g, [the values of g's kids]) at each node g reached from fs by
+    kids, computed from the bottom up into got, which is returned; a node
+    already in got is not revisited. An expanded node goes back on the
     stack as (node,) under its kids."""
-    got, stack = {}, [f]
+    stack = list(fs)
     while stack:
         g = stack.pop()
         if type(g) is tuple:
@@ -190,12 +191,14 @@ def _fold(f: Formula, kids, value):
         elif g not in got:
             stack.append((g,))
             stack.extend(kids(g))
-    return got[f]
+    return got
 
 
 def modal_depth(f: Formula) -> int:
     if f.size > _RECURSIVE_SIZE:
-        return _fold(f, _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)))
+        return _fold(
+            [f], _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)), {}
+        )[f]
     return max(map(modal_depth, _kids(f)), default=0) + isinstance(f, (Box, Rhd))
 
 
@@ -216,9 +219,7 @@ def eval_bool(f: Formula, assign) -> bool:
         return False
     if isinstance(f, Implies):
         if f.size > _RECURSIVE_SIZE:
-            return _fold(
-                f, _boolean_kids, lambda g, v: (not v[0]) or v[1] if v else eval_bool(g, assign)
-            )
+            return boolean_masks([f], 1, {a: int(v) for a, v in assign.items()})[f] == 1
         return (not eval_bool(f.left, assign)) or eval_bool(f.right, assign)
     return assign[f]
 
@@ -229,7 +230,9 @@ def eval3(f: Formula, assign) -> bool | None:
         return False
     if isinstance(f, Implies):
         if f.size > _RECURSIVE_SIZE:
-            return _fold(f, _boolean_kids, lambda g, v: _implies3(*v) if v else eval3(g, assign))
+            return _fold(
+                [f], _boolean_kids, lambda g, v: _implies3(*v) if v else eval3(g, assign), {}
+            )[f]
         a = eval3(f.left, assign)
         return True if a is False else _implies3(a, eval3(f.right, assign))
     return assign.get(f)
@@ -239,6 +242,34 @@ def _implies3(a: bool | None, b: bool | None) -> bool | None:
     if a is False or b is True:
         return True
     return None if a is None or b is None else False
+
+
+def truth_table(n: int) -> list[int]:
+    """The truth table over n variables as column masks of its 2^n rows:
+    row r gives variable i the value of bit n-1-i of r, so column i is
+    runs of 2^(n-1-i) rows false, then as many true, built by doubling."""
+    rows, out = 1 << n, []
+    for i in range(n):
+        run = rows >> (i + 1)
+        m, width = ((1 << run) - 1) << run, 2 * run
+        while width < rows:
+            m |= m << width
+            width *= 2
+        out.append(m)
+    return out
+
+
+def boolean_masks(fs, full: int, masks: dict) -> dict:
+    """masks (modal atom -> mask of the rows of `full` where it holds),
+    extended to fs and their Boolean subformulas: bot is 0 and A -> B is
+    full & ~A | B. A modal atom missing from masks raises KeyError."""
+
+    def value(g, v):
+        if v:
+            return full & ~v[0] | v[1]
+        return 0 if g is BOT else masks[g]
+
+    return _fold(fs, _boolean_kids, value, masks)
 
 
 def substitute(t: Formula, binding) -> Formula:

@@ -20,9 +20,9 @@ from .syntax import (
     BOT,
     Box,
     Formula,
-    Implies,
     Rhd,
     atoms,
+    boolean_masks,
     eval3,
     eval_bool,
     is_neg,
@@ -31,6 +31,7 @@ from .syntax import (
     parse,
     single_neg,
     substitute,
+    truth_table,
 )
 
 # The axiom schemata as templates: every atom is a metavariable (a, b, c).
@@ -263,39 +264,26 @@ class _TheoryIndex:
     """Truth table of a materialised adequate set over its modal atoms.
 
     Row r is the assignment to D's n modal atoms in which atom i holds
-    when bit n-1-i of r is set, so row r's theory has key r and rows
-    ascend in theory order. A formula's mask has the bits of the rows that
-    make it true, and `valid` those of the rows meeting every saturation
-    constraint. A row's DTheory is built when a walk first reaches it.
-    Masks never go through DTheory.models, so the theories' own caches
-    stay empty."""
+    when bit n-1-i of r is set (a row of `truth_table(n)`), so row r's
+    theory has key r and rows ascend in theory order. A formula's mask
+    (`boolean_masks`) has the bits of the rows that make it true, and
+    `valid` those of the rows meeting every saturation constraint. A
+    row's DTheory is built when a walk first reaches it. Masks never go
+    through DTheory.models, so the theories' own caches stay empty."""
 
     __slots__ = ("adequate", "full", "valid", "_masks", "_theories")
 
     def __init__(self, D: AdequateSet, logic: str):
-        rows = 1 << len(D.modal_atoms)
+        n = len(D.modal_atoms)
         self.adequate = D
-        self.full = (1 << rows) - 1
-        self._masks: dict[Formula, int] = {BOT: 0}
-        for i, a in enumerate(D.modal_atoms):
-            # runs of `run` rows with atom i false, then true, repeated
-            run = rows >> (i + 1)
-            m, width = ((1 << run) - 1) << run, 2 * run
-            while width < rows:
-                m |= m << width
-                width *= 2
-            self._masks[a] = m
+        self.full = (1 << (1 << n)) - 1
+        self._masks: dict[Formula, int] = dict(zip(D.modal_atoms, truth_table(n)))
         self.valid = self.narrow(self.full, ((f, True) for f in saturation_constraints(D, logic)))
         self._theories: dict[int, DTheory] = {}
 
     def mask(self, f: Formula) -> int:
         got = self._masks.get(f)
-        if got is None:
-            if not isinstance(f, Implies):
-                raise KeyError(f)
-            got = (self.full & ~self.mask(f.left)) | self.mask(f.right)
-            self._masks[f] = got
-        return got
+        return boolean_masks([f], self.full, self._masks)[f] if got is None else got
 
     def narrow(self, m: int, constraints: Iterable[tuple[Formula, bool]]) -> int:
         """m restricted to the rows meeting every constraint."""

@@ -4,7 +4,7 @@ corpora are identical across runs."""
 import functools
 import itertools
 
-from ilkit.semantics import ILM, VeltmanFrame, VeltmanModel, _Forcer, validate_ilm
+from ilkit.semantics import ILM, VeltmanFrame, frame_validates, validate_ilm
 from ilkit.syntax import (
     And,
     Atom,
@@ -14,7 +14,6 @@ from ilkit.syntax import (
     Neg,
     Or,
     Rhd,
-    atoms,
     modal_depth,
 )
 
@@ -104,21 +103,16 @@ def small_frames(logic, n_max=3):
 
 
 def small_countermodel(f, frames):
-    """A (frame, valuation, world) at which f fails, with f's atoms valued
-    in every way on every given frame; None if f holds throughout."""
-    names = sorted(atoms(f))
-    for fr in frames:
-        worlds = sorted(fr.worlds)
-        for bits in itertools.product(range(1 << len(names)), repeat=len(worlds)):
-            val = {
-                w: frozenset(n for i, n in enumerate(names) if v >> i & 1)
-                for w, v in zip(worlds, bits)
-            }
-            forcer = _Forcer(VeltmanModel(fr, val))
-            for w in worlds:
-                if not forcer.forces(w, f):
-                    return fr, val, w
-    return None
+    """A frame among the given ones on which f fails at some world under
+    some valuation of its atoms; None if f holds throughout."""
+    return next((fr for fr in frames if not frame_validates(fr, f)), None)
+
+
+def neg_chain(n, f=Atom("p")):
+    """f under n negations, nested n deep."""
+    for _ in range(n):
+        f = Neg(f)
+    return f
 
 
 def all_gl_formulas(max_nodes, max_modal_depth=2):

@@ -485,8 +485,7 @@ def test_nogoods_decide_the_il_j2_chain():
     assert satisfiable(IL, Neg(f), observer=lambda ev, item, got: events.append(ev)) == Unsat()
     assert events.count("skipped_root") + events.count("skipped") >= 1
     assert derivable(IL, f) == Derivable()
-    # three worlds take 85 s over five atoms; two take well under one
-    assert small_countermodel(f, small_frames(IL, 2)) is None
+    assert small_countermodel(f, small_frames(IL, 3)) is None
 
 
 def test_criterion_10_determinism(tmp_path):

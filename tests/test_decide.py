@@ -1,4 +1,5 @@
 import pytest
+from conftest import neg_chain
 
 from ilkit.decide import (
     Budget,
@@ -137,6 +138,16 @@ def test_is_tautology():
     assert not is_tautology(p)
     assert not is_tautology(parse("[]p -> p"))
     assert is_tautology(parse("p & q -> q"))
+
+
+def test_deep_formula_decided_and_certified():
+    # forcing, the truth lemma and the theory index all fold from explicit
+    # stacks, so a library-built 3,000-deep chain is decided and certified
+    f = neg_chain(3000)
+    res = satisfiable(GL, f)
+    assert isinstance(res, Sat) and res.model.val[res.world] == frozenset({"p"})
+    assert is_tautology(Implies(f, p))
+    assert isinstance(satisfiable(GL, And(f, Neg(p))), Unsat)
 
 
 def test_schema_match_positive():

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from conftest import neg_chain, random_formula
 
 from ilkit.semantics import (
     BudgetExceededError,
@@ -18,7 +20,7 @@ from ilkit.semantics import (
     validate_il,
     validate_ilm,
 )
-from ilkit.syntax import And, Atom, Box, Diamond, Neg, Rhd, Top, parse
+from ilkit.syntax import BOT, And, Atom, Box, Diamond, Implies, Neg, Rhd, Top, atoms, parse
 
 p, q = Atom("p"), Atom("q")
 
@@ -457,3 +459,75 @@ def test_model_dot():
     assert '"w0" -> "w1";' in dot
     assert "style=dashed" in dot
     assert "digraph" in dot
+
+
+def test_forcing_at_any_depth():
+    # the extension fold runs from an explicit stack, so a library-built
+    # formula nested far past the recursion limit is forced and validated
+    m = VeltmanModel.make(["a", "b"], [("a", "b")], [("a", "b", "b")], {"a": {"p"}})
+    even, odd = neg_chain(3000), neg_chain(3001)
+    assert forces(m, "a", even) and not forces(m, "b", even)
+    assert forces(m, "b", odd) and not forces(m, "a", odd)
+    assert not frame_validates(m.frame, even)
+    assert frame_validates(m.frame, Implies(even, Neg(odd)))
+
+
+def test_model_keeps_its_own_valuation():
+    # a model caches extensions, so it copies the valuation it is given:
+    # editing the caller's dict after a query changes no answer
+    val = {"a": frozenset({"p"}), "b": frozenset()}
+    m = VeltmanModel(VeltmanFrame.make(["a", "b"], [("a", "b")], [("a", "b", "b")]), val)
+    f = parse("p & []~p")
+    assert forces(m, "a", f)
+    val["a"], val["b"] = frozenset(), frozenset({"p"})
+    assert forces(m, "a", f)
+    assert not forces(m, "b", parse("p"))
+    assert m.val == {"a": frozenset({"p"}), "b": frozenset()}
+
+
+def _reference_forces(m, w, f):
+    """Forcing by its definition, one world and one formula at a time."""
+    if f == BOT:
+        return False
+    if isinstance(f, Atom):
+        return f.name in m.val.get(w, ())
+    if isinstance(f, Implies):
+        return not _reference_forces(m, w, f.left) or _reference_forces(m, w, f.right)
+    succ = [y for x, y in m.frame.R if x == w]
+    if isinstance(f, Box):
+        return all(_reference_forces(m, u, f.body) for u in succ)
+    return all(
+        any(_reference_forces(m, z, f.right) for x, y, z in m.frame.S if (x, y) == (w, u))
+        for u in succ
+        if _reference_forces(m, u, f.left)
+    )
+
+
+def _reference_validates(frame, f):
+    names, worlds = sorted(atoms(f)), sorted(frame.worlds)
+    cells = [(w, a) for w in worlds for a in names]
+    for bits in itertools.product((False, True), repeat=len(cells)):
+        val = {w: frozenset(a for (v, a), b in zip(cells, bits) if b and v == w) for w in worlds}
+        m = VeltmanModel(frame, val)
+        if not all(_reference_forces(m, w, f) for w in worlds):
+            return False
+    return True
+
+
+def test_forcing_matches_a_reference_on_random_models():
+    # R and S may name worlds outside `worlds`, and the valuation may give
+    # such a name atoms: forcing reads them as the definition does
+    rng = random.Random(16)
+    names = ["a", "b", "c", "d", "x", "y"]
+    for _ in range(1000):
+        worlds = rng.sample(names[:4], rng.randint(1, 4))
+        R = {(u, v) for u in names for v in names if rng.random() < 0.15}
+        S = {(u, v, z) for u, v in R for z in names if rng.random() < 0.3}
+        val = {w: frozenset(a for a in "pq" if rng.random() < 0.5) for w in rng.sample(names, 4)}
+        frame = VeltmanFrame.make(worlds, R, S)
+        m = VeltmanModel(frame, val)
+        f = random_formula(rng, 3, atoms=("p", "q"))
+        for w in worlds:
+            assert forces(m, w, f) == _reference_forces(m, w, f), (m, w, f)
+        if len(atoms(f)) * len(worlds) <= 6:
+            assert frame_validates(frame, f) == _reference_validates(frame, f), (frame, f)

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import random_formula
+from conftest import neg_chain, random_formula
 
 from ilkit import syntax, theory
 from ilkit.construction import (
@@ -537,3 +537,11 @@ def test_nothing_read_off_an_adequate_set_follows_creation_order(monkeypatch, ca
     gc.collect()
     assert (Atom, "o_p") not in syntax._NODES
     assert read(texts[::-1]) == first
+
+
+def test_index_masks_at_any_depth():
+    # the index's Boolean mask fold runs from an explicit stack
+    f = neg_chain(3000)
+    D = adequate_closure([f])
+    assert [t.assignment for t in solve_theories(D, IL, [(f, True)])] == [{Atom("p"): True}]
+    assert [t.assignment for t in solve_theories(D, IL, [(Neg(f), True)])] == [{Atom("p"): False}]
