@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .relation import find_cycle, image, reach
+from .relation import find_cycle, fold, image, reach
 from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, check_logic, validate
 from .syntax import (
     AdequateSet,
@@ -461,14 +461,8 @@ def depth(F) -> int:
     if find_cycle(F.worlds, F.R):
         raise ValueError("R has a cycle")
     succ = image(F.R)
-    memo: dict[str, int] = {}
-
-    def longest(w: str) -> int:
-        if w not in memo:
-            memo[w] = max((1 + longest(b) for b in succ.get(w, ())), default=0)
-        return memo[w]
-
-    return max((longest(w) for w in F.worlds), default=0)
+    got = fold(F.worlds, lambda w: succ.get(w, ()), lambda w, ds: max(ds, default=-1) + 1, {})
+    return max(got.values(), default=0)
 
 
 # --- frame validation ---------------------------------------------------------
@@ -810,7 +804,7 @@ def nogoods(
     k = len(atoms)
     cubes: dict[tuple[bool, ...], list[tuple[tuple[Formula, bool], ...]]] = {}
     for t in theories:
-        rests = cubes.get(tuple(t.assignment[a] for a in atoms), ()) if cubes else ()
+        rests = cubes.get(tuple(t.values[a] for a in atoms), ()) if cubes else ()
         if any(all(t.models(f) == v for f, v in rest) for rest in rests):
             if state.observer is not None:
                 state.observer(skipped, item, t)

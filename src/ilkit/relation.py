@@ -1,8 +1,9 @@
 """Binary relations on finite node sets.
 
 A relation is an iterable of pairs. Every closure, reachability walk,
-cycle check and adjacency join of the frame code goes through these four
-helpers.
+cycle check and adjacency join of the frame code goes through these
+helpers, and every bottom-up walk over a formula or a frame DAG goes
+through `fold`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,26 @@ def reach(seed: Iterable[Hashable], step: Callable[[Hashable], Iterable[Hashable
                 out.add(m)
                 todo.append(m)
     return out
+
+
+def fold(roots: Iterable[Hashable], kids, value, got: dict) -> dict:
+    """value(n, [the values of n's kids]) at each node n reached from roots
+    by kids, computed from the bottom up into got, which is returned; a node
+    already in got is not revisited. kids must return collections and
+    reach no cycle, and no node is a tuple: an expanded node goes back on
+    the stack as (node, kids) under its kids. The stack is explicit, so
+    long chains cannot exhaust Python's."""
+    stack = list(roots)
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            n, ks = n
+            got[n] = value(n, [got[k] for k in ks])
+        elif n not in got:
+            ks = kids(n)
+            stack.append((n, ks))
+            stack.extend(ks)
+    return got
 
 
 def transitive_closure(pairs: Iterable[Pair]) -> set[Pair]:

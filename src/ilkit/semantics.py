@@ -12,8 +12,8 @@ import json
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .relation import find_cycle, image, transitive_closure
-from .syntax import Atom, Box, Formula, Implies, Rhd, _fold, _kids, atoms, truth_table
+from .relation import find_cycle, fold, image, transitive_closure
+from .syntax import Atom, Box, Formula, Implies, Rhd, _kids, atoms, truth_table
 
 GL = "gl"
 IL = "il"
@@ -230,7 +230,7 @@ def _extensions(frame: VeltmanFrame, fs, lanes: int, val, got: dict) -> dict:
             out &= ~((one & ~m) << ix[w] * lanes)
         return out
 
-    return _fold(fs, _kids, value, got)
+    return fold(fs, _kids, value, got)
 
 
 def forces(model: VeltmanModel, w: str, f: Formula) -> bool:

@@ -15,7 +15,7 @@ import weakref
 from functools import reduce
 from typing import Iterable
 
-from .relation import reach
+from .relation import fold, reach
 
 
 class Formula:
@@ -173,33 +173,8 @@ def is_rhd_free(f: Formula) -> bool:
     return not any(isinstance(g, Rhd) for g in subformulas(f))
 
 
-# modal_depth, eval_bool and eval3 recurse on formulas of at most this size,
-# so at most this deep, and fold from an explicit stack above it
-_RECURSIVE_SIZE = 500
-
-
-def _fold(fs, kids, value, got: dict) -> dict:
-    """value(g, [the values of g's kids]) at each node g reached from fs by
-    kids, computed from the bottom up into got, which is returned; a node
-    already in got is not revisited. An expanded node goes back on the
-    stack as (node,) under its kids."""
-    stack = list(fs)
-    while stack:
-        g = stack.pop()
-        if type(g) is tuple:
-            got[g[0]] = value(g[0], [got[k] for k in kids(g[0])])
-        elif g not in got:
-            stack.append((g,))
-            stack.extend(kids(g))
-    return got
-
-
 def modal_depth(f: Formula) -> int:
-    if f.size > _RECURSIVE_SIZE:
-        return _fold(
-            [f], _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)), {}
-        )[f]
-    return max(map(modal_depth, _kids(f)), default=0) + isinstance(f, (Box, Rhd))
+    return fold([f], _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)), {})[f]
 
 
 def _boolean_kids(f: Formula) -> tuple[Formula, ...]:
@@ -213,32 +188,17 @@ def modal_atoms_of(*fs: Formula) -> frozenset[Formula]:
     return frozenset(g for g in reached if not isinstance(g, (Bot, Implies)))
 
 
-def eval_bool(f: Formula, assign) -> bool:
-    """Evaluate under a truth assignment for the modal atoms of f."""
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Implies):
-        if f.size > _RECURSIVE_SIZE:
-            return boolean_masks([f], 1, {a: int(v) for a, v in assign.items()})[f] == 1
-        return (not eval_bool(f.left, assign)) or eval_bool(f.right, assign)
-    return assign[f]
-
-
 def eval3(f: Formula, assign) -> bool | None:
-    """Three-valued evaluation under a partial assignment (None = unknown)."""
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Implies):
-        if f.size > _RECURSIVE_SIZE:
-            return _fold(
-                [f], _boolean_kids, lambda g, v: _implies3(*v) if v else eval3(g, assign), {}
-            )[f]
-        a = eval3(f.left, assign)
-        return True if a is False else _implies3(a, eval3(f.right, assign))
-    return assign.get(f)
+    """Three-valued evaluation under a partial assignment of modal atoms
+    (None = unknown)."""
+    return fold([f], _boolean_kids, _implies3, {BOT: False, **assign})[f]
 
 
-def _implies3(a: bool | None, b: bool | None) -> bool | None:
+def _implies3(g: Formula, v: list) -> bool | None:
+    """A -> B from the values [A, B]; no values: a modal atom left open."""
+    if not v:
+        return None
+    a, b = v
     if a is False or b is True:
         return True
     return None if a is None or b is None else False
@@ -269,7 +229,7 @@ def boolean_masks(fs, full: int, masks: dict) -> dict:
             return full & ~v[0] | v[1]
         return 0 if g is BOT else masks[g]
 
-    return _fold(fs, _boolean_kids, value, masks)
+    return fold(fs, _boolean_kids, value, masks)
 
 
 def substitute(t: Formula, binding) -> Formula:

@@ -24,7 +24,6 @@ from .syntax import (
     atoms,
     boolean_masks,
     eval3,
-    eval_bool,
     is_neg,
     match,
     modal_atoms_of,
@@ -93,32 +92,38 @@ class DTheory:
     atom in the most significant bit. When D is closed under subformulas,
     every other member is built from modal atoms that sort before it, so
     two theories first differ on a modal atom and key order is the order
-    of their values on D's sorted members."""
+    of their values on D's sorted members.
 
-    __slots__ = ("adequate", "assignment", "_key", "_models_cache", "_preference")
+    Its one value map, `values`, starts as a copy of the assignment (a map
+    or (atom, value) pairs over D's modal atoms), and `models` and
+    `members` extend it with `boolean_masks` on one row, so a formula is
+    evaluated once per theory."""
 
-    def __init__(self, adequate: AdequateSet, assignment: dict[Formula, bool]):
+    __slots__ = ("adequate", "values", "_key", "_preference")
+
+    def __init__(self, adequate: AdequateSet, assignment):
         self.adequate = adequate
-        self.assignment = assignment
+        self.values = values = dict(assignment)
         key = 0
         for a in adequate.modal_atoms:
-            key = 2 * key + assignment[a]
+            key = 2 * key + values[a]
         self._key = key
-        self._models_cache: dict[Formula, bool] = {}
         self._preference: tuple | None = None
 
     @property
     def members(self) -> frozenset[Formula]:
         # built on demand: a materialised adequate set holds thousands of
-        # theories, and the assignment already fixes membership
-        return frozenset(f for f in self.adequate.sorted_members if eval_bool(f, self.assignment))
+        # theories, and the modal atoms already fix membership
+        fs = self.adequate.sorted_members
+        values = boolean_masks(fs, 1, self.values)
+        return frozenset(f for f in fs if values[f])
 
     def models(self, f: Formula) -> bool:
-        """Truth of any Boolean combination over D's modal atoms."""
-        got = self._models_cache.get(f)
+        """Truth of any Boolean combination over D's modal atoms: its value
+        in `values`, a bool for a modal atom and 0 or 1 otherwise."""
+        got = self.values.get(f)
         if got is None:
-            got = eval_bool(f, self.assignment)
-            self._models_cache[f] = got
+            got = boolean_masks([f], 1, self.values)[f]
         return got
 
     def boxes(self) -> tuple[Box, ...]:
@@ -157,17 +162,16 @@ class LoggedTheory(DTheory):
     in first-read order. The log starts with the theory's values on D's rhd
     and box atoms (`existential_atoms`) and is the first cache a read
     looks in: a formula read again is logged already. It equals and hashes
-    as the theory it copies and shares that theory's caches, so memos
-    keyed on theories hit for either. The search gives each world it adds
-    one, so a log holds the reads of exactly one world."""
+    as the theory it copies and shares its value map, so memos keyed on
+    theories hit for either. The search gives each world it adds one, so
+    a log holds the reads of exactly one world."""
 
     __slots__ = ("reads",)
 
     def __init__(self, t: DTheory):
-        self.adequate, self.assignment = t.adequate, t.assignment
-        self._key = t._key
-        self._models_cache, self._preference = t._models_cache, t._preference
-        self.reads = {a: t.assignment[a] for a in existential_atoms(t.adequate)}
+        self.adequate, self.values = t.adequate, t.values
+        self._key, self._preference = t._key, t._preference
+        self.reads = {a: t.values[a] for a in existential_atoms(t.adequate)}
 
     def models(self, f: Formula) -> bool:
         got = self.reads.get(f)
@@ -220,7 +224,10 @@ def _solve(
     (formula, value) constraints. Atoms are assigned rhds first, then
     boxes, then propositional atoms, each kind in modal-atom order, which
     lets the axiom constraints prune early; the answers come in
-    lexicographic order of that atom list with False before True."""
+    lexicographic order of that atom list with False before True. A
+    constraint is evaluated (`eval3`) at the root and after each step
+    that sets one of its modal atoms, the only steps that can change its
+    value."""
     want: dict[Formula, bool] = {}
     for f, v in constraints:
         f, v = _norm_constraint(f, v)
@@ -240,12 +247,13 @@ def _solve(
     atoms = sorted(D.modal_atoms, key=lambda a: (Rhd, Box, Atom).index(type(a)))
     n = len(atoms)
 
-    def rec(i: int, assign: dict[Formula, bool], todo: list[tuple[Formula, bool]]):
-        still: list[tuple[Formula, bool]] = []
-        for f, v in todo:
-            got = eval3(f, assign)
+    def rec(i: int, assign: dict[Formula, bool], todo: list[tuple[Formula, bool, frozenset]]):
+        still = []
+        for c in todo:
+            f, v, deps = c
+            got = eval3(f, assign) if i == 0 or atoms[i - 1] in deps else None
             if got is None:
-                still.append((f, v))
+                still.append(c)
             elif got != v:
                 return
         if i == n:
@@ -257,7 +265,7 @@ def _solve(
             yield from rec(i + 1, assign, still)
         del assign[a]
 
-    yield from rec(0, {}, pending)
+    yield from rec(0, {}, [(f, v, modal_atoms_of(f)) for f, v in pending])
 
 
 class _TheoryIndex:
@@ -269,7 +277,8 @@ class _TheoryIndex:
     (`boolean_masks`) has the bits of the rows that make it true, and
     `valid` those of the rows meeting every saturation constraint. A
     row's DTheory is built when a walk first reaches it. Masks never go
-    through DTheory.models, so the theories' own caches stay empty."""
+    through DTheory.models, so a theory's value map holds only its modal
+    atoms."""
 
     __slots__ = ("adequate", "full", "valid", "_masks", "_theories")
 
@@ -304,8 +313,8 @@ class _TheoryIndex:
             r = low.bit_length() - 1
             t = self._theories.get(r)
             if t is None:
-                assignment = dict(zip(D.modal_atoms, map(on, f"{r:0{n}b}")))
-                t = self._theories[r] = DTheory(D, assignment)
+                row = zip(D.modal_atoms, map(on, f"{r:0{n}b}"))
+                t = self._theories[r] = DTheory(D, row)
             yield t
 
 
@@ -397,7 +406,7 @@ def search_preference(t: DTheory) -> tuple:
         pending = sum(
             1
             for a in t.adequate.modal_atoms
-            if isinstance(a, (Box, Rhd)) and not t.assignment[a]
+            if isinstance(a, (Box, Rhd)) and not t.values[a]
         )
         got = t._preference = (pending, t.key())
     return got

@@ -115,6 +115,28 @@ def neg_chain(n, f=Atom("p")):
     return f
 
 
+def reference_depth(f):
+    """The modal depth of f, by recursion on f."""
+    if isinstance(f, Box):
+        return 1 + reference_depth(f.body)
+    if isinstance(f, (Implies, Rhd)):
+        return max(reference_depth(f.left), reference_depth(f.right)) + isinstance(f, Rhd)
+    return 0
+
+
+def reference_value(f, assign):
+    """The value of f under a partial assignment of its modal atoms, by
+    recursion on f: None when the atoms assigned leave it open."""
+    if f == BOT:
+        return False
+    if not isinstance(f, Implies):
+        return assign.get(f)
+    a, b = reference_value(f.left, assign), reference_value(f.right, assign)
+    if a is False or b is True:
+        return True
+    return None if a is None or b is None else False
+
+
 def all_gl_formulas(max_nodes, max_modal_depth=2):
     """Every AST over {bot, p} built from -> and [] with at most max_nodes
     nodes and the given modal depth."""

@@ -286,6 +286,10 @@ def test_depth():
         D, ILM, ["a", "b", "c"], {("a", "b"), ("b", "c"), ("a", "c")}, set(), {"a": t, "b": t, "c": t}
     )
     assert depth(f3) == 2
+    # the longest chain is found without recursion, as find_cycle's cycles are
+    ws = [f"w{i}" for i in range(2000)]
+    chain = frame_with(D, ILM, ws, zip(ws, ws[1:]), set(), dict.fromkeys(ws, t))
+    assert depth(chain) == 1999
 
 
 def test_find_problems_single_world():

@@ -6,7 +6,7 @@ import random
 
 from conftest import transitive_closure_pairs
 
-from ilkit.relation import find_cycle, image, reach, transitive_closure
+from ilkit.relation import find_cycle, fold, image, reach, transitive_closure
 
 
 def random_relation(rng, n_nodes, p_edge):
@@ -115,3 +115,20 @@ def test_find_cycle_is_deterministic():
         shuffled = list(pairs)
         random.Random(0).shuffle(shuffled)
         assert find_cycle(reversed(nodes), shuffled) == find_cycle(nodes, sorted(pairs))
+
+
+def test_fold_values_each_node_once_from_the_bottom_up():
+    succ = {"a": ("b", "c"), "b": ("d",), "c": ("d",)}
+    seen = []
+
+    def paths(n, vs):
+        seen.append(n)
+        return sum(vs) or 1
+
+    assert fold(["a"], lambda n: succ.get(n, ()), paths, {}) == {"a": 2, "b": 1, "c": 1, "d": 1}
+    assert sorted(seen) == ["a", "b", "c", "d"]
+    # a long chain needs no recursion, and a node already in got is kept
+    longest = lambda n, vs: max(vs, default=-1) + 1
+    step = lambda n: (n + 1,) if n < 5000 else ()
+    assert fold([0], step, longest, {})[0] == 5000
+    assert fold([0], step, longest, {2: 10}) == {0: 12, 1: 11, 2: 10}

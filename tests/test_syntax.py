@@ -4,6 +4,7 @@ import pickle
 import sys
 
 import pytest
+from conftest import reference_depth, reference_value
 from hypothesis import given, strategies as st
 
 from ilkit import syntax
@@ -25,7 +26,6 @@ from ilkit.syntax import (
     adequate_closure,
     atoms,
     eval3,
-    eval_bool,
     fresh_atoms,
     is_rhd_free,
     modal_atoms_of,
@@ -36,6 +36,7 @@ from ilkit.syntax import (
     subformulas,
     substitute,
 )
+from ilkit.theory import DTheory
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -336,13 +337,6 @@ def test_modal_depth_at_any_depth():
     assert modal_depth(Implies(f, Box(f))) == 3001
 
 
-def test_eval_bool_at_any_depth():
-    assert eval_bool(_neg_chain(3000), {p: True}) is True
-    assert eval_bool(_neg_chain(3001), {p: True}) is False
-    f = _neg_chain(3000, Box(q))
-    assert eval_bool(Implies(f, p), {p: False, Box(q): True}) is False
-
-
 def test_eval3_at_any_depth():
     assert eval3(_neg_chain(3001), {}) is None
     assert eval3(_neg_chain(3001), {p: False}) is True
@@ -355,10 +349,16 @@ def test_eval3_at_any_depth():
 
 
 @given(_formulas, st.randoms())
-def test_the_bottom_up_evaluators_agree_with_the_recursive_ones(f, rng):
-    total = {a: rng.random() < 0.5 for a in modal_atoms_of(f)}
+def test_the_evaluators_agree_with_a_recursive_reference(f, rng):
+    D = adequate_closure([f])
+    total = {a: rng.random() < 0.5 for a in D.modal_atoms}
     assign = {a: v for a, v in total.items() if rng.random() < 0.7}
-    want = modal_depth(f), eval_bool(f, total), eval3(f, assign)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(syntax, "_RECURSIVE_SIZE", 0)
-        assert (modal_depth(f), eval_bool(f, total), eval3(f, assign)) == want
+    assert modal_depth(f) == reference_depth(f)
+    assert eval3(f, assign) is reference_value(f, assign)
+    t = DTheory(D, total)
+    assert t.models(f) == reference_value(f, total)
+    members = t.members
+    assert members == {g for g in D.members if reference_value(g, total)}
+    assert all(t.models(g) == (g in members) for g in D.sorted_members)
+    # the theory evaluates into its own map, never into the caller's
+    assert total.keys() == set(D.modal_atoms)

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import neg_chain, random_formula
+from conftest import neg_chain, random_formula, reference_value
 
 from ilkit import syntax, theory
 from ilkit.construction import (
@@ -25,7 +25,6 @@ from ilkit.syntax import (
     Or,
     Rhd,
     adequate_closure,
-    eval_bool,
     modal_atoms_of,
     parse,
     render,
@@ -380,14 +379,19 @@ def _random_constraints(rng, D, least=0):
 def _member_values(D, assignment):
     """The values of D's sorted members under the assignment: the theory
     order, computed without DTheory."""
-    return tuple(eval_bool(f, assignment) for f in D.sorted_members)
+    return tuple(reference_value(f, assignment) for f in D.sorted_members)
 
 
 def _linear_reference(D, assignments, constraints):
     kept = [
-        a for a in assignments if all(eval_bool(f, a) == v for f, v in constraints)
+        a for a in assignments if all(reference_value(f, a) == v for f, v in constraints)
     ]
     return sorted(kept, key=lambda a: _member_values(D, a))
+
+
+def _assignment(t):
+    """t's values on its modal atoms."""
+    return {a: t.values[a] for a in t.adequate.modal_atoms}
 
 
 def _check_against_reference(D, rng, queries, least):
@@ -398,12 +402,12 @@ def _check_against_reference(D, rng, queries, least):
         for _ in range(queries):
             cs = _random_constraints(rng, D, least)
             want = _linear_reference(D, assignments, cs)
-            got = [t.assignment for t in solve_theories(D, logic, cs)]
+            got = [_assignment(t) for t in solve_theories(D, logic, cs)]
             assert got == want, (logic, cs)
             # narrowing a shared base gives the same answer as one query
             cut = rng.randrange(len(cs) + 1)
             q = TheoryQuery(D, logic, cs[:cut]).where(cs[cut:])
-            assert [t.assignment for t in q] == want
+            assert [_assignment(t) for t in q] == want
             assert q.is_empty() == (not want)
 
 
@@ -433,7 +437,7 @@ def test_unmaterialised_matches_linear_filter(seed):
 def test_index_bits_match_evaluation(seed):
     # the index reads a theory's assignment off its row number, which is
     # the theory's key; every member's mask must hold at that row exactly
-    # when evaluating the member under the assignment gives true
+    # when the recursive reference makes the member true there
     D = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
     for logic in (IL, ILM):
         index = theory._theory_index(D, logic)
@@ -442,7 +446,7 @@ def test_index_bits_match_evaluation(seed):
         for t in ts:
             assert index.valid >> t.key() & 1
             for f in D.sorted_members:
-                assert (index.mask(f) >> t.key() & 1) == eval_bool(f, t.assignment)
+                assert (index.mask(f) >> t.key() & 1) == reference_value(f, t.values)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -452,7 +456,7 @@ def test_theories_ascend_in_member_value_order(seed, logic):
     # sides of the truth-table cap
     for lo, hi in ((9, theory._CACHE_ATOMS), (theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)):
         D = _seeded_adequate(seed, lo, hi)
-        values = [_member_values(D, t.assignment) for t in solve_theories(D, logic)]
+        values = [_member_values(D, t.values) for t in solve_theories(D, logic)]
         assert values
         assert all(a < b for a, b in zip(values, values[1:])), D.sorted_members
 
@@ -480,7 +484,8 @@ def test_index_leaves_theory_caches_empty():
     D = adequate_closure([parse("(p |> q) & (q |> r) -> p |> r")])
     ts = list(solve_theories(D, ILM, [(parse("p |> q"), True), (parse("q |> r"), False)]))
     assert ts
-    assert all(not t._models_cache for t in ts)
+    # each theory's value map holds only the modal atoms
+    assert all(list(t.values) == list(D.modal_atoms) for t in ts)
 
 
 def test_search_preference_is_computed_once():
@@ -543,5 +548,27 @@ def test_index_masks_at_any_depth():
     # the index's Boolean mask fold runs from an explicit stack
     f = neg_chain(3000)
     D = adequate_closure([f])
-    assert [t.assignment for t in solve_theories(D, IL, [(f, True)])] == [{Atom("p"): True}]
-    assert [t.assignment for t in solve_theories(D, IL, [(Neg(f), True)])] == [{Atom("p"): False}]
+    assert [t.values for t in solve_theories(D, IL, [(f, True)])] == [{Atom("p"): True}]
+    assert [t.values for t in solve_theories(D, IL, [(Neg(f), True)])] == [{Atom("p"): False}]
+
+
+def test_models_at_any_depth():
+    t = DTheory(adequate_closure([neg_chain(3000)]), {p: True})
+    assert t.models(neg_chain(3000)) and not t.models(neg_chain(3001))
+    f = neg_chain(3000, Box(q))
+    t = DTheory(adequate_closure([Implies(f, p)]), {p: False, q: True, Box(q): True})
+    assert not t.models(Implies(f, p))
+
+
+def test_members_is_one_mask_fold(monkeypatch):
+    # each member used to start its own evaluation, so a theory over a deep
+    # chain's adequate set took quadratic time to list its members
+    chain = list(itertools.accumulate(range(3000), lambda f, _: Neg(f), initial=p))
+    t = DTheory(adequate_closure([chain[-1]]), {p: True})
+    calls = []
+    fold = theory.boolean_masks
+    monkeypatch.setattr(theory, "boolean_masks", lambda *a: calls.append(a) or fold(*a))
+    assert t.members == set(chain[::2])
+    assert len(calls) == 1
+    # and every member's value is in the theory's map now
+    assert not t.models(chain[2999]) and len(calls) == 1
