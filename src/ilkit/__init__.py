@@ -52,16 +52,13 @@ from .theory import (
 )
 from .construction import (
     LabeledFrame,
-    check_mcone_invariance,
     close,
     close_frame,
     critical_cone,
     depth,
     find_deficiencies,
-    find_imperfections,
     find_problems,
     generalized_cone,
-    m_cone,
     verify_truth_lemma,
 )
 from .decide import (

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .relation import find_cycle, fold, image, reach
-from .semantics import IL, ILM, VeltmanFrame, VeltmanModel, check_logic, validate
+from .semantics import ILM, VeltmanFrame, VeltmanModel, check_logic
 from .syntax import (
     AdequateSet,
     Atom,
@@ -69,20 +69,6 @@ class Deficiency(NamedTuple):
 
     def key(self, order: dict[str, int]):
         return (1, order[self.x], self.y, self.formula.key())
-
-
-class Imperfection(NamedTuple):
-    """A local violation of a frame closure condition.
-
-    kind 0: aRbRc without aRc        (payload a, b, c)
-    kind 1: aRb without bS_ab        (payload a, b)
-    kind 2: bS_acS_ad without bS_ad  (payload a, b, c, d)
-    kind 3: aRbRc without bS_ac      (payload a, b, c)
-    kind 4: bS_acRd without bRd      (payload a, b, c, d)  [ILM only]
-    """
-
-    kind: int
-    payload: tuple[str, ...]
 
 
 class LabeledFrame:
@@ -238,10 +224,10 @@ def _critical_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
 
     The M-cone's extra step goes from y along one or more S steps of any
     index, then one R step: y S_a1 z1 S_a2 ... zk R u. A closed ILM frame
-    has z R u whenever z S_a z' R u (closure rule kind 4), so applying
-    the rule backwards along the S-path gives zk-1 R u, ..., y R u. The
-    extra step reaches only R-successors of y, which the R step already
-    takes. On an unclosed frame the two cones can differ (`m_cone`)."""
+    has z R u whenever z S_a z' R u (validate's `ilm_condition`), so
+    applying the rule backwards along the S-path gives zk-1 R u, ..., y R u.
+    The extra step reaches only R-successors of y, which the R step
+    already takes. On an unclosed frame the two cones can differ."""
     return reach(
         adj.seeds.get((x, C), ()),
         lambda y: (*adj.succ.get(y, ()), *adj.s_at.get((x, y), ())),
@@ -255,18 +241,6 @@ def _generalized_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
     )
 
 
-def _m_cone(adj: _Adjacency, x: str, A: Formula) -> set[str]:
-    s_step = lambda n: adj.s_any.get(n, ())
-
-    def step(y):
-        yield from adj.succ.get(y, ())
-        yield from adj.s_at.get((x, y), ())
-        for u in reach(s_step(y), s_step):  # one or more S steps, any index
-            yield from adj.succ.get(u, ())
-
-    return reach(adj.seeds.get((x, A), ()), step)
-
-
 def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """Worlds reached from a C-labeled edge of x via S_x and R steps."""
     return _critical_cone(_Adjacency(F), x, C)
@@ -277,49 +251,7 @@ def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     return _generalized_cone(_Adjacency(F), x, C)
 
 
-def m_cone(F: LabeledFrame, x: str, A: Formula) -> set[str]:
-    """Critical cone closed additionally under (S-path then R-step). On a
-    frame closed under ILM it is the critical cone (see `_critical_cone`),
-    so only a frame that is not can tell the two apart."""
-    return _m_cone(_Adjacency(F), x, A)
-
-
-# --- imperfections and closure ----------------------------------------------
-
-
-# the imperfection kind of each closure violation that validate reports
-_KIND = {"r_transitive": 0, "s_reflexive": 1, "s_transitive": 2, "r_inside_s": 3, "ilm_condition": 4}
-
-
-def find_imperfections(F, logic: str | None = None) -> list[Imperfection]:
-    """All imperfections of kinds 0-3 (plus 4 under ILM), deterministically
-    ordered: the closure violations validate reports. Accepts a labeled
-    frame or a plain Veltman frame."""
-    logic = check_logic(logic or getattr(F, "logic", IL))
-    frame = F if isinstance(F, VeltmanFrame) else VeltmanFrame.make(F.worlds, F.R, F.S)
-    out = [
-        Imperfection(_KIND[v.condition], v.witness)
-        for v in validate(frame, logic).violations
-        if v.condition in _KIND
-    ]
-    out.sort(key=lambda i: (i.kind, i.payload))
-    return out
-
-
-def _apply_imperfection(imp: Imperfection, R: set, S: set) -> None:
-    k, p = imp.kind, imp.payload
-    if k == 0:
-        R.add((p[0], p[2]))
-    elif k == 1:
-        S.add((p[0], p[1], p[1]))
-    elif k == 2:
-        S.add((p[0], p[1], p[3]))
-    elif k == 3:
-        S.add(p)
-    elif k == 4:
-        R.add((p[1], p[3]))
-    else:  # pragma: no cover
-        raise ValueError(imp)
+# --- closure ------------------------------------------------------------------
 
 
 def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, str]]) -> None:
@@ -341,29 +273,12 @@ def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, st
             todo.extend((c, d) for d in out.get(c, ()))
 
 
-def close_trace(F: LabeledFrame, logic: str | None = None) -> Iterator[tuple[Imperfection, LabeledFrame]]:
-    """One-imperfection-at-a-time closure; yields each step's result. The
-    final yielded frame is the closure."""
-    logic = check_logic(logic or F.logic)
-    g = F.copy()
-    while True:
-        imps = find_imperfections(g, logic)
-        if not imps:
-            _propagate_obligations(g, g.S)
-            return
-        imp = imps[0]
-        g = g.copy()
-        _apply_imperfection(imp, g.R, g.S)
-        _propagate_obligations(g, g.S)
-        yield imp, g
-
-
-def close(
-    F: LabeledFrame, logic: str | None = None, since: LabeledFrame | None = None
-) -> LabeledFrame:
-    """Fixpoint of imperfection elimination: same worlds and labels, R and S
-    only grow, no imperfection remains. The fixpoint is unique, so this
-    worklist computation agrees with close_trace.
+def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
+    """Fixpoint of imperfection elimination under F's logic: same worlds
+    and labels, R and S only grow, and `validate` reports no violation of
+    `r_transitive`, `s_reflexive`, `s_transitive`, `r_inside_s` or, under
+    ILM, `ilm_condition`. The fixpoint is unique, so this worklist
+    computation agrees with adding one missing fact at a time.
 
     Each edge and triple enters the indexes when it is taken off the
     worklist and is then joined, once, with every rule premise indexed so
@@ -374,9 +289,8 @@ def close(
     obligations contain its own): its facts enter the indexes unjoined,
     since any rule they fire together already holds, and only the facts it
     lacks go on the worklist. Without since every fact is new."""
-    logic = check_logic(logic or F.logic)
     g = F.copy()
-    R, S = g.R, g.S
+    R, S, logic = g.R, g.S, g.logic
     old_R, old_S = (since.R, since.S) if since is not None else ((), ())
     succ: dict[str, set[str]] = {}  # a -> {b : a R b}
     pred: dict[str, set[str]] = {}  # b -> {a : a R b}
@@ -403,14 +317,14 @@ def close(
             a, b = fact
             succ.setdefault(a, set()).add(b)
             pred.setdefault(b, set()).add(a)
-            add((a, b, b), S)  # kind 1
-            for c in succ.get(b, ()):  # kinds 0 and 3, a R b R c
+            add((a, b, b), S)  # s_reflexive
+            for c in succ.get(b, ()):  # r_transitive, r_inside_s: a R b R c
                 add((a, c), R)
                 add((a, b, c), S)
-            for z in pred.get(a, ()):  # kinds 0 and 3, z R a R b
+            for z in pred.get(a, ()):  # r_transitive, r_inside_s: z R a R b
                 add((z, b), R)
                 add((z, a, b), S)
-            if logic == ILM:  # kind 4, y S_x a R b
+            if logic == ILM:  # ilm_condition, y S_x a R b
                 for y in s_into.get(a, ()):
                     add((y, b), R)
         else:
@@ -418,11 +332,11 @@ def close(
             s_at.setdefault((a, b), set()).add(c)
             s_to.setdefault((a, c), set()).add(b)
             s_into.setdefault(c, set()).add(b)
-            for d in s_at.get((a, c), ()):  # kind 2, b S_a c S_a d
+            for d in s_at.get((a, c), ()):  # s_transitive, b S_a c S_a d
                 add((a, b, d), S)
-            for u in s_to.get((a, b), ()):  # kind 2, u S_a b S_a c
+            for u in s_to.get((a, b), ()):  # s_transitive, u S_a b S_a c
                 add((a, u, c), S)
-            if logic == ILM:  # kind 4, b S_a c R d
+            if logic == ILM:  # ilm_condition, b S_a c R d
                 for d in succ.get(c, ()):
                     add((b, d), R)
     _propagate_obligations(g, S.difference(old_S))
@@ -446,16 +360,6 @@ def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
     return VeltmanFrame(frozenset(closed.worlds), frozenset(closed.R), frozenset(closed.S))
 
 
-def check_mcone_invariance(before: LabeledFrame, after: LabeledFrame) -> bool:
-    """True iff every labeled M-cone coincides on the two frames."""
-    adj_before, adj_after = _Adjacency(before), _Adjacency(after)
-    return all(
-        _m_cone(adj_before, x, lab) == _m_cone(adj_after, x, lab)
-        for x in before.worlds
-        for lab in before.labels_from(x)
-    )
-
-
 def depth(F) -> int:
     """Length of the longest R-chain (0 for edgeless frames)."""
     if find_cycle(F.worlds, F.R):
@@ -474,12 +378,13 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     obligation satisfaction, and strict box growth along R. F must be
     closed. Criticality is checked over the critical cone in both logics:
     under ILM the M-cone of a closed frame is the same cone
-    (`_critical_cone`).
+    (`_critical_cone`). Under ILM, obligations need no check along S:
+    `close` pushes them along every S triple (`_propagate_obligations`).
 
     No cycle of the composition R;S+ needs its own check. Under ILM a
-    closed frame has y R u whenever y S_x z R u (kind 4), so along a cycle
-    a0 R b0 S+ a1 R b1 S+ ... a0 the rule, applied backwards along each
-    S-chain, gives b0 R b1 R ... R b0: a cycle of R, which R's
+    closed frame has y R u whenever y S_x z R u (`ilm_condition`), so
+    along a cycle a0 R b0 S+ a1 R b1 S+ ... a0 the rule, applied backwards
+    along each S-chain, gives b0 R b1 R ... R b0: a cycle of R, which R's
     transitivity turns into a self-loop, reported below.
 
     since, when given, is a settled frame and F the closure of a child of
@@ -543,12 +448,9 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
                 if not crit_succ(F.nu[x], lab, F.nu[y]):
                     out.append(f"criticality {render(lab)} fails at {y} (cone of {x})")
     if F.logic == ILM:
-        touched = (t for t in old_S if t[1] in grown or t[2] in grown)
-        for (x, y, z) in sorted(new_S.union(touched)):
-            if (x, y, z) in new_S and not box_incl(F.nu[y], F.nu[z]):
+        for (x, y, z) in sorted(new_S):
+            if not box_incl(F.nu[y], F.nu[z]):
                 out.append(f"box inclusion fails on {(x, y, z)}")
-            if not F.obligations.get(y, frozenset()) <= F.obligations.get(z, frozenset()):
-                out.append(f"obligation inclusion fails on {(x, y, z)}")
     return out
 
 

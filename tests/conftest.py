@@ -4,7 +4,9 @@ corpora are identical across runs."""
 import functools
 import itertools
 
-from ilkit.semantics import ILM, VeltmanFrame, frame_validates, validate_ilm
+from ilkit.construction import _Adjacency, _propagate_obligations
+from ilkit.relation import reach
+from ilkit.semantics import IL, ILM, VeltmanFrame, frame_validates, validate, validate_ilm
 from ilkit.syntax import (
     And,
     Atom,
@@ -135,6 +137,72 @@ def reference_value(f, assign):
     if a is False or b is True:
         return True
     return None if a is None or b is None else False
+
+
+# The closure conditions `validate` checks, each with the fact a violation's
+# witness lacks: an R edge or an S triple (x, y, z) for y S_x z. close_trace
+# removes the violations in this order.
+CLOSURE_FACT = {
+    "r_transitive": lambda a, b, c: (a, c),  # a R b R c: a R c
+    "s_reflexive": lambda a, b: (a, b, b),  # a R b: b S_a b
+    "s_transitive": lambda a, b, c, d: (a, b, d),  # b S_a c S_a d: b S_a d
+    "r_inside_s": lambda a, b, c: (a, b, c),  # a R b R c: b S_a c
+    "ilm_condition": lambda a, b, c, d: (b, d),  # b S_a c R d: b R d
+}
+
+
+def find_imperfections(F, logic=None):
+    """The closure violations `validate` reports on F, a labeled or a plain
+    frame, ordered by condition as in CLOSURE_FACT, then by witness."""
+    logic = logic or getattr(F, "logic", IL)
+    frame = F if isinstance(F, VeltmanFrame) else VeltmanFrame.make(F.worlds, F.R, F.S)
+    order = list(CLOSURE_FACT)
+    return sorted(
+        (v for v in validate(frame, logic).violations if v.condition in CLOSURE_FACT),
+        key=lambda v: (order.index(v.condition), v.witness),
+    )
+
+
+def close_trace(F, logic=None):
+    """The reference closure `close` is tested against: each step adds the
+    fact the first imperfection lacks and yields that imperfection and the
+    frame it leaves. The last frame yielded is the closure."""
+    logic = logic or F.logic
+    g = F.copy()
+    while True:
+        imps = find_imperfections(g, logic)
+        if not imps:
+            return
+        fact = CLOSURE_FACT[imps[0].condition](*imps[0].witness)
+        g = g.copy()
+        (g.R if len(fact) == 2 else g.S).add(fact)
+        _propagate_obligations(g, g.S)
+        yield imps[0], g
+
+
+def m_cone(F, x, A):
+    """The critical cone of x's A-labeled edges, closed also under a step
+    along one or more S steps of any index and then one R step. On a
+    frame closed under ILM it is the critical cone."""
+    adj = _Adjacency(F)
+    s_step = lambda n: adj.s_any.get(n, ())
+
+    def step(y):
+        yield from adj.succ.get(y, ())
+        yield from adj.s_at.get((x, y), ())
+        for u in reach(s_step(y), s_step):
+            yield from adj.succ.get(u, ())
+
+    return reach(adj.seeds.get((x, A), ()), step)
+
+
+def check_mcone_invariance(before, after):
+    """True iff every labeled M-cone of before is the same on after."""
+    return all(
+        m_cone(before, x, lab) == m_cone(after, x, lab)
+        for x in before.worlds
+        for lab in before.labels_from(x)
+    )
 
 
 def all_gl_formulas(max_nodes, max_modal_depth=2):

@@ -16,7 +16,10 @@ import pytest
 
 from conftest import (
     all_gl_formulas,
+    check_mcone_invariance,
+    close_trace,
     enumerate_il_frames,
+    find_imperfections,
     random_formula,
     random_transitive_dag,
     small_countermodel,
@@ -31,14 +34,7 @@ from ilkit.classify import (
     is_tsg,
     sigma1_countermodel,
 )
-from ilkit.construction import (
-    check_mcone_invariance,
-    close_trace,
-    depth,
-    find_imperfections,
-    quasi_frame_violations,
-    verify_truth_lemma,
-)
+from ilkit.construction import depth, quasi_frame_violations, verify_truth_lemma
 from ilkit.decide import (
     Derivable,
     Refuted,

@@ -1,6 +1,9 @@
 import pytest
 
+from conftest import reference_value
 from ilkit.classify import (
+    _covers,
+    _prime_implicants,
     almost_loeb,
     canonical_modal_dnf,
     check_rule,
@@ -234,6 +237,42 @@ def test_dnf_equivalence_certified():
         f = parse(s)
         d = canonical_modal_dnf(f)
         assert isinstance(derivable(ILM, parse(f"({render(f)}) <-> ({render(d.formula())})")), Derivable), s
+
+
+def test_dnf_cover_without_essential_primes():
+    # f's 6 minterms and 6 prime implicants form a cycle: every minterm has
+    # two primes, so none is essential and the greedy loop picks the cover.
+    # formula() appends []top to each disjunct, so only the literal parts
+    # are checked against f.
+    f = parse("~(~p & q & r) & ~(p & ~q & ~r)")
+    rows = [{a: bool(n >> i & 1) for i, a in enumerate((p, q, r))} for n in range(8)]
+    minterms = {n for n, row in enumerate(rows) if reference_value(f, row)}
+    primes = _prime_implicants(3, sorted(minterms))
+    assert len(minterms) == len(primes) == 6
+    assert all(sum(_covers(pr, m) for pr in primes) == 2 for m in minterms)
+    d = canonical_modal_dnf(f)
+    assert d.boxes == () and d.flags == ()
+    covered = [
+        {n for n, row in enumerate(rows) if all(reference_value(lit, row) for lit in phi)}
+        for phi, _ in d.conjuncts
+    ]
+    assert set().union(*covered) == minterms
+    for i, c in enumerate(covered):
+        assert c - set().union(*covered[:i], *covered[i + 1 :]), d.conjuncts[i]
+
+
+def test_package_attribute_lookup():
+    # ilkit loads each classify name on first use (PEP 562). Any name it
+    # does not define raises AttributeError, among them the construction
+    # references that live in the tests
+    import ilkit
+    import ilkit.classify as classify
+
+    for name in ilkit._CLASSIFY:
+        assert getattr(ilkit, name) is getattr(classify, name), name
+    for name in ("no_such_name", "find_imperfections", "m_cone", "check_mcone_invariance"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(ilkit, name)
 
 
 def test_check_tsg_decomposition_prominent():

@@ -3,23 +3,26 @@ import random
 import pytest
 
 import ilkit.construction as construction
-from conftest import random_formula, transitive_closure_pairs
+from conftest import (
+    check_mcone_invariance,
+    close_trace,
+    find_imperfections,
+    m_cone,
+    random_formula,
+    transitive_closure_pairs,
+)
 from ilkit.construction import (
     Deficiency,
     LabeledFrame,
     Problem,
-    check_mcone_invariance,
     close,
     close_frame,
-    close_trace,
     critical_cone,
     depth,
     eliminate,
     find_deficiencies,
-    find_imperfections,
     find_problems,
     generalized_cone,
-    m_cone,
     quasi_frame_violations,
     refresh_worklist,
     seed_frame,
@@ -122,15 +125,15 @@ def test_find_imperfections_chain():
         D, IL, ["a", "b", "c"], {("a", "b"), ("b", "c")}, set(), {"a": t0, "b": t0, "c": t1}
     )
     imps = find_imperfections(f, IL)
-    kinds = {(i.kind, i.payload) for i in imps}
-    assert (0, ("a", "b", "c")) in kinds
-    assert (1, ("a", "b")) in kinds
-    assert (1, ("b", "c")) in kinds
-    assert (3, ("a", "b", "c")) in kinds
-    assert not any(i.kind == 4 for i in imps)
+    kinds = {(i.condition, i.witness) for i in imps}
+    assert ("r_transitive", ("a", "b", "c")) in kinds
+    assert ("s_reflexive", ("a", "b")) in kinds
+    assert ("s_reflexive", ("b", "c")) in kinds
+    assert ("r_inside_s", ("a", "b", "c")) in kinds
+    assert not any(i.condition == "ilm_condition" for i in imps)
 
 
-def test_imperfection_kind4_only_ilm():
+def test_ilm_condition_imperfection_only_under_ilm():
     D = small_D()
     t = pick(D, excl=[Box(p)])
     f = frame_with(
@@ -141,24 +144,25 @@ def test_imperfection_kind4_only_ilm():
         {("a", "b", "c")},
         {"a": t, "b": t, "c": t, "d": t},
     )
-    il_kinds = {i.kind for i in find_imperfections(f, IL)}
+    il_kinds = {i.condition for i in find_imperfections(f, IL)}
     ilm = find_imperfections(f, ILM)
-    assert 4 not in il_kinds
-    assert any(i.kind == 4 and i.payload == ("a", "b", "c", "d") for i in ilm)
+    assert "ilm_condition" not in il_kinds
+    assert any(i.condition == "ilm_condition" and i.witness == ("a", "b", "c", "d") for i in ilm)
 
 
 def test_find_imperfections_exact_lists():
-    # b S_a c S_a d without b S_a d (kind 2), and a R d without d S_a d
+    # b S_a c S_a d without b S_a d (s_transitive), and a R d without d S_a d
     f = VeltmanFrame.make(
         "abcd",
         {("a", "b"), ("a", "c"), ("a", "d")},
         {("a", "b", "b"), ("a", "c", "c"), ("a", "b", "c"), ("a", "c", "d")},
     )
-    assert [(i.kind, i.payload) for i in find_imperfections(f, IL)] == [
-        (1, ("a", "d")),
-        (2, ("a", "b", "c", "d")),
+    assert [(i.condition, i.witness) for i in find_imperfections(f, IL)] == [
+        ("s_reflexive", ("a", "d")),
+        ("s_transitive", ("a", "b", "c", "d")),
     ]
-    # an ILM labeled frame with b S_a c R d (kind 4) and the R-cycle c R d R c
+    # an ILM labeled frame with b S_a c R d (ilm_condition) and the R-cycle
+    # c R d R c
     g = LabeledFrame(
         adequate_closure([]),
         ILM,
@@ -167,18 +171,18 @@ def test_find_imperfections_exact_lists():
         {("a", "b", "b"), ("a", "c", "c"), ("a", "b", "c")},
     )
     want = [
-        (0, ("a", "c", "d")),
-        (0, ("c", "d", "c")),
-        (0, ("d", "c", "d")),
-        (1, ("c", "d")),
-        (1, ("d", "c")),
-        (3, ("a", "c", "d")),
-        (3, ("c", "d", "c")),
-        (3, ("d", "c", "d")),
-        (4, ("a", "b", "c", "d")),
+        ("r_transitive", ("a", "c", "d")),
+        ("r_transitive", ("c", "d", "c")),
+        ("r_transitive", ("d", "c", "d")),
+        ("s_reflexive", ("c", "d")),
+        ("s_reflexive", ("d", "c")),
+        ("r_inside_s", ("a", "c", "d")),
+        ("r_inside_s", ("c", "d", "c")),
+        ("r_inside_s", ("d", "c", "d")),
+        ("ilm_condition", ("a", "b", "c", "d")),
     ]
-    assert [(i.kind, i.payload) for i in find_imperfections(g)] == want
-    assert [(i.kind, i.payload) for i in find_imperfections(g, IL)] == want[:-1]
+    assert [(i.condition, i.witness) for i in find_imperfections(g)] == want
+    assert [(i.condition, i.witness) for i in find_imperfections(g, IL)] == want[:-1]
 
 
 def test_close_chain():
@@ -188,17 +192,17 @@ def test_close_chain():
     f = frame_with(
         D, IL, ["a", "b", "c"], {("a", "b"), ("b", "c")}, set(), {"a": t0, "b": t0, "c": t1}
     )
-    g = close(f, IL)
+    g = close(f)
     assert ("a", "c") in g.R
     assert {("a", "b", "b"), ("a", "c", "c"), ("b", "c", "c"), ("a", "b", "c")} <= g.S
     assert find_imperfections(g, IL) == []
     assert g.worlds == f.worlds
     assert g.nu == f.nu
     # already-closed frame is a fixpoint
-    assert close(g, IL).R == g.R and close(g, IL).S == g.S
+    assert close(g).R == g.R and close(g).S == g.S
 
 
-def test_close_ilm_kind4():
+def test_close_ilm_condition():
     f = VeltmanFrame.make(
         ["a", "b", "c", "d"],
         [("a", "b"), ("a", "c"), ("c", "d"), ("a", "d")],
@@ -232,7 +236,7 @@ def test_close_trace_matches_close(logic):
         stepped = f
         for _, stepped in close_trace(f, logic):
             pass
-        batched = close(f, logic)
+        batched = close(f)
         assert stepped.R == batched.R and stepped.S == batched.S
         assert stepped.obligations == batched.obligations
     assert with_s >= 20
@@ -290,6 +294,9 @@ def test_depth():
     ws = [f"w{i}" for i in range(2000)]
     chain = frame_with(D, ILM, ws, zip(ws, ws[1:]), set(), dict.fromkeys(ws, t))
     assert depth(chain) == 1999
+    cycle = frame_with(D, ILM, ["a", "b"], {("a", "b"), ("b", "a")}, set(), {"a": t, "b": t})
+    with pytest.raises(ValueError, match="R has a cycle"):
+        depth(cycle)
 
 
 def test_find_problems_single_world():
@@ -494,7 +501,7 @@ def test_cone_inclusions_on_random_ilm_frames():
         for (x, y) in sorted(f.R):
             if rng.random() < 0.4:
                 f.edge_label[(x, y)] = rng.choice((p, q, BOT))
-        for g in (f, close(f, ILM)):
+        for g in (f, close(f)):
             for x in g.worlds:
                 for lab in g.labels_from(x):
                     crit = critical_cone(g, x, lab)
@@ -539,7 +546,7 @@ def test_m_cone_equals_critical_cone_on_full_ilm_frames():
         f = _random_quasi_ilm_frame(rng, D, rng.randrange(2, 6))
         if quasi_frame_violations(f):
             continue
-        g = close(f, ILM)
+        g = close(f)
         if not validate_ilm(g.to_frame()).ok:
             continue
         checked += 1
@@ -552,7 +559,7 @@ def test_m_cone_equals_critical_cone_on_full_ilm_frames():
 def test_m_cone_is_critical_cone_on_settled_ilm_frames(monkeypatch):
     # the search reads only the critical cone under ILM too: on every
     # frame a seeded ILM search settles, each labeled M-cone is the
-    # critical cone (IL frames are not closed under kind 4, so the
+    # critical cone (IL frames are not closed under ilm_condition, so the
     # argument covers ILM frames only)
     real = construction._finish
     seen = {"cones": 0, "s_paths": 0}
@@ -584,7 +591,7 @@ def test_m_cone_is_critical_cone_on_settled_ilm_frames(monkeypatch):
 def test_m_cone_differs_on_an_unclosed_ilm_frame():
     # y is in the q-cone of a, y S_b z and z R u, but not yet y R u: the
     # M-cone takes the S-path then the R step to u, the critical cone does
-    # not. Closing adds y R u (kind 4), and the cones agree again.
+    # not. Closing adds y R u (ilm_condition), and the cones agree again.
     D = small_D()
     g = pick(D, incl=[Neg(Rhd(p, q))])
     t = pick(D, incl=[p, Neg(q)])
@@ -625,7 +632,7 @@ def test_cone_overlap_alone_rejects_an_il_frame():
     assert quasi_frame_violations(g) == ["generalized cones overlap at x: p / q"]
 
 
-def test_mcone_invariance_across_kind4_step():
+def test_mcone_invariance_across_ilm_condition_step():
     D = small_D()
     g = pick(D, incl=[Neg(Rhd(p, q))])
     t = pick(D, incl=[p, Neg(q)])
@@ -638,14 +645,14 @@ def test_mcone_invariance_across_kind4_step():
         {"a": g, "b": t, "c": t, "d": t},
         labels={("a", "b"): q},
     )
-    saw_kind4 = False
+    saw_ilm_condition = False
     prev = f
     for imp, step in close_trace(f, ILM):
-        if imp.kind == 4:
-            saw_kind4 = True
+        if imp.condition == "ilm_condition":
+            saw_ilm_condition = True
         assert check_mcone_invariance(prev, step), imp
         prev = step
-    assert saw_kind4
+    assert saw_ilm_condition
 
 
 def test_criticality_label_recovery():
@@ -680,6 +687,10 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
         assert since is not None, "a search step must pass its parent"
         step, whole = close(F, since=since), close(F)
         assert (step.R, step.S, step.obligations) == (whole.R, whole.S, whole.obligations)
+        if logic == ILM:
+            # close pushes obligations along S, so no check of them is needed
+            for g in (step, whole):
+                assert all(g.obligations[y] <= g.obligations[z] for _, y, z in g.S)
         bad = bool(quasi_frame_violations(step, since=since))
         assert bad == bool(quasi_frame_violations(whole))
         if not bad:
@@ -869,7 +880,7 @@ def test_step_check_covers_old_edges_whose_obligations_grew():
 def test_rs_composition_cycle_in_a_closed_ilm_frame():
     # b S_w a with a R b: closing adds b R b and a S_w b, and a R b S_w a
     # is a cycle of R;S. The frame is rejected for the cycle of R that the
-    # closure's kind-4 rule makes of it.
+    # closure's ilm_condition rule makes of it.
     D = adequate_closure([Box(p)])
     t = pick(D, ILM, incl=[Box(p)])
     R = {("w", "a"), ("w", "b"), ("a", "b")}
