@@ -349,16 +349,6 @@ class TsgDecomposition(NamedTuple):
     def box_part(self) -> Formula:
         return disj([Box(c) for c in self.boxes])
 
-    def to_dict(self):
-        return {
-            "conjuncts": [
-                {"phi": [render(x) for x in phi], "box_body": render(a)}
-                for phi, a in self.conjuncts
-            ],
-            "boxes": [render(c) for c in self.boxes],
-            "flags": list(self.flags),
-        }
-
 
 def _prime_implicants(n_atoms: int, minterms: list[int]) -> list[tuple[int, int]]:
     """Quine-McCluskey merge; implicants as (value, mask) with mask bits 1
@@ -405,8 +395,6 @@ def _min_cover(primes, minterms) -> list[tuple[int, int]]:
             key=lambda p: (len({m for m in remaining if _covers(p, m)}), -p[1], -p[0]),
         )
         got = {m for m in remaining if _covers(best, m)}
-        if not got:  # pragma: no cover
-            break
         chosen.append(best)
         remaining -= got
     return chosen
@@ -466,15 +454,6 @@ class TsgReport(NamedTuple):
         for v in self.irredundant:
             c2 = _kleene("a & ~b", c2, _holds(v))
         return _kleene("a & b & c", c1, c2, not self.shape_flags)
-
-    def to_dict(self):
-        return {
-            "equivalent": self.equivalent.kind,
-            "irredundant": [v.kind for v in self.irredundant],
-            "shape_flags": list(self.shape_flags),
-            "conditions_ok": self.conditions_ok,
-            "conclusion": self.conclusion.kind,
-        }
 
 
 def check_tsg_decomposition(

@@ -199,14 +199,11 @@ def cmd_classify(args) -> int:
         if rep.witness == "unknown":
             return _UNKNOWN
         return _POSITIVE if rep.witness else _NEGATIVE
-    if kind == "dagger":
-        rep = cls.dagger_check(f, budget)
-        _emit(args, rep.to_dict(), f"dagger_holds={rep.dagger_holds} biconditional_ok={rep.biconditional_ok}")
-        if rep.biconditional_ok is None:
-            return _UNKNOWN
-        return _POSITIVE if rep.biconditional_ok else _NEGATIVE
-    print(f"unknown classification {kind!r}", file=sys.stderr)
-    return _USAGE
+    rep = cls.dagger_check(f, budget)  # "dagger", the one kind left
+    _emit(args, rep.to_dict(), f"dagger_holds={rep.dagger_holds} biconditional_ok={rep.biconditional_ok}")
+    if rep.biconditional_ok is None:
+        return _UNKNOWN
+    return _POSITIVE if rep.biconditional_ok else _NEGATIVE
 
 
 def cmd_rules(args) -> int:
@@ -249,13 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, logic=True):
+    def common(sp, logic=True, search=True):
         if logic:
             sp.add_argument("--logic", choices=LOGICS, default=ILM)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--max-worlds", type=_positive_int, default=Budget().max_worlds)
-        sp.add_argument("--max-steps", type=_positive_int, default=Budget().max_steps)
-        sp.add_argument("--max-backtracks", type=_positive_int, default=Budget().max_backtracks)
+        if search:  # the budget flags, for the commands that run the search
+            sp.add_argument("--max-worlds", type=_positive_int, default=Budget().max_worlds)
+            sp.add_argument("--max-steps", type=_positive_int, default=Budget().max_steps)
+            sp.add_argument("--max-backtracks", type=_positive_int, default=Budget().max_backtracks)
 
     sp = sub.add_parser("prove", help="decide derivability")
     sp.add_argument("formula")
@@ -279,17 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("model")
     sp.add_argument("formula", nargs="?")
     sp.add_argument("--world")
-    common(sp)
+    common(sp, search=False)
     sp.set_defaults(fn=cmd_modelcheck)
 
     sp = sub.add_parser("close", help="close a frame file under the frame conditions")
     sp.add_argument("frame")
-    common(sp)
+    common(sp, search=False)
     sp.set_defaults(fn=cmd_close)
 
     sp = sub.add_parser("checkproof", help="check a Hilbert proof file")
     sp.add_argument("proof")
-    common(sp)
+    common(sp, search=False)
     sp.set_defaults(fn=cmd_checkproof)
 
     sp = sub.add_parser("classify", help="sentence classification")

@@ -10,7 +10,7 @@ The construction alternates two moves until no requirement is left open:
   * eliminate a problem (a false rhd or box member needing a witness) or a
     deficiency (an unanswered rhd member needing an S-exit), by reusing an
     existing world or attaching a fresh one, then
-  * close the frame under the frame conditions (imperfection elimination).
+  * close the frame under the frame conditions (closure).
 
 Every candidate extension is re-validated against the quasi-frame
 invariants; invalid candidates are dropped, which is what drives
@@ -147,9 +147,8 @@ class LabeledFrame:
         """Constraints on every R-successor of w: w's own obligations plus
         those of all its R-predecessors (R is kept transitive)."""
         out = set(self.obligations.get(w, ()))
-        for a in self.worlds:
-            if (a, w) in self.R:
-                out |= self.obligations.get(a, frozenset())
+        for a in _adjacency(self).pred.get(w, ()):
+            out |= self.obligations.get(a, frozenset())
         return frozenset(out)
 
     def effective_boxes(self, w: str) -> frozenset[Formula]:
@@ -159,20 +158,8 @@ class LabeledFrame:
         out |= self.effective_obligations(w)
         return frozenset(out)
 
-    def labels_by_world(self) -> dict[str, list[Formula]]:
-        """x -> the distinct labels of x's edges, ordered by edge, then
-        label; worlds without a labeled edge are absent."""
-        out: dict[str, list[Formula]] = {}
-        for (a, _), lab in sorted(
-            self.edge_label.items(), key=lambda kv: (kv[0], kv[1].key())
-        ):
-            labs = out.setdefault(a, [])
-            if lab not in labs:
-                labs.append(lab)
-        return out
-
     def labels_from(self, x: str) -> list[Formula]:
-        return self.labels_by_world().get(x, [])
+        return _adjacency(self).labels.get(x, [])
 
     def to_frame(self) -> VeltmanFrame:
         return VeltmanFrame(frozenset(self.worlds), frozenset(self.R), frozenset(self.S))
@@ -200,15 +187,23 @@ def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> Label
 
 
 class _Adjacency:
-    """The adjacency maps of one frame state, from which the cone queries
-    are answered. It goes stale when R, S or the edge labels change, so a
-    frame keeps one only until it is copied or grows a world."""
+    """The adjacency maps of one frame state, from which the cone,
+    predecessor and label queries are answered; `labels` maps x to the
+    distinct labels of x's edges, ordered by edge. It goes stale when R, S
+    or the edge labels change, so a frame keeps one only until it is
+    copied or grows a world."""
 
     def __init__(self, F: LabeledFrame):
         self.succ = image(F.R)
+        self.pred = image((b, a) for a, b in F.R)
         self.s_at = image(((x, y), z) for x, y, z in F.S)  # y S_x z
         self.s_any = image((y, z) for _, y, z in F.S)  # y S_x z for some x
         self.seeds = image(((x, lab), y) for (x, y), lab in F.edge_label.items())
+        self.labels: dict[str, list[Formula]] = {}
+        for (x, _), lab in sorted(F.edge_label.items()):
+            labs = self.labels.setdefault(x, [])
+            if lab not in labs:
+                labs.append(lab)
 
 
 def _adjacency(F: LabeledFrame) -> _Adjacency:
@@ -274,8 +269,8 @@ def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, st
 
 
 def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
-    """Fixpoint of imperfection elimination under F's logic: same worlds
-    and labels, R and S only grow, and `validate` reports no violation of
+    """The closure of F under its logic's frame conditions: same worlds and
+    labels, R and S only grow, and `validate` reports no violation of
     `r_transitive`, `s_reflexive`, `s_transitive`, `r_inside_s` or, under
     ILM, `ilm_condition`. The fixpoint is unique, so this worklist
     computation agrees with adding one missing fact at a time.
@@ -430,9 +425,8 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
         if not (bx <= by and bx != by):
             out.append(f"no box growth on edge {(x, y)}")
     adj = _adjacency(F)
-    labels = F.labels_by_world()
     for x in F.worlds:
-        labs = labels.get(x, ())
+        labs = adj.labels.get(x, ())
         # The overlap check is no consequence of the others: on
         # tests/differential.json, 3,827 of 4,820 IL rejections and 3 of
         # 312 ILM rejections report only the overlap, and without it the
@@ -555,11 +549,12 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
     got = F._constraints.get(x)
     if got is None:
         extra = [(o, True) for o in sorted(F.effective_obligations(x), key=lambda f: f.key())]
-        labels = F.labels_by_world()
+        adj = _adjacency(F)
+        back = adj.pred.get(x, ())
         for a in F.worlds:
-            if (a, x) in F.R:
-                for lab in labels.get(a, ()):
-                    if x in _critical_cone(_adjacency(F), a, lab):
+            if a in back:
+                for lab in adj.labels.get(a, ()):
+                    if x in _critical_cone(adj, a, lab):
                         extra += [(f, True) for f in crit_obligations(F.nu[a], lab)]
         got = F._constraints[x] = tuple(extra)
     return got
@@ -609,8 +604,8 @@ def _deficiency_lookahead(
 
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
     """The formula B with y in the B-critical cone of x; bot if none."""
-    labs = F.labels_from(x)
-    return next((lab for lab in labs if y in _critical_cone(_adjacency(F), x, lab)), BOT)
+    adj = _adjacency(F)
+    return next((lab for lab in adj.labels.get(x, ()) if y in _critical_cone(adj, x, lab)), BOT)
 
 
 def _witness(F: LabeledFrame, item) -> tuple:
@@ -736,8 +731,7 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
     `state.budget.max_worlds` worlds gets no fresh world."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     gx = F.nu[x]
-    pred = image((b, a) for a, b in F.R)
-    back = reach({x}, lambda u: pred.get(u, ()))
+    back = {x} | _adjacency(F).pred.get(x, set())  # R is transitive on F
 
     def link(g, w):
         g.R.add((x, w))

@@ -391,13 +391,23 @@ def model_to_dict(model: VeltmanModel) -> dict:
     }
 
 
+def _names(x) -> bool:
+    return isinstance(x, list) and all(isinstance(n, str) for n in x)
+
+
 def model_from_dict(data: dict) -> VeltmanModel:
-    return VeltmanModel.make(
-        data["worlds"],
-        [tuple(e) for e in data.get("R", ())],
-        [tuple(t) for t in data.get("S", ())],
-        {w: set(v) for w, v in data.get("val", {}).items()},
-    )
+    """The model of a `model_to_dict` map. Raises ValueError unless worlds
+    is a list of strings, R a list of pairs, S a list of triples and val a
+    map to lists of strings, so no string is read as its characters."""
+    worlds, R, S, val = data["worlds"], data.get("R", []), data.get("S", []), data.get("val", {})
+    if not _names(worlds):
+        raise ValueError("model worlds must be a list of world names")
+    for key, rows, n in (("R", R, 2), ("S", S, 3)):
+        if not isinstance(rows, list) or not all(_names(r) and len(r) == n for r in rows):
+            raise ValueError(f"model {key} must be a list of {n}-element lists of world names")
+    if not isinstance(val, dict) or not all(map(_names, val.values())):
+        raise ValueError("model val must map world names to lists of atom names")
+    return VeltmanModel.make(worlds, R, S, val)
 
 
 def model_to_json(model: VeltmanModel) -> str:

@@ -99,7 +99,7 @@ class DTheory:
     `members` extend it with `boolean_masks` on one row, so a formula is
     evaluated once per theory."""
 
-    __slots__ = ("adequate", "values", "_key", "_preference")
+    __slots__ = ("adequate", "values", "_key")
 
     def __init__(self, adequate: AdequateSet, assignment):
         self.adequate = adequate
@@ -108,7 +108,6 @@ class DTheory:
         for a in adequate.modal_atoms:
             key = 2 * key + values[a]
         self._key = key
-        self._preference: tuple | None = None
 
     @property
     def members(self) -> frozenset[Formula]:
@@ -170,7 +169,7 @@ class LoggedTheory(DTheory):
 
     def __init__(self, t: DTheory):
         self.adequate, self.values = t.adequate, t.values
-        self._key, self._preference = t._key, t._preference
+        self._key = t._key
         self.reads = {a: t.values[a] for a in existential_atoms(t.adequate)}
 
     def models(self, f: Formula) -> bool:
@@ -237,13 +236,6 @@ def _solve(
         want[f] = v
     pending = [(f, True) for f in saturation_constraints(D, logic)]
     pending.extend(want.items())
-    # contradiction between saturation and query constraints, syntactically
-    seen: dict[Formula, bool] = {}
-    for f, v in pending:
-        prev = seen.get(f)
-        if prev is not None and prev != v:
-            return
-        seen[f] = v
     atoms = sorted(D.modal_atoms, key=lambda a: (Rhd, Box, Atom).index(type(a)))
     n = len(atoms)
 
@@ -400,16 +392,11 @@ def enumerate_theories(
 def search_preference(t: DTheory) -> tuple:
     """Candidate order for the construction: theories with fewer false box
     and rhd atoms first (each false one is a pending existential), ties by
-    the key. Computed once per theory."""
-    got = t._preference
-    if got is None:
-        pending = sum(
-            1
-            for a in t.adequate.modal_atoms
-            if isinstance(a, (Box, Rhd)) and not t.values[a]
-        )
-        got = t._preference = (pending, t.key())
-    return got
+    the key."""
+    pending = sum(
+        1 for a in t.adequate.modal_atoms if isinstance(a, (Box, Rhd)) and not t.values[a]
+    )
+    return pending, t.key()
 
 
 def _same_adequate(g: DTheory, d: DTheory) -> None:

@@ -118,6 +118,16 @@ def test_sigma1_top_has_box_witness():
     assert isinstance(derivable(ILM, parse(f"top <-> ({render(rep.witness)})")), Derivable)
 
 
+def test_sigma1_yes_without_a_witness_inside_the_cap(monkeypatch):
+    # with one candidate, bot, no witness of []p & []q is tried
+    import ilkit.classify as classify
+
+    monkeypatch.setattr(classify, "_WITNESS_CAP", 1)
+    rep = classify_sigma1(parse("[]p & []q"))
+    assert (rep.answer, rep.witness) == ("yes", None)
+    assert rep.witness_note == "witness not found within bound"
+
+
 def test_sigma1_no_cases_with_countermodels():
     for s in ["p", "<>p", "p & []p"]:
         rep = classify_sigma1(parse(s))

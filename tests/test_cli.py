@@ -141,6 +141,35 @@ def test_classify_negative_and_cert(tmp_path):
     assert code2 == 0
 
 
+@pytest.mark.parametrize(
+    "kind, formula, want",
+    [
+        ("delta1", "top", 0),
+        ("delta1", "p", 1),
+        ("selfprover", "[]p", 0),
+        ("selfprover", "p", 1),
+        ("almostloeb", "[]p", 0),
+        ("almostloeb", "p", 1),
+        # every formula meets the dagger biconditional, so both exit 0
+        ("dagger", "[]p", 0),
+        ("dagger", "p", 0),
+    ],
+)
+def test_classify_kinds_answer_as_the_library(kind, formula, want):
+    import ilkit.classify as cls
+    from ilkit.cli import _verdict_payload
+    from ilkit.syntax import parse
+
+    f = parse(formula)
+    if kind == "selfprover":
+        expected = _verdict_payload("ilm", f, cls.is_self_prover(f))
+    else:
+        run = {"delta1": cls.classify_delta1, "almostloeb": cls.almost_loeb, "dagger": cls.dagger_check}
+        expected = run[kind](f).to_dict()
+    code, out = run_cli("classify", kind, formula, "--json")
+    assert (code, json.loads(out)) == (want, expected)
+
+
 def test_rules_cli():
     code, out = run_cli("rules", "iii", "<>q", "q", "--json")
     assert code == 0
@@ -199,6 +228,33 @@ def test_close_cli(tmp_path):
     data = json.loads(out)
     assert ["a", "c"] in data["R"]
     assert ["a", "b", "c"] in data["S"]
+
+
+@pytest.mark.parametrize("command", ["modelcheck", "close", "checkproof"])
+@pytest.mark.parametrize("flag", ["--max-worlds", "--max-steps", "--max-backtracks"])
+def test_budget_flags_belong_to_the_search_commands(tmp_path, capsys, command, flag):
+    # modelcheck, close and checkproof run no search, so they take no budget
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"worlds": ["a"]}))
+    assert run_cli(command, str(path), flag, "5") == (3, "")
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, argv",
+    [
+        ({"worlds": "ab"}, ["p", "--world", "a"]),
+        ({"worlds": ["a", "b"], "R": ["ab"], "S": [["a", "b", "b"]], "val": {"b": ["p"]}}, ["<>p", "--world", "a"]),
+        ({"worlds": ["a", "b"], "R": [["a", "b"]], "S": ["abb"], "val": {"b": ["p"]}}, ["<>p", "--world", "a"]),
+        ({"worlds": ["a"], "val": {"a": "pq"}}, ["p", "--world", "a"]),
+    ],
+)
+def test_model_files_whose_lists_are_strings_are_rejected(tmp_path, capsys, model, argv):
+    # a string is no list of worlds, edges, triples or atoms
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert run_cli("modelcheck", str(path), *argv) == (3, "")
+    assert capsys.readouterr().err.startswith("error: model ")
 
 
 def test_close_cli_rejects_a_cyclic_r(tmp_path, capsys):
@@ -300,4 +356,14 @@ def test_failed_certificate_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(decide, "forces", lambda *args: False)
     monkeypatch.setattr(decide, "_sat_cache", {})
     assert run_cli("prove", "--logic", "ilm", "p")[0] == 3
-    assert "CertificationError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "CertificationError" in err and "does not force it" in err
+    # and a model whose frame fails validation
+    from ilkit.semantics import ValidationReport, Violation
+
+    broken = ValidationReport((Violation("r_transitive", ("w0", "w1", "w2")),))
+    monkeypatch.setattr(decide, "validate", lambda frame, logic: broken)
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    assert run_cli("prove", "--logic", "ilm", "p")[0] == 3
+    err = capsys.readouterr().err
+    assert "CertificationError" in err and "is no ilm frame" in err
