@@ -39,8 +39,7 @@ from .semantics import (
     model_from_json,
     model_to_dot,
     model_to_json,
-    validate_il,
-    validate_ilm,
+    validate,
 )
 from .theory import (
     DTheory,
@@ -56,8 +55,6 @@ from .construction import (
     close_frame,
     critical_cone,
     depth,
-    find_deficiencies,
-    find_problems,
     generalized_cone,
     verify_truth_lemma,
 )

@@ -18,6 +18,7 @@ from .construction import LabeledFrame
 from .decide import (
     Budget,
     DEFAULT_BUDGET,
+    CertificationError,
     Derivable,
     Refuted,
     Unknown,
@@ -25,7 +26,7 @@ from .decide import (
     complete_frame,
     derivable,
 )
-from .semantics import ILM, VeltmanModel, forces, model_to_dict, validate_ilm
+from .semantics import ILM, VeltmanModel, forces, model_to_dict, validate
 from .syntax import (
     And,
     Atom,
@@ -277,7 +278,8 @@ def sigma1_countermodel(
     """Build the seeded three-world countermodel for a non-Sigma_1 formula:
     a root below worlds l (with f) and r (with ~f and l's boxes), l S r at
     the root, completed by the construction with the root exempt from the
-    box-growth invariant, then decorated with the two fresh atoms."""
+    box-growth invariant, then decorated with the two fresh atoms. A
+    decorated model that is no ILM frame raises CertificationError."""
     D = adequate_closure([f])
     query, p, q = sigma1_reduction_query(f)
     pre = derivable(ILM, query, budget)
@@ -304,8 +306,8 @@ def sigma1_countermodel(
                     val["l"] = val["l"] | {p.name}
                     val["r"] = val["r"] | {q.name}
                     model = VeltmanModel(base.frame, val)
-                    if not validate_ilm(model.frame).ok:
-                        continue
+                    if not validate(model.frame, ILM).ok:
+                        raise CertificationError(f"the countermodel completed for {render(f)} is no ilm frame")
                     if forces(model, "m0", query):
                         continue
                     return Sigma1Countermodel(model, "m0", (p, q), query)
@@ -400,13 +402,13 @@ def _min_cover(primes, minterms) -> list[tuple[int, int]]:
     return chosen
 
 
-def canonical_modal_dnf(f: Formula, max_atoms: int = 14) -> TsgDecomposition:
-    """Reduced disjunctive normal form over the modal atoms of f, with the
-    positive boxes of each disjunct merged into one box. Disjuncts that
-    cannot fit the required shape are flagged, not repaired."""
+def canonical_modal_dnf(f: Formula) -> TsgDecomposition:
+    """Reduced disjunctive normal form over the (at most 14) modal atoms of
+    f, with the positive boxes of each disjunct merged into one box.
+    Disjuncts that cannot fit the required shape are flagged, not repaired."""
     modal = sorted(modal_atoms_of(f), key=lambda g: g.key())
     n = len(modal)
-    if n > max_atoms:
+    if n > 14:
         raise ValueError(f"too many modal atoms ({n})")
     # atom i holds in row r when bit i of r is set: truth_table's columns reversed
     m = boolean_masks([f], (1 << (1 << n)) - 1, dict(zip(modal, truth_table(n)[::-1])))[f]

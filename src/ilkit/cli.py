@@ -23,7 +23,7 @@ from .semantics import (
     model_to_dot,
     validate,
 )
-from .syntax import Neg, ParseError, parse, render
+from .syntax import Box, Implies, Neg, ParseError, parse, render
 
 _POSITIVE, _NEGATIVE, _UNKNOWN, _USAGE = 0, 1, 2, 3
 
@@ -174,8 +174,12 @@ def cmd_classify(args) -> int:
     f = parse(args.formula)
     budget = _budget(args)
     kind = args.kind
-    if kind == "sigma1":
-        rep = cls.classify_sigma1(f, budget)
+    if args.cert and kind in ("delta1", "almostloeb", "dagger"):
+        # each of these answers rests on several refutations, not one model
+        print(f"classify: {kind} writes no --cert certificate", file=sys.stderr)
+        return _USAGE
+    if kind in ("sigma1", "tsg"):
+        rep = (cls.classify_sigma1 if kind == "sigma1" else cls.is_tsg)(f, budget)
         _emit(args, rep.to_dict(), f"{rep.answer}" + (f" (witness {render(rep.witness)})" if rep.witness is not None else ""))
         if rep.countermodel is not None:
             query = rep.reduction_query
@@ -185,13 +189,12 @@ def cmd_classify(args) -> int:
         rep = cls.classify_delta1(f, budget)
         _emit(args, rep.to_dict(), rep.answer)
         return {"top": _POSITIVE, "bottom": _POSITIVE, "no": _NEGATIVE}.get(rep.answer, _UNKNOWN)
-    if kind == "tsg":
-        rep = cls.is_tsg(f, budget)
-        _emit(args, rep.to_dict(), f"{rep.answer}" + (f" (witness {render(rep.witness)})" if rep.witness is not None else ""))
-        return {"yes": _POSITIVE, "no": _NEGATIVE}.get(rep.answer, _UNKNOWN)
     if kind == "selfprover":
         v = cls.is_self_prover(f, budget)
         _emit(args, _verdict_payload(ILM, f, v), v.kind)
+        if isinstance(v, Refuted):
+            query = Implies(f, Box(f))
+            _write_cert(args, ILM, query, render(Neg(query)), v.world, v.model)
         return {"derivable": _POSITIVE, "refuted": _NEGATIVE}.get(v.kind, _UNKNOWN)
     if kind == "almostloeb":
         rep = cls.almost_loeb(f, budget)

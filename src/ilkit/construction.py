@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 from .relation import find_cycle, fold, image, reach
-from .semantics import ILM, VeltmanFrame, VeltmanModel, check_logic
+from .semantics import ILM, VeltmanFrame, VeltmanModel, _engine_logic
 from .syntax import (
     AdequateSet,
     Atom,
@@ -89,21 +89,16 @@ class LabeledFrame:
         R: set[tuple[str, str]] | None = None,
         S: set[tuple[str, str, str]] | None = None,
         nu: dict[str, DTheory] | None = None,
-        edge_label: dict[tuple[str, str], Formula] | None = None,
-        obligations: dict[str, frozenset[Formula]] | None = None,
         exempt_root: str | None = None,
     ):
-        check_logic(logic)
         self.adequate = adequate
-        self.logic = ILM if logic == "gl" else logic
+        self.logic = _engine_logic(logic)
         self.worlds = list(worlds or [])
         self.R = set(R or ())
         self.S = set(S or ())
         self.nu = dict(nu or {})
-        self.edge_label = dict(edge_label or {})
-        self.obligations = {w: frozenset(v) for w, v in (obligations or {}).items()}
-        for w in self.worlds:
-            self.obligations.setdefault(w, frozenset())
+        self.edge_label: dict[tuple[str, str], Formula] = {}
+        self.obligations: dict[str, frozenset[Formula]] = dict.fromkeys(self.worlds, frozenset())
         self.exempt_root = exempt_root
         self.worklist: list = []
         self._forget()
@@ -157,9 +152,6 @@ class LabeledFrame:
         out = {b.body for b in self.nu[w].boxes()}
         out |= self.effective_obligations(w)
         return frozenset(out)
-
-    def labels_from(self, x: str) -> list[Formula]:
-        return _adjacency(self).labels.get(x, [])
 
     def to_frame(self) -> VeltmanFrame:
         return VeltmanFrame(frozenset(self.worlds), frozenset(self.R), frozenset(self.S))
@@ -490,18 +482,6 @@ def _is_open(F: LabeledFrame, adj: _Adjacency, item) -> bool:
         return not any(F.nu[y].models(body.left) for y in _critical_cone(adj, x, body.right))
     refuter = Neg(body.body)
     return not any(F.nu[y].models(refuter) for y in adj.succ.get(x, ()))
-
-
-def find_problems(F: LabeledFrame) -> list[Problem]:
-    """False rhd members without a witness in the right critical cone, and
-    false box members without a refuting successor."""
-    adj = _adjacency(F)
-    return [p for p in _problems_at(F, F.worlds) if _is_open(F, adj, p)]
-
-
-def find_deficiencies(F: LabeledFrame) -> list[Deficiency]:
-    adj = _adjacency(F)
-    return [d for d in _deficiencies_on(F, F.R) if _is_open(F, adj, d)]
 
 
 def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None:

@@ -25,8 +25,8 @@ from .construction import (
 )
 from .semantics import (
     GL,
-    ILM,
     VeltmanModel,
+    _engine_logic,
     check_logic,
     forces,
     validate,
@@ -66,10 +66,6 @@ class Sat(NamedTuple):
 
 class Unsat(NamedTuple):
     pass
-
-
-class Exhausted(NamedTuple):
-    report: tuple[tuple[str, int | str], ...]
 
 
 class Derivable(NamedTuple):
@@ -128,11 +124,6 @@ class _State:
             ("max_steps", self.budget.max_steps),
             ("max_backtracks", self.budget.max_backtracks),
         )
-
-
-def _engine_logic(logic: str) -> str:
-    check_logic(logic)
-    return ILM if logic == GL else logic
 
 
 def _most_constrained(frame: LabeledFrame):
@@ -197,18 +188,18 @@ def _search(frame: LabeledFrame, st: _State) -> VeltmanModel | None:
 
 # Answers by (logic, query, budget), oldest first; past _SAT_CACHE_SIZE
 # entries the oldest is evicted, so a long-lived process stays bounded.
-_sat_cache: dict[tuple[str, Formula, Budget], Sat | Unsat | Exhausted] = {}
+_sat_cache: dict[tuple[str, Formula, Budget], Sat | Unsat | Unknown] = {}
 _SAT_CACHE_SIZE = 4096
 
 
 def satisfiable(
     logic: str, f: Formula, budget: Budget = DEFAULT_BUDGET, observer=None
-) -> Sat | Unsat | Exhausted:
+) -> Sat | Unsat | Unknown:
     """Search for a certified finite model of f.
 
     Sat carries a model and world that pass frame validation, a forcing
     check and the truth lemma. Unsat means the whole backtracking space was
-    exhausted within the budget; Exhausted means a limit cut the search. A
+    exhausted within the budget; Unknown means a limit cut the search. A
     found model that fails certification raises CertificationError.
 
     The roots go through construction.nogoods: a root whose search fails
@@ -227,7 +218,7 @@ def satisfiable(
     eng = _engine_logic(logic)
     D = adequate_closure([f])
     st = _State(budget, observer)
-    result: Sat | Unsat | Exhausted | None = None
+    result: Sat | Unsat | Unknown | None = None
     try:
         roots = sorted(enumerate_theories(D, include=[f], logic=eng), key=search_preference)
         for root in nogoods(D, roots, st, "skipped_root"):
@@ -250,7 +241,7 @@ def satisfiable(
         # for the cyclic collector. No result holds a theory.
         D._sat_cache.clear()
     if result is None:
-        result = Exhausted(st.report()) if st.cut else Unsat()
+        result = Unknown(st.report()) if st.cut else Unsat()
     if observer is None:
         if len(_sat_cache) >= _SAT_CACHE_SIZE:
             del _sat_cache[next(iter(_sat_cache))]
@@ -291,7 +282,7 @@ def derivable(logic: str, f: Formula, budget: Budget = DEFAULT_BUDGET) -> Verdic
         return Refuted(res.model, res.world)
     if isinstance(res, Unsat):
         return Derivable()
-    return Unknown(res.report)
+    return res
 
 
 def countermodel(logic: str, f: Formula, budget: Budget = DEFAULT_BUDGET):
@@ -321,10 +312,10 @@ def _match_schema(name: str, f: Formula) -> bool:
     return match(SCHEMATA[name], f) is not None
 
 
-def is_tautology(f: Formula, limit: int = 1 << 18) -> bool:
-    """Propositional tautology over the modal atoms of f."""
+def is_tautology(f: Formula) -> bool:
+    """Propositional tautology over the modal atoms of f, at most 18."""
     atoms = modal_atoms_of(f)
-    if 2 ** len(atoms) > limit:
+    if len(atoms) > 18:
         raise ValueError(f"too many modal atoms ({len(atoms)})")
     full = (1 << (1 << len(atoms))) - 1
     return boolean_masks([f], full, dict(zip(atoms, truth_table(len(atoms)))))[f] == full

@@ -28,6 +28,11 @@ def check_logic(logic: str) -> str:
     return logic
 
 
+def _engine_logic(logic: str) -> str:
+    """The logic the search and its frames run: GL runs as ILM."""
+    return ILM if check_logic(logic) == GL else logic
+
+
 class BudgetExceededError(RuntimeError):
     pass
 
@@ -149,9 +154,11 @@ class ValidationReport(NamedTuple):
         return "; ".join(str(v) for v in self.violations)
 
 
-def validate_il(frame: VeltmanFrame) -> ValidationReport:
-    """Check the frame conditions of the base interpretability logic; every
-    violation is reported with a witness tuple."""
+def validate(frame: VeltmanFrame, logic: str) -> ValidationReport:
+    """Check the frame conditions of IL and, under ILM, the ILM condition
+    y S_x z R u -> y R u; every violation is reported with a witness
+    tuple."""
+    check_logic(logic)
     out: list[Violation] = []
     W, R, S = frame.worlds, frame.R, frame.S
     pairs = sorted(R)
@@ -180,24 +187,12 @@ def validate_il(frame: VeltmanFrame) -> ValidationReport:
         for w in sorted(frame.s_exits.get((x, v), ())):
             if (x, u, w) not in S:
                 out.append(Violation("s_transitive", (x, u, v, w)))
-    return ValidationReport(tuple(out))
-
-
-def validate_ilm(frame: VeltmanFrame) -> ValidationReport:
-    """validate_il plus the ILM frame condition y S_x z R u -> y R u."""
-    out = list(validate_il(frame).violations)
-    for x, y, z in sorted(frame.S):
-        for u in sorted(frame.succ.get(z, ())):
-            if (y, u) not in frame.R:
-                out.append(Violation("ilm_condition", (x, y, z, u)))
-    return ValidationReport(tuple(out))
-
-
-def validate(frame: VeltmanFrame, logic: str) -> ValidationReport:
-    check_logic(logic)
     if logic == ILM:
-        return validate_ilm(frame)
-    return validate_il(frame)
+        for x, y, z in sorted(S):
+            for u in sorted(succ.get(z, ())):
+                if (y, u) not in R:
+                    out.append(Violation("ilm_condition", (x, y, z, u)))
+    return ValidationReport(tuple(out))
 
 
 def _extensions(frame: VeltmanFrame, fs, lanes: int, val, got: dict) -> dict:
@@ -357,18 +352,18 @@ def glue_selfprover(
     return VeltmanModel(frame, val), w
 
 
-def frame_validates(frame: VeltmanFrame, f: Formula, limit: int = 1 << 16) -> bool:
+def frame_validates(frame: VeltmanFrame, f: Formula) -> bool:
     """True iff f holds at every world under every valuation of f's atoms.
 
     One fold with a lane per valuation, the rows of the truth table over
-    the (world, atom) cells; raises BudgetExceededError beyond `limit`
+    the (world, atom) cells; raises BudgetExceededError beyond 2^16
     valuations.
     """
     names = sorted(atoms(f))
     worlds = sorted(frame.worlds)
     cells = len(worlds) * len(names)
-    if 2**cells > limit:
-        raise BudgetExceededError(f"2^{cells} valuations exceed limit {limit}")
+    if cells > 16:
+        raise BudgetExceededError(f"2^{cells} valuations exceed limit 65536")
     lanes, ix, columns = 1 << cells, frame.index, iter(truth_table(cells))
     got = dict.fromkeys(map(Atom, names), 0)
     for w in worlds:

@@ -457,12 +457,12 @@ def _succ_constraints(g: DTheory) -> list[tuple[Formula, bool]]:
     return cs
 
 
-def common_predecessor(d0: DTheory, d1: DTheory, logic: str = ILM) -> Iterator[DTheory]:
-    """Theories g with succ(g, d0) and succ(g, d1)."""
+def common_predecessor(d0: DTheory, d1: DTheory) -> Iterator[DTheory]:
+    """ILM theories g with succ(g, d0) and succ(g, d1)."""
     _same_adequate(d0, d1)
     D = d0.adequate
     cs: list[tuple[Formula, bool]] = []
     for b in D.boxed_members:
         if not (d0.models(b.body) and d0.models(b) and d1.models(b.body) and d1.models(b)):
             cs.append((b, False))
-    yield from solve_theories(D, logic, cs)
+    yield from solve_theories(D, ILM, cs)

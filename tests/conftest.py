@@ -4,9 +4,9 @@ corpora are identical across runs."""
 import functools
 import itertools
 
-from ilkit.construction import _Adjacency, _propagate_obligations
+from ilkit.construction import _Adjacency, _adjacency, _propagate_obligations, refresh_worklist
 from ilkit.relation import reach
-from ilkit.semantics import IL, ILM, VeltmanFrame, frame_validates, validate, validate_ilm
+from ilkit.semantics import IL, ILM, VeltmanFrame, frame_validates, validate
 from ilkit.syntax import (
     And,
     Atom,
@@ -101,7 +101,7 @@ def small_frames(logic, n_max=3):
     """Every frame of the logic with at most n_max worlds: the IL frames,
     and under ILM those meeting the M condition. GL reads only R, and the
     IL frames carry every transitive, irreflexive R."""
-    return tuple(fr for fr in enumerate_il_frames(n_max) if logic != ILM or validate_ilm(fr).ok)
+    return tuple(fr for fr in enumerate_il_frames(n_max) if logic != ILM or validate(fr, ILM).ok)
 
 
 def small_countermodel(f, frames):
@@ -201,8 +201,24 @@ def check_mcone_invariance(before, after):
     return all(
         m_cone(before, x, lab) == m_cone(after, x, lab)
         for x in before.worlds
-        for lab in before.labels_from(x)
+        for lab in labels_of(before, x)
     )
+
+
+def labels_of(F, x):
+    """The distinct labels of x's edges in the labeled frame F, ordered by
+    edge."""
+    return _adjacency(F).labels.get(x, [])
+
+
+def open_items(F):
+    """The open problems and deficiencies of the labeled frame F, in key
+    order: the worklist `refresh_worklist` gives a copy of F whose worklist
+    is empty."""
+    g = F.copy()
+    g.worklist = []
+    refresh_worklist(g)
+    return g.worklist
 
 
 def all_gl_formulas(max_nodes, max_modal_depth=2):

@@ -54,7 +54,6 @@ from ilkit.semantics import (
     forces,
     frame_validates,
     validate,
-    validate_ilm,
 )
 from ilkit.syntax import (
     And,
@@ -128,7 +127,7 @@ def test_criterion_3_frame_correspondence():
     frames = enumerate_il_frames(3)
     mismatches = 0
     for f in frames:
-        lhs = validate_ilm(f).ok
+        lhs = validate(f, ILM).ok
         rhs = frame_validates(f, m_instance)
         if lhs != rhs:
             mismatches += 1
@@ -225,7 +224,7 @@ def test_criterion_6_sigma1_fixed_points():
         rep = classify_sigma1(f)
         assert rep.answer == "no", s
         cm = sigma1_countermodel(f)
-        assert validate_ilm(cm.model.frame).ok
+        assert validate(cm.model.frame, ILM).ok
         assert not forces(cm.model, cm.world, cm.query)
         # l and r really are an f / not-f pair joined by S at the root
         assert forces(cm.model, "l", f) and not forces(cm.model, "r", f)

@@ -15,8 +15,8 @@ from ilkit.classify import (
     is_tsg,
     sigma1_countermodel,
 )
-from ilkit.decide import Derivable, Refuted, derivable
-from ilkit.semantics import GL, ILM, forces, validate_ilm
+from ilkit.decide import CertificationError, Derivable, Refuted, derivable
+from ilkit.semantics import GL, ILM, forces, validate
 from ilkit.syntax import And, Atom, BOT, Box, Diamond, Neg, Top, parse, render
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -133,7 +133,7 @@ def test_sigma1_no_cases_with_countermodels():
         rep = classify_sigma1(parse(s))
         assert rep.answer == "no", s
         model, world = rep.countermodel
-        assert validate_ilm(model.frame).ok
+        assert validate(model.frame, ILM).ok
         assert forces(model, world, Neg(rep.reduction_query))
 
 
@@ -149,7 +149,7 @@ def test_sigma1_countermodel_seeded():
     for s in ["p", "p & []p"]:
         cm = sigma1_countermodel(parse(s))
         assert cm.world == "m0"
-        assert validate_ilm(cm.model.frame).ok
+        assert validate(cm.model.frame, ILM).ok
         assert not forces(cm.model, "m0", cm.query)
         pa, qa = cm.fresh
         # the fresh atoms decorate exactly the two seed worlds
@@ -184,6 +184,18 @@ def test_sigma1_countermodel_checks_each_model_once(monkeypatch):
 def test_sigma1_countermodel_rejects_sigma_formula():
     with pytest.raises(ValueError):
         sigma1_countermodel(Box(p))
+
+
+def test_sigma1_countermodel_that_fails_certification_raises(monkeypatch):
+    # a completed model that is no ILM frame is an engine fault, never a
+    # reason to try the next seed
+    import ilkit.classify as classify
+    from ilkit.semantics import ValidationReport, Violation
+
+    broken = ValidationReport((Violation("r_transitive", ("m0", "l", "r")),))
+    monkeypatch.setattr(classify, "validate", lambda frame, logic: broken)
+    with pytest.raises(CertificationError, match="is no ilm frame"):
+        sigma1_countermodel(parse("p & []p"))
 
 
 # --- self provers ---------------------------------------------------------------

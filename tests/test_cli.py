@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from ilkit.cli import main
+from ilkit.syntax import render
 
 
 def run_cli(*argv):
@@ -139,6 +140,26 @@ def test_classify_negative_and_cert(tmp_path):
     assert code == 1
     code2, _ = run_proc("modelcheck", str(cert))
     assert code2 == 0
+
+
+@pytest.mark.parametrize("kind, code", [("tsg", 1), ("selfprover", 1), ("delta1", 3), ("almostloeb", 3), ("dagger", 3)])
+def test_classify_cert_is_written_or_refused(tmp_path, capsys, kind, code):
+    # tsg writes its reduction query's countermodel as sigma1 does, and
+    # selfprover its refutation as prove does; the other kinds answer from
+    # several refutations, so --cert with them is a usage error
+    cert = tmp_path / "cert.json"
+    assert run_cli("classify", kind, "p", "--cert", str(cert))[0] == code
+    if code == 3:
+        assert not cert.exists()
+        assert f"{kind} writes no --cert certificate" in capsys.readouterr().err
+        return
+    import ilkit.classify as cls
+    from ilkit.syntax import parse
+
+    data = json.loads(cert.read_text())
+    want = render(cls.is_tsg(parse("p")).reduction_query) if kind == "tsg" else "p -> []p"
+    assert (data["logic"], data["query"], data["holds"]) == ("ilm", want, f"~({want})")
+    assert run_cli("modelcheck", str(cert))[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ from conftest import (
     check_mcone_invariance,
     close_trace,
     find_imperfections,
+    labels_of,
     m_cone,
+    open_items,
     random_formula,
     transitive_closure_pairs,
 )
@@ -20,8 +22,6 @@ from ilkit.construction import (
     critical_cone,
     depth,
     eliminate,
-    find_deficiencies,
-    find_problems,
     generalized_cone,
     quasi_frame_violations,
     refresh_worklist,
@@ -29,7 +29,7 @@ from ilkit.construction import (
     verify_truth_lemma,
 )
 from ilkit.decide import Budget, _State, satisfiable
-from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces
+from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces, validate
 from ilkit.syntax import (
     BOT,
     And,
@@ -303,7 +303,7 @@ def test_find_problems_single_world():
     D = adequate_closure([parse("p |> q")])
     g = next(iter(enumerate_theories(D, exclude=[Rhd(p, q)])))
     f = frame_with(D, ILM, ["a"], set(), set(), {"a": g})
-    probs = find_problems(f)
+    probs = open_items(f)
     assert probs == [Problem("a", Neg(Rhd(p, q)))]
 
 
@@ -311,7 +311,7 @@ def test_find_box_problem():
     D = adequate_closure([Box(p)])
     g = next(iter(enumerate_theories(D, exclude=[Box(p)])))
     f = frame_with(D, ILM, ["a"], set(), set(), {"a": g})
-    assert find_problems(f) == [Problem("a", Neg(Box(p)))]
+    assert open_items(f) == [Problem("a", Neg(Box(p)))]
 
 
 def test_find_deficiencies():
@@ -321,7 +321,7 @@ def test_find_deficiencies():
     f = frame_with(
         D, ILM, ["a", "b"], {("a", "b")}, {("a", "b", "b")}, {"a": g, "b": t}
     )
-    defs = find_deficiencies(f)
+    defs = [i for i in open_items(f) if isinstance(i, Deficiency)]
     assert defs == [Deficiency("a", "b", Rhd(p, q))]
     # a q-carrying S-exit witnesses it
     z = next(iter(enumerate_theories(D, include=[q])))
@@ -333,7 +333,7 @@ def test_find_deficiencies():
         {("a", "b", "b"), ("a", "c", "c"), ("a", "b", "c")},
         {"a": g, "b": t, "c": z},
     )
-    assert find_deficiencies(f2) == []
+    assert [i for i in open_items(f2) if isinstance(i, Deficiency)] == []
 
 
 def test_eliminate_problem_one_point():
@@ -396,7 +396,7 @@ def test_eliminate_never_relabels_an_edge(logic):
     assert children
     for c in children:
         assert c.edge_label[("w0", "w1")] == q
-        assert Problem("w0", Neg(Rhd(p, q))) not in find_problems(c)
+        assert Problem("w0", Neg(Rhd(p, q))) not in open_items(c)
 
 
 def test_verify_truth_lemma_single_world():
@@ -503,7 +503,7 @@ def test_cone_inclusions_on_random_ilm_frames():
                 f.edge_label[(x, y)] = rng.choice((p, q, BOT))
         for g in (f, close(f)):
             for x in g.worlds:
-                for lab in g.labels_from(x):
+                for lab in labels_of(g, x):
                     crit = critical_cone(g, x, lab)
                     assert crit <= m_cone(g, x, lab) <= generalized_cone(g, x, lab)
                     checked += bool(crit)
@@ -537,8 +537,6 @@ def test_m_cone_equals_critical_cone_on_full_ilm_frames():
     # M-cone collapses onto the critical cone
     import random as _random
 
-    from ilkit.semantics import validate_ilm
-
     rng = _random.Random(17)
     D = adequate_closure([parse("[]p -> []q")])
     checked = 0
@@ -547,11 +545,11 @@ def test_m_cone_equals_critical_cone_on_full_ilm_frames():
         if quasi_frame_violations(f):
             continue
         g = close(f)
-        if not validate_ilm(g.to_frame()).ok:
+        if not validate(g.to_frame(), ILM).ok:
             continue
         checked += 1
         for x in g.worlds:
-            for lab in g.labels_from(x):
+            for lab in labels_of(g, x):
                 assert m_cone(g, x, lab) == critical_cone(g, x, lab)
     assert checked == 25
 
@@ -568,7 +566,7 @@ def test_m_cone_is_critical_cone_on_settled_ilm_frames(monkeypatch):
         done = real(F, since)
         if done is not None:
             for x in done.worlds:
-                for lab in done.labels_from(x):
+                for lab in labels_of(done, x):
                     crit = critical_cone(done, x, lab)
                     assert m_cone(done, x, lab) == crit
                     seen["cones"] += 1

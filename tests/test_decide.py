@@ -12,6 +12,7 @@ from ilkit.decide import (
     Unsat,
     axiom_instance,
     check_proof,
+    complete_frame,
     countermodel,
     derivable,
     is_tautology,
@@ -19,8 +20,8 @@ from ilkit.decide import (
     render_proof,
     satisfiable,
 )
-from ilkit.construction import verify_truth_lemma
-from ilkit.semantics import GL, IL, ILM, forces, validate_il, validate_ilm
+from ilkit.construction import LabeledFrame, verify_truth_lemma
+from ilkit.semantics import GL, IL, ILM, forces, validate
 from ilkit.syntax import (
     And,
     Atom,
@@ -31,8 +32,10 @@ from ilkit.syntax import (
     Or,
     Rhd,
     Top,
+    adequate_closure,
     parse,
 )
+from ilkit.theory import solve_theories
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -41,7 +44,7 @@ def test_satisfiable_atom():
     res = satisfiable(ILM, p)
     assert isinstance(res, Sat)
     assert forces(res.model, res.world, p)
-    assert validate_ilm(res.model.frame).ok
+    assert validate(res.model.frame, ILM).ok
 
 
 def test_satisfiable_contradiction():
@@ -64,7 +67,7 @@ def test_refuted_with_chain_certificate():
     v = derivable(GL, parse("p -> []p"))
     assert isinstance(v, Refuted)
     assert forces(v.model, v.world, Neg(parse("p -> []p")))
-    assert validate_il(v.model.frame).ok
+    assert validate(v.model.frame, IL).ok
     assert len(v.model.frame.worlds) == 2
 
 
@@ -107,7 +110,7 @@ def test_il_vs_ilm():
     # IL frame or (with a certificate) never claims derivability
     assert not isinstance(v, Derivable)
     if isinstance(v, Refuted):
-        assert validate_il(v.model.frame).ok
+        assert validate(v.model.frame, IL).ok
         assert forces(v.model, v.world, Neg(m_inst))
 
 
@@ -293,7 +296,7 @@ def test_world_reuse_under_tight_budget():
     assert isinstance(res, Sat)
     assert len(res.model.frame.worlds) <= 5
     assert forces(res.model, res.world, f)
-    assert validate_ilm(res.model.frame).ok
+    assert validate(res.model.frame, ILM).ok
 
 
 @pytest.mark.parametrize(
@@ -507,3 +510,39 @@ def test_sat_cache_evicts_the_oldest_answer(monkeypatch):
     # an evicted query is decided again, the same way
     assert satisfiable(GL, queries[1]) == Unsat()
     assert list(decide._sat_cache) == [(GL, f, Budget()) for f in (queries[3], queries[1])]
+
+
+def _one_world_frame(text):
+    """A labeled frame of one world w0 whose theory holds the formula, the
+    first such theory, and that theory."""
+    f = parse(text)
+    D = adequate_closure([f])
+    t = next(iter(solve_theories(D, ILM, [(f, True)])))
+    return LabeledFrame(D, ILM, ["w0"], nu={"w0": t}), t
+
+
+def test_complete_frame_with_a_violated_invariant_runs_no_search():
+    F, t = _one_world_frame("~[]p & ~(p |> q)")
+    # an edge between two worlds with the same theory: no box growth
+    G = LabeledFrame(F.adequate, ILM, ["a", "b"], {("a", "b")}, {("a", "b", "b")}, {"a": t, "b": t})
+    model, st = complete_frame(G)
+    assert model is None
+    assert (st.cut, st.steps, st.backtracks) == (None, 0, 0)
+
+
+def test_complete_frame_gives_a_certified_model():
+    F, t = _one_world_frame("~[]p & ~(p |> q)")
+    model, st = complete_frame(F)
+    assert st.cut is None and len(model.frame.worlds) > 1
+    assert validate(model.frame, ILM).ok
+    # the truth lemma at the prepared world, for every formula of D
+    assert all(forces(model, "w0", a) == t.models(a) for a in F.adequate.members)
+    # the frame given is settled on a copy and left as it was
+    assert F.worlds == ["w0"] and F.worklist == []
+
+
+def test_complete_frame_cut_by_a_one_step_budget():
+    F, _ = _one_world_frame("~[]p & ~(p |> q)")
+    model, st = complete_frame(F, Budget(max_steps=1))
+    assert model is None
+    assert st.cut == "max_steps"

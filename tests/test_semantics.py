@@ -5,6 +5,8 @@ import pytest
 from conftest import neg_chain, random_formula
 
 from ilkit.semantics import (
+    IL,
+    ILM,
     BudgetExceededError,
     VeltmanFrame,
     VeltmanModel,
@@ -17,8 +19,7 @@ from ilkit.semantics import (
     model_from_json,
     model_to_dot,
     model_to_json,
-    validate_il,
-    validate_ilm,
+    validate,
 )
 from ilkit.syntax import BOT, And, Atom, Box, Diamond, Implies, Neg, Rhd, Top, atoms, parse
 
@@ -35,13 +36,13 @@ def chain(n, val=None):
 
 def test_validate_single_world():
     f = VeltmanFrame.make(["a"])
-    assert validate_il(f).ok
-    assert validate_ilm(f).ok
+    assert validate(f, IL).ok
+    assert validate(f, ILM).ok
 
 
 def test_validate_missing_transitivity():
     f = VeltmanFrame.make(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    rep = validate_il(f)
+    rep = validate(f, IL)
     assert not rep.ok
     assert any(
         v.condition == "r_transitive" and v.witness == ("a", "b", "c")
@@ -51,12 +52,12 @@ def test_validate_missing_transitivity():
 
 def test_validate_cycle():
     f = VeltmanFrame.make(["a", "b"], [("a", "b"), ("b", "a")])
-    rep = validate_il(f)
+    rep = validate(f, IL)
     assert any(v.condition == "converse_well_founded" for v in rep.violations)
 
 
 def _violations_by_nested_loops(frame, ilm):
-    """validate_il / validate_ilm written out as scans over all pairs of
+    """validate under IL / ILM written out as scans over all pairs of
     pairs, in their report order."""
     import itertools
 
@@ -95,9 +96,9 @@ def test_validate_matches_nested_loop_definitions():
         R = {(a, b) for a in names for b in names if rng.random() < 0.2}
         S = {(a, b, c) for a in names for b in names for c in names if rng.random() < 0.05}
         frame = VeltmanFrame.make(worlds, R, S)
-        for ilm, check in ((False, validate_il), (True, validate_ilm)):
-            got = [(v.condition, v.witness) for v in check(frame).violations]
-            assert got == _violations_by_nested_loops(frame, ilm)
+        for logic in (IL, ILM):
+            got = [(v.condition, v.witness) for v in validate(frame, logic).violations]
+            assert got == _violations_by_nested_loops(frame, logic == ILM)
             seen |= {c for c, _ in got}
     assert len(seen) == 8  # every condition was violated somewhere
 
@@ -108,8 +109,8 @@ def test_validate_ilm_identity_s_is_vacuous():
     base = VeltmanFrame.make(
         ["a", "b", "c"], [("a", "b"), ("a", "c")], [("a", "b", "b"), ("a", "c", "c")]
     )
-    assert validate_il(base).ok
-    assert validate_ilm(base).ok
+    assert validate(base, IL).ok
+    assert validate(base, ILM).ok
 
 
 def test_validate_ilm_violation():
@@ -117,8 +118,8 @@ def test_validate_ilm_violation():
     R = [("w", "l"), ("w", "r"), ("w", "u"), ("r", "u")]
     S = [(x, y, y) for (x, y) in R] + [("w", "r", "u"), ("w", "l", "r"), ("w", "l", "u")]
     f = VeltmanFrame.make(W, R, S)
-    assert validate_il(f).ok
-    rep = validate_ilm(f)
+    assert validate(f, IL).ok
+    rep = validate(f, ILM)
     assert any(
         v.condition == "ilm_condition" and v.witness == ("w", "l", "r", "u")
         for v in rep.violations
@@ -224,7 +225,7 @@ def test_generated_submodel_lemma_random():
     rng = random.Random(20240817)
     for _ in range(40):
         m = _random_model(rng)
-        assert validate_il(m.frame).ok
+        assert validate(m.frame, IL).ok
         w = rng.choice(sorted(m.frame.worlds))
         g = generated_submodel(m, w)
         f = _random_formula(rng, ["a0", "a1"], 3)
@@ -236,7 +237,7 @@ def test_glue_root_single():
     m = VeltmanModel.make(["a"], val={"a": set()})
     glued, root = glue_root([(m, "a")])
     assert forces(glued, root, Diamond(Neg(p)))
-    assert validate_ilm(glued.frame).ok
+    assert validate(glued.frame, ILM).ok
 
 
 def test_glue_root_two_diamonds():
@@ -247,14 +248,14 @@ def test_glue_root_two_diamonds():
     assert forces(m1, "a", Diamond(Neg(q)))
     glued, root = glue_root([(m0, "a"), (m1, "a")])
     assert forces(glued, root, And(Diamond(Neg(p)), Diamond(Neg(q))))
-    assert validate_ilm(glued.frame).ok
+    assert validate(glued.frame, ILM).ok
 
 
 def test_glue_root_empty():
     glued, root = glue_root([])
     assert glued.frame.worlds == frozenset({root})
     assert forces(glued, root, parse("[]bot"))
-    assert validate_ilm(glued.frame).ok
+    assert validate(glued.frame, ILM).ok
 
 
 def test_glue_above_world_refutes_rhd():
@@ -262,7 +263,7 @@ def test_glue_above_world_refutes_rhd():
     glued, root = glue_above_world(m, "a")
     assert forces(glued, root, Neg(Rhd(p, parse("bot"))))
     assert forces(glued, root, Diamond(Top()))
-    assert validate_ilm(glued.frame).ok
+    assert validate(glued.frame, ILM).ok
 
 
 def test_glue_above_world_general():
@@ -274,7 +275,7 @@ def test_glue_above_world_general():
     assert forces(m, "m", parse("p & ~q & []~q"))
     glued, root = glue_above_world(m, "m")
     assert forces(glued, root, Neg(Rhd(A, B)))
-    assert validate_ilm(glued.frame).ok
+    assert validate(glued.frame, ILM).ok
 
 
 def test_glue_selfprover_shape():
@@ -283,7 +284,7 @@ def test_glue_selfprover_shape():
     glued, w = glue_selfprover(m, "l", n, "r")
     assert len(glued.frame.worlds) == 3
     assert forces(glued, w, Diamond(Top()))
-    assert validate_ilm(glued.frame).ok
+    assert validate(glued.frame, ILM).ok
 
 
 def test_glue_selfprover_breaks_box():
@@ -300,7 +301,7 @@ def test_glue_selfprover_breaks_box():
     assert forces(left, "l", parse("[]a & p"))
     assert forces(right, "r", parse("~p & []p & []a"))
     glued, w = glue_selfprover(left, "l", right, "r")
-    assert validate_ilm(glued.frame).ok
+    assert validate(glued.frame, ILM).ok
     assert forces(glued, w, Neg(Box(And(phi, Box(phi)))))
 
 
@@ -320,8 +321,8 @@ def test_frame_validates_detects_ilm_failure():
     S = [(x, y, y) for (x, y) in R] + [("w", "r", "u"), ("w", "l", "r"), ("w", "l", "u")]
     f = VeltmanFrame.make(W, R, S)
     m_instance = parse("p |> q -> (p & []r) |> (q & []r)")
-    assert validate_il(f).ok
-    assert not validate_ilm(f).ok
+    assert validate(f, IL).ok
+    assert not validate(f, ILM).ok
     assert not frame_validates(f, m_instance)
 
 
@@ -329,7 +330,7 @@ def test_frame_validates_budget():
     m = chain(6)
     big = parse("p1 & p2 & p3 & p4 & p5")
     with pytest.raises(BudgetExceededError):
-        frame_validates(m.frame, big, limit=1 << 10)
+        frame_validates(m.frame, big)
 
 
 def test_frame_validates_budget_holds_from_64_cells():
@@ -347,7 +348,7 @@ def test_lemma_3_2_correspondence_small_frames():
     frames = _enumerate_il_frames_upto(3)
     assert len(frames) > 20
     for f in frames:
-        assert validate_ilm(f).ok == frame_validates(f, m_instance)
+        assert validate(f, ILM).ok == frame_validates(f, m_instance)
 
 
 def _enumerate_il_frames_upto(n_max):
@@ -432,10 +433,10 @@ def test_lemma_3_2_correspondence_sampled_4_world_frames():
                         S.add((x, u, w))
                         changed = True
         f = VeltmanFrame.make(worlds, R, S)
-        if not validate_il(f).ok:
+        if not validate(f, IL).ok:
             continue
         checked += 1
-        assert validate_ilm(f).ok == frame_validates(f, m_instance, limit=1 << 13)
+        assert validate(f, ILM).ok == frame_validates(f, m_instance)
 
 
 def test_box_bot_exactly_at_maximal_worlds():
