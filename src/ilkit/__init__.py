@@ -32,10 +32,6 @@ from .semantics import (
     VeltmanModel,
     forces,
     frame_validates,
-    generated_submodel,
-    glue_above_world,
-    glue_root,
-    glue_selfprover,
     model_from_json,
     model_to_dot,
     model_to_json,

@@ -74,11 +74,12 @@ class Deficiency(NamedTuple):
 class LabeledFrame:
     """Mutable working frame; value-semantic copies back the search.
 
-    A frame keeps what its queries derive from it: its adjacency maps and,
+    A frame keeps its relation index (`_Adjacency`), which `close` builds
+    for the frame it returns and any other frame on its first query, and,
     per world, the constraints a fresh successor of that world must meet.
-    A copy starts without them and `add_world` drops them; a frame whose
-    R, S, labels or obligations are edited in place after a query must be
-    copied first. The search edits only fresh copies.
+    A copy starts without them and `add_world` drops them, so a caller
+    edits a copy of a closed or queried frame, never the frame itself. The
+    search edits only fresh copies.
     """
 
     def __init__(
@@ -179,29 +180,29 @@ def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> Label
 
 
 class _Adjacency:
-    """The adjacency maps of one frame state, from which the cone,
+    """The one index of a labeled frame's relations, from which the cone,
     predecessor and label queries are answered; `labels` maps x to the
-    distinct labels of x's edges, ordered by edge. It goes stale when R, S
-    or the edge labels change, so a frame keeps one only until it is
-    copied or grows a world."""
+    distinct labels of x's edges, ordered by edge. `close` builds the index
+    of the frame it returns. A frame keeps it until it is copied or grows
+    a world, so a caller edits a copy of a closed frame."""
 
-    def __init__(self, F: LabeledFrame):
-        self.succ = image(F.R)
-        self.pred = image((b, a) for a, b in F.R)
-        self.s_at = image(((x, y), z) for x, y, z in F.S)  # y S_x z
-        self.s_any = image((y, z) for _, y, z in F.S)  # y S_x z for some x
-        self.seeds = image(((x, lab), y) for (x, y), lab in F.edge_label.items())
+    def __init__(self, R: Iterable, S: Iterable, edge_label: dict[tuple[str, str], Formula]):
+        self.succ = image(R)
+        self.pred = image((b, a) for a, b in R)
+        self.s_at = image(((x, y), z) for x, y, z in S)  # y S_x z
+        self.s_any = image((y, z) for _, y, z in S)  # y S_x z for some x
+        self.seeds = image(((x, lab), y) for (x, y), lab in edge_label.items())
         self.labels: dict[str, list[Formula]] = {}
-        for (x, _), lab in sorted(F.edge_label.items()):
+        for (x, _), lab in sorted(edge_label.items()):
             labs = self.labels.setdefault(x, [])
             if lab not in labs:
                 labs.append(lab)
 
 
 def _adjacency(F: LabeledFrame) -> _Adjacency:
-    """F's adjacency maps, built on first use and kept with F."""
+    """F's index: the one `close` left, else built on first use and kept."""
     if F._adj is None:
-        F._adj = _Adjacency(F)
+        F._adj = _Adjacency(F.R, F.S, F.edge_label)
     return F._adj
 
 
@@ -230,12 +231,12 @@ def _generalized_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
 
 def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """Worlds reached from a C-labeled edge of x via S_x and R steps."""
-    return _critical_cone(_Adjacency(F), x, C)
+    return _critical_cone(_Adjacency(F.R, F.S, F.edge_label), x, C)
 
 
 def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """The critical cone closed under S steps with arbitrary index."""
-    return _generalized_cone(_Adjacency(F), x, C)
+    return _generalized_cone(_Adjacency(F.R, F.S, F.edge_label), x, C)
 
 
 # --- closure ------------------------------------------------------------------
@@ -245,19 +246,17 @@ def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, st
     """Under ILM, obligations flow along S-transitions (the obligation set
     is the out-of-D part of the boxes, and S preserves boxes). The given
     triples are examined first; a world whose obligations grow passes them
-    on along every S-transition out of it."""
+    on along every S-transition out of it, read off F's index."""
     if F.logic != ILM:
         return
-    ob = F.obligations
+    ob, s_any = F.obligations, _adjacency(F).s_any
     todo = [(b, c) for _, b, c in triples]
-    out = None  # b -> {c : b S_a c for some a}, built when first needed
     while todo:
         b, c = todo.pop()
         ob_b, ob_c = ob.get(b, frozenset()), ob.get(c, frozenset())
         if not ob_b <= ob_c:
             ob[c] = ob_c | ob_b
-            out = out or image((y, z) for _, y, z in F.S)
-            todo.extend((c, d) for d in out.get(c, ()))
+            todo.extend((c, d) for d in s_any.get(c, ()))
 
 
 def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
@@ -267,30 +266,23 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
     ILM, `ilm_condition`. The fixpoint is unique, so this worklist
     computation agrees with adding one missing fact at a time.
 
-    Each edge and triple enters the indexes when it is taken off the
-    worklist and is then joined, once, with every rule premise indexed so
-    far. Of any two premises that fire a rule, the later one taken off
-    finds the earlier in the indexes, so no conclusion is missed.
+    Each edge and triple enters the returned frame's index (`_Adjacency`)
+    when it is taken off the worklist and is then joined, once, with every
+    rule premise indexed so far. Of any two premises that fire a rule, the
+    later one taken off finds the earlier in the index, so no conclusion is
+    missed. The frame keeps the index, so a caller edits a copy of it.
 
     since, when given, is a closed frame that F extends (F's R, S and
-    obligations contain its own): its facts enter the indexes unjoined,
+    obligations contain its own): its facts enter the index unjoined,
     since any rule they fire together already holds, and only the facts it
     lacks go on the worklist. Without since every fact is new."""
     g = F.copy()
     R, S, logic = g.R, g.S, g.logic
     old_R, old_S = (since.R, since.S) if since is not None else ((), ())
-    succ: dict[str, set[str]] = {}  # a -> {b : a R b}
-    pred: dict[str, set[str]] = {}  # b -> {a : a R b}
-    s_at: dict[tuple[str, str], set[str]] = {}  # (a, b) -> {c : b S_a c}
-    s_to: dict[tuple[str, str], set[str]] = {}  # (a, c) -> {b : b S_a c}
-    s_into: dict[str, set[str]] = {}  # c -> {b : b S_a c for some a}
-    for a, b in old_R:
-        succ.setdefault(a, set()).add(b)
-        pred.setdefault(b, set()).add(a)
-    for a, b, c in old_S:
-        s_at.setdefault((a, b), set()).add(c)
-        s_to.setdefault((a, c), set()).add(b)
-        s_into.setdefault(c, set()).add(b)
+    adj = _Adjacency(old_R, old_S, g.edge_label)
+    succ, pred, s_at, s_any = adj.succ, adj.pred, adj.s_at, adj.s_any
+    s_to = image(((a, c), b) for a, b, c in old_S)  # (a, c) -> {b : b S_a c}
+    s_into = image((c, b) for _, b, c in old_S)  # c -> {b : b S_a c for some a}
     todo: list[tuple[str, ...]] = [*R.difference(old_R), *S.difference(old_S)]
 
     def add(fact, into):
@@ -317,6 +309,7 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
         else:
             a, b, c = fact
             s_at.setdefault((a, b), set()).add(c)
+            s_any.setdefault(b, set()).add(c)
             s_to.setdefault((a, c), set()).add(b)
             s_into.setdefault(c, set()).add(b)
             for d in s_at.get((a, c), ()):  # s_transitive, b S_a c S_a d
@@ -326,6 +319,7 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
             if logic == ILM:  # ilm_condition, b S_a c R d
                 for d in succ.get(c, ()):
                     add((b, d), R)
+    g._adj = adj
     _propagate_obligations(g, S.difference(old_S))
     return g
 

@@ -12,7 +12,7 @@ import json
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .relation import find_cycle, fold, image, transitive_closure
+from .relation import find_cycle, fold, image
 from .syntax import Atom, Box, Formula, Implies, Rhd, _kids, atoms, truth_table
 
 GL = "gl"
@@ -232,124 +232,6 @@ def forces(model: VeltmanModel, w: str, f: Formula) -> bool:
     if w not in model.frame.worlds:
         raise KeyError(f"unknown world {w!r}")
     return bool(model.extensions([f])[f] >> model.frame.index[w] & 1)
-
-
-def generated_submodel(model: VeltmanModel, m: str) -> VeltmanModel:
-    """Restriction to m and its R-successors; forcing of every formula is
-    preserved at every retained world."""
-    if m not in model.frame.worlds:
-        raise KeyError(f"unknown world {m!r}")
-    keep = {m} | model.frame.succ.get(m, set())
-    R = [e for e in model.frame.R if keep.issuperset(e)]
-    S = [t for t in model.frame.S if keep.issuperset(t)]
-    return VeltmanModel(VeltmanFrame.make(keep, R, S), {w: model.val.get(w, frozenset()) for w in keep})
-
-
-# --- gluing constructions ---------------------------------------------------
-
-
-def _disjointify(models: list[tuple[VeltmanModel, str]], reserved: set[str]):
-    """Rename world sets that collide (with each other or with `reserved`);
-    the i-th model's world w becomes f"m{i}_{w}" when renaming is needed."""
-    seen: set[str] = set(reserved)
-    out = []
-    for i, (m, d) in enumerate(models):
-        ws = set(m.frame.worlds)
-        if ws & seen:
-            ren = {w: f"m{i}_{w}" for w in ws}
-            m = VeltmanModel(
-                VeltmanFrame(
-                    frozenset(ren[w] for w in ws),
-                    frozenset((ren[x], ren[y]) for x, y in m.frame.R),
-                    frozenset((ren[x], ren[y], ren[z]) for x, y, z in m.frame.S),
-                ),
-                {ren[w]: m.val.get(w, frozenset()) for w in ws},
-            )
-            d = ren[d]
-        seen |= set(m.frame.worlds)
-        out.append((m, d))
-    return out
-
-
-def _fresh_root(taken: set[str]) -> str:
-    name = "r"
-    i = 0
-    while name in taken:
-        name = f"r{i}"
-        i += 1
-    return name
-
-
-def glue_root(models: list[tuple[VeltmanModel, str]]) -> tuple[VeltmanModel, str]:
-    """Put a fresh root below all the given models: the root sees every
-    world, and its S is identity-on-successors plus all input R edges."""
-    models = _disjointify(list(models), set())
-    all_worlds: set[str] = set()
-    for m, _ in models:
-        all_worlds |= set(m.frame.worlds)
-    root = _fresh_root(all_worlds)
-    R = set()
-    S = set()
-    val: dict[str, frozenset[str]] = {root: frozenset()}
-    for m, _ in models:
-        R |= set(m.frame.R)
-        S |= set(m.frame.S)
-        val.update(m.val)
-    R |= {(root, w) for w in all_worlds}
-    S |= {(root, w, w) for w in all_worlds}
-    for m, _ in models:
-        S |= {(root, x, y) for (x, y) in m.frame.R}
-    frame = VeltmanFrame(frozenset(all_worlds | {root}), frozenset(R), frozenset(S))
-    return VeltmanModel(frame, val), root
-
-
-def glue_above_world(model: VeltmanModel, m: str) -> tuple[VeltmanModel, str]:
-    """Put a fresh root directly below world m: the root sees exactly m and
-    m's successors; S at the root is identity plus R above m."""
-    if m not in model.frame.worlds:
-        raise KeyError(f"unknown world {m!r}")
-    root = _fresh_root(set(model.frame.worlds))
-    above = {m} | model.frame.succ.get(m, set())
-    R = set(model.frame.R) | {(root, x) for x in above}
-    S = set(model.frame.S)
-    S |= {(root, x, x) for x in above}
-    S |= {(root, x, y) for (x, y) in model.frame.R if x in above and y in above}
-    frame = VeltmanFrame(frozenset(model.frame.worlds | {root}), frozenset(R), frozenset(S))
-    val = dict(model.val)
-    val[root] = frozenset()
-    return VeltmanModel(frame, val), root
-
-
-def glue_selfprover(
-    left: VeltmanModel, l: str, right: VeltmanModel, r: str
-) -> tuple[VeltmanModel, str]:
-    """Glue a fresh world w below both models, identify l S_w r, and give l
-    access to everything above r. S is rebuilt canonically from the glued R
-    (y S_x z iff x R y and y R* z) plus the one extra triple, so the output
-    is an ILM model; input S relations are discarded (the construction is
-    for box-fragment inputs).
-    """
-    if l not in left.frame.worlds:
-        raise KeyError(f"unknown world {l!r}")
-    if r not in right.frame.worlds:
-        raise KeyError(f"unknown world {r!r}")
-    pairs = _disjointify([(left, l), (right, r)], set())
-    (left, l), (right, r) = pairs
-    w = _fresh_root(set(left.frame.worlds) | set(right.frame.worlds))
-    worlds = set(left.frame.worlds) | set(right.frame.worlds) | {w}
-    R = set(left.frame.R) | set(right.frame.R)
-    R |= {(w, x) for x in worlds if x != w}
-    R |= {(l, y) for (x, y) in right.frame.R if x == r}
-    # l's new edges may need lifting to l's ancestors
-    R = transitive_closure(R)
-    succ = image(R)
-    S = {(x, y, z) for x, y in R for z in (y, *succ.get(y, ()))}
-    S.add((w, l, r))
-    frame = VeltmanFrame(frozenset(worlds), frozenset(R), frozenset(S))
-    val = dict(left.val)
-    val.update(right.val)
-    val[w] = frozenset()
-    return VeltmanModel(frame, val), w
 
 
 def frame_validates(frame: VeltmanFrame, f: Formula) -> bool:

@@ -5,8 +5,8 @@ import functools
 import itertools
 
 from ilkit.construction import _Adjacency, _adjacency, _propagate_obligations, refresh_worklist
-from ilkit.relation import reach
-from ilkit.semantics import IL, ILM, VeltmanFrame, frame_validates, validate
+from ilkit.relation import image, reach
+from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, frame_validates, validate
 from ilkit.syntax import (
     And,
     Atom,
@@ -184,7 +184,7 @@ def m_cone(F, x, A):
     """The critical cone of x's A-labeled edges, closed also under a step
     along one or more S steps of any index and then one R step. On a
     frame closed under ILM it is the critical cone."""
-    adj = _Adjacency(F)
+    adj = _Adjacency(F.R, F.S, F.edge_label)
     s_step = lambda n: adj.s_any.get(n, ())
 
     def step(y):
@@ -219,6 +219,154 @@ def open_items(F):
     g.worklist = []
     refresh_worklist(g)
     return g.worklist
+
+
+# --- submodels and gluing ----------------------------------------------------
+# The paper's model constructions behind the admissible rules: a generated
+# submodel keeps forcing, and a fresh root glued below countermodels
+# refutes their disjunction (rule ii). The tests use them as independent
+# refutations that do not rerun the search.
+
+
+def generated_submodel(model: VeltmanModel, m: str) -> VeltmanModel:
+    """Restriction to m and its R-successors; forcing of every formula is
+    preserved at every retained world."""
+    if m not in model.frame.worlds:
+        raise KeyError(f"unknown world {m!r}")
+    keep = {m} | model.frame.succ.get(m, set())
+    R = [e for e in model.frame.R if keep.issuperset(e)]
+    S = [t for t in model.frame.S if keep.issuperset(t)]
+    return VeltmanModel(VeltmanFrame.make(keep, R, S), {w: model.val.get(w, frozenset()) for w in keep})
+
+
+def _disjointify(models: list[tuple[VeltmanModel, str]]):
+    """Rename world sets that collide with each other: the i-th model's
+    world w becomes f"m{i}_{w}" when renaming is needed."""
+    seen: set[str] = set()
+    out = []
+    for i, (m, d) in enumerate(models):
+        ws = set(m.frame.worlds)
+        if ws & seen:
+            ren = {w: f"m{i}_{w}" for w in ws}
+            m = VeltmanModel(
+                VeltmanFrame(
+                    frozenset(ren[w] for w in ws),
+                    frozenset((ren[x], ren[y]) for x, y in m.frame.R),
+                    frozenset((ren[x], ren[y], ren[z]) for x, y, z in m.frame.S),
+                ),
+                {ren[w]: m.val.get(w, frozenset()) for w in ws},
+            )
+            d = ren[d]
+        seen |= set(m.frame.worlds)
+        out.append((m, d))
+    return out
+
+
+def _fresh_root(taken: set[str]) -> str:
+    name = "r"
+    i = 0
+    while name in taken:
+        name = f"r{i}"
+        i += 1
+    return name
+
+
+def glue_root(models: list[tuple[VeltmanModel, str]]) -> tuple[VeltmanModel, str]:
+    """Put a fresh root below all the given models: the root sees every
+    world, and its S is identity-on-successors plus all input R edges."""
+    models = _disjointify(list(models))
+    all_worlds: set[str] = set()
+    for m, _ in models:
+        all_worlds |= set(m.frame.worlds)
+    root = _fresh_root(all_worlds)
+    R = set()
+    S = set()
+    val: dict[str, frozenset[str]] = {root: frozenset()}
+    for m, _ in models:
+        R |= set(m.frame.R)
+        S |= set(m.frame.S)
+        val.update(m.val)
+    R |= {(root, w) for w in all_worlds}
+    S |= {(root, w, w) for w in all_worlds}
+    for m, _ in models:
+        S |= {(root, x, y) for (x, y) in m.frame.R}
+    frame = VeltmanFrame(frozenset(all_worlds | {root}), frozenset(R), frozenset(S))
+    return VeltmanModel(frame, val), root
+
+
+def glue_above_world(model: VeltmanModel, m: str) -> tuple[VeltmanModel, str]:
+    """Put a fresh root directly below world m: the root sees exactly m and
+    m's successors; S at the root is identity plus R above m."""
+    if m not in model.frame.worlds:
+        raise KeyError(f"unknown world {m!r}")
+    root = _fresh_root(set(model.frame.worlds))
+    above = {m} | model.frame.succ.get(m, set())
+    R = set(model.frame.R) | {(root, x) for x in above}
+    S = set(model.frame.S)
+    S |= {(root, x, x) for x in above}
+    S |= {(root, x, y) for (x, y) in model.frame.R if x in above and y in above}
+    frame = VeltmanFrame(frozenset(model.frame.worlds | {root}), frozenset(R), frozenset(S))
+    val = dict(model.val)
+    val[root] = frozenset()
+    return VeltmanModel(frame, val), root
+
+
+def glue_selfprover(
+    left: VeltmanModel, l: str, right: VeltmanModel, r: str
+) -> tuple[VeltmanModel, str]:
+    """Glue a fresh world w below both models, identify l S_w r, and give l
+    access to everything above r. S is rebuilt canonically from the glued R
+    (y S_x z iff x R y and y R* z) plus the one extra triple, so the output
+    is an ILM model; input S relations are discarded (the construction is
+    for box-fragment inputs).
+    """
+    if l not in left.frame.worlds:
+        raise KeyError(f"unknown world {l!r}")
+    if r not in right.frame.worlds:
+        raise KeyError(f"unknown world {r!r}")
+    pairs = _disjointify([(left, l), (right, r)])
+    (left, l), (right, r) = pairs
+    w = _fresh_root(set(left.frame.worlds) | set(right.frame.worlds))
+    worlds = set(left.frame.worlds) | set(right.frame.worlds) | {w}
+    R = set(left.frame.R) | set(right.frame.R)
+    R |= {(w, x) for x in worlds if x != w}
+    R |= {(l, y) for (x, y) in right.frame.R if x == r}
+    # l's new edges may need lifting to l's ancestors
+    R = transitive_closure_pairs(R)
+    succ = image(R)
+    S = {(x, y, z) for x, y in R for z in (y, *succ.get(y, ()))}
+    S.add((w, l, r))
+    frame = VeltmanFrame(frozenset(worlds), frozenset(R), frozenset(S))
+    val = dict(left.val)
+    val.update(right.val)
+    val[w] = frozenset()
+    return VeltmanModel(frame, val), w
+
+
+@functools.cache
+def gls_provable(left, right):
+    """The sequent left => right, two frozensets of rhd-free formulas, is
+    provable in GLS, the cut-free sequent calculus for GL (Sambin &
+    Valentini, J. Philos. Logic 1982), memoised on sequents. The `->`
+    rules are invertible, so they apply first in any order; then some
+    []B on the right must follow by the GL rule from G, []G, []B => B,
+    where []G are the boxes on the left. []B is not on the left (else the
+    sequent is an axiom), so each GL step adds a boxed subformula on the
+    left, and the search ends."""
+    if BOT in left or left & right:
+        return True
+    for f in right:
+        if isinstance(f, Implies):
+            return gls_provable(left | {f.left}, (right - {f}) | {f.right})
+    for f in left:
+        if isinstance(f, Implies):
+            rest = left - {f}
+            return gls_provable(rest, right | {f.left}) and gls_provable(rest | {f.right}, right)
+    boxes = frozenset(f for f in left if isinstance(f, Box))
+    bodies = frozenset(f.body for f in boxes)
+    return any(
+        gls_provable(bodies | boxes | {b}, frozenset({b.body})) for b in right if isinstance(b, Box)
+    )
 
 
 def all_gl_formulas(max_nodes, max_modal_depth=2):

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from conftest import reference_value
+from conftest import glue_root, random_formula, reference_value
 from ilkit.classify import (
     _covers,
     _prime_implicants,
@@ -17,7 +19,7 @@ from ilkit.classify import (
 )
 from ilkit.decide import CertificationError, Derivable, Refuted, derivable
 from ilkit.semantics import GL, ILM, forces, validate
-from ilkit.syntax import And, Atom, BOT, Box, Diamond, Neg, Top, parse, render
+from ilkit.syntax import And, Atom, BOT, Box, Diamond, Neg, Or, Top, parse, render
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -49,6 +51,25 @@ def test_rule_ii_disjunction():
     assert rep.agree is True
     assert isinstance(rep.lhs[0], Derivable)
     assert [v.kind for v in rep.rhs] == ["refuted", "derivable"]
+
+
+def test_rule_ii_glued_countermodels_refute_the_left_side():
+    # the paper's argument for rule ii: a fresh root below a countermodel
+    # of []A and one of []B refutes []A | []B. So whenever both right
+    # sides are refuted, gluing their certificates refutes the left side
+    # without rerunning the search, and the engine must not derive it.
+    rng = random.Random(31)
+    glued = 0
+    for _ in range(100):
+        a, b = random_formula(rng, 2), random_formula(rng, 2)
+        rep = check_rule("ii", (a, b))
+        if all(isinstance(v, Refuted) for v in rep.rhs):
+            model, root = glue_root([(v.model, v.world) for v in rep.rhs])
+            assert validate(model.frame, ILM).ok
+            assert not forces(model, root, Or(Box(a), Box(b)))
+            assert not isinstance(rep.lhs[0], Derivable)
+            glued += 1
+    assert glued >= 30
 
 
 def test_rule_instance_of_wrong_size_is_rejected():

@@ -17,6 +17,7 @@ from ilkit.construction import (
     Deficiency,
     LabeledFrame,
     Problem,
+    _Adjacency,
     close,
     close_frame,
     critical_cone,
@@ -630,6 +631,35 @@ def test_cone_overlap_alone_rejects_an_il_frame():
     assert quasi_frame_violations(g) == ["generalized cones overlap at x: p / q"]
 
 
+def test_an_edited_copy_of_a_closed_frame_reads_a_fresh_index():
+    # close leaves its index on the frame it returns, so a caller edits a
+    # copy; the copy's queries see the edit. Here y R z puts z in both
+    # labeled cones of x.
+    D = adequate_closure([Box(p), Box(q)])
+    root = pick(D, IL, excl=[Box(p), Box(q)])
+    ty = pick(D, IL, incl=[Neg(p), Box(q)])
+    tz = pick(D, IL, incl=[Neg(q), Box(p)])
+    f = frame_with(
+        D,
+        IL,
+        ["x", "y", "z"],
+        {("x", "y"), ("x", "z")},
+        (),
+        {"x": root, "y": ty, "z": tz},
+        labels={("x", "y"): p, ("x", "z"): q},
+    )
+    g = close(f)
+    assert g._adj is not None
+    assert critical_cone(g, "x", p) == {"y"} and quasi_frame_violations(g) == []
+    h = g.copy()
+    h.R.add(("y", "z"))
+    fresh = frame_with(D, IL, h.worlds, h.R, h.S, h.nu, h.edge_label)
+    assert critical_cone(h, "x", p) == critical_cone(fresh, "x", p) == {"y", "z"}
+    got = quasi_frame_violations(h)
+    assert got == quasi_frame_violations(fresh)
+    assert "generalized cones overlap at x: p / q" in got
+
+
 def test_mcone_invariance_across_ilm_condition_step():
     D = small_D()
     g = pick(D, incl=[Neg(Rhd(p, q))])
@@ -685,6 +715,14 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
         assert since is not None, "a search step must pass its parent"
         step, whole = close(F, since=since), close(F)
         assert (step.R, step.S, step.obligations) == (whole.R, whole.S, whole.obligations)
+        left = step._adj
+        for g in (step, whole):
+            # the index close leaves, which the checks below read, is the
+            # one a fresh build gives, map by map
+            assert g._adj is not None
+            fresh = _Adjacency(g.R, g.S, g.edge_label)
+            for name, got in vars(g._adj).items():
+                assert got == getattr(fresh, name), name
         if logic == ILM:
             # close pushes obligations along S, so no check of them is needed
             for g in (step, whole):
@@ -695,6 +733,7 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
             refresh_worklist(step, since=since)
             refresh_worklist(whole)
             assert step.worklist == whole.worklist
+        assert step._adj is left, "the checks must read the index close left"
         seen["steps"] += 1
         seen["rejected"] += bad
         return real(F, since)

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from conftest import neg_chain
+from conftest import gls_provable, neg_chain, random_formula
 
 from ilkit.decide import (
     Budget,
@@ -129,6 +131,24 @@ def test_conservativity_gl_ilm():
     for s in ["[]p -> [][]p", "p -> []p", "<>top -> ~[]bot", "[](p -> q) -> ([]p -> []q)"]:
         f = parse(s)
         assert derivable(GL, f).kind == derivable(ILM, f).kind
+
+
+def test_decided_gl_verdicts_agree_with_gls():
+    # an independent GL prover: every decided verdict of the search, on
+    # seeded rhd-free formulas and on instances of L1-L3, is GLS's. Nothing
+    # is asserted about decidedness, so the budget is small.
+    rng = random.Random(21)
+    fs = [random_formula(rng, 4, allow_rhd=False) for _ in range(300)]
+    for _ in range(10):
+        a, b = (random_formula(rng, 2, allow_rhd=False) for _ in range(2))
+        fs += [axiom_instance("L1", a, b), axiom_instance("L2", a), axiom_instance("L3", a)]
+    seen = {"derivable": 0, "refuted": 0, "unknown": 0}
+    for f in fs:
+        v = derivable(GL, f, Budget(max_steps=500))
+        seen[v.kind] += 1
+        if v.kind != "unknown":
+            assert gls_provable(frozenset(), frozenset([f])) == (v.kind == "derivable"), f
+    assert seen["derivable"] >= 30 and seen["refuted"] >= 30, seen
 
 
 # --- tautology and schema matching -----------------------------------------

@@ -2,7 +2,14 @@ import itertools
 import random
 
 import pytest
-from conftest import neg_chain, random_formula
+from conftest import (
+    generated_submodel,
+    glue_above_world,
+    glue_root,
+    glue_selfprover,
+    neg_chain,
+    random_formula,
+)
 
 from ilkit.semantics import (
     IL,
@@ -12,10 +19,6 @@ from ilkit.semantics import (
     VeltmanModel,
     forces,
     frame_validates,
-    generated_submodel,
-    glue_above_world,
-    glue_root,
-    glue_selfprover,
     model_from_json,
     model_to_dot,
     model_to_json,
