@@ -55,7 +55,7 @@ from .syntax import (
     substitute,
     truth_table,
 )
-from .theory import common_predecessor, search_preference, solve_theories
+from .theory import TheoryQuery, common_predecessor
 
 
 def _holds(v: Verdict) -> bool | None:
@@ -287,10 +287,9 @@ def sigma1_countermodel(
         raise ValueError("formula is essentially Sigma_1; no countermodel exists")
 
     try:
-        d0s = sorted(solve_theories(D, ILM, [(f, True)]), key=search_preference)
-        for d0 in d0s:
+        for d0 in TheoryQuery(D, ILM, [(f, True)]).preferred():
             d1_cs = [(f, False)] + [(b, True) for b in d0.boxes()]
-            for d1 in sorted(solve_theories(D, ILM, d1_cs), key=search_preference):
+            for d1 in TheoryQuery(D, ILM, d1_cs).preferred():
                 for gamma in common_predecessor(d0, d1):
                     R, S = {("m0", "l"), ("m0", "r")}, {("m0", "l", "r")}
                     nu = {"m0": gamma, "l": d0, "r": d1}

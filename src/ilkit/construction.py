@@ -27,7 +27,6 @@ from .syntax import (
     AdequateSet,
     Atom,
     BOT,
-    Box,
     Formula,
     Neg,
     Rhd,
@@ -43,7 +42,6 @@ from .theory import (
     crit_obligations,
     crit_succ,
     existential_atoms,
-    search_preference,
     succ,
 )
 
@@ -534,44 +532,44 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
     return got
 
 
-def _box_lookahead(F: LabeledFrame, t: DTheory, base: TheoryQuery) -> bool:
+def _box_lookahead(F: LabeledFrame, t: DTheory, base: TheoryQuery, memo: dict) -> bool:
     """Would a fresh successor of x with theory t leave one of its false
     boxes permanently unwitnessable? base holds x's inherited and critical
     constraints plus the fresh world's obligations. In any completed
     extension, an R-maximal refuter of []E carries ~E together with []E
     and satisfies every inherited constraint, so emptiness of that set is
-    final."""
-    false_boxes = [
-        bx for bx in F.adequate.modal_atoms if isinstance(bx, Box) and not t.models(bx)
-    ]
-    if not false_boxes:
-        return True
-    base = base.where(_succ_constraints(t))
-    return not any(
-        base.where(((bx.body, False), (bx, True))).is_empty() for bx in false_boxes
-    )
+    final. The answer reads t only through `t.boxes()`, its key in memo."""
+    boxes = t.boxes()
+    got = memo.get(boxes)
+    if got is None:
+        false_boxes = [bx for bx in F.adequate.boxed_members if bx not in boxes]
+        base = base.where(_succ_constraints(t))
+        got = memo[boxes] = not any(
+            base.where(((bx.body, False), (bx, True))).is_empty() for bx in false_boxes
+        )
+    return got
 
 
 def _deficiency_lookahead(
-    F: LabeledFrame, x: str, t: DTheory, base: TheoryQuery
+    F: LabeledFrame, t: DTheory, base: TheoryQuery, rhos: list[Rhd], memo: dict
 ) -> bool:
     """Would a fresh successor of x with theory t leave some deficiency of x
     permanently uneliminable? base holds x's inherited and critical
-    constraints plus the successor constraints of x. Any S_x exit it could
-    ever get, incidental or constructed, must satisfy the deficiency's
-    candidate constraints, so an empty candidate set now is final."""
-    gx = F.nu[x]
-    with_boxes = None
-    for rho in F.adequate.modal_atoms:
-        if not isinstance(rho, Rhd) or not gx.models(rho):
-            continue
+    constraints plus the successor constraints of x, and rhos are the rhds
+    x's theory holds. Any S_x exit it could ever get, incidental or
+    constructed, must satisfy the deficiency's candidate constraints, so
+    an empty candidate set now is final. That set's query is base, t's
+    boxes under ILM and rho's right side, so memo keys it on rho and, under
+    ILM, `t.boxes()`."""
+    boxes = t.boxes() if F.logic == ILM else ()
+    for rho in rhos:
         if not t.models(rho.left) or t.models(rho.right):
             continue
-        if with_boxes is None:
-            with_boxes = base
-            if F.logic == ILM:
-                with_boxes = base.where((b, True) for b in t.boxes())
-        if with_boxes.where(((rho.right, True),)).is_empty():
+        got = memo.get((rho, boxes))
+        if got is None:
+            cs = [(b, True) for b in boxes] + [(rho.right, True)]
+            got = memo[rho, boxes] = base.where(cs).is_empty()
+        if got:
             return False
     return True
 
@@ -611,7 +609,10 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     world's theory would itself be a solution of it.
 
     A candidate is a fresh witness (`_witness`) that meets x's successor
-    constraints. Both lookaheads narrow the same query. The answer depends
+    constraints, and the list is in search_preference order
+    (`TheoryQuery.preferred`). Both lookaheads narrow the same query, and
+    within a call each is asked once per box class of the candidates
+    (per rhd as well for the deficiency lookahead). The answer depends
     on F only through the item's world theory, its criticality label, the
     inherited constraints and, for an ILM deficiency, y's theory. It is
     memoised on those per adequate set, so the most-constrained scan of
@@ -640,13 +641,16 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     own = [meets, *fresh]
     if boxes_of is not None:
         own += [(b, True) for b in boxes_of.boxes()]
+    rhos = [rho for rho in F.adequate.modal_atoms if isinstance(rho, Rhd) and gx.models(rho)]
+    # the lookaheads' answers, per box class and per (rho, box class)
+    seen_boxes: dict = {}
+    seen_deficiencies: dict = {}
     good = [
         t
-        for t in deficiency_base.where(own)
-        if _deficiency_lookahead(F, x, t, deficiency_base)
-        and _box_lookahead(F, t, box_base)
+        for t in deficiency_base.where(own).preferred()
+        if _deficiency_lookahead(F, t, deficiency_base, rhos, seen_deficiencies)
+        and _box_lookahead(F, t, box_base, seen_boxes)
     ]
-    good.sort(key=search_preference)
     memo[key] = good
     return good
 

@@ -47,7 +47,7 @@ from .syntax import (
     substitute,
     truth_table,
 )
-from .theory import AXIOMS, SCHEMATA, enumerate_theories, search_preference
+from .theory import AXIOMS, SCHEMATA, TheoryQuery
 
 
 class Budget(NamedTuple):
@@ -220,7 +220,7 @@ def satisfiable(
     st = _State(budget, observer)
     result: Sat | Unsat | Unknown | None = None
     try:
-        roots = sorted(enumerate_theories(D, include=[f], logic=eng), key=search_preference)
+        roots = TheoryQuery(D, eng, [(f, True)]).preferred()
         for root in nogoods(D, roots, st, "skipped_root"):
             # a one-world seed has no edge, triple or label for any
             # invariant to read, so it needs no check

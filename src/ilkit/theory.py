@@ -267,12 +267,14 @@ class _TheoryIndex:
     when bit n-1-i of r is set (a row of `truth_table(n)`), so row r's
     theory has key r and rows ascend in theory order. A formula's mask
     (`boolean_masks`) has the bits of the rows that make it true, and
-    `valid` those of the rows meeting every saturation constraint. A
-    row's DTheory is built when a walk first reaches it. Masks never go
-    through DTheory.models, so a theory's value map holds only its modal
-    atoms."""
+    `valid` those of the rows meeting every saturation constraint.
+    `levels[k]` has the valid rows with exactly k false rhd and box
+    atoms, so walking the levels in turn, each in key order, is
+    search_preference order. A row's DTheory is built when a walk first
+    reaches it. Masks never go through DTheory.models, so a theory's
+    value map holds only its modal atoms."""
 
-    __slots__ = ("adequate", "full", "valid", "_masks", "_theories")
+    __slots__ = ("adequate", "full", "valid", "levels", "_masks", "_theories")
 
     def __init__(self, D: AdequateSet, logic: str):
         n = len(D.modal_atoms)
@@ -281,6 +283,13 @@ class _TheoryIndex:
         self._masks: dict[Formula, int] = dict(zip(D.modal_atoms, truth_table(n)))
         self.valid = self.narrow(self.full, ((f, True) for f in saturation_constraints(D, logic)))
         self._theories: dict[int, DTheory] = {}
+        # a bit-parallel count of the false rhd and box atoms, one atom at
+        # a time: a row moves up a level where the atom is false
+        levels = [self.valid]
+        for a in existential_atoms(D):
+            off = self.full ^ self._masks[a]
+            levels = [lo & ~off | up & off for lo, up in zip(levels + [0], [0] + levels)]
+        self.levels = levels
 
     def mask(self, f: Formula) -> int:
         got = self._masks.get(f)
@@ -324,7 +333,8 @@ def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
 
 class TheoryQuery:
     """The DTheories of D meeting a conjunction of (formula, value)
-    constraints, in the key order of solve_theories.
+    constraints: iterated in key order, or by `preferred()` in
+    search_preference order.
 
     On a materialised adequate set (at most _CACHE_ATOMS modal atoms) the
     query is a bitmask over the index; otherwise it keeps the constraints
@@ -369,6 +379,16 @@ class TheoryQuery:
         found = (DTheory(D, a) for a in _solve(D, self.logic, self._constraints))
         return iter(sorted(found, key=lambda t: t.key()))
 
+    def preferred(self) -> Iterator[DTheory]:
+        """The answers in search_preference order. On the index this walks
+        the query's mask level by level (`_TheoryIndex.levels`), so a row's
+        DTheory is built only when the walk reaches it; off the index it
+        sorts the answers."""
+        index = self._index
+        if index is None:
+            return iter(sorted(self, key=search_preference))
+        return (t for level in index.levels for t in index.walk(self._mask & level))
+
 
 def solve_theories(
     D: AdequateSet, logic: str, constraints: Iterable[tuple[Formula, bool]] = ()
@@ -384,7 +404,9 @@ def enumerate_theories(
     logic: str = ILM,
 ) -> Iterator[DTheory]:
     """Every DTheory consistent with the membership/exclusion constraints,
-    in a deterministic order; empty stream if unsatisfiable."""
+    in key order; empty stream if unsatisfiable. No part of ilkit calls
+    it: it stays because the package exports it and the benchmark's
+    tracer wraps it by name."""
     cs = [(f, True) for f in include] + [(f, False) for f in exclude]
     return solve_theories(D, logic, cs)
 
@@ -392,7 +414,8 @@ def enumerate_theories(
 def search_preference(t: DTheory) -> tuple:
     """Candidate order for the construction: theories with fewer false box
     and rhd atoms first (each false one is a pending existential), ties by
-    the key."""
+    the key. `TheoryQuery.preferred()` yields a query's answers in this
+    order; the search tries roots and fresh candidates through it."""
     pending = sum(
         1 for a in t.adequate.modal_atoms if isinstance(a, (Box, Rhd)) and not t.values[a]
     )

@@ -4,7 +4,14 @@ corpora are identical across runs."""
 import functools
 import itertools
 
-from ilkit.construction import _Adjacency, _adjacency, _propagate_obligations, refresh_worklist
+from ilkit.construction import (
+    _Adjacency,
+    _adjacency,
+    _propagate_obligations,
+    _successor_constraints,
+    _witness,
+    refresh_worklist,
+)
 from ilkit.relation import image, reach
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, frame_validates, validate
 from ilkit.syntax import (
@@ -17,7 +24,9 @@ from ilkit.syntax import (
     Or,
     Rhd,
     modal_depth,
+    single_neg,
 )
+from ilkit.theory import TheoryQuery, _succ_constraints, crit_obligations, search_preference
 
 
 def random_formula(rng, depth=2, atoms=("p", "q", "r"), allow_rhd=True):
@@ -219,6 +228,45 @@ def open_items(F):
     g.worklist = []
     refresh_worklist(g)
     return g.worklist
+
+
+def reference_fresh_candidates(F, item):
+    """The candidate list of `fresh_candidate_theories` for the item, with
+    no memo: every candidate asks both lookaheads' queries afresh, and the
+    list is sorted by search_preference at the end."""
+    x, B, meets, fresh, avoids, _, _, boxes_of = _witness(F, item)
+    gx = F.nu[x]
+    common = TheoryQuery(F.adequate, F.logic, _successor_constraints(F, x))
+    common = common.where((f, True) for f in crit_obligations(gx, B))
+    box_base = common.where((single_neg(a), True) for a in avoids)
+    deficiency_base = common.where(_succ_constraints(gx))
+    own = [meets, *fresh]
+    if boxes_of is not None:
+        own += [(b, True) for b in boxes_of.boxes()]
+
+    def deficiency_lookahead(t):
+        with_boxes = deficiency_base
+        if F.logic == ILM:
+            with_boxes = with_boxes.where((b, True) for b in t.boxes())
+        return not any(
+            gx.models(rho)
+            and t.models(rho.left)
+            and not t.models(rho.right)
+            and with_boxes.where(((rho.right, True),)).is_empty()
+            for rho in F.adequate.modal_atoms
+            if isinstance(rho, Rhd)
+        )
+
+    def box_lookahead(t):
+        base = box_base.where(_succ_constraints(t))
+        return not any(
+            base.where(((bx.body, False), (bx, True))).is_empty()
+            for bx in F.adequate.modal_atoms
+            if isinstance(bx, Box) and not t.models(bx)
+        )
+
+    good = [t for t in deficiency_base.where(own) if deficiency_lookahead(t) and box_lookahead(t)]
+    return sorted(good, key=search_preference)
 
 
 # --- submodels and gluing ----------------------------------------------------

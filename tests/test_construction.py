@@ -3,6 +3,7 @@ import random
 import pytest
 
 import ilkit.construction as construction
+from ilkit import theory
 from conftest import (
     check_mcone_invariance,
     close_trace,
@@ -11,6 +12,7 @@ from conftest import (
     m_cone,
     open_items,
     random_formula,
+    reference_fresh_candidates,
     transitive_closure_pairs,
 )
 from ilkit.construction import (
@@ -799,6 +801,43 @@ def test_fresh_candidates_meet_their_item(monkeypatch, logic):
         for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Box(b)))):
             satisfiable(logic, f, budget, observer=lambda *event: None)
     assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("cache_atoms", [theory._CACHE_ATOMS, 0])
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_fresh_candidates_match_the_per_candidate_reference(monkeypatch, logic, cache_atoms):
+    # every candidate list a search asks for, from the truth table and
+    # from the per-query search: the lookaheads answered once per box
+    # class and the walk in preference order give the list the
+    # per-candidate reference gives
+    import ilkit.decide as decide
+
+    monkeypatch.setattr(theory, "_CACHE_ATOMS", cache_atoms)
+    real = construction.fresh_candidate_theories
+    seen = {"lists": 0, "deficiency": 0}
+
+    def checked(F, item):
+        got = real(F, item)
+        assert got == reference_fresh_candidates(F, item)
+        seen["lists"] += bool(got)
+        seen["deficiency"] += isinstance(item, Deficiency)
+        return got
+
+    monkeypatch.setattr(construction, "fresh_candidate_theories", checked)
+    monkeypatch.setattr(decide, "fresh_candidate_theories", checked)
+    # under ILM a p world with []bot (so []~q) and one with <>q get
+    # different answers for the deficiency of p |> r & <>q: the exit
+    # carries the world's boxes
+    for text in ("(p |> r & <>q) & <>p", "(p |> r & <>q) & <>(p & ~r)"):
+        satisfiable(logic, parse(text), observer=lambda *event: None)
+    rng = random.Random(7)
+    budget = Budget(max_worlds=8, max_steps=100, max_backtracks=100)
+    for _ in range(30):
+        a, b = random_formula(rng), random_formula(rng)
+        rhs = Implies(Diamond(a), Diamond(b)) if rng.random() < 0.5 else Implies(a, Or(b, Diamond(b)))
+        for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Box(b)))):
+            satisfiable(logic, f, budget, observer=lambda *event: None)
+    assert seen["lists"] >= 50 and seen["deficiency"] >= 20, seen
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])

@@ -480,6 +480,37 @@ def test_index_builds_only_the_theories_walked(monkeypatch):
     assert list(q) == ts and len(built) == len(ts)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_preferred_is_the_answers_in_preference_order(seed):
+    # on both sides of the truth-table cap, for random, empty and
+    # contradictory queries
+    rng = random.Random(3000 + seed)
+    for lo, hi, least in ((9, theory._CACHE_ATOMS, 0), (theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1, 3)):
+        D = _seeded_adequate(seed, lo, hi)
+        for logic in (IL, ILM):
+            queries = [_random_constraints(rng, D, least) for _ in range(8)]
+            queries += [[(BOT, True)], [(D.modal_atoms[0], True), (D.modal_atoms[0], False)]]
+            for cs in queries:
+                q = TheoryQuery(D, logic, cs)
+                assert list(q.preferred()) == sorted(q, key=search_preference), (logic, cs)
+            if lo <= theory._CACHE_ATOMS:
+                q = TheoryQuery(D, logic)
+                assert list(q.preferred()) == sorted(q, key=search_preference)
+
+
+def test_preferred_builds_only_the_first_answers_level():
+    D = _seeded_adequate(0, theory._CACHE_ATOMS, theory._CACHE_ATOMS)
+    q = TheoryQuery(D, ILM)
+    levels = {search_preference(t)[0] for t in q}
+    index = theory._theory_index(D, ILM)
+    index._theories.clear()
+    first = next(q.preferred())
+    level = search_preference(first)[0]
+    assert level == min(levels) and len(levels) > 1
+    # one theory of that level, and none of any other
+    assert list(index._theories.values()) == [first]
+
+
 def test_index_leaves_theory_caches_empty():
     D = adequate_closure([parse("(p |> q) & (q |> r) -> p |> r")])
     ts = list(solve_theories(D, ILM, [(parse("p |> q"), True), (parse("q |> r"), False)]))
