@@ -55,7 +55,7 @@ from .syntax import (
     substitute,
     truth_table,
 )
-from .theory import TheoryQuery, common_predecessor
+from .theory import common_predecessor, solve_theories
 
 
 def _holds(v: Verdict) -> bool | None:
@@ -287,9 +287,9 @@ def sigma1_countermodel(
         raise ValueError("formula is essentially Sigma_1; no countermodel exists")
 
     try:
-        for d0 in TheoryQuery(D, ILM, [(f, True)]).preferred():
+        for d0 in solve_theories(D, ILM, [(f, True)], preferred=True):
             d1_cs = [(f, False)] + [(b, True) for b in d0.boxes()]
-            for d1 in TheoryQuery(D, ILM, d1_cs).preferred():
+            for d1 in solve_theories(D, ILM, d1_cs, preferred=True):
                 for gamma in common_predecessor(d0, d1):
                     R, S = {("m0", "l"), ("m0", "r")}, {("m0", "l", "r")}
                     nu = {"m0": gamma, "l": d0, "r": d1}

@@ -47,7 +47,7 @@ from .syntax import (
     substitute,
     truth_table,
 )
-from .theory import AXIOMS, SCHEMATA, TheoryQuery
+from .theory import AXIOMS, SCHEMATA, solve_theories
 
 
 class Budget(NamedTuple):
@@ -220,7 +220,7 @@ def satisfiable(
     st = _State(budget, observer)
     result: Sat | Unsat | Unknown | None = None
     try:
-        roots = TheoryQuery(D, eng, [(f, True)]).preferred()
+        roots = solve_theories(D, eng, [(f, True)], preferred=True)
         for root in nogoods(D, roots, st, "skipped_root"):
             # a one-world seed has no edge, triple or label for any
             # invariant to read, so it needs no check

@@ -372,12 +372,15 @@ class TheoryQuery:
             return not self._mask
         return next(_solve(self.adequate, self.logic, self._constraints), None) is None
 
+    def _sorted(self, key) -> Iterator[DTheory]:
+        D = self.adequate
+        found = (DTheory(D, a) for a in _solve(D, self.logic, self._constraints))
+        return iter(sorted(found, key=key))
+
     def __iter__(self) -> Iterator[DTheory]:
         if self._index is not None:
             return self._index.walk(self._mask)
-        D = self.adequate
-        found = (DTheory(D, a) for a in _solve(D, self.logic, self._constraints))
-        return iter(sorted(found, key=lambda t: t.key()))
+        return self._sorted(DTheory.key)
 
     def preferred(self) -> Iterator[DTheory]:
         """The answers in search_preference order. On the index this walks
@@ -386,15 +389,23 @@ class TheoryQuery:
         sorts the answers."""
         index = self._index
         if index is None:
-            return iter(sorted(self, key=search_preference))
+            return self._sorted(search_preference)
         return (t for level in index.levels for t in index.walk(self._mask & level))
 
 
 def solve_theories(
-    D: AdequateSet, logic: str, constraints: Iterable[tuple[Formula, bool]] = ()
+    D: AdequateSet,
+    logic: str,
+    constraints: Iterable[tuple[Formula, bool]] = (),
+    preferred: bool = False,
 ) -> Iterator[DTheory]:
-    """Stream of DTheories satisfying the constraints, in key order."""
-    yield from TheoryQuery(D, logic, constraints)
+    """Stream of DTheories satisfying the constraints, in key order, or in
+    search_preference order when preferred (`TheoryQuery.preferred`). The
+    search asks for its roots and the sigma1 drivers for their theories
+    here, so the theory layer's time and answers are counted in one
+    place."""
+    q = TheoryQuery(D, logic, constraints)
+    yield from q.preferred() if preferred else q
 
 
 def enumerate_theories(

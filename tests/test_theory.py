@@ -492,7 +492,9 @@ def test_preferred_is_the_answers_in_preference_order(seed):
             queries += [[(BOT, True)], [(D.modal_atoms[0], True), (D.modal_atoms[0], False)]]
             for cs in queries:
                 q = TheoryQuery(D, logic, cs)
-                assert list(q.preferred()) == sorted(q, key=search_preference), (logic, cs)
+                want = sorted(q, key=search_preference)
+                assert list(q.preferred()) == want, (logic, cs)
+                assert list(solve_theories(D, logic, cs, preferred=True)) == want
             if lo <= theory._CACHE_ATOMS:
                 q = TheoryQuery(D, logic)
                 assert list(q.preferred()) == sorted(q, key=search_preference)
