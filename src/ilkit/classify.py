@@ -58,10 +58,6 @@ from .syntax import (
 from .theory import common_predecessor, solve_theories
 
 
-def _holds(v: Verdict) -> bool | None:
-    return {"derivable": True, "refuted": False}.get(v.kind)
-
-
 _parsed = lru_cache(maxsize=None)(parse)
 
 
@@ -134,11 +130,11 @@ def check_rule(rule: str, instance, budget: Budget = DEFAULT_BUDGET) -> RuleRepo
     agree: bool | None = None
     # a side formula A_i that is provably inconsistent (or undecided) makes
     # the rule inapplicable; the right sides are one OR (rule ii has two)
-    if not any(_holds(v) is not False for v in side):
+    if not any(v.holds is not False for v in side):
         r = False
         for v in rhs_v:
-            r = _kleene("a | b", r, _holds(v))
-        agree = _kleene("a <-> b", _holds(lhs_v[0]), r)
+            r = _kleene("a | b", r, v.holds)
+        agree = _kleene("a <-> b", lhs_v[0].holds, r)
     return RuleReport(rule, lhs_v, rhs_v, side, agree)
 
 
@@ -177,7 +173,7 @@ def classify_delta1(f: Formula, budget: Budget = DEFAULT_BUDGET) -> Delta1Report
         answer = "no"
     else:
         answer = "unknown"
-    ch = _holds(cross)
+    ch = cross.holds
     agrees = None if (ch is None or answer == "unknown") else ch == (answer in ("top", "bottom"))
     return Delta1Report(answer, t, b, cross, agrees)
 
@@ -450,10 +446,10 @@ class TsgReport(NamedTuple):
 
     @property
     def conditions_ok(self) -> bool | None:
-        c1 = _holds(self.equivalent)
+        c1 = self.equivalent.holds
         c2: bool | None = True
         for v in self.irredundant:
-            c2 = _kleene("a & ~b", c2, _holds(v))
+            c2 = _kleene("a & ~b", c2, v.holds)
         return _kleene("a & b & c", c1, c2, not self.shape_flags)
 
 
@@ -524,10 +520,6 @@ class DaggerReport(NamedTuple):
         }
 
 
-def _answer3(rep: Sigma1Report) -> bool | None:
-    return {"yes": True, "no": False}.get(rep.answer)
-
-
 def dagger_check(f: Formula, budget: Budget = DEFAULT_BUDGET) -> DaggerReport:
     """Compute Sigma(f & []f), Sigma(f & []~f), Sigma(f) and f -> <>top, and
     check that [Sigma(f&[]f) and Sigma(f&[]~f) => Sigma(f)] holds exactly
@@ -536,8 +528,9 @@ def dagger_check(f: Formula, budget: Budget = DEFAULT_BUDGET) -> DaggerReport:
     s2 = classify_sigma1(And(f, Box(Neg(f))), budget)
     s3 = classify_sigma1(f, budget)
     esc = derivable(ILM, Implies(f, Diamond(Top())), budget)
-    a1, a2, a3 = _answer3(s1), _answer3(s2), _answer3(s3)
+    # each answer is the verdict on its reduction query
+    a1, a2, a3 = s1.verdict.holds, s2.verdict.holds, s3.verdict.holds
     dagger = _kleene("a & b -> c", a1, a2, a3)
-    rhs = _kleene("(a -> b) | c", a1, a3, _holds(esc))
+    rhs = _kleene("(a -> b) | c", a1, a3, esc.holds)
     bic = _kleene("a <-> b", dagger, rhs)
     return DaggerReport(s1, s2, s3, esc, dagger, bic)

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 positive answer, 1 negative answer, 2 unknown / budget
-exhausted, 3 usage, parse or internal errors. All output is deterministic
-for fixed inputs and budgets.
+exhausted, 3 usage, parse, input or internal errors. All output is
+deterministic for fixed inputs and budgets.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import sys
 
 from .construction import close_frame
-from .decide import Budget, Derivable, Refuted, Unknown, check_proof, derivable, parse_proof, satisfiable, Sat, Unsat
+from .decide import Budget, Refuted, Unknown, check_proof, derivable, parse_proof, satisfiable, Sat, Unsat
 from .semantics import (
     ILM,
     LOGICS,
@@ -25,7 +25,7 @@ from .semantics import (
 )
 from .syntax import Box, Implies, Neg, ParseError, parse, render
 
-_POSITIVE, _NEGATIVE, _UNKNOWN, _USAGE = 0, 1, 2, 3
+_USAGE = 3
 
 
 def _positive_int(text: str) -> int:
@@ -39,26 +39,26 @@ def _budget(args) -> Budget:
     return Budget(args.max_worlds, args.max_steps, args.max_backtracks)
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
-def _write_cert(args, logic: str, query, holds: str, world: str, model) -> None:
-    """The certificate file of --cert: model forces holds at world."""
-    if getattr(args, "cert", None):
-        cert = {
-            "logic": logic,
-            "query": render(query),
-            "holds": holds,
-            "world": world,
-            "model": model_to_dict(model),
-        }
+def _answer(args, payload: dict, text: str, holds: bool | None, cert=None) -> int:
+    """How every command answers: write the --cert file, if one is asked
+    for and the answer has one, then print the payload (under --json) or
+    the text, then return 0, 1 or 2 for holds True, False or None. The
+    certificate comes first, so a file that cannot be written leaves no
+    answer printed. cert is (logic, query, forced, world, model): the
+    model forces the formula forced at world."""
+    if cert is not None and args.cert:
+        logic, query, forced, world, model = cert
+        data = {"logic": logic, "query": render(query), "holds": render(forced), "world": world}
         with open(args.cert, "w") as fh:
-            json.dump(cert, fh, indent=2, sort_keys=True)
+            json.dump({**data, "model": model_to_dict(model)}, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
+    return {True: 0, False: 1, None: 2}[holds]
+
+
+def _refutation(logic: str, query, v):
+    """The certificate of a Refuted verdict on query, None for any other."""
+    return (logic, query, Neg(query), v.world, v.model) if isinstance(v, Refuted) else None
 
 
 def _verdict_payload(logic: str, f, v) -> dict:
@@ -74,74 +74,59 @@ def _verdict_payload(logic: str, f, v) -> dict:
 def cmd_prove(args) -> int:
     f = parse(args.formula)
     v = derivable(args.logic, f, _budget(args))
-    payload = _verdict_payload(args.logic, f, v)
-    _emit(args, payload, f"{v.kind}")
-    if isinstance(v, Refuted):
-        _write_cert(args, args.logic, f, render(Neg(f)), v.world, v.model)
-        return _NEGATIVE
-    if isinstance(v, Derivable):
-        return _POSITIVE
-    return _UNKNOWN
+    return _answer(args, _verdict_payload(args.logic, f, v), v.kind, v.holds, _refutation(args.logic, f, v))
 
 
 def cmd_sat(args) -> int:
     f = parse(args.formula)
     res = satisfiable(args.logic, f, _budget(args))
+    payload = {"logic": args.logic, "query": render(f)}
     if isinstance(res, Sat):
-        payload = {
-            "logic": args.logic,
-            "query": render(f),
-            "answer": "satisfiable",
-            "world": res.world,
-            "model": model_to_dict(res.model),
-        }
-        _emit(args, payload, f"satisfiable at {res.world}")
-        _write_cert(args, args.logic, f, render(f), res.world, res.model)
-        return _POSITIVE
+        payload.update(answer="satisfiable", world=res.world, model=model_to_dict(res.model))
+        return _answer(args, payload, f"satisfiable at {res.world}", True, (args.logic, f, f, res.world, res.model))
     if isinstance(res, Unsat):
-        _emit(args, {"logic": args.logic, "query": render(f), "answer": "unsatisfiable"}, "unsatisfiable")
-        return _NEGATIVE
-    payload = {"logic": args.logic, "query": render(f), "answer": "unknown", "budget": dict(res.report)}
-    _emit(args, payload, "unknown (budget)")
-    return _UNKNOWN
+        return _answer(args, {**payload, "answer": "unsatisfiable"}, "unsatisfiable", False)
+    return _answer(args, {**payload, "answer": "unknown", "budget": dict(res.report)}, "unknown (budget)", None)
 
 
 def cmd_countermodel(args) -> int:
     f = parse(args.formula)
     v = derivable(args.logic, f, _budget(args))
     if isinstance(v, Refuted):
-        payload = {
-            "logic": args.logic,
-            "query": render(f),
-            "world": v.world,
-            "model": model_to_dict(v.model),
-        }
-        _emit(args, payload, f"countermodel at {v.world}:\n{json.dumps(model_to_dict(v.model), indent=2, sort_keys=True)}")
-        _write_cert(args, args.logic, f, render(Neg(f)), v.world, v.model)
-        return _POSITIVE
-    derived = isinstance(v, Derivable)
-    _emit(args, _verdict_payload(args.logic, f, v), "derivable: no countermodel" if derived else "unknown (budget)")
-    return _NEGATIVE if derived else _UNKNOWN
+        model = model_to_dict(v.model)
+        payload = {"logic": args.logic, "query": render(f), "world": v.world, "model": model}
+        text = f"countermodel at {v.world}:\n{json.dumps(model, indent=2, sort_keys=True)}"
+        return _answer(args, payload, text, True, _refutation(args.logic, f, v))
+    payload = _verdict_payload(args.logic, f, v)
+    if v.holds:
+        return _answer(args, payload, "derivable: no countermodel", False)
+    return _answer(args, payload, "unknown (budget)", None)
 
 
 def _load_model(path: str):
+    """The model of a model file or of a certificate's model field, and the
+    file's data."""
     with open(path) as fh:
         data = json.load(fh)
-    if "model" in data:
+    if isinstance(data, dict) and "model" in data:
         return model_from_dict(data["model"]), data
     return model_from_dict(data), data
 
 
 def cmd_modelcheck(args) -> int:
     model, data = _load_model(args.model)
-    rep = validate(model.frame, args.logic)
     formula_text = args.formula or data.get("holds")
     world = args.world or data.get("world")
     if formula_text is None or world is None:
         print("modelcheck: need a formula and a world (flags or cert fields)", file=sys.stderr)
         return _USAGE
+    if not isinstance(formula_text, str) or not isinstance(world, str):
+        raise ValueError("model certificate fields holds and world must be strings")
+    if world not in model.worlds:
+        raise ValueError(f"model has no world {world!r}")
+    rep = validate(model.frame, args.logic)
     f = parse(formula_text)
-    holds = forces(model, world, f) if rep.ok else False
+    holds = rep.ok and forces(model, world, f)
     payload = {
         "frame_valid": rep.ok,
         "violations": [str(v) for v in rep.violations],
@@ -149,23 +134,22 @@ def cmd_modelcheck(args) -> int:
         "formula": render(f),
         "forces": holds,
     }
-    _emit(args, payload, f"frame {'ok' if rep.ok else 'INVALID: ' + str(rep)}; {world} forces {render(f)}: {holds}")
-    return _POSITIVE if (rep.ok and holds) else _NEGATIVE
+    text = f"frame {'ok' if rep.ok else 'INVALID: ' + str(rep)}; {world} forces {render(f)}: {holds}"
+    return _answer(args, payload, text, holds)
 
 
 def cmd_close(args) -> int:
     model, _ = _load_model(args.frame)
     closed = close_frame(model.frame, args.logic)
     print(json.dumps(model_to_dict(VeltmanModel(closed, model.val)), indent=2, sort_keys=True))
-    return _POSITIVE
+    return 0
 
 
 def cmd_checkproof(args) -> int:
     with open(args.proof) as fh:
         proof = parse_proof(fh.read())
     ok = check_proof(proof, args.logic)
-    _emit(args, {"logic": args.logic, "lines": len(proof.lines), "ok": ok}, "ok" if ok else "invalid")
-    return _POSITIVE if ok else _NEGATIVE
+    return _answer(args, {"logic": args.logic, "lines": len(proof.lines), "ok": ok}, "ok" if ok else "invalid", ok)
 
 
 def cmd_classify(args) -> int:
@@ -180,33 +164,22 @@ def cmd_classify(args) -> int:
         return _USAGE
     if kind in ("sigma1", "tsg"):
         rep = (cls.classify_sigma1 if kind == "sigma1" else cls.is_tsg)(f, budget)
-        _emit(args, rep.to_dict(), f"{rep.answer}" + (f" (witness {render(rep.witness)})" if rep.witness is not None else ""))
-        if rep.countermodel is not None:
-            query = rep.reduction_query
-            _write_cert(args, ILM, query, f"~({render(query)})", rep.countermodel[1], rep.countermodel[0])
-        return {"yes": _POSITIVE, "no": _NEGATIVE}.get(rep.answer, _UNKNOWN)
-    if kind == "delta1":
-        rep = cls.classify_delta1(f, budget)
-        _emit(args, rep.to_dict(), rep.answer)
-        return {"top": _POSITIVE, "bottom": _POSITIVE, "no": _NEGATIVE}.get(rep.answer, _UNKNOWN)
+        text = rep.answer + (f" (witness {render(rep.witness)})" if rep.witness is not None else "")
+        # the answer is the verdict on the reduction query, and a no its refutation
+        return _answer(args, rep.to_dict(), text, rep.verdict.holds, _refutation(ILM, rep.reduction_query, rep.verdict))
     if kind == "selfprover":
         v = cls.is_self_prover(f, budget)
-        _emit(args, _verdict_payload(ILM, f, v), v.kind)
-        if isinstance(v, Refuted):
-            query = Implies(f, Box(f))
-            _write_cert(args, ILM, query, render(Neg(query)), v.world, v.model)
-        return {"derivable": _POSITIVE, "refuted": _NEGATIVE}.get(v.kind, _UNKNOWN)
+        return _answer(args, _verdict_payload(ILM, f, v), v.kind, v.holds, _refutation(ILM, Implies(f, Box(f)), v))
+    if kind == "delta1":
+        rep = cls.classify_delta1(f, budget)
+        return _answer(args, rep.to_dict(), rep.answer, {"top": True, "bottom": True, "no": False}.get(rep.answer))
     if kind == "almostloeb":
         rep = cls.almost_loeb(f, budget)
-        _emit(args, rep.to_dict(), str(rep.witness))
-        if rep.witness == "unknown":
-            return _UNKNOWN
-        return _POSITIVE if rep.witness else _NEGATIVE
+        holds = None if rep.witness == "unknown" else rep.witness is not None
+        return _answer(args, rep.to_dict(), str(rep.witness), holds)
     rep = cls.dagger_check(f, budget)  # "dagger", the one kind left
-    _emit(args, rep.to_dict(), f"dagger_holds={rep.dagger_holds} biconditional_ok={rep.biconditional_ok}")
-    if rep.biconditional_ok is None:
-        return _UNKNOWN
-    return _POSITIVE if rep.biconditional_ok else _NEGATIVE
+    text = f"dagger_holds={rep.dagger_holds} biconditional_ok={rep.biconditional_ok}"
+    return _answer(args, rep.to_dict(), text, rep.biconditional_ok)
 
 
 def cmd_rules(args) -> int:
@@ -215,16 +188,13 @@ def cmd_rules(args) -> int:
     fs = [parse(t) for t in args.formulas]
     instance = (fs[:-2], *fs[-2:]) if args.rule == "v" else tuple(fs)
     rep = cls.check_rule(args.rule, instance, _budget(args))
-    _emit(args, rep.to_dict(), f"agree={rep.agree}")
-    if rep.agree is None:
-        return _UNKNOWN
-    return _POSITIVE if rep.agree else _NEGATIVE
+    return _answer(args, rep.to_dict(), f"agree={rep.agree}", rep.agree)
 
 
 def cmd_export_dot(args) -> int:
     model, _ = _load_model(args.model)
     sys.stdout.write(model_to_dot(model))
-    return _POSITIVE
+    return 0
 
 
 class _RuleNames:
@@ -258,23 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--max-steps", type=_positive_int, default=Budget().max_steps)
             sp.add_argument("--max-backtracks", type=_positive_int, default=Budget().max_backtracks)
 
-    sp = sub.add_parser("prove", help="decide derivability")
-    sp.add_argument("formula")
-    sp.add_argument("--cert", help="write the countermodel certificate here")
-    common(sp)
-    sp.set_defaults(fn=cmd_prove)
-
-    sp = sub.add_parser("sat", help="decide satisfiability")
-    sp.add_argument("formula")
-    sp.add_argument("--cert")
-    common(sp)
-    sp.set_defaults(fn=cmd_sat)
-
-    sp = sub.add_parser("countermodel", help="countermodel of a non-theorem")
-    sp.add_argument("formula")
-    sp.add_argument("--cert")
-    common(sp)
-    sp.set_defaults(fn=cmd_countermodel)
+    for name, fn, text in (
+        ("prove", cmd_prove, "decide derivability"),
+        ("sat", cmd_sat, "decide satisfiability"),
+        ("countermodel", cmd_countermodel, "countermodel of a non-theorem"),
+    ):
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("formula")
+        sp.add_argument("--cert", help="write the certificate of the model found here")
+        common(sp)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("modelcheck", help="validate a model file and evaluate a formula")
     sp.add_argument("model")

@@ -41,7 +41,6 @@ from .theory import (
     box_incl,
     crit_obligations,
     crit_succ,
-    existential_atoms,
     succ,
 )
 
@@ -439,7 +438,7 @@ def _problems_at(F: LabeledFrame, worlds) -> Iterator[Problem]:
     """Every false rhd or box member of the given worlds, witnessed or not.
     D holds each item formula ~a, so `Neg(a)` returns that node, with the
     rendering `Problem.key` sorts by cached on it."""
-    atoms = existential_atoms(F.adequate)
+    atoms = F.adequate.existential_atoms
     for x in worlds:
         t = F.nu[x]
         for a in atoms:
@@ -456,8 +455,8 @@ def _deficiencies_on(F: LabeledFrame, edges) -> Iterator[Deficiency]:
         if not ys:
             continue
         t = F.nu[x]
-        for a in F.adequate.modal_atoms:
-            if isinstance(a, Rhd) and t.models(a):
+        for a in F.adequate.rhd_atoms:
+            if t.models(a):
                 for y in F.worlds:
                     if y in ys and F.nu[y].models(a.left):
                         yield Deficiency(x, y, a)
@@ -641,7 +640,7 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     own = [meets, *fresh]
     if boxes_of is not None:
         own += [(b, True) for b in boxes_of.boxes()]
-    rhos = [rho for rho in F.adequate.modal_atoms if isinstance(rho, Rhd) and gx.models(rho)]
+    rhos = [rho for rho in F.adequate.rhd_atoms if gx.models(rho)]
     # the lookaheads' answers, per box class and per (rho, box class)
     seen_boxes: dict = {}
     seen_deficiencies: dict = {}
@@ -675,7 +674,7 @@ def nogoods(
     answers and fails the same way: skipping it loses no model. A subtree
     cut by the budget did not fail on its reads, so it is never learned
     from. Cubes are indexed by their rhd and box values."""
-    atoms = existential_atoms(D)
+    atoms = D.existential_atoms
     k = len(atoms)
     cubes: dict[tuple[bool, ...], list[tuple[tuple[Formula, bool], ...]]] = {}
     for t in theories:

@@ -72,6 +72,7 @@ class Derivable(NamedTuple):
     proof: "Proof | None" = None
 
     kind = "derivable"
+    holds = True
 
 
 class Refuted(NamedTuple):
@@ -79,12 +80,14 @@ class Refuted(NamedTuple):
     world: str
 
     kind = "refuted"
+    holds = False
 
 
 class Unknown(NamedTuple):
     report: tuple[tuple[str, int | str], ...]
 
     kind = "unknown"
+    holds = None
 
 
 Verdict = Derivable | Refuted | Unknown

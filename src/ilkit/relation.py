@@ -58,13 +58,6 @@ def fold(roots: Iterable[Hashable], kids, value, got: dict) -> dict:
     return got
 
 
-def transitive_closure(pairs: Iterable[Pair]) -> set[Pair]:
-    """The least transitive relation containing pairs."""
-    succ = image(pairs)
-    step = lambda n: succ.get(n, ())
-    return {(a, c) for a, bs in succ.items() for c in reach(bs, step)}
-
-
 def find_cycle(nodes: Iterable[Hashable], pairs: Iterable[Pair]) -> tuple | None:
     """A cycle of the relation as (n, ..., n), or None if it has none.
 

@@ -37,16 +37,15 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
-class VeltmanFrame:
-    """An immutable frame, equal and hashed by (worlds, R, S). The
-    `__dict__` slot holds the cached adjacency maps."""
+class _FrameFields(NamedTuple):
+    worlds: frozenset[str]
+    R: frozenset[tuple[str, str]]
+    S: frozenset[tuple[str, str, str]]
 
-    __slots__ = ("worlds", "R", "S", "__dict__")
 
-    def __init__(self, worlds: frozenset[str], R: frozenset[tuple[str, str]], S: frozenset[tuple[str, str, str]]):
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "S", S)
+class VeltmanFrame(_FrameFields):
+    """An immutable frame, equal and hashed as the tuple (worlds, R, S).
+    Its `__dict__` holds the cached adjacency maps."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -55,18 +54,7 @@ class VeltmanFrame:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return VeltmanFrame, (self.worlds, self.R, self.S)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.worlds, self.R, self.S) == (other.worlds, other.R, other.S)
-
-    def __hash__(self):
-        return hash((self.worlds, self.R, self.S))
-
-    def __repr__(self):
-        return f"VeltmanFrame(worlds={self.worlds!r}, R={self.R!r}, S={self.S!r})"
+        return VeltmanFrame, tuple(self)
 
     @staticmethod
     def make(worlds, R=(), S=()) -> "VeltmanFrame":
@@ -109,8 +97,11 @@ class VeltmanModel:
         object.__setattr__(self, "val", dict(val))
         object.__setattr__(self, "_masks", {})
 
-    __setattr__ = VeltmanFrame.__setattr__
-    __delattr__ = VeltmanFrame.__delattr__
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return VeltmanModel, (self.frame, self.val)
@@ -273,9 +264,12 @@ def _names(x) -> bool:
 
 
 def model_from_dict(data: dict) -> VeltmanModel:
-    """The model of a `model_to_dict` map. Raises ValueError unless worlds
-    is a list of strings, R a list of pairs, S a list of triples and val a
-    map to lists of strings, so no string is read as its characters."""
+    """The model of a `model_to_dict` map. Raises ValueError unless data is
+    a map with worlds a list of strings, R a list of pairs, S a list of
+    triples and val a map to lists of strings, so no string is read as its
+    characters."""
+    if not isinstance(data, dict) or "worlds" not in data:
+        raise ValueError("model must be a JSON object with a worlds list")
     worlds, R, S, val = data["worlds"], data.get("R", []), data.get("S", []), data.get("val", {})
     if not _names(worlds):
         raise ValueError("model worlds must be a list of world names")

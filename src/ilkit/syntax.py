@@ -284,13 +284,19 @@ class AdequateSet:
     negations. The closure step treats ~ as primitive: negations added for
     closure do not re-trigger subformula closure."""
 
-    __slots__ = ("members", "sorted_members", "modal_atoms", "boxed_members", "_sat_cache")
+    __slots__ = (
+        "members", "sorted_members", "modal_atoms", "boxed_members",
+        "rhd_atoms", "existential_atoms", "_sat_cache",
+    )
 
     def __init__(self, members: Iterable[Formula]):
         self.members = frozenset(members)
         self.sorted_members = tuple(sorted(self.members, key=lambda f: f.key()))
         self.modal_atoms = tuple(sorted(modal_atoms_of(*self.members), key=lambda f: f.key()))
         self.boxed_members = tuple(f for f in self.sorted_members if isinstance(f, Box))
+        # the rhd atoms, and the rhd and box atoms, each in modal-atom order
+        self.rhd_atoms = tuple(a for a in self.modal_atoms if isinstance(a, Rhd))
+        self.existential_atoms = tuple(a for a in self.modal_atoms if isinstance(a, (Rhd, Box)))
         self._sat_cache = {}
 
     def __contains__(self, f: Formula) -> bool:

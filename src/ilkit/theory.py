@@ -129,9 +129,7 @@ class DTheory:
         return tuple(f for f in self.adequate.boxed_members if self.models(f))
 
     def rhds(self) -> tuple[Rhd, ...]:
-        return tuple(
-            f for f in self.adequate.modal_atoms if isinstance(f, Rhd) and self.models(f)
-        )
+        return tuple(f for f in self.adequate.rhd_atoms if self.models(f))
 
     def key(self) -> int:
         return self._key
@@ -151,16 +149,11 @@ class DTheory:
         return f"DTheory({{{shown}}})"
 
 
-def existential_atoms(D: AdequateSet) -> tuple[Formula, ...]:
-    """D's rhd and box atoms, in modal-atom order."""
-    return tuple(a for a in D.modal_atoms if isinstance(a, (Rhd, Box)))
-
-
 class LoggedTheory(DTheory):
     """A theory as a new object that logs every `models` read in `reads`,
-    in first-read order. The log starts with the theory's values on D's rhd
-    and box atoms (`existential_atoms`) and is the first cache a read
-    looks in: a formula read again is logged already. It equals and hashes
+    in first-read order. The log starts with the theory's values on D's
+    rhd and box atoms (`D.existential_atoms`) and is the first cache a
+    read looks in: a formula read again is logged already. It equals and hashes
     as the theory it copies and shares its value map, so memos keyed on
     theories hit for either. The search gives each world it adds one, so
     a log holds the reads of exactly one world."""
@@ -170,7 +163,7 @@ class LoggedTheory(DTheory):
     def __init__(self, t: DTheory):
         self.adequate, self.values = t.adequate, t.values
         self._key = t._key
-        self.reads = {a: t.values[a] for a in existential_atoms(t.adequate)}
+        self.reads = {a: t.values[a] for a in t.adequate.existential_atoms}
 
     def models(self, f: Formula) -> bool:
         got = self.reads.get(f)
@@ -286,7 +279,7 @@ class _TheoryIndex:
         # a bit-parallel count of the false rhd and box atoms, one atom at
         # a time: a row moves up a level where the atom is false
         levels = [self.valid]
-        for a in existential_atoms(D):
+        for a in D.existential_atoms:
             off = self.full ^ self._masks[a]
             levels = [lo & ~off | up & off for lo, up in zip(levels + [0], [0] + levels)]
         self.levels = levels
@@ -427,9 +420,7 @@ def search_preference(t: DTheory) -> tuple:
     and rhd atoms first (each false one is a pending existential), ties by
     the key. `TheoryQuery.preferred()` yields a query's answers in this
     order; the search tries roots and fresh candidates through it."""
-    pending = sum(
-        1 for a in t.adequate.modal_atoms if isinstance(a, (Box, Rhd)) and not t.values[a]
-    )
+    pending = sum(1 for a in t.adequate.existential_atoms if not t.values[a])
     return pending, t.key()
 
 

@@ -268,14 +268,34 @@ def test_budget_flags_belong_to_the_search_commands(tmp_path, capsys, command, f
         ({"worlds": ["a", "b"], "R": ["ab"], "S": [["a", "b", "b"]], "val": {"b": ["p"]}}, ["<>p", "--world", "a"]),
         ({"worlds": ["a", "b"], "R": [["a", "b"]], "S": ["abb"], "val": {"b": ["p"]}}, ["<>p", "--world", "a"]),
         ({"worlds": ["a"], "val": {"a": "pq"}}, ["p", "--world", "a"]),
+        ({"R": []}, ["p", "--world", "a"]),
+        ([{"worlds": ["a"]}], ["p", "--world", "a"]),
+        ({"model": 5}, ["p", "--world", "a"]),
+        ({"worlds": ["a"]}, ["p", "--world", "z"]),
+        ({"worlds": ["a"], "holds": 5, "world": "a"}, []),
+        ({"worlds": ["a"], "holds": "p", "world": ["a"]}, []),
+        # no ILM frame, so a world outside it must not read as forcing nothing
+        ({"worlds": ["a", "b"], "R": [["a", "b"]]}, ["p", "--world", "zz"]),
     ],
 )
 def test_model_files_whose_lists_are_strings_are_rejected(tmp_path, capsys, model, argv):
-    # a string is no list of worlds, edges, triples or atoms
+    # a string is no list of worlds, edges, triples or atoms; a file that is
+    # no model, or a world outside the model, is an input error too
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model))
     assert run_cli("modelcheck", str(path), *argv) == (3, "")
-    assert capsys.readouterr().err.startswith("error: model ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: model ")
+    assert "Error" not in err
+
+
+@pytest.mark.parametrize("argv", [("prove", "--logic", "gl", "p -> []p"), ("classify", "sigma1", "p & []p")])
+def test_unwritable_cert_prints_no_answer(tmp_path, capsys, argv):
+    # the certificate is written before the answer is printed, so a path
+    # that cannot be written leaves no answer on stdout
+    cert = tmp_path / "missing" / "cert.json"
+    assert run_cli(*argv, "--cert", str(cert)) == (3, "")
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 def test_close_cli_rejects_a_cyclic_r(tmp_path, capsys):

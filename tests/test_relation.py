@@ -6,7 +6,7 @@ import random
 
 from conftest import transitive_closure_pairs
 
-from ilkit.relation import find_cycle, fold, image, reach, transitive_closure
+from ilkit.relation import find_cycle, fold, image, reach
 
 
 def random_relation(rng, n_nodes, p_edge):
@@ -57,13 +57,6 @@ def test_reach_with_a_composite_step():
         rs, ss = image(r), image(s)
         got = reach({nodes[0]}, lambda n: (*rs.get(n, ()), *ss.get(n, ())))
         assert got == brute_reach({nodes[0]}, r | s)
-
-
-def test_transitive_closure_matches_reference():
-    for _, pairs in relations(4):
-        assert transitive_closure(pairs) == transitive_closure_pairs(pairs)
-    assert transitive_closure(()) == set()
-    assert transitive_closure({("a", "a")}) == {("a", "a")}
 
 
 def _is_cycle_of(witness, pairs):
