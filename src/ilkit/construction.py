@@ -71,8 +71,9 @@ class Deficiency(NamedTuple):
 class LabeledFrame:
     """Mutable working frame; value-semantic copies back the search.
 
-    A frame keeps its relation index (`_Adjacency`), which `close` builds
-    for the frame it returns and any other frame on its first query, and,
+    A frame keeps its relation index (`_Adjacency`) with its cone table,
+    which `close` builds for the frame it returns, from the parent's when
+    it settles a search step, and any other frame on its first query, and,
     per world, the constraints a fresh successor of that world must meet.
     A copy starts without them and `add_world` drops them, so a caller
     edits a copy of a closed or queried frame, never the frame itself. The
@@ -179,21 +180,61 @@ def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> Label
 class _Adjacency:
     """The one index of a labeled frame's relations, from which the cone,
     predecessor and label queries are answered; `labels` maps x to the
-    distinct labels of x's edges, ordered by edge. `close` builds the index
-    of the frame it returns. A frame keeps it until it is copied or grows
-    a world, so a caller edits a copy of a closed frame."""
+    distinct labels of x's edges, ordered by edge, `s_to` and `s_into` are
+    the converse S maps `close` joins on, and `cones` is the cone table
+    that `cone` fills. `close` builds the index of the frame it returns. A
+    frame keeps it until it is copied or grows a world, so a caller edits
+    a copy of a closed frame."""
 
     def __init__(self, R: Iterable, S: Iterable, edge_label: dict[tuple[str, str], Formula]):
         self.succ = image(R)
         self.pred = image((b, a) for a, b in R)
         self.s_at = image(((x, y), z) for x, y, z in S)  # y S_x z
         self.s_any = image((y, z) for _, y, z in S)  # y S_x z for some x
+        self.s_to = image(((x, z), y) for x, y, z in S)  # (x, z) -> {y : y S_x z}
+        self.s_into = image((z, y) for _, y, z in S)  # z -> {y : y S_x z for some x}
+        self._label(edge_label)
+
+    def _label(self, edge_label: dict[tuple[str, str], Formula]) -> None:
         self.seeds = image(((x, lab), y) for (x, y), lab in edge_label.items())
         self.labels: dict[str, list[Formula]] = {}
         for (x, _), lab in sorted(edge_label.items()):
             labs = self.labels.setdefault(x, [])
             if lab not in labs:
                 labs.append(lab)
+        self.cones: dict[tuple[str, Formula], tuple[set[str], set[str]]] = {}
+
+    def copy(self) -> "_Adjacency":
+        """A copy of the relation maps, sharing the label maps, which no
+        caller mutates, with an empty cone table."""
+        adj = _Adjacency.__new__(_Adjacency)
+        for name in ("succ", "pred", "s_at", "s_any", "s_to", "s_into"):
+            setattr(adj, name, {k: set(v) for k, v in getattr(self, name).items()})
+        adj.seeds, adj.labels, adj.cones = self.seeds, self.labels, {}
+        return adj
+
+    def cone(self, x: str, C: Formula) -> tuple[set[str], set[str]]:
+        """x's C-generalized cone (R and S steps of any index) and C-critical
+        cone (R and S_x steps), kept in the table and never mutated; empty
+        if no edge of x carries C. On a closed ILM frame the critical cone
+        is also the M-cone, whose extra step goes along S steps of any
+        index, then one R step: y S_a1 z1 ... zk R u. There z R u whenever
+        z S_a z' R u (`ilm_condition`), so applying the rule backwards along
+        the S-path gives y R u, which the R step takes."""
+        got = self.cones.get((x, C))
+        if got is None:
+            seeds = self.seeds.get((x, C))
+            if seeds is None:
+                return _NO_CONE
+            succ, s_at, s_any = self.succ, self.s_at, self.s_any
+            got = self.cones[x, C] = (
+                reach(seeds, lambda y: (*succ.get(y, ()), *s_any.get(y, ()))),
+                reach(seeds, lambda y: (*succ.get(y, ()), *s_at.get((x, y), ()))),
+            )
+        return got
+
+
+_NO_CONE = (frozenset(), frozenset())
 
 
 def _adjacency(F: LabeledFrame) -> _Adjacency:
@@ -203,37 +244,14 @@ def _adjacency(F: LabeledFrame) -> _Adjacency:
     return F._adj
 
 
-def _critical_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
-    """The C-critical cone of x. On a closed ILM frame it is also the
-    M-cone, so the search reads only this cone in both logics.
-
-    The M-cone's extra step goes from y along one or more S steps of any
-    index, then one R step: y S_a1 z1 S_a2 ... zk R u. A closed ILM frame
-    has z R u whenever z S_a z' R u (validate's `ilm_condition`), so
-    applying the rule backwards along the S-path gives zk-1 R u, ..., y R u.
-    The extra step reaches only R-successors of y, which the R step
-    already takes. On an unclosed frame the two cones can differ."""
-    return reach(
-        adj.seeds.get((x, C), ()),
-        lambda y: (*adj.succ.get(y, ()), *adj.s_at.get((x, y), ())),
-    )
-
-
-def _generalized_cone(adj: _Adjacency, x: str, C: Formula) -> set[str]:
-    return reach(
-        adj.seeds.get((x, C), ()),
-        lambda y: (*adj.succ.get(y, ()), *adj.s_any.get(y, ())),
-    )
-
-
 def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """Worlds reached from a C-labeled edge of x via S_x and R steps."""
-    return _critical_cone(_Adjacency(F.R, F.S, F.edge_label), x, C)
+    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[1])
 
 
 def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """The critical cone closed under S steps with arbitrary index."""
-    return _generalized_cone(_Adjacency(F.R, F.S, F.edge_label), x, C)
+    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[0])
 
 
 # --- closure ------------------------------------------------------------------
@@ -269,17 +287,22 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
     later one taken off finds the earlier in the index, so no conclusion is
     missed. The frame keeps the index, so a caller edits a copy of it.
 
-    since, when given, is a closed frame that F extends (F's R, S and
-    obligations contain its own): its facts enter the index unjoined,
-    since any rule they fire together already holds, and only the facts it
-    lacks go on the worklist. Without since every fact is new."""
+    since, when given, is a closed frame that F extends (F's R, S, labels
+    and obligations contain its own). The index starts as a copy of
+    since's, whose facts are not joined again, since any rule they fire
+    together already holds; only the facts it lacks go on the worklist.
+    It keeps each cone of since with the same seeds and no new fact out
+    of its generalized cone (from the source of an R edge, or the middle
+    world of an S triple), which covers the critical cone inside it.
+    Without since every fact is new."""
     g = F.copy()
     R, S, logic = g.R, g.S, g.logic
-    old_R, old_S = (since.R, since.S) if since is not None else ((), ())
-    adj = _Adjacency(old_R, old_S, g.edge_label)
-    succ, pred, s_at, s_any = adj.succ, adj.pred, adj.s_at, adj.s_any
-    s_to = image(((a, c), b) for a, b, c in old_S)  # (a, c) -> {b : b S_a c}
-    s_into = image((c, b) for _, b, c in old_S)  # c -> {b : b S_a c for some a}
+    old_R, old_S, old_labels = (since.R, since.S, since.edge_label) if since is not None else ((), (), {})
+    old = _adjacency(since) if since is not None else _Adjacency((), (), {})
+    adj = old.copy()
+    if g.edge_label != old_labels:
+        adj._label(g.edge_label)
+    succ, pred, s_at, s_any, s_to, s_into = adj.succ, adj.pred, adj.s_at, adj.s_any, adj.s_to, adj.s_into
     todo: list[tuple[str, ...]] = [*R.difference(old_R), *S.difference(old_S)]
 
     def add(fact, into):
@@ -317,7 +340,17 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
                 for d in succ.get(c, ()):
                     add((b, d), R)
     g._adj = adj
-    _propagate_obligations(g, S.difference(old_S))
+    new_S = S.difference(old_S)
+    _propagate_obligations(g, new_S)
+    if old.cones:
+        sources = {a for a, _ in R.difference(old_R)}
+        sources.update(b for _, b, _ in new_S)
+        seeds = adj.seeds
+        adj.cones = {
+            k: c
+            for k, c in old.cones.items()
+            if c[0].isdisjoint(sources) and (seeds is old.seeds or seeds.get(k) == old.seeds[k])
+        }
     return g
 
 
@@ -356,24 +389,23 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     obligation satisfaction, and strict box growth along R. F must be
     closed. Criticality is checked over the critical cone in both logics:
     under ILM the M-cone of a closed frame is the same cone
-    (`_critical_cone`). Under ILM, obligations need no check along S:
+    (`_Adjacency.cone`). Under ILM, obligations need no check along S:
     `close` pushes them along every S triple (`_propagate_obligations`).
 
-    No cycle of the composition R;S+ needs its own check. Under ILM a
-    closed frame has y R u whenever y S_x z R u (`ilm_condition`), so
-    along a cycle a0 R b0 S+ a1 R b1 S+ ... a0 the rule, applied backwards
-    along each S-chain, gives b0 R b1 R ... R b0: a cycle of R, which R's
-    transitivity turns into a self-loop, reported below.
+    R is transitive in a closed frame, so an R-cycle is a self-loop. No
+    cycle of the composition R;S+ needs its own check. Under ILM a closed
+    frame has y R u whenever y S_x z R u (`ilm_condition`), so along a
+    cycle a0 R b0 S+ a1 R b1 S+ ... a0 the rule, applied backwards along
+    each S-chain, gives b0 R b1 R ... R b0: a cycle of R, so a self-loop.
 
     since, when given, is a settled frame and F the closure of a child of
     it. The checks of single edges and triples then run only where F
     differs from since: on new edges and triples, and on edges at worlds
-    whose effective obligations changed. R is transitive in a closed
-    frame, so an R-cycle shows as a new self-loop. The cone overlap and
-    criticality checks read whole cones and always cover the whole frame.
-    With since the list can be shorter than a whole-frame call's, but it
-    is empty exactly when that one is. Without since every edge and triple
-    is new."""
+    whose effective obligations changed, and the cone checks only where a
+    cone grew: criticality at the worlds a critical cone gained, overlap at
+    worlds with a grown generalized cone. Cones only grow and since had no
+    violation, so the list can be shorter than a whole-frame call's, but
+    it is empty exactly when that one is. Without since all is new."""
     old_R, old_S = (since.R, since.S) if since is not None else ((), ())
     old_ob = since.obligations if since is not None else {}
     new_R, new_S = F.R.difference(old_R), F.S.difference(old_S)
@@ -382,7 +414,7 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     moved = grown.union((b for _, b in new_R), (b for a, b in F.R if a in grown))
     edges = sorted(new_R.union(e for e in old_R if e[0] in moved or e[1] in moved))
     out: list[str] = []
-    if find_cycle((), new_R):
+    if any(a == b for a, b in new_R):
         out.append("R has a cycle")
     for (x, y, z) in sorted(new_S):
         if (x, y) not in F.R or (x, z) not in F.R:
@@ -408,20 +440,25 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
         if not (bx <= by and bx != by):
             out.append(f"no box growth on edge {(x, y)}")
     adj = _adjacency(F)
+    old = _adjacency(since) if since is not None else _Adjacency((), (), {})
     for x in F.worlds:
-        labs = adj.labels.get(x, ())
+        labs = adj.labels.get(x)
+        if labs is None:
+            continue
+        cones = [adj.cone(x, lab) for lab in labs]
+        was = [old.cone(x, lab) for lab in labs]
         # The overlap check is no consequence of the others: on
         # tests/differential.json, 3,827 of 4,820 IL rejections and 3 of
         # 312 ILM rejections report only the overlap, and without it the
         # refuted IL row ((p |> (bot -> r)) |> (r & p) & (r |> bot)) |> bot
         # & []bot gets another countermodel.
-        cones = {lab: _generalized_cone(adj, x, lab) for lab in labs}
-        for i, a in enumerate(labs):
-            for b in labs[i + 1 :]:
-                if cones[a] & cones[b]:
-                    out.append(f"generalized cones overlap at {x}: {render(a)} / {render(b)}")
-        for lab in labs:
-            for y in sorted(_critical_cone(adj, x, lab)):
+        if any(len(c[0]) > len(w[0]) for c, w in zip(cones, was)):
+            for i, a in enumerate(labs):
+                for b, c in zip(labs[i + 1 :], cones[i + 1 :]):
+                    if cones[i][0] & c[0]:
+                        out.append(f"generalized cones overlap at {x}: {render(a)} / {render(b)}")
+        for lab, (_, crit), (_, crit_was) in zip(labs, cones, was):
+            for y in sorted(crit.difference(crit_was)):
                 if not crit_succ(F.nu[x], lab, F.nu[y]):
                     out.append(f"criticality {render(lab)} fails at {y} (cone of {x})")
     if F.logic == ILM:
@@ -464,15 +501,15 @@ def _deficiencies_on(F: LabeledFrame, edges) -> Iterator[Deficiency]:
 
 def _is_open(F: LabeledFrame, adj: _Adjacency, item) -> bool:
     """No witness yet: for ~(A |> B) no A world in the B-critical cone, for
-    ~[]A no ~A successor, for a deficiency no S_x exit to a D world."""
+    ~[]A no ~A successor, for a deficiency no S_x exit to a D world. It
+    reads theories in F.worlds order, so no log hangs on a set's order."""
     if isinstance(item, Deficiency):
-        right = item.formula.right
-        return not any(F.nu[z].models(right) for z in adj.s_at.get((item.x, item.y), ()))
-    x, body = item.world, item.formula.left
-    if isinstance(body, Rhd):
-        return not any(F.nu[y].models(body.left) for y in _critical_cone(adj, x, body.right))
-    refuter = Neg(body.body)
-    return not any(F.nu[y].models(refuter) for y in adj.succ.get(x, ()))
+        near, want = adj.s_at.get((item.x, item.y), ()), item.formula.right
+    elif isinstance(item.formula.left, Rhd):
+        near, want = adj.cone(item.world, item.formula.left.right)[1], item.formula.left.left
+    else:
+        near, want = adj.succ.get(item.world, ()), Neg(item.formula.left.body)
+    return not any(F.nu[w].models(want) for w in F.worlds if w in near)
 
 
 def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None:
@@ -525,7 +562,7 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
         for a in F.worlds:
             if a in back:
                 for lab in adj.labels.get(a, ()):
-                    if x in _critical_cone(adj, a, lab):
+                    if x in adj.cone(a, lab)[1]:
                         extra += [(f, True) for f in crit_obligations(F.nu[a], lab)]
         got = F._constraints[x] = tuple(extra)
     return got
@@ -576,7 +613,7 @@ def _deficiency_lookahead(
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
     """The formula B with y in the B-critical cone of x; bot if none."""
     adj = _adjacency(F)
-    return next((lab for lab in adj.labels.get(x, ()) if y in _critical_cone(adj, x, lab)), BOT)
+    return next((lab for lab in adj.labels.get(x, ()) if y in adj.cone(x, lab)[1]), BOT)
 
 
 def _witness(F: LabeledFrame, item) -> tuple:

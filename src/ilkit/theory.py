@@ -97,12 +97,13 @@ class DTheory:
     Its one value map, `values`, starts as a copy of the assignment (a map
     or (atom, value) pairs over D's modal atoms), and `models` and
     `members` extend it with `boolean_masks` on one row, so a formula is
-    evaluated once per theory."""
+    evaluated once per theory. `boxes()` is kept too, built on first call."""
 
-    __slots__ = ("adequate", "values", "_key")
+    __slots__ = ("adequate", "values", "_key", "_boxes")
 
     def __init__(self, adequate: AdequateSet, assignment):
         self.adequate = adequate
+        self._boxes = None
         self.values = values = dict(assignment)
         key = 0
         for a in adequate.modal_atoms:
@@ -126,7 +127,9 @@ class DTheory:
         return got
 
     def boxes(self) -> tuple[Box, ...]:
-        return tuple(f for f in self.adequate.boxed_members if self.models(f))
+        if self._boxes is None:
+            self._boxes = tuple(f for f in self.adequate.boxed_members if self.values[f])
+        return self._boxes
 
     def rhds(self) -> tuple[Rhd, ...]:
         return tuple(f for f in self.adequate.rhd_atoms if self.models(f))
@@ -155,14 +158,15 @@ class LoggedTheory(DTheory):
     rhd and box atoms (`D.existential_atoms`) and is the first cache a
     read looks in: a formula read again is logged already. It equals and hashes
     as the theory it copies and shares its value map, so memos keyed on
-    theories hit for either. The search gives each world it adds one, so
-    a log holds the reads of exactly one world."""
+    theories hit for either, and shares its `boxes()`, which reads only box
+    atoms. The search gives each world it adds one, so a log holds the
+    reads of exactly one world."""
 
     __slots__ = ("reads",)
 
     def __init__(self, t: DTheory):
         self.adequate, self.values = t.adequate, t.values
-        self._key = t._key
+        self._key, self._boxes = t._key, t.boxes()
         self.reads = {a: t.values[a] for a in t.adequate.existential_atoms}
 
     def models(self, f: Formula) -> bool:

@@ -708,10 +708,10 @@ def test_criticality_label_recovery():
 def test_step_settling_matches_whole_frame(monkeypatch, logic):
     # every search step settles its child against the parent; settling the
     # same child from scratch must close it to the same R, S and
-    # obligations, reject it exactly when the step path does, and give the
-    # same worklist in the same order
+    # obligations, reject it exactly when the step path does, leave the
+    # same cone table and give the same worklist in the same order
     real = construction._finish
-    seen = {"steps": 0, "rejected": 0}
+    seen = {"steps": 0, "rejected": 0, "inherited": 0}
 
     def checked(F, since=None):
         assert since is not None, "a search step must pass its parent"
@@ -724,13 +724,25 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
             assert g._adj is not None
             fresh = _Adjacency(g.R, g.S, g.edge_label)
             for name, got in vars(g._adj).items():
-                assert got == getattr(fresh, name), name
+                if name != "cones":
+                    assert got == getattr(fresh, name), name
+        # the parent's table holds every labeled cone, and the step keeps
+        # only entries the settled child would compute the same way
+        assert since._adj.cones.keys() == since._adj.seeds.keys()
+        inherited = set(step._adj.cones)
         if logic == ILM:
             # close pushes obligations along S, so no check of them is needed
             for g in (step, whole):
                 assert all(g.obligations[y] <= g.obligations[z] for _, y, z in g.S)
         bad = bool(quasi_frame_violations(step, since=since))
         assert bad == bool(quasi_frame_violations(whole))
+        # entry by entry, the step's table is the one settled from scratch
+        assert step._adj.cones == whole._adj.cones
+        assert whole._adj.cones.keys() == whole._adj.seeds.keys()
+        for (x, lab), cones in whole._adj.cones.items():
+            assert cones == (generalized_cone(whole, x, lab), critical_cone(whole, x, lab))
+        assert all(step._adj.cones[k] is since._adj.cones[k] for k in inherited)
+        seen["inherited"] += len(inherited)
         if not bad:
             refresh_worklist(step, since=since)
             refresh_worklist(whole)
@@ -755,6 +767,7 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
             satisfiable(logic, f, budget, observer=lambda *event: None)
     assert seen["steps"] >= 500
     assert seen["rejected"] >= 10
+    assert seen["inherited"] >= 100, seen
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])
@@ -951,6 +964,29 @@ def test_step_check_covers_old_edges_whose_obligations_grew():
     whole = quasi_frame_violations(close(child))
     assert whole == ["no box growth on edge ('x', 'y')"]
     assert quasi_frame_violations(close(child, since=parent), since=parent) == whole
+
+
+def test_step_check_covers_a_label_put_on_an_old_edge():
+    # x R u is in the parent without a label, and x's p-cone is {y}. The
+    # child only labels x R u with p, as eliminate does when it reuses u:
+    # no edge or triple is new, yet the p-cone gains u, where p holds, and
+    # the cone table must not keep the parent's entry
+    D = adequate_closure([Box(p), Box(q)])
+    root = pick(D, IL, excl=[Box(p), Box(q)])
+    ty = pick(D, IL, incl=[Neg(p), Box(q)])
+    tu = pick(D, IL, incl=[p, Box(q)])
+    f = frame_with(D, IL, ["x", "y", "u"], {("x", "y"), ("x", "u")}, (), {"x": root, "y": ty, "u": tu}, {("x", "y"): p})
+    parent = close(f)
+    assert quasi_frame_violations(parent) == []
+    assert parent._adj.cones[("x", p)] == ({"y"}, {"y"})
+    child = parent.copy()
+    child.edge_label[("x", "u")] = p
+    step = close(child, since=parent)
+    assert (step.R, step.S) == (parent.R, parent.S)
+    whole = quasi_frame_violations(close(child))
+    assert whole == ["criticality p fails at u (cone of x)"]
+    assert quasi_frame_violations(step, since=parent) == whole
+    assert step._adj.cones[("x", p)] == ({"y", "u"}, {"y", "u"})
 
 
 def test_rs_composition_cycle_in_a_closed_ilm_frame():

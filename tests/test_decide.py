@@ -470,31 +470,12 @@ def test_memo_hits_need_no_replay(monkeypatch, logic):
     # memos read, so with both memos emptied before every call the search
     # must take the same steps, skip the same roots and candidates and
     # return the same model
-    import random
-
     import ilkit.construction as construction
     import ilkit.decide as decide
     import ilkit.theory as theory
-    from conftest import random_formula
 
-    def run(f):
-        events = []
-
-        def seen(ev, item, got):
-            if ev.startswith("skipped"):
-                got = got.key()
-            else:
-                got = (tuple(got.worlds), sorted(got.R), sorted(got.S), [got.nu[w].key() for w in got.worlds])
-            events.append((ev, item, got))
-
-        return _certificate(satisfiable(logic, f, Budget(max_worlds=8, max_steps=150, max_backtracks=200), seen)), events
-
-    rng = random.Random(23)
-    queries = []
-    for _ in range(25):
-        a, b = random_formula(rng), random_formula(rng)
-        queries += [And(Rhd(a, b), Neg(Implies(Diamond(a), Diamond(b)))), Neg(Rhd(a, b))]
-    with_memos = [run(f) for f in queries]
+    queries = _seeded_queries()
+    with_memos = [_search_events(logic, f) for f in queries]
 
     real_fresh, real_crit = construction.fresh_candidate_theories, theory.crit_obligations
 
@@ -513,9 +494,55 @@ def test_memo_hits_need_no_replay(monkeypatch, logic):
         (theory, "crit_obligations", crit),
     ):
         monkeypatch.setattr(mod, name, fn)
-    without = [run(f) for f in queries]
+    without = [_search_events(logic, f) for f in queries]
     assert without == with_memos
     assert sum(ev.startswith("skipped") for _, events in with_memos for ev, _, _ in events) >= 20
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_step_local_checks_leave_the_search_unchanged(monkeypatch, logic):
+    # each step settles its child against the parent, reading the parent's
+    # cones and index; settling every child from scratch instead must take
+    # the same steps, make the same skips (so keep the same logs) and
+    # return the same model
+    import ilkit.construction as construction
+
+    queries = _seeded_queries()
+    step_local = [_search_events(logic, f) for f in queries]
+    real = construction._finish
+    monkeypatch.setattr(construction, "_finish", lambda F, since=None: real(F))
+    assert [_search_events(logic, f) for f in queries] == step_local
+    kinds = {ev for _, events in step_local for ev, _, _ in events}
+    assert kinds == {"root", "eliminated", "skipped", "skipped_root"}, kinds
+
+
+def _seeded_queries():
+    import random
+
+    from conftest import random_formula
+
+    rng = random.Random(23)
+    queries = []
+    for _ in range(25):
+        a, b = random_formula(rng), random_formula(rng)
+        queries += [And(Rhd(a, b), Neg(Implies(Diamond(a), Diamond(b)))), Neg(Rhd(a, b))]
+    return queries
+
+
+def _search_events(logic, f):
+    """The answer of a seeded search of f and every observer event, with
+    each frame as its worlds, R, S and theory keys and each theory as its
+    key."""
+    events = []
+
+    def seen(ev, item, got):
+        if ev.startswith("skipped"):
+            got = got.key()
+        else:
+            got = (tuple(got.worlds), sorted(got.R), sorted(got.S), [got.nu[w].key() for w in got.worlds])
+        events.append((ev, item, got))
+
+    return _certificate(satisfiable(logic, f, Budget(max_worlds=8, max_steps=150, max_backtracks=200), seen)), events
 
 
 def test_sat_cache_evicts_the_oldest_answer(monkeypatch):
