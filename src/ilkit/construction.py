@@ -610,6 +610,40 @@ def _deficiency_lookahead(
     return True
 
 
+def _rhd_lookahead(F: LabeledFrame, item):
+    """The test a fresh witness t of the item must pass: each false rhd
+    ~(A |> C) of t still has a possible witness. Every member of the fresh
+    world w's C-critical cone is an R-successor of x in x's B-critical
+    cone and of w, so it meets x's successor constraints,
+    crit_obligations(gx, B), w's obligations (the item's avoids and, for
+    an ILM deficiency, y's, which `close` pushes along y S_x w), t's boxes
+    with their bodies and crit_obligations(t, C), and a witness has A.
+    These only grow with the frame, so an empty query is final: t's
+    subtree holds no model. It reads t only on its rhd and box values."""
+    x, B, _, _, avoids, _, y, _ = _witness(F, item)
+    D = F.adequate
+    cs = [*_successor_constraints(F, x), *((f, True) for f in crit_obligations(F.nu[x], B))]
+    cs += ((single_neg(a), True) for a in avoids)
+    if isinstance(item, Deficiency) and F.logic == ILM:
+        cs += ((f, True) for f in F.obligations[y])
+    memo: dict[tuple[bool, ...], bool] = {}
+
+    def keep(t: DTheory) -> bool:
+        false = [rho for rho in D.rhd_atoms if not t.values[rho]]
+        if not false:
+            return True
+        key = tuple(t.values[a] for a in D.existential_atoms)
+        if key not in memo:
+            q = TheoryQuery(D, F.logic, [*cs, *_succ_constraints(t)])
+            memo[key] = not any(
+                q.where([(f, True) for f in crit_obligations(t, rho.right)] + [(rho.left, True)]).is_empty()
+                for rho in false
+            )
+        return memo[key]
+
+    return keep
+
+
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
     """The formula B with y in the B-critical cone of x; bot if none."""
     adj = _adjacency(F)
@@ -740,9 +774,11 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
     open.
 
     F is settled: closed, free of violations and with a worklist of
-    exactly its open items. state is the search's `decide._State`. The
-    fresh candidates go through `nogoods`, and a frame of
-    `state.budget.max_worlds` worlds gets no fresh world."""
+    exactly its open items. state is the search's `decide._State`. A fresh
+    candidate `_rhd_lookahead` drops is never built, and the observer sees
+    ("pruned", item, theory); it filters here, so the most-constrained
+    scan counts what it did without it. The rest go through `nogoods`, and
+    a frame of `state.budget.max_worlds` worlds gets no fresh world."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     gx = F.nu[x]
     back = {x} | _adjacency(F).pred.get(x, set())  # R is transitive on F
@@ -764,7 +800,16 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
             if done is not None:
                 yield done
     keeps = [single_neg(a) for a in avoids]
-    for t in nogoods(F.adequate, fresh_candidate_theories(F, item), state, "skipped", item):
+    keep = _rhd_lookahead(F, item)
+
+    def unpruned():
+        for t in fresh_candidate_theories(F, item):
+            if keep(t):
+                yield t
+            elif state.observer is not None:
+                state.observer("pruned", item, t)
+
+    for t in nogoods(F.adequate, unpruned(), state, "skipped", item):
         # F's world count is fixed here, so this cut fires at the first
         # candidate, before any cube is kept
         if len(F.worlds) >= state.budget.max_worlds:

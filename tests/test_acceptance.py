@@ -341,9 +341,9 @@ def test_criterion_8_construction_internals():
     traces = 0
     eliminations = 0
     while traces < 100:
-        a = random_formula(rng2, 1)
-        b = random_formula(rng2, 1)
-        c = random_formula(rng2, 1)
+        a = random_formula(rng2, 2)
+        b = random_formula(rng2, 2)
+        c = random_formula(rng2, 2)
         shape = traces % 4
         if shape == 0:
             f = And(Diamond(a), Diamond(b))

@@ -68,7 +68,7 @@ def test_unknown_exit_code():
 def test_every_unknown_json_verdict_carries_its_budget():
     # prove, countermodel and sat cut by the same step budget all report it
     budget = ("--json", "--logic", "il", "--max-steps", "60")
-    f = "[]((q |> p) |> []bot)"
+    f = "[](((r |> (r |> p)) |> ([]q -> r & p) -> ~<>p) | <>(r |> (r |> p)))"
     runs = {
         "prove": run_cli("prove", *budget, f),
         "countermodel": run_cli("countermodel", *budget, f),

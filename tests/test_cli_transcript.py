@@ -45,7 +45,7 @@ INPUTS = {
 }
 
 CUT = ("--max-steps", "60")
-HARD = "[]((q |> p) |> []bot)"
+HARD = "[](((r |> (r |> p)) |> ([]q -> r & p) -> ~<>p) | <>(r |> (r |> p)))"
 # one step decides none of the classify kinds' queries on these
 STEP = ("--max-steps", "1")
 TWO = "<>p & <>~p"

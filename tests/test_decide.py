@@ -324,7 +324,7 @@ def test_world_reuse_under_tight_budget():
     [
         # the step cut fires two steps below the root: 58 backtracks, then
         # one from each of the two frames above it as the cut unwinds
-        (IL, "[]((q |> p) |> []bot)", Budget(max_steps=60), ("max_steps", 60, 60)),
+        (IL, "[](((r |> (r |> p)) |> ([]q -> r & p) -> ~<>p) | <>(r |> (r |> p)))", Budget(max_steps=60), ("max_steps", 60, 60)),
         # the backtrack cut fires one step below the root, and the frame
         # above it counts one more backtrack; candidates the search's
         # nogoods cover cost neither a step nor a backtrack
@@ -459,8 +459,9 @@ def test_differential_against_recorded():
             if got["verdict"] == "derivable":
                 f = parse(row["query"])
                 assert small_countermodel(f, small_frames(row["logic"], 3)) is None, row
-    # the nogoods decide these; a change that decides more moves the count
-    assert newly == 11
+    # the nogoods decide 11 of these and the rhd lookahead 15 more; a change
+    # that decides more moves the count
+    assert newly == 26
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])
@@ -513,7 +514,82 @@ def test_step_local_checks_leave_the_search_unchanged(monkeypatch, logic):
     monkeypatch.setattr(construction, "_finish", lambda F, since=None: real(F))
     assert [_search_events(logic, f) for f in queries] == step_local
     kinds = {ev for _, events in step_local for ev, _, _ in events}
-    assert kinds == {"root", "eliminated", "skipped", "skipped_root"}, kinds
+    assert kinds == {"root", "eliminated", "skipped", "skipped_root", "pruned"}, kinds
+
+
+def _keep_all(F, item):
+    return lambda t: True
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_rhd_lookahead_drops_only_subtrees_without_a_model(monkeypatch, logic):
+    # each candidate the rhd lookahead drops, linked and settled as a search
+    # without the lookahead would settle it, fails an invariant, has an item
+    # without candidates, or has no model below it
+    import ilkit.construction as construction
+    from ilkit.decide import _most_constrained
+    from ilkit.syntax import single_neg
+
+    dropped = []
+    real = construction._rhd_lookahead
+
+    def recorded(F, item):
+        keep = real(F, item)
+
+        def kept(t):
+            if not keep(t):
+                dropped.append((F, item, t))
+                return False
+            return True
+
+        return kept
+
+    monkeypatch.setattr(construction, "_rhd_lookahead", recorded)
+    for f in _seeded_queries():
+        _search_events(logic, f)
+    assert len(dropped) >= 1000
+    monkeypatch.setattr(construction, "_rhd_lookahead", _keep_all)
+    for F, item, t in dropped:
+        x, _, _, _, avoids, label, y, _ = construction._witness(F, item)
+        g = F.copy()
+        w = g.add_world(t, [single_neg(a) for a in avoids])
+        g.R.add((x, w))
+        if label is not None:
+            g.edge_label[(x, w)] = label
+        if y is not None:
+            g.S.add((x, y, w))
+        child = construction._finish(g, F)
+        if child is None or (child.worklist and _most_constrained(child) is None):
+            continue
+        model, st = complete_frame(child, Budget(max_steps=5000, max_backtracks=20000))
+        assert model is None and not st.cut, (item, t)
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_rhd_lookahead_keeps_every_answer(monkeypatch, logic):
+    # keeping every candidate, the same searches reach the same answers
+    # and models: the lookahead only drops subtrees that fail
+    import ilkit.construction as construction
+
+    queries = _seeded_queries()
+    with_lookahead = [_search_events(logic, f)[0] for f in queries]
+    monkeypatch.setattr(construction, "_rhd_lookahead", _keep_all)
+    assert [_search_events(logic, f)[0] for f in queries] == with_lookahead
+
+
+def test_rhd_lookahead_refutes_the_ilm_j2_chain(monkeypatch):
+    # the ILM J2 chain with []u: the default budget now finds the model a
+    # search without the lookahead finds only with 20,000 steps
+    import ilkit.construction as construction
+
+    f = Neg(parse("(p |> q) & (q |> r) & (r |> s) & (s |> t) -> p |> t & []u"))
+    events = []
+    got = satisfiable(ILM, f, observer=lambda ev, item, t: events.append(ev))
+    assert isinstance(got, Sat) and events.count("pruned") >= 1
+    monkeypatch.setattr(construction, "_rhd_lookahead", _keep_all)
+    assert isinstance(satisfiable(ILM, f, observer=lambda *event: None), Unknown)
+    slow = satisfiable(ILM, f, Budget(max_steps=20000), observer=lambda *event: None)
+    assert _certificate(slow) == _certificate(got)
 
 
 def _seeded_queries():
@@ -536,7 +612,7 @@ def _search_events(logic, f):
     events = []
 
     def seen(ev, item, got):
-        if ev.startswith("skipped"):
+        if ev.startswith("skipped") or ev == "pruned":
             got = got.key()
         else:
             got = (tuple(got.worlds), sorted(got.R), sorted(got.S), [got.nu[w].key() for w in got.worlds])
