@@ -322,9 +322,8 @@ def test_world_reuse_under_tight_budget():
 @pytest.mark.parametrize(
     "logic, text, budget, report",
     [
-        # the step cut fires two steps below the root: 58 backtracks, then
-        # one from each of the two frames above it as the cut unwinds
-        (IL, "[](((r |> (r |> p)) |> ([]q -> r & p) -> ~<>p) | <>(r |> (r |> p)))", Budget(max_steps=60), ("max_steps", 60, 60)),
+        # the rhd lookahead derives this within 40 steps; 30 cut it first
+        (IL, "[]((q |> p) |> []bot)", Budget(max_steps=30), ("max_steps", 30, 30)),
         # the backtrack cut fires one step below the root, and the frame
         # above it counts one more backtrack; candidates the search's
         # nogoods cover cost neither a step nor a backtrack
@@ -337,6 +336,14 @@ def test_world_reuse_under_tight_budget():
         # a countermodel needs three worlds, and two leave room for only
         # one successor of the root
         (GL, "~(<>p & <>~p & <><>q)", Budget(max_worlds=2), ("max_worlds", 8, 8)),
+        # the step cut fires two steps below the root: 58 backtracks, then
+        # one from each of the two frames above it as the cut unwinds
+        (
+            IL,
+            "[](((r |> (r |> p)) |> ([]q -> r & p) -> ~<>p) | <>(r |> (r |> p)))",
+            Budget(max_steps=60),
+            ("max_steps", 60, 60),
+        ),
     ],
 )
 def test_budget_cut_reports(logic, text, budget, report):
