@@ -225,15 +225,19 @@ _WITNESS_CAP = 400
 def _witness_candidates(f: Formula) -> list[Formula]:
     subs = sorted(subformulas(f), key=lambda g: g.key())
     base = [Top(), BOT] + subs + [Neg(s) for s in subs if not is_neg(s)]
-    seen: dict[Formula, None] = {}
-    for b in base:
-        seen.setdefault(b, None)
-    pool = list(seen)
+    pool = list(dict.fromkeys(base))
     cands: list[Formula] = [BOT]
     cands += [Box(b) for b in pool]
     cands += [Box(And(a, b)) for a, b in itertools.combinations(pool, 2)]
     cands += [Or(Box(a), Box(b)) for a, b in itertools.combinations(pool, 2)]
     return cands[:_WITNESS_CAP]
+
+
+def _refutes(model: VeltmanModel, f: Formula, cand: Formula) -> bool:
+    """Do f and cand differ at some world of the certified ILM model? ILM
+    is sound for finite ILM frames, so then f <-> cand is not derivable."""
+    ext = model.extensions([f, cand])
+    return ext[f] != ext[cand]
 
 
 def classify_sigma1(f: Formula, budget: Budget = DEFAULT_BUDGET) -> Sigma1Report:
@@ -248,10 +252,16 @@ def classify_sigma1(f: Formula, budget: Budget = DEFAULT_BUDGET) -> Sigma1Report
         return Sigma1Report("unknown", query, (p, q), v)
     if _is_box_disjunction(f):
         return Sigma1Report("yes", query, (p, q), v, witness=f, witness_note="syntactic")
+    # refuted candidates' countermodels, copied so no cached memo grows
+    refuting: list[VeltmanModel] = []
     for cand in _witness_candidates(f):
+        if any(_refutes(m, f, cand) for m in refuting):
+            continue
         w = derivable(ILM, Iff(f, cand), budget)
         if isinstance(w, Derivable):
             return Sigma1Report("yes", query, (p, q), v, witness=cand, witness_note="certified")
+        if isinstance(w, Refuted):
+            refuting.append(VeltmanModel(w.model.frame, w.model.val))
     return Sigma1Report(
         "yes", query, (p, q), v, witness=None, witness_note="witness not found within bound"
     )

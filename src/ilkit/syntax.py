@@ -173,10 +173,6 @@ def is_rhd_free(f: Formula) -> bool:
     return not any(isinstance(g, Rhd) for g in subformulas(f))
 
 
-def modal_depth(f: Formula) -> int:
-    return fold([f], _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)), {})[f]
-
-
 def _boolean_kids(f: Formula) -> tuple[Formula, ...]:
     return (f.left, f.right) if isinstance(f, Implies) else ()
 
@@ -317,12 +313,6 @@ class AdequateSet:
 
 def _closure_kids(f: Formula) -> tuple[Formula, ...]:
     return (f.left,) if is_neg(f) else _kids(f)
-
-
-def closure_subformulas(f: Formula) -> frozenset[Formula]:
-    """Subformulas with ~ read as primitive: ~g contributes itself and the
-    subformulas of g, never a bare bot."""
-    return frozenset(reach([f], _closure_kids))
 
 
 def adequate_closure(seed: Iterable[Formula]) -> AdequateSet:

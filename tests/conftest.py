@@ -12,7 +12,7 @@ from ilkit.construction import (
     _witness,
     refresh_worklist,
 )
-from ilkit.relation import image, reach
+from ilkit.relation import fold, image, reach
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, frame_validates, validate
 from ilkit.syntax import (
     And,
@@ -23,7 +23,8 @@ from ilkit.syntax import (
     Neg,
     Or,
     Rhd,
-    modal_depth,
+    _closure_kids,
+    _kids,
     single_neg,
 )
 from ilkit.theory import TheoryQuery, _succ_constraints, crit_obligations, search_preference
@@ -47,6 +48,16 @@ def random_formula(rng, depth=2, atoms=("p", "q", "r"), allow_rhd=True):
     if k == 4:
         return Or(a, b)
     return Rhd(a, b)
+
+
+def modal_depth(f):
+    return fold([f], _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)), {})[f]
+
+
+def closure_subformulas(f):
+    """Subformulas with ~ read as primitive: ~g contributes itself and the
+    subformulas of g, never a bare bot."""
+    return frozenset(reach([f], _closure_kids))
 
 
 def transitive_closure_pairs(R):

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from ilkit.classify import (
 )
 from ilkit.decide import CertificationError, Derivable, Refuted, derivable
 from ilkit.semantics import GL, ILM, forces, validate
-from ilkit.syntax import And, Atom, BOT, Box, Diamond, Neg, Or, Top, parse, render
+from ilkit.syntax import And, Atom, BOT, Box, Diamond, Iff, Neg, Or, Top, parse, render
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -147,6 +148,72 @@ def test_sigma1_yes_without_a_witness_inside_the_cap(monkeypatch):
     rep = classify_sigma1(parse("[]p & []q"))
     assert (rep.answer, rep.witness) == ("yes", None)
     assert rep.witness_note == "witness not found within bound"
+
+
+def _sigma1_corpus():
+    """The t.s.g. corpus formulas f with their f & []f and f & []~f."""
+    from test_acceptance import _tsg_corpus
+
+    return [g for f in _tsg_corpus(random.Random(53)) for g in (f, And(f, Box(f)), And(f, Box(Neg(f))))]
+
+
+def test_sigma1_witness_filter_changes_no_report(monkeypatch):
+    import ilkit.classify as classify
+    import ilkit.decide as decide
+
+    def reports():
+        monkeypatch.setattr(decide, "_sat_cache", {})
+        return [json.dumps(classify_sigma1(f).to_dict(), sort_keys=True) for f in _sigma1_corpus()]
+
+    filtered = reports()
+    monkeypatch.setattr(classify, "_refutes", lambda model, f, cand: False)
+    assert reports() == filtered
+
+
+def test_sigma1_witness_filter_skips_only_refutable_candidates(monkeypatch):
+    import ilkit.classify as classify
+
+    skipped = []
+    refutes = classify._refutes
+
+    def recording(model, f, cand):
+        if refutes(model, f, cand):
+            skipped.append(Iff(f, cand))
+            return True
+        return False
+
+    monkeypatch.setattr(classify, "_refutes", recording)
+    # Sigma_1 shapes that are not box disjunctions, so the witness loop runs
+    rng = random.Random(29)
+    for _ in range(6):
+        a, b, c = (Box(random_formula(rng, 1)) for _ in range(3))
+        classify_sigma1(And(Or(a, b), Box(Or(a, b))))
+        classify_sigma1(Or(And(a, b), c))
+    assert len(skipped) >= 500
+    for g in dict.fromkeys(skipped):
+        assert not isinstance(derivable(ILM, g), Derivable), render(g)
+
+
+def test_sigma1_witness_filter_reads_every_world():
+    from ilkit.classify import _refutes
+    from ilkit.semantics import VeltmanModel
+
+    # p and bot agree at the root and differ only at its successor
+    model = VeltmanModel.make(["w0", "w1"], R=[("w0", "w1")], val={"w1": {"p"}})
+    assert _refutes(model, p, BOT)
+    assert _refutes(model, Box(p), p) and not _refutes(model, Box(Box(BOT)), Top())
+
+
+@pytest.mark.parametrize("s", ["[]p & []q | []r", "([]p & []q) | ([]r & []s)"])
+def test_sigma1_witness_loop_stops_asking_once_the_models_refute_the_rest(monkeypatch, s):
+    import ilkit.classify as classify
+
+    asked = []
+    monkeypatch.setattr(classify, "derivable", lambda logic, g, budget: asked.append(g) or derivable(logic, g, budget))
+    rep = classify_sigma1(parse(s))
+    assert (rep.answer, rep.witness, rep.witness_note) == ("yes", None, "witness not found within bound")
+    # the reduction query, then at most 10 of the up to 400 candidates
+    assert len(asked) - 1 <= 10
 
 
 def test_sigma1_no_cases_with_countermodels():

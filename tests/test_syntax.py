@@ -4,12 +4,11 @@ import pickle
 import sys
 
 import pytest
-from conftest import reference_depth, reference_value
+from conftest import closure_subformulas, modal_depth, reference_depth, reference_value
 from hypothesis import given, strategies as st
 
 from ilkit import syntax
 from ilkit.syntax import (
-    closure_subformulas,
     BOT,
     AdequateSet,
     And,
@@ -29,7 +28,6 @@ from ilkit.syntax import (
     fresh_atoms,
     is_rhd_free,
     modal_atoms_of,
-    modal_depth,
     parse,
     render,
     single_neg,
