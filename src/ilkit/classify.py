@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .construction import LabeledFrame
 from .decide import (
@@ -222,15 +222,18 @@ def _is_box_disjunction(f: Formula) -> bool:
 _WITNESS_CAP = 400
 
 
-def _witness_candidates(f: Formula) -> list[Formula]:
+def _witness_candidates(f: Formula) -> Iterator[Formula]:
     subs = sorted(subformulas(f), key=lambda g: g.key())
     base = [Top(), BOT] + subs + [Neg(s) for s in subs if not is_neg(s)]
     pool = list(dict.fromkeys(base))
-    cands: list[Formula] = [BOT]
-    cands += [Box(b) for b in pool]
-    cands += [Box(And(a, b)) for a, b in itertools.combinations(pool, 2)]
-    cands += [Or(Box(a), Box(b)) for a, b in itertools.combinations(pool, 2)]
-    return cands[:_WITNESS_CAP]
+    # built lazily: the witness loop mostly stops long before the cap
+    cands = itertools.chain(
+        [BOT],
+        map(Box, pool),
+        (Box(And(a, b)) for a, b in itertools.combinations(pool, 2)),
+        (Or(Box(a), Box(b)) for a, b in itertools.combinations(pool, 2)),
+    )
+    return itertools.islice(cands, _WITNESS_CAP)
 
 
 def _refutes(model: VeltmanModel, f: Formula, cand: Formula) -> bool:

@@ -356,17 +356,19 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
 
 def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
     """Closure of a plain frame under the same conditions. Raises ValueError
-    when an R edge or S triple names a world outside the frame's worlds, or
-    when R, before or after closing, has a cycle: no Veltman frame extends
-    such a frame."""
+    when an R edge or S triple names a world outside the frame's worlds
+    (the first such in sorted order), or when R, before or after closing,
+    has a cycle: no Veltman frame extends such a frame. The closed R is
+    transitive, so it has a cycle iff it has a loop; only then does
+    `find_cycle` run, for a witness from the input R if it has one."""
     for name, rel in (("R edge", frame.R), ("S triple", frame.S)):
-        for e in sorted(rel):
-            if not frame.worlds.issuperset(e):
-                raise ValueError(f"{name} {e} names a world outside worlds")
+        outside = [e for e in rel if not frame.worlds.issuperset(e)]
+        if outside:
+            raise ValueError(f"{name} {min(outside)} names a world outside worlds")
     g = LabeledFrame(AdequateSet(()), logic, sorted(frame.worlds), frame.R, frame.S)
     closed = close(g)
-    cycle = find_cycle(g.worlds, frame.R) or find_cycle(g.worlds, closed.R)
-    if cycle:
+    if any(x == y for x, y in closed.R):
+        cycle = find_cycle(g.worlds, frame.R) or find_cycle(g.worlds, closed.R)
         raise ValueError("R has a cycle: " + " -> ".join(cycle))
     return VeltmanFrame(frozenset(closed.worlds), frozenset(closed.R), frozenset(closed.S))
 

@@ -216,6 +216,37 @@ def test_sigma1_witness_loop_stops_asking_once_the_models_refute_the_rest(monkey
     assert len(asked) - 1 <= 10
 
 
+_ROADMAP_SIGMA1 = ["[]p & []q | []r", "([]p & []q) | ([]r & []s)", "[](p & q) | []r & []s | <>t & []bot"]
+
+
+def _witness_candidates_as_a_list(f, cap):
+    """The witness shapes built as one list and cut at cap."""
+    import itertools
+
+    from ilkit.syntax import is_neg, subformulas
+
+    subs = sorted(subformulas(f), key=lambda g: g.key())
+    base = [Top(), BOT] + subs + [Neg(s) for s in subs if not is_neg(s)]
+    pool = list(dict.fromkeys(base))
+    cands = [BOT] + [Box(b) for b in pool]
+    cands += [Box(And(a, b)) for a, b in itertools.combinations(pool, 2)]
+    cands += [Or(Box(a), Box(b)) for a, b in itertools.combinations(pool, 2)]
+    return cands[:cap]
+
+
+def test_sigma1_witness_candidates_are_the_list_built_lazily(monkeypatch):
+    import ilkit.classify as classify
+
+    cap = classify._WITNESS_CAP
+    for f in _sigma1_corpus() + [parse(s) for s in _ROADMAP_SIGMA1]:
+        assert list(classify._witness_candidates(f)) == _witness_candidates_as_a_list(f, cap), render(f)
+    big = parse(_ROADMAP_SIGMA1[2])
+    assert len(_witness_candidates_as_a_list(big, None)) > cap
+    assert len(list(classify._witness_candidates(big))) == cap
+    monkeypatch.setattr(classify, "_WITNESS_CAP", 7)  # the cap is read at call time
+    assert list(classify._witness_candidates(big)) == _witness_candidates_as_a_list(big, 7)
+
+
 def test_sigma1_no_cases_with_countermodels():
     for s in ["p", "<>p", "p & []p"]:
         rep = classify_sigma1(parse(s))

@@ -32,6 +32,7 @@ from ilkit.construction import (
     verify_truth_lemma,
 )
 from ilkit.decide import Budget, _State, satisfiable
+from ilkit.relation import find_cycle
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces, validate
 from ilkit.syntax import (
     BOT,
@@ -533,6 +534,63 @@ def test_close_frame_rejects_worlds_outside_the_frame():
             close_frame(edge, logic)
         with pytest.raises(ValueError, match=r"S triple \('a', 'b', 'c'\) names a world outside"):
             close_frame(triple, logic)
+
+
+def test_close_frame_names_the_first_outside_world_in_sorted_order():
+    R = [("b", "x"), ("a", "z"), ("a", "y"), ("a", "b")]
+    with pytest.raises(ValueError, match=r"^R edge \('a', 'y'\) names a world outside worlds$"):
+        close_frame(VeltmanFrame.make(["a", "b"], R), IL)
+    S = [("a", "b", "y"), ("a", "b", "b"), ("a", "x", "b")]
+    with pytest.raises(ValueError, match=r"^S triple \('a', 'b', 'y'\) names a world outside worlds$"):
+        close_frame(VeltmanFrame.make(["a", "b"], [("a", "b")], S), ILM)
+
+
+def test_close_frame_names_the_input_cycle_before_the_closed_one():
+    # the closed R has loops at a, b and c, but the input's cycle is the witness
+    f = VeltmanFrame.make(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
+    for logic in (IL, ILM):
+        with pytest.raises(ValueError, match=r"^R has a cycle: a -> b -> c -> a$"):
+            close_frame(f, logic)
+
+
+def _close_frame_error(frame, logic):
+    """close_frame's error message, by searching the input and the closed R
+    for a cycle on every frame, or None when it closes."""
+    from ilkit.syntax import AdequateSet
+
+    for name, rel in (("R edge", frame.R), ("S triple", frame.S)):
+        for e in sorted(rel):
+            if not frame.worlds.issuperset(e):
+                return f"{name} {e} names a world outside worlds"
+    closed = close(LabeledFrame(AdequateSet(()), logic, sorted(frame.worlds), frame.R, frame.S))
+    cycle = find_cycle(frame.worlds, frame.R) or find_cycle(frame.worlds, closed.R)
+    return "R has a cycle: " + " -> ".join(cycle) if cycle else None
+
+
+def test_close_frame_errors_match_a_search_on_every_frame():
+    rng = random.Random(73)
+    seen = {"input cycle": 0, "closure cycle": 0, "outside": 0, "closed": 0}
+    for _ in range(300):
+        worlds = [f"w{i}" for i in range(rng.randrange(1, 5))]
+        names = worlds + ["x"] * (rng.random() < 0.1)
+        R = {(a, b) for a in names for b in names if a < b and rng.random() < 0.4}
+        R |= {(a, b) for a in names for b in names if a > b and rng.random() < 0.1}
+        S = {(a, b, c) for a, b in sorted(R) for a2, c in sorted(R) if a2 == a and rng.random() < 0.5}
+        frame = VeltmanFrame.make(worlds, R, S)
+        for logic in (IL, ILM):
+            want = _close_frame_error(frame, logic)
+            if want is None:
+                assert validate(close_frame(frame, logic), logic).ok
+                seen["closed"] += 1
+                continue
+            with pytest.raises(ValueError) as err:
+                close_frame(frame, logic)
+            assert str(err.value) == want
+            if "outside" in want:
+                seen["outside"] += 1
+            else:
+                seen["input cycle" if find_cycle(frame.worlds, frame.R) else "closure cycle"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_m_cone_equals_critical_cone_on_full_ilm_frames():

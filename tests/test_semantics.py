@@ -9,6 +9,7 @@ from conftest import (
     glue_selfprover,
     neg_chain,
     random_formula,
+    transitive_closure_pairs,
 )
 
 from ilkit.semantics import (
@@ -535,3 +536,72 @@ def test_forcing_matches_a_reference_on_random_models():
             assert forces(m, w, f) == _reference_forces(m, w, f), (m, w, f)
         if len(atoms(f)) * len(worlds) <= 6:
             assert frame_validates(frame, f) == _reference_validates(frame, f), (frame, f)
+
+
+def _transitive_frame(rng, n, cyclic):
+    """A seeded frame whose R is transitively closed: the closure of random
+    forward edges, plus, when cyclic, a cycle through two or three worlds
+    (so R has loops)."""
+    worlds = [f"w{i}" for i in range(n)]
+    R = {(worlds[i], worlds[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    if cyclic:
+        ring = [worlds[i] for i in sorted(rng.sample(range(n), rng.randint(2, min(n, 3))))]
+        R |= set(zip(ring, ring[1:] + ring[:1]))
+    R = transitive_closure_pairs(R)
+    S = {(x, y, y) for x, y in sorted(R) if rng.random() < 0.9}
+    S |= {(x, y, z) for x, y in sorted(R) for x2, z in sorted(R) if x2 == x and rng.random() < 0.3}
+    return VeltmanFrame.make(worlds, R, S)
+
+
+def test_validate_matches_nested_loop_definitions_on_transitive_frames():
+    # a transitive R is tested for a loop, not searched: the reports must
+    # still be the oracle's, cycle witness included
+    rng = random.Random(27)
+    cycles = acyclic_with_violations = 0
+    for i in range(200):
+        frame = _transitive_frame(rng, rng.randrange(2, 6), cyclic=i % 2 == 1)
+        assert not any(v.condition == "r_transitive" for v in validate(frame, IL).violations)
+        for logic in (IL, ILM):
+            got = [(v.condition, v.witness) for v in validate(frame, logic).violations]
+            assert got == _violations_by_nested_loops(frame, logic == ILM), (frame, logic)
+            conditions = {c for c, _ in got}
+            cycles += "converse_well_founded" in conditions
+            acyclic_with_violations += bool(conditions) and i % 2 == 0
+    assert cycles == 200  # every cyclic frame is caught, under IL and ILM
+    assert acyclic_with_violations >= 50
+
+
+def test_validate_reports_a_two_cycle_without_loops():
+    # a R b R a: no loop, so only the failed r_transitive shows the cycle
+    frame = VeltmanFrame.make(["a", "b"], [("a", "b"), ("b", "a")], [("a", "b", "b"), ("b", "a", "a")])
+    for logic in (IL, ILM):
+        got = [(v.condition, v.witness) for v in validate(frame, logic).violations]
+        assert got == _violations_by_nested_loops(frame, logic == ILM)
+        assert got[:3] == [
+            ("converse_well_founded", ("a", "b", "a")),
+            ("r_transitive", ("a", "b", "a")),
+            ("r_transitive", ("b", "a", "b")),
+        ]
+
+
+def test_forces_unknown_world_after_the_extension_is_cached():
+    m = VeltmanModel.make(["a"], [("a", "zz")], [("a", "zz", "zz")], {"a": {"p"}})
+    assert forces(m, "a", p)
+    assert p in m.extensions([])
+    with pytest.raises(KeyError):
+        forces(m, "zz", p)  # zz is named by R but is not a world
+
+
+def test_forces_reads_the_same_answer_cached_or_not():
+    rng = random.Random(61)
+    hits = 0
+    for _ in range(40):
+        m = _random_model(rng)
+        fs = [_random_formula(rng, ["a0", "a1"], 3) for _ in range(6)]
+        m.extensions(fs[:3])  # half the formulas, and their subformulas, cached up front
+        for f in fs:
+            for w in sorted(m.frame.worlds):
+                hits += f in m.extensions([])
+                want = forces(VeltmanModel(m.frame, m.val), w, f)
+                assert forces(m, w, f) == want, (m, w, f)
+    assert hits >= 800
