@@ -19,6 +19,7 @@ backtracking in the decision engine.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .relation import find_cycle, fold, image, reach
@@ -37,6 +38,7 @@ from .theory import (
     DTheory,
     LoggedTheory,
     TheoryQuery,
+    TheoryView,
     _succ_constraints,
     box_incl,
     crit_obligations,
@@ -570,46 +572,28 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
     return got
 
 
-def _box_lookahead(F: LabeledFrame, t: DTheory, base: TheoryQuery, memo: dict) -> bool:
-    """Would a fresh successor of x with theory t leave one of its false
-    boxes permanently unwitnessable? base holds x's inherited and critical
-    constraints plus the fresh world's obligations. In any completed
-    extension, an R-maximal refuter of []E carries ~E together with []E
-    and satisfies every inherited constraint, so emptiness of that set is
-    final. The answer reads t only through `t.boxes()`, its key in memo."""
-    boxes = t.boxes()
-    got = memo.get(boxes)
-    if got is None:
-        false_boxes = [bx for bx in F.adequate.boxed_members if bx not in boxes]
-        base = base.where(_succ_constraints(t))
-        got = memo[boxes] = not any(
-            base.where(((bx.body, False), (bx, True))).is_empty() for bx in false_boxes
-        )
-    return got
+def _box_lookahead(F: LabeledFrame, boxes: tuple, base: TheoryQuery) -> bool:
+    """Would a fresh successor of x whose true boxes are `boxes` leave one
+    of its false boxes permanently unwitnessable? base holds x's
+    inherited and critical constraints plus the fresh world's
+    obligations. In any completed extension, an R-maximal refuter of []E
+    carries ~E together with []E and satisfies every inherited
+    constraint, so emptiness of that set is final."""
+    base = base.where(c for b in boxes for c in ((b.body, True), (b, True)))
+    return not any(
+        base.where(((bx.body, False), (bx, True))).is_empty()
+        for bx in F.adequate.boxed_members
+        if bx not in boxes
+    )
 
 
-def _deficiency_lookahead(
-    F: LabeledFrame, t: DTheory, base: TheoryQuery, rhos: list[Rhd], memo: dict
-) -> bool:
-    """Would a fresh successor of x with theory t leave some deficiency of x
-    permanently uneliminable? base holds x's inherited and critical
-    constraints plus the successor constraints of x, and rhos are the rhds
-    x's theory holds. Any S_x exit it could ever get, incidental or
-    constructed, must satisfy the deficiency's candidate constraints, so
-    an empty candidate set now is final. That set's query is base, t's
-    boxes under ILM and rho's right side, so memo keys it on rho and, under
-    ILM, `t.boxes()`."""
-    boxes = t.boxes() if F.logic == ILM else ()
-    for rho in rhos:
-        if not t.models(rho.left) or t.models(rho.right):
-            continue
-        got = memo.get((rho, boxes))
-        if got is None:
-            cs = [(b, True) for b in boxes] + [(rho.right, True)]
-            got = memo[rho, boxes] = base.where(cs).is_empty()
-        if got:
-            return False
-    return True
+def _deficiency_lookahead(rho: Rhd, boxes: tuple, base: TheoryQuery) -> bool:
+    """Could a fresh successor of x with C true and D false, for a rhd
+    rho = C |> D of x's theory, still get an S_x exit with D? base holds
+    x's inherited, critical and successor constraints; under ILM an exit
+    also carries the successor's boxes (else boxes is ()). Any S_x exit
+    it could ever get must meet these, so an empty set now is final."""
+    return not base.where([*((b, True) for b in boxes), (rho.right, True)]).is_empty()
 
 
 def _rhd_lookahead(F: LabeledFrame, item):
@@ -674,22 +658,23 @@ def _witness(F: LabeledFrame, item) -> tuple:
     return x, BOT, (body.body, False), ((body, True),), (), None, None, None
 
 
-def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
-    """Theory-level candidates for eliminating the item with a fresh world.
-    An empty list means the item can never be eliminated on any extension
-    of F: the constraint set only grows as the frame grows, and a reusable
-    world's theory would itself be a solution of it.
+def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView | list[DTheory]:
+    """Theory-level candidates for eliminating the item with a fresh world,
+    in search_preference order. An empty answer means the item can never
+    be eliminated on any extension of F: the constraint set only grows as
+    the frame grows, and a reusable world's theory would itself be a
+    solution of it.
 
     A candidate is a fresh witness (`_witness`) that meets x's successor
-    constraints, and the list is in search_preference order
-    (`TheoryQuery.preferred`). Both lookaheads narrow the same query, and
-    within a call each is asked once per box class of the candidates
-    (per rhd as well for the deficiency lookahead). The answer depends
-    on F only through the item's world theory, its criticality label, the
-    inherited constraints and, for an ILM deficiency, y's theory. It is
-    memoised on those per adequate set, so the most-constrained scan of
-    every frame in a search and the elimination that follows it share one
-    list; callers do not mutate it.
+    constraints and both lookaheads, each asked once per box class (per
+    rhd as well for the deficiency lookahead). With a truth table the
+    answer is a `TheoryView`, counted by popcount and built only as it is
+    iterated; without one it is a list. It depends on F only through the
+    item's world theory, its criticality label, the inherited constraints
+    and, for an ILM deficiency, y's theory. It is memoised on those per
+    adequate set, so the most-constrained scan of every frame in a search
+    and the elimination that follows it share one answer; callers do not
+    mutate it.
 
     It reads those two theories only on their rhd and box atoms (`rhds()`
     through crit_obligations, `boxes()`, `models(rho)` for a rhd rho), the
@@ -713,18 +698,17 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> list[DTheory]:
     own = [meets, *fresh]
     if boxes_of is not None:
         own += [(b, True) for b in boxes_of.boxes()]
+    # a witness with C true and D false for a rhd C |> D of x's theory
+    # needs an S_x exit with D
     rhos = [rho for rho in F.adequate.rhd_atoms if gx.models(rho)]
-    # the lookaheads' answers, per box class and per (rho, box class)
-    seen_boxes: dict = {}
-    seen_deficiencies: dict = {}
-    good = [
-        t
-        for t in deficiency_base.where(own).preferred()
-        if _deficiency_lookahead(F, t, deficiency_base, rhos, seen_deficiencies)
-        and _box_lookahead(F, t, box_base, seen_boxes)
-    ]
-    memo[key] = good
-    return good
+    cubes = {rho: ((rho.left, True), (rho.right, False)) for rho in rhos}
+    box_ok = cache(lambda boxes: _box_lookahead(F, boxes, box_base))
+    exit_ok = cache(lambda rho, boxes: _deficiency_lookahead(rho, boxes, deficiency_base))
+    ilm = F.logic == ILM
+    got = memo[key] = deficiency_base.where(own).preferred_where(
+        box_ok, cubes, lambda rho, boxes: exit_ok(rho, boxes if ilm else ())
+    )
+    return got
 
 
 def nogoods(

@@ -132,7 +132,9 @@ class _State:
 def _most_constrained(frame: LabeledFrame):
     """The open item with the fewest fresh candidates, the first of them on
     a tie; None if some item has none. Such an item can never be
-    eliminated on any extension, so the frame is dead."""
+    eliminated on any extension, so the frame is dead. It reads only the
+    length of each answer, which with a truth table is a popcount, so
+    the scan builds no candidate theory."""
     best = None
     for it in frame.worklist:
         n = len(fresh_candidate_theories(frame, it))

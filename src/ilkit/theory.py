@@ -11,6 +11,7 @@ engine's final truth-lemma certification is the arbiter.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Iterable, Iterator
 
 from .semantics import GL, IL, ILM, check_logic
@@ -380,14 +381,73 @@ class TheoryQuery:
         return self._sorted(DTheory.key)
 
     def preferred(self) -> Iterator[DTheory]:
-        """The answers in search_preference order. On the index this walks
-        the query's mask level by level (`_TheoryIndex.levels`), so a row's
-        DTheory is built only when the walk reaches it; off the index it
-        sorts the answers."""
+        """The answers in search_preference order: on the index a walk of
+        a `TheoryView`, off it the sorted answers."""
+        if self._index is None:
+            return self._sorted(search_preference)
+        return iter(TheoryView(self._index, self._mask))
+
+    def preferred_where(self, keep_class, cubes: dict, keep_cube) -> "TheoryView | list[DTheory]":
+        """The answers in search_preference order, less those a per-class
+        test drops. A class is the answers with the same true boxes (a
+        `DTheory.boxes()` tuple). Its answers meeting the constraints
+        cubes[k] go if not keep_cube(k, boxes), and the rest go if not
+        keep_class(boxes); each is asked only for a class with answers
+        left to drop. On the index this is one mask, split by class over
+        D.boxed_members; off it the sorted answers are filtered one by one
+        into a list."""
         index = self._index
         if index is None:
-            return self._sorted(search_preference)
-        return (t for level in index.levels for t in index.walk(self._mask & level))
+
+            def keep(t: DTheory) -> bool:
+                boxes = t.boxes()
+                met = (k for k, c in cubes.items() if all(t.models(f) == v for f, v in c))
+                return all(keep_cube(k, boxes) for k in met) and keep_class(boxes)
+
+            return [t for t in self._sorted(search_preference) if keep(t)]
+        classes = [(self._mask, ())]
+        for b in self.adequate.boxed_members:
+            on = index.mask(b)
+            classes = [
+                (part, boxes + (b,) * held)
+                for m, boxes in classes
+                for part, held in ((m & ~on, False), (m & on, True))
+                if part
+            ]
+        good = 0
+        for m, boxes in classes:
+            for k, cube in cubes.items():
+                rows = index.narrow(m, cube)
+                if rows and not keep_cube(k, boxes):
+                    m ^= rows
+            if m and keep_class(boxes):
+                good |= m
+        return TheoryView(index, good)
+
+
+class TheoryView:
+    """The theories of a mask's rows over a `_TheoryIndex`, read-only in
+    search_preference order: the length is a popcount, and iterating
+    walks the index's levels under the mask, so a row's DTheory is built
+    only when the walk reaches it. Equal to any sequence or view of the
+    same theories in the same order."""
+
+    __slots__ = ("_index", "_mask")
+
+    def __init__(self, index: _TheoryIndex, mask: int):
+        self._index, self._mask = index, mask
+
+    def __len__(self) -> int:
+        return self._mask.bit_count()
+
+    def __iter__(self) -> Iterator[DTheory]:
+        index, mask = self._index, self._mask
+        return (t for level in index.levels for t in index.walk(mask & level))
+
+    def __eq__(self, other):
+        if isinstance(other, (TheoryView, Sequence)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def solve_theories(

@@ -889,7 +889,9 @@ def test_fresh_candidates_match_the_per_candidate_reference(monkeypatch, logic, 
 
     def checked(F, item):
         got = real(F, item)
-        assert got == reference_fresh_candidates(F, item)
+        ref = reference_fresh_candidates(F, item)
+        assert got == ref
+        assert len(got) == len(ref) and bool(got) == bool(ref)
         seen["lists"] += bool(got)
         seen["deficiency"] += isinstance(item, Deficiency)
         return got
@@ -909,6 +911,41 @@ def test_fresh_candidates_match_the_per_candidate_reference(monkeypatch, logic, 
         for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Box(b)))):
             satisfiable(logic, f, budget, observer=lambda *event: None)
     assert seen["lists"] >= 50 and seen["deficiency"] >= 20, seen
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_most_constrained_scan_builds_no_candidate(monkeypatch, logic):
+    # on a truth table the scan counts each item's candidates without
+    # building one, and iterating the chosen item's answer builds exactly
+    # its theories, in search_preference order
+    from ilkit.decide import _most_constrained
+
+    frames = []
+    for text in ("(p |> r & <>q) & <>p", "~(p |> q) & <>(q & []~p)"):
+        f = parse(text)
+        satisfiable(logic, f, observer=lambda ev, item, F: frames.append(F))
+        assert len(adequate_closure([f]).modal_atoms) <= theory._CACHE_ATOMS
+    built = []
+    real_init = theory.DTheory.__init__
+
+    def init(self, adequate, assignment):
+        real_init(self, adequate, assignment)
+        built.append(self)
+
+    monkeypatch.setattr(theory.DTheory, "__init__", init)
+    scanned = 0
+    for F in frames:
+        if not isinstance(F, LabeledFrame) or not F.worklist:
+            continue
+        F.adequate._sat_cache.clear()
+        item = _most_constrained(F)
+        assert built == []
+        if item is not None:
+            got = list(construction.fresh_candidate_theories(F, item))
+            assert built == got == sorted(got, key=search_preference)
+            built.clear()
+            scanned += 1
+    assert scanned >= 4, scanned
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])

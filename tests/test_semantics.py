@@ -191,8 +191,10 @@ def _random_model(rng, n_worlds=5, n_atoms=2):
                     changed = True
     S = {(x, y, y) for (x, y) in R}
     S |= {(x, y, z) for (x, y) in R for (y2, z) in R if y2 == y}
-    for (x, y) in R:
-        for (x2, z) in R:
+    # draw in sorted order: a set's order follows the hash seed
+    pairs = sorted(R)
+    for (x, y) in pairs:
+        for (x2, z) in pairs:
             if x2 == x and (x, y, z) not in S and rng.random() < 0.2:
                 S.add((x, y, z))
     # close S_x under transitivity
