@@ -73,10 +73,11 @@ class Deficiency(NamedTuple):
 class LabeledFrame:
     """Mutable working frame; value-semantic copies back the search.
 
-    A frame keeps its relation index (`_Adjacency`) with its cone table,
-    which `close` builds for the frame it returns, from the parent's when
-    it settles a search step, and any other frame on its first query, and,
-    per world, the constraints a fresh successor of that world must meet.
+    A frame keeps its relation index (`_Adjacency`), which `close` builds
+    for the frame it returns, from the parent's relations when it settles
+    a search step, and any other frame on its first query, with a cone
+    table that starts empty, and, per world, the constraints a fresh
+    successor of that world must meet.
     A copy starts without them and `add_world` drops them, so a caller
     edits a copy of a closed or queried frame, never the frame itself. The
     search edits only fresh copies.
@@ -184,7 +185,8 @@ class _Adjacency:
     predecessor and label queries are answered; `labels` maps x to the
     distinct labels of x's edges, ordered by edge, `s_to` and `s_into` are
     the converse S maps `close` joins on, and `cones` is the cone table
-    that `cone` fills. `close` builds the index of the frame it returns. A
+    that `cone` fills, empty in a new index. `close` builds the index of
+    the frame it returns, so each settled frame fills its own table. A
     frame keeps it until it is copied or grows a world, so a caller edits
     a copy of a closed frame."""
 
@@ -207,12 +209,10 @@ class _Adjacency:
         self.cones: dict[tuple[str, Formula], tuple[set[str], set[str]]] = {}
 
     def copy(self) -> "_Adjacency":
-        """A copy of the relation maps, sharing the label maps, which no
-        caller mutates, with an empty cone table."""
+        """A copy of the six relation maps only: the caller labels it."""
         adj = _Adjacency.__new__(_Adjacency)
         for name in ("succ", "pred", "s_at", "s_any", "s_to", "s_into"):
             setattr(adj, name, {k: set(v) for k, v in getattr(self, name).items()})
-        adj.seeds, adj.labels, adj.cones = self.seeds, self.labels, {}
         return adj
 
     def cone(self, x: str, C: Formula) -> tuple[set[str], set[str]]:
@@ -291,19 +291,15 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
 
     since, when given, is a closed frame that F extends (F's R, S, labels
     and obligations contain its own). The index starts as a copy of
-    since's, whose facts are not joined again, since any rule they fire
-    together already holds; only the facts it lacks go on the worklist.
-    It keeps each cone of since with the same seeds and no new fact out
-    of its generalized cone (from the source of an R edge, or the middle
-    world of an S triple), which covers the critical cone inside it.
+    since's relations, whose facts are not joined again, since any rule
+    they fire together already holds; only the facts it lacks go on the
+    worklist. Its labels are F's, and its cone table starts empty.
     Without since every fact is new."""
     g = F.copy()
     R, S, logic = g.R, g.S, g.logic
-    old_R, old_S, old_labels = (since.R, since.S, since.edge_label) if since is not None else ((), (), {})
-    old = _adjacency(since) if since is not None else _Adjacency((), (), {})
-    adj = old.copy()
-    if g.edge_label != old_labels:
-        adj._label(g.edge_label)
+    old_R, old_S = (since.R, since.S) if since is not None else ((), ())
+    adj = _adjacency(since).copy() if since is not None else _Adjacency((), (), {})
+    adj._label(g.edge_label)
     succ, pred, s_at, s_any, s_to, s_into = adj.succ, adj.pred, adj.s_at, adj.s_any, adj.s_to, adj.s_into
     todo: list[tuple[str, ...]] = [*R.difference(old_R), *S.difference(old_S)]
 
@@ -342,17 +338,7 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
                 for d in succ.get(c, ()):
                     add((b, d), R)
     g._adj = adj
-    new_S = S.difference(old_S)
-    _propagate_obligations(g, new_S)
-    if old.cones:
-        sources = {a for a, _ in R.difference(old_R)}
-        sources.update(b for _, b, _ in new_S)
-        seeds = adj.seeds
-        adj.cones = {
-            k: c
-            for k, c in old.cones.items()
-            if c[0].isdisjoint(sources) and (seeds is old.seeds or seeds.get(k) == old.seeds[k])
-        }
+    _propagate_obligations(g, S.difference(old_S))
     return g
 
 
@@ -658,7 +644,7 @@ def _witness(F: LabeledFrame, item) -> tuple:
     return x, BOT, (body.body, False), ((body, True),), (), None, None, None
 
 
-def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView | list[DTheory]:
+def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView:
     """Theory-level candidates for eliminating the item with a fresh world,
     in search_preference order. An empty answer means the item can never
     be eliminated on any extension of F: the constraint set only grows as
@@ -667,9 +653,9 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView | list[DTheory
 
     A candidate is a fresh witness (`_witness`) that meets x's successor
     constraints and both lookaheads, each asked once per box class (per
-    rhd as well for the deficiency lookahead). With a truth table the
-    answer is a `TheoryView`, counted by popcount and built only as it is
-    iterated; without one it is a list. It depends on F only through the
+    rhd as well for the deficiency lookahead). The answer is a
+    `TheoryView`, counted by popcount; with a truth table its theories
+    are built only as it is iterated. It depends on F only through the
     item's world theory, its criticality label, the inherited constraints
     and, for an ILM deficiency, y's theory. It is memoised on those per
     adequate set, so the most-constrained scan of every frame in a search

@@ -133,8 +133,8 @@ def _most_constrained(frame: LabeledFrame):
     """The open item with the fewest fresh candidates, the first of them on
     a tie; None if some item has none. Such an item can never be
     eliminated on any extension, so the frame is dead. It reads only the
-    length of each answer, which with a truth table is a popcount, so
-    the scan builds no candidate theory."""
+    length of each answer, a popcount, so with a truth table the scan
+    builds no candidate theory."""
     best = None
     for it in frame.worklist:
         n = len(fresh_candidate_theories(frame, it))

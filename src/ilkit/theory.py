@@ -259,28 +259,25 @@ def _solve(
 
 
 class _TheoryIndex:
-    """Truth table of a materialised adequate set over its modal atoms.
-
-    Row r is the assignment to D's n modal atoms in which atom i holds
-    when bit n-1-i of r is set (a row of `truth_table(n)`), so row r's
-    theory has key r and rows ascend in theory order. A formula's mask
-    (`boolean_masks`) has the bits of the rows that make it true, and
-    `valid` those of the rows meeting every saturation constraint.
+    """Theories of D as rows over its modal atoms: row j's theory has key
+    `keys[j]`, and keys ascend. The rows are D's truth table
+    (`_theory_index`) or one `_solve` call's answers (`_answers`). A
+    formula's mask (`boolean_masks`) has the bits of the rows that make
+    it true, and `valid` those of the rows meeting the constraints given.
     `levels[k]` has the valid rows with exactly k false rhd and box
     atoms, so walking the levels in turn, each in key order, is
-    search_preference order. A row's DTheory is built when a walk first
-    reaches it. Masks never go through DTheory.models, so a theory's
-    value map holds only its modal atoms."""
+    search_preference order. A row's DTheory, unless given, is built from
+    its key's bits when a walk first reaches it. Masks never go through
+    DTheory.models, so a theory's value map holds only its modal atoms."""
 
-    __slots__ = ("adequate", "full", "valid", "levels", "_masks", "_theories")
+    __slots__ = ("adequate", "keys", "full", "valid", "levels", "_masks", "_theories")
 
-    def __init__(self, D: AdequateSet, logic: str):
-        n = len(D.modal_atoms)
-        self.adequate = D
-        self.full = (1 << (1 << n)) - 1
-        self._masks: dict[Formula, int] = dict(zip(D.modal_atoms, truth_table(n)))
-        self.valid = self.narrow(self.full, ((f, True) for f in saturation_constraints(D, logic)))
-        self._theories: dict[int, DTheory] = {}
+    def __init__(self, D: AdequateSet, keys: Sequence[int], masks, constraints=(), theories=()):
+        self.adequate, self.keys = D, keys
+        self.full = (1 << len(keys)) - 1
+        self._masks: dict[Formula, int] = dict(zip(D.modal_atoms, masks))
+        self.valid = self.narrow(self.full, constraints)
+        self._theories: dict[int, DTheory] = dict(enumerate(theories))
         # a bit-parallel count of the false rhd and box atoms, one atom at
         # a time: a row moves up a level where the atom is false
         levels = [self.valid]
@@ -303,42 +300,43 @@ class _TheoryIndex:
         return m
 
     def walk(self, m: int) -> Iterator[DTheory]:
-        """The theories of the valid rows in mask m, in key order."""
-        D, on = self.adequate, "1".__eq__
+        """The theories of the rows in mask m, in key order."""
+        D, on, keys = self.adequate, "1".__eq__, self.keys
         n = len(D.modal_atoms)
         while m:
             low = m & -m
             m ^= low
-            r = low.bit_length() - 1
-            t = self._theories.get(r)
+            j = low.bit_length() - 1
+            t = self._theories.get(j)
             if t is None:
-                row = zip(D.modal_atoms, map(on, f"{r:0{n}b}"))
-                t = self._theories[r] = DTheory(D, row)
+                row = zip(D.modal_atoms, map(on, f"{keys[j]:0{n}b}"))
+                t = self._theories[j] = DTheory(D, row)
             yield t
 
 
 def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
-    """The materialised index of D, built on first use; None when D has
+    """The truth-table index of D, built on first use; None when D has
     more than _CACHE_ATOMS modal atoms."""
-    if len(D.modal_atoms) > _CACHE_ATOMS:
+    n = len(D.modal_atoms)
+    if n > _CACHE_ATOMS:
         return None
     key = ("__index__", logic)
     cached = D._sat_cache.get(key)
     if cached is None:
-        cached = D._sat_cache[key] = _TheoryIndex(D, logic)
+        sat = ((f, True) for f in saturation_constraints(D, logic))
+        cached = D._sat_cache[key] = _TheoryIndex(D, range(1 << n), truth_table(n), sat)
     return cached
 
 
 class TheoryQuery:
     """The DTheories of D meeting a conjunction of (formula, value)
     constraints: iterated in key order, or by `preferred()` in
-    search_preference order.
-
-    On a materialised adequate set (at most _CACHE_ATOMS modal atoms) the
-    query is a bitmask over the index; otherwise it keeps the constraints
-    for the pruned search. `where` adds constraints; on the index it ANDs
-    only the new ones, so a base shared by many candidates is built once.
-    """
+    search_preference order. Every answer is a mask over a `_TheoryIndex`
+    (`_answers`). With at most _CACHE_ATOMS modal atoms the query is that
+    mask over the truth table, and `where` ANDs only the new constraints,
+    so a base shared by many candidates is built once. Above the cap it
+    keeps its constraints, `where` and `is_empty` use the early-exit
+    `_solve`, and an answer indexes one `_solve` call's theories."""
 
     __slots__ = ("adequate", "logic", "_index", "_mask", "_constraints")
 
@@ -370,42 +368,37 @@ class TheoryQuery:
             return not self._mask
         return next(_solve(self.adequate, self.logic, self._constraints), None) is None
 
-    def _sorted(self, key) -> Iterator[DTheory]:
+    def _answers(self) -> tuple[_TheoryIndex, int]:
+        """(index, mask) of the answers. Above the cap the index is new,
+        with a row and a theory per `_solve` answer, all in the mask."""
+        if self._index is not None:
+            return self._index, self._mask
         D = self.adequate
-        found = (DTheory(D, a) for a in _solve(D, self.logic, self._constraints))
-        return iter(sorted(found, key=key))
+        ts = sorted((DTheory(D, a) for a in _solve(D, self.logic, self._constraints)), key=DTheory.key)
+        keys, n = [t.key() for t in ts], len(D.modal_atoms)
+        # atom i's mask: column i of the keys' bits, the last row first
+        cols = zip(*(f"{k:0{n}b}" for k in reversed(keys)))
+        masks = [int("".join(c), 2) for c in cols] or [0] * n
+        index = _TheoryIndex(D, keys, masks, theories=ts)
+        return index, index.valid
 
     def __iter__(self) -> Iterator[DTheory]:
-        if self._index is not None:
-            return self._index.walk(self._mask)
-        return self._sorted(DTheory.key)
+        return _TheoryIndex.walk(*self._answers())
 
     def preferred(self) -> Iterator[DTheory]:
-        """The answers in search_preference order: on the index a walk of
-        a `TheoryView`, off it the sorted answers."""
-        if self._index is None:
-            return self._sorted(search_preference)
-        return iter(TheoryView(self._index, self._mask))
+        """The answers in search_preference order, a walk of a `TheoryView`."""
+        return iter(TheoryView(*self._answers()))
 
-    def preferred_where(self, keep_class, cubes: dict, keep_cube) -> "TheoryView | list[DTheory]":
+    def preferred_where(self, keep_class, cubes: dict, keep_cube) -> "TheoryView":
         """The answers in search_preference order, less those a per-class
         test drops. A class is the answers with the same true boxes (a
         `DTheory.boxes()` tuple). Its answers meeting the constraints
         cubes[k] go if not keep_cube(k, boxes), and the rest go if not
         keep_class(boxes); each is asked only for a class with answers
-        left to drop. On the index this is one mask, split by class over
-        D.boxed_members; off it the sorted answers are filtered one by one
-        into a list."""
-        index = self._index
-        if index is None:
-
-            def keep(t: DTheory) -> bool:
-                boxes = t.boxes()
-                met = (k for k, c in cubes.items() if all(t.models(f) == v for f, v in c))
-                return all(keep_cube(k, boxes) for k in met) and keep_class(boxes)
-
-            return [t for t in self._sorted(search_preference) if keep(t)]
-        classes = [(self._mask, ())]
+        left to drop. The answers' mask is split by class over
+        D.boxed_members."""
+        index, mask = self._answers()
+        classes = [(mask, ())]
         for b in self.adequate.boxed_members:
             on = index.mask(b)
             classes = [
@@ -428,8 +421,8 @@ class TheoryQuery:
 class TheoryView:
     """The theories of a mask's rows over a `_TheoryIndex`, read-only in
     search_preference order: the length is a popcount, and iterating
-    walks the index's levels under the mask, so a row's DTheory is built
-    only when the walk reaches it. Equal to any sequence or view of the
+    walks the index's levels under the mask, so a table row's DTheory is
+    built only when the walk reaches it. Equal to any sequence or view of the
     same theories in the same order."""
 
     __slots__ = ("_index", "_mask")

@@ -231,7 +231,9 @@ def test_close_trace_matches_close(logic):
                     R.add((worlds[i], worlds[j]))
         # S triples over R-successors in either order; under ILM some of
         # them close an R-cycle, which both closures must reach alike
-        S = {(x, y, z) for (x, y) in R for (x2, z) in R if x2 == x and rng.random() < 0.3}
+        # sorted: a set of string pairs iterates in a hash-seeded order
+        pairs = sorted(R)
+        S = {(x, y, z) for (x, y) in pairs for (x2, z) in pairs if x2 == x and rng.random() < 0.3}
         with_s += bool(S)
         f = frame_with(D, logic, worlds, R, S, {w: t for w in worlds})
         for w in worlds:
@@ -769,7 +771,7 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
     # obligations, reject it exactly when the step path does, leave the
     # same cone table and give the same worklist in the same order
     real = construction._finish
-    seen = {"steps": 0, "rejected": 0, "inherited": 0}
+    seen = {"steps": 0, "rejected": 0}
 
     def checked(F, since=None):
         assert since is not None, "a search step must pass its parent"
@@ -784,10 +786,10 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
             for name, got in vars(g._adj).items():
                 if name != "cones":
                     assert got == getattr(fresh, name), name
-        # the parent's table holds every labeled cone, and the step keeps
-        # only entries the settled child would compute the same way
+        # the parent's table holds every labeled cone, which the checks
+        # read as the old cones; the step's own table starts empty
         assert since._adj.cones.keys() == since._adj.seeds.keys()
-        inherited = set(step._adj.cones)
+        assert step._adj.cones == {}
         if logic == ILM:
             # close pushes obligations along S, so no check of them is needed
             for g in (step, whole):
@@ -799,8 +801,6 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
         assert whole._adj.cones.keys() == whole._adj.seeds.keys()
         for (x, lab), cones in whole._adj.cones.items():
             assert cones == (generalized_cone(whole, x, lab), critical_cone(whole, x, lab))
-        assert all(step._adj.cones[k] is since._adj.cones[k] for k in inherited)
-        seen["inherited"] += len(inherited)
         if not bad:
             refresh_worklist(step, since=since)
             refresh_worklist(whole)
@@ -824,8 +824,7 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
             # an observer bypasses the query cache, so every query searches
             satisfiable(logic, f, budget, observer=lambda *event: None)
     assert seen["steps"] >= 500
-    assert seen["rejected"] >= 10
-    assert seen["inherited"] >= 100, seen
+    assert seen["rejected"] >= 10, seen
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])
@@ -1065,7 +1064,7 @@ def test_step_check_covers_a_label_put_on_an_old_edge():
     # x R u is in the parent without a label, and x's p-cone is {y}. The
     # child only labels x R u with p, as eliminate does when it reuses u:
     # no edge or triple is new, yet the p-cone gains u, where p holds, and
-    # the cone table must not keep the parent's entry
+    # the step's own cone table, filled by the check, must hold u
     D = adequate_closure([Box(p), Box(q)])
     root = pick(D, IL, excl=[Box(p), Box(q)])
     ty = pick(D, IL, incl=[Neg(p), Box(q)])

@@ -65,6 +65,30 @@ def test_derivable_l3_gl():
     assert isinstance(derivable(GL, parse("[]([]p -> p) -> []p")), Derivable)
 
 
+def test_derivable_25_atom_gl_theorem(monkeypatch):
+    # [] distributes over a 12-fold conjunction: 25 modal atoms, far above
+    # the truth-table cap, so every answer is a mask over the index of one
+    # `_solve` call's answers, its keys a list where a table's are a range
+    from ilkit import theory
+
+    ps = [f"p{i}" for i in range(12)]
+    f = parse(" & ".join(f"[]{a}" for a in ps) + " -> [](" + " & ".join(ps) + ")")
+    assert len(adequate_closure([f]).modal_atoms) == 25
+    keys = []
+    init = theory._TheoryIndex.__init__
+
+    def counting(self, D, *args, **kwargs):
+        init(self, D, *args, **kwargs)
+        keys.append(self.keys)
+
+    monkeypatch.setattr(theory._TheoryIndex, "__init__", counting)
+    # an observer bypasses the query cache, so the search runs
+    assert satisfiable(GL, Neg(f), observer=lambda *event: None) == Unsat()
+    assert keys and all(isinstance(k, list) for k in keys)
+    assert len(keys[0]) == 4096, "the roots"
+    assert derivable(GL, f) == Derivable()
+
+
 def test_refuted_with_chain_certificate():
     v = derivable(GL, parse("p -> []p"))
     assert isinstance(v, Refuted)
@@ -510,7 +534,7 @@ def test_memo_hits_need_no_replay(monkeypatch, logic):
 @pytest.mark.parametrize("logic", [IL, ILM])
 def test_step_local_checks_leave_the_search_unchanged(monkeypatch, logic):
     # each step settles its child against the parent, reading the parent's
-    # cones and index; settling every child from scratch instead must take
+    # relations and cone table; settling every child from scratch must take
     # the same steps, make the same skips (so keep the same logs) and
     # return the same model
     import ilkit.construction as construction

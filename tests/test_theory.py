@@ -33,6 +33,7 @@ from ilkit.theory import (
     DTheory,
     TheoryError,
     TheoryQuery,
+    TheoryView,
     box_incl,
     common_predecessor,
     crit_succ,
@@ -435,18 +436,44 @@ def test_unmaterialised_matches_linear_filter(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_index_bits_match_evaluation(seed):
-    # the index reads a theory's assignment off its row number, which is
-    # the theory's key; every member's mask must hold at that row exactly
-    # when the recursive reference makes the member true there
-    D = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
+    # an index reads row j's key off keys[j]: on the truth table row j is
+    # key j, above the cap a row holds one `_solve` answer. Keys ascend,
+    # every member's mask holds at a valid row exactly when the recursive
+    # reference makes the member true in its theory, and the row sits in
+    # the level of its count of false rhd and box atoms
+    rng = random.Random(4000 + seed)
+    small = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
+    big = _seeded_adequate(seed, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)
     for logic in (IL, ILM):
-        index = theory._theory_index(D, logic)
-        ts = list(solve_theories(D, logic))
-        assert ts
-        for t in ts:
-            assert index.valid >> t.key() & 1
-            for f in D.sorted_members:
-                assert (index.mask(f) >> t.key() & 1) == reference_value(f, t.values)
+        queries = (TheoryQuery(big, logic, _random_constraints(rng, big, 3)) for _ in range(50))
+        above = next(q for q in queries if not q.is_empty())
+        for index in (theory._theory_index(small, logic), above._answers()[0]):
+            keys, D = list(index.keys), index.adequate
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            rows = [j for j in range(len(keys)) if index.valid >> j & 1]
+            ts = list(index.walk(index.valid))
+            assert ts and len(ts) == len(rows)
+            for j, t in zip(rows, ts):
+                assert keys[j] == t.key()
+                for f in D.sorted_members:
+                    assert (index.mask(f) >> j & 1) == reference_value(f, t.values)
+                level = search_preference(t)[0]
+                assert [k for k, m in enumerate(index.levels) if m >> j & 1] == [level]
+
+
+def test_an_empty_answer_above_the_cap():
+    # no `_solve` answer: an index with no row, so every mask is 0, the
+    # view has length 0 and every walk is empty
+    D = _seeded_adequate(0, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)
+    a = D.modal_atoms[0]
+    for cs in ([(BOT, True)], [(a, True), (a, False)]):
+        q = TheoryQuery(D, ILM, cs)
+        index, mask = q._answers()
+        assert (list(index.keys), mask, index.full) == ([], 0, 0)
+        assert not any(index.levels) and not any(index.mask(f) for f in D.sorted_members)
+        assert list(q) == list(q.preferred()) == []
+        view = q.preferred_where(lambda boxes: True, {}, lambda k, boxes: True)
+        assert isinstance(view, TheoryView) and len(view) == 0 and list(view) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -552,6 +579,19 @@ def test_candidate_memo_follows_frame_content():
     # and the memoised answer is the one a cold computation gives
     D._sat_cache.pop(("__candidates__", ILM))
     assert fresh_candidate_theories(g, item) == got
+
+
+def test_fresh_candidates_above_the_cap_are_a_view(monkeypatch):
+    # without a truth table the answer is a mask over the index of one
+    # `_solve` call's answers too, so its length is the mask's popcount
+    monkeypatch.setattr(theory, "_CACHE_ATOMS", 0)
+    D = adequate_closure([parse("~(p |> q)"), parse("[]~r")])
+    root = next(iter(enumerate_theories(D, include=[parse("~(p |> q)")])))
+    F = seed_frame(D, ILM, root)
+    got = fresh_candidate_theories(F, F.worklist[0])
+    assert isinstance(got, TheoryView)
+    assert len(got) == got._mask.bit_count() == len(list(got)) > 0
+    assert theory._theory_index(D, ILM) is None
 
 
 @pytest.mark.parametrize("cache_atoms", [theory._CACHE_ATOMS, 0])
