@@ -296,9 +296,9 @@ def sigma1_countermodel(
         raise ValueError("formula is essentially Sigma_1; no countermodel exists")
 
     try:
-        for d0 in solve_theories(D, ILM, [(f, True)], preferred=True):
+        for d0 in solve_theories(D, ILM, [(f, True)], walk=iter):
             d1_cs = [(f, False)] + [(b, True) for b in d0.boxes()]
-            for d1 in solve_theories(D, ILM, d1_cs, preferred=True):
+            for d1 in solve_theories(D, ILM, d1_cs, walk=iter):
                 for gamma in common_predecessor(d0, d1):
                     R, S = {("m0", "l"), ("m0", "r")}, {("m0", "l", "r")}
                     nu = {"m0": gamma, "l": d0, "r": d1}

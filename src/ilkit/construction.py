@@ -39,6 +39,7 @@ from .theory import (
     LoggedTheory,
     TheoryQuery,
     TheoryView,
+    _WORD,
     _succ_constraints,
     box_incl,
     crit_obligations,
@@ -598,6 +599,7 @@ def _rhd_lookahead(F: LabeledFrame, item):
     cs += ((single_neg(a), True) for a in avoids)
     if isinstance(item, Deficiency) and F.logic == ILM:
         cs += ((f, True) for f in F.obligations[y])
+    base = cache(lambda: TheoryQuery(D, F.logic, cs))
     memo: dict[tuple[bool, ...], bool] = {}
 
     def keep(t: DTheory) -> bool:
@@ -606,7 +608,7 @@ def _rhd_lookahead(F: LabeledFrame, item):
             return True
         key = tuple(t.values[a] for a in D.existential_atoms)
         if key not in memo:
-            q = TheoryQuery(D, F.logic, [*cs, *_succ_constraints(t)])
+            q = base().where(_succ_constraints(t))
             memo[key] = not any(
                 q.where([(f, True) for f in crit_obligations(t, rho.right)] + [(rho.left, True)]).is_empty()
                 for rho in false
@@ -646,7 +648,7 @@ def _witness(F: LabeledFrame, item) -> tuple:
 
 def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView:
     """Theory-level candidates for eliminating the item with a fresh world,
-    in search_preference order. An empty answer means the item can never
+    in preference order. An empty answer means the item can never
     be eliminated on any extension of F: the constraint set only grows as
     the frame grows, and a reusable world's theory would itself be a
     solution of it.
@@ -697,15 +699,18 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView:
     return got
 
 
-def nogoods(
-    D: AdequateSet, theories: Iterable[DTheory], state, skipped: str, item=None
-) -> Iterator[LoggedTheory]:
-    """The theories a search tries, in order, each as a LoggedTheory, less
-    those that agree with the read set of a failed subtree. A theory
-    covered by a kept cube is skipped and reported to the state's observer
-    as (skipped, item, theory). When the caller asks for the next theory,
-    the subtree of the last one has failed, and its log is kept as a cube
-    unless a budget cut happened while it ran (`state.cuts` moved).
+def nogoods(view: TheoryView, state, skipped: str, item=None, keep=None) -> Iterator[LoggedTheory]:
+    """The theories of the view a search tries, in order, each as a
+    LoggedTheory: all but those that agree with the read set of a failed
+    subtree (a cube) and, given keep, those it rejects. When the caller
+    asks for the next theory, the subtree of the last one has failed, and
+    its log is kept as a cube unless a budget cut happened while it ran
+    (`state.cuts` moved). The walk keeps a mask of the rows to try, and a
+    cube's rows leave it. keep (`_rhd_lookahead`) reads a theory only on
+    D.existential_atoms, so the rows that agree there with a row it
+    rejects leave too. Only a row the walk tries or asks keep about is
+    built, unless an observer is shown each row passed over:
+    ("pruned", item, theory) if keep rejects it, else (skipped, item, theory).
 
     A cube holds the (formula, value) pairs a world's theory gave to every
     `models` read while the subtree that added the world ran. The search
@@ -716,21 +721,32 @@ def nogoods(
     put in place of the failed one, makes the same reads, gets the same
     answers and fails the same way: skipping it loses no model. A subtree
     cut by the budget did not fail on its reads, so it is never learned
-    from. Cubes are indexed by their rhd and box values."""
-    atoms = D.existential_atoms
-    k = len(atoms)
-    cubes: dict[tuple[bool, ...], list[tuple[tuple[Formula, bool], ...]]] = {}
-    for t in theories:
-        rests = cubes.get(tuple(t.values[a] for a in atoms), ()) if cubes else ()
-        if any(all(t.models(f) == v for f, v in rest) for rest in rests):
-            if state.observer is not None:
-                state.observer(skipped, item, t)
-            continue
-        t, cuts = LoggedTheory(t), state.cuts
-        yield t
-        if state.cuts == cuts:
-            reads = list(t.reads.items())
-            cubes.setdefault(tuple(v for _, v in reads[:k]), []).append(tuple(reads[k:]))
+    from."""
+    index, observer = view.index, state.observer
+    atoms, todo = index.adequate.existential_atoms, view.mask
+    for level in index.levels:
+        at = -1  # the 64-row block whose bits of todo `live` holds
+        for j in index.rows(view.mask & level):
+            if j >> 6 != at:
+                at, live = j >> 6, todo >> (j & ~63) & _WORD
+            if not live >> (j & 63) & 1:
+                if observer is not None:
+                    t = index.theory(j)
+                    observer(skipped if keep is None or keep(t) else "pruned", item, t)
+                continue
+            t = index.theory(j)
+            if keep is None or keep(t):
+                t, cuts = LoggedTheory(t), state.cuts
+                yield t
+                if state.cuts != cuts:
+                    continue
+                cube = t.reads.items()
+            else:
+                if observer is not None:
+                    observer("pruned", item, t)
+                cube = [(a, t.values[a]) for a in atoms]
+            todo &= ~index.narrow(index.full, cube)
+            at = -1
 
 
 def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
@@ -746,11 +762,11 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
     open.
 
     F is settled: closed, free of violations and with a worklist of
-    exactly its open items. state is the search's `decide._State`. A fresh
-    candidate `_rhd_lookahead` drops is never built, and the observer sees
-    ("pruned", item, theory); it filters here, so the most-constrained
-    scan counts what it did without it. The rest go through `nogoods`, and
-    a frame of `state.budget.max_worlds` worlds gets no fresh world."""
+    exactly its open items. state is the search's `decide._State`. The
+    fresh candidates go through `nogoods`, which drops those
+    `_rhd_lookahead` rejects; it filters here, so the most-constrained
+    scan counts what it did without it. A frame of
+    `state.budget.max_worlds` worlds gets no fresh world."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     gx = F.nu[x]
     back = {x} | _adjacency(F).pred.get(x, set())  # R is transitive on F
@@ -772,16 +788,7 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
             if done is not None:
                 yield done
     keeps = [single_neg(a) for a in avoids]
-    keep = _rhd_lookahead(F, item)
-
-    def unpruned():
-        for t in fresh_candidate_theories(F, item):
-            if keep(t):
-                yield t
-            elif state.observer is not None:
-                state.observer("pruned", item, t)
-
-    for t in nogoods(F.adequate, unpruned(), state, "skipped", item):
+    for t in nogoods(fresh_candidate_theories(F, item), state, "skipped", item, _rhd_lookahead(F, item)):
         # F's world count is fixed here, so this cut fires at the first
         # candidate, before any cube is kept
         if len(F.worlds) >= state.budget.max_worlds:

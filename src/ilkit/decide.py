@@ -207,10 +207,8 @@ def satisfiable(
     exhausted within the budget; Unknown means a limit cut the search. A
     found model that fails certification raises CertificationError.
 
-    The roots go through construction.nogoods: a root whose search fails
-    without a cut leaves its log as a cube, and a later root that agrees
-    with a kept cube is skipped and reported to the observer as
-    ("skipped_root", None, theory).
+    The roots are those `construction.nogoods` tries; each it skips is
+    reported to the observer as ("skipped_root", None, theory).
     """
     check_logic(logic)
     if logic == GL and not is_rhd_free(f):
@@ -225,8 +223,7 @@ def satisfiable(
     st = _State(budget, observer)
     result: Sat | Unsat | Unknown | None = None
     try:
-        roots = solve_theories(D, eng, [(f, True)], preferred=True)
-        for root in nogoods(D, roots, st, "skipped_root"):
+        for root in solve_theories(D, eng, [(f, True)], walk=lambda view: nogoods(view, st, "skipped_root")):
             # a one-world seed has no edge, triple or label for any
             # invariant to read, so it needs no check
             frame = seed_frame(D, eng, root)

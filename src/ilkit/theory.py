@@ -11,7 +11,7 @@ engine's final truth-lemma certification is the arbiter.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Iterable, Iterator
 
 from .semantics import GL, IL, ILM, check_logic
@@ -81,6 +81,8 @@ _SATURATED = {
 # an adequate set with at most this many modal atoms is answered from a truth
 # table (_TheoryIndex); larger ones use the pruned search per query
 _CACHE_ATOMS = 12
+
+_WORD = (1 << 64) - 1  # the rows a mask walk takes at a time
 
 
 class TheoryError(ValueError):
@@ -258,6 +260,22 @@ def _solve(
     yield from rec(0, {}, [(f, v, modal_atoms_of(f)) for f, v in pending])
 
 
+class _RowTheories(dict):
+    """Row j -> its DTheory, built from its key, row_keys[j], on first lookup."""
+
+    __slots__ = ("adequate", "row_keys")
+
+    def __init__(self, D: AdequateSet, keys: Sequence[int], theories: Iterable[DTheory]):
+        super().__init__(enumerate(theories))
+        self.adequate, self.row_keys = D, keys
+
+    def __missing__(self, j: int) -> DTheory:
+        D = self.adequate
+        row = zip(D.modal_atoms, map("1".__eq__, f"{self.row_keys[j]:0{len(D.modal_atoms)}b}"))
+        t = self[j] = DTheory(D, row)
+        return t
+
+
 class _TheoryIndex:
     """Theories of D as rows over its modal atoms: row j's theory has key
     `keys[j]`, and keys ascend. The rows are D's truth table
@@ -266,18 +284,21 @@ class _TheoryIndex:
     it true, and `valid` those of the rows meeting the constraints given.
     `levels[k]` has the valid rows with exactly k false rhd and box
     atoms, so walking the levels in turn, each in key order, is
-    search_preference order. A row's DTheory, unless given, is built from
-    its key's bits when a walk first reaches it. Masks never go through
-    DTheory.models, so a theory's value map holds only its modal atoms."""
+    preference order: fewest false rhd and box atoms (each an existential
+    still to witness) first, then by key. `theory(j)` is row j's
+    DTheory, unless given built from its key's bits on first use. Masks
+    never go through DTheory.models, so a theory's value map holds only
+    its modal atoms."""
 
-    __slots__ = ("adequate", "keys", "full", "valid", "levels", "_masks", "_theories")
+    __slots__ = ("adequate", "keys", "full", "valid", "levels", "theory", "_masks", "_theories")
 
     def __init__(self, D: AdequateSet, keys: Sequence[int], masks, constraints=(), theories=()):
         self.adequate, self.keys = D, keys
         self.full = (1 << len(keys)) - 1
         self._masks: dict[Formula, int] = dict(zip(D.modal_atoms, masks))
         self.valid = self.narrow(self.full, constraints)
-        self._theories: dict[int, DTheory] = dict(enumerate(theories))
+        self._theories = _RowTheories(D, keys, theories)
+        self.theory = self._theories.__getitem__  # no Python call for a built row
         # a bit-parallel count of the false rhd and box atoms, one atom at
         # a time: a row moves up a level where the atom is false
         levels = [self.valid]
@@ -299,19 +320,23 @@ class _TheoryIndex:
             m &= fm if v else self.full ^ fm
         return m
 
+    @staticmethod
+    def rows(m: int) -> Iterator[int]:
+        """The rows in mask m, ascending. The mask is taken 64 rows at a
+        time, so a row costs the same on a mask of any width."""
+        off = -1
+        while m:
+            word = m & _WORD
+            m >>= 64
+            while word:
+                low = word & -word
+                word ^= low
+                yield low.bit_length() + off
+            off += 64
+
     def walk(self, m: int) -> Iterator[DTheory]:
         """The theories of the rows in mask m, in key order."""
-        D, on, keys = self.adequate, "1".__eq__, self.keys
-        n = len(D.modal_atoms)
-        while m:
-            low = m & -m
-            m ^= low
-            j = low.bit_length() - 1
-            t = self._theories.get(j)
-            if t is None:
-                row = zip(D.modal_atoms, map(on, f"{keys[j]:0{n}b}"))
-                t = self._theories[j] = DTheory(D, row)
-            yield t
+        return map(self.theory, self.rows(m))
 
 
 def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
@@ -330,8 +355,7 @@ def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
 
 class TheoryQuery:
     """The DTheories of D meeting a conjunction of (formula, value)
-    constraints: iterated in key order, or by `preferred()` in
-    search_preference order. Every answer is a mask over a `_TheoryIndex`
+    constraints, in key order. Every answer is a mask over a `_TheoryIndex`
     (`_answers`). With at most _CACHE_ATOMS modal atoms the query is that
     mask over the truth table, and `where` ANDs only the new constraints,
     so a base shared by many candidates is built once. Above the cap it
@@ -385,12 +409,8 @@ class TheoryQuery:
     def __iter__(self) -> Iterator[DTheory]:
         return _TheoryIndex.walk(*self._answers())
 
-    def preferred(self) -> Iterator[DTheory]:
-        """The answers in search_preference order, a walk of a `TheoryView`."""
-        return iter(TheoryView(*self._answers()))
-
     def preferred_where(self, keep_class, cubes: dict, keep_cube) -> "TheoryView":
-        """The answers in search_preference order, less those a per-class
+        """The answers in preference order, less those a per-class
         test drops. A class is the answers with the same true boxes (a
         `DTheory.boxes()` tuple). Its answers meeting the constraints
         cubes[k] go if not keep_cube(k, boxes), and the rest go if not
@@ -420,21 +440,21 @@ class TheoryQuery:
 
 class TheoryView:
     """The theories of a mask's rows over a `_TheoryIndex`, read-only in
-    search_preference order: the length is a popcount, and iterating
-    walks the index's levels under the mask, so a table row's DTheory is
-    built only when the walk reaches it. Equal to any sequence or view of the
-    same theories in the same order."""
+    preference order: the length is a popcount, and iterating walks the
+    index's levels under the mask, so a table row's DTheory is built only
+    when the walk reaches it. Equal to any sequence or view of the same
+    theories in the same order."""
 
-    __slots__ = ("_index", "_mask")
+    __slots__ = ("index", "mask")
 
     def __init__(self, index: _TheoryIndex, mask: int):
-        self._index, self._mask = index, mask
+        self.index, self.mask = index, mask
 
     def __len__(self) -> int:
-        return self._mask.bit_count()
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[DTheory]:
-        index, mask = self._index, self._mask
+        index, mask = self.index, self.mask
         return (t for level in index.levels for t in index.walk(mask & level))
 
     def __eq__(self, other):
@@ -447,15 +467,16 @@ def solve_theories(
     D: AdequateSet,
     logic: str,
     constraints: Iterable[tuple[Formula, bool]] = (),
-    preferred: bool = False,
+    walk: Callable[[TheoryView], Iterable[DTheory]] | None = None,
 ) -> Iterator[DTheory]:
-    """Stream of DTheories satisfying the constraints, in key order, or in
-    search_preference order when preferred (`TheoryQuery.preferred`). The
-    search asks for its roots and the sigma1 drivers for their theories
-    here, so the theory layer's time and answers are counted in one
-    place."""
+    """Stream of DTheories satisfying the constraints: in key order, or
+    what walk yields for the `TheoryView` of the answers (`iter` yields
+    them all, the search's `construction.nogoods` the roots it tries).
+    The search asks for its roots and the sigma1 drivers for their
+    theories here, so the theory layer's time and answers are counted in
+    one place."""
     q = TheoryQuery(D, logic, constraints)
-    yield from q.preferred() if preferred else q
+    yield from q if walk is None else walk(TheoryView(*q._answers()))
 
 
 def enumerate_theories(
@@ -470,15 +491,6 @@ def enumerate_theories(
     tracer wraps it by name."""
     cs = [(f, True) for f in include] + [(f, False) for f in exclude]
     return solve_theories(D, logic, cs)
-
-
-def search_preference(t: DTheory) -> tuple:
-    """Candidate order for the construction: theories with fewer false box
-    and rhd atoms first (each false one is a pending existential), ties by
-    the key. `TheoryQuery.preferred()` yields a query's answers in this
-    order; the search tries roots and fresh candidates through it."""
-    pending = sum(1 for a in t.adequate.existential_atoms if not t.values[a])
-    return pending, t.key()
 
 
 def _same_adequate(g: DTheory, d: DTheory) -> None:

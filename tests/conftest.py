@@ -27,7 +27,15 @@ from ilkit.syntax import (
     _kids,
     single_neg,
 )
-from ilkit.theory import TheoryQuery, _succ_constraints, crit_obligations, search_preference
+from ilkit.theory import TheoryQuery, _succ_constraints, crit_obligations
+
+
+def search_preference(t):
+    """The search's order on theories, as a sort key: fewer false rhd and
+    box atoms first (each false one is a pending existential), ties by
+    the key. The reference for the order `_TheoryIndex.levels` walks."""
+    pending = sum(1 for a in t.adequate.existential_atoms if not t.values[a])
+    return pending, t.key()
 
 
 def random_formula(rng, depth=2, atoms=("p", "q", "r"), allow_rhd=True):

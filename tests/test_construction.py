@@ -13,6 +13,7 @@ from conftest import (
     open_items,
     random_formula,
     reference_fresh_candidates,
+    search_preference,
     transitive_closure_pairs,
 )
 from ilkit.construction import (
@@ -48,7 +49,7 @@ from ilkit.syntax import (
     parse,
     single_neg,
 )
-from ilkit.theory import box_incl, crit_succ, enumerate_theories, search_preference
+from ilkit.theory import box_incl, crit_succ, enumerate_theories
 
 p, q = Atom("p"), Atom("q")
 

@@ -548,6 +548,159 @@ def test_step_local_checks_leave_the_search_unchanged(monkeypatch, logic):
     assert kinds == {"root", "eliminated", "skipped", "skipped_root", "pruned"}, kinds
 
 
+def test_nogoods_build_no_theory_for_a_row_passed_over(monkeypatch):
+    # the IL J2 chain of test_nogoods_decide_the_il_j2_chain, searched
+    # without an observer: the nogood walk builds a row's theory only to
+    # try it or to ask the rhd lookahead about it, never for a row a cube
+    # or a dropped class passed over. An observer is shown every such row,
+    # so with one the walk builds more
+    import ilkit.construction as construction
+    import ilkit.decide as decide
+    import ilkit.theory as theory
+
+    f = Neg(parse("(p |> q) & (q |> r) & (r |> s) & (s |> t) -> p |> t"))
+    built, needed = [], []
+    real_build, real_lookahead, real_logged = (
+        theory._RowTheories.__missing__,
+        construction._rhd_lookahead,
+        construction.LoggedTheory,
+    )
+
+    def build(rows, j):
+        built.append(real_build(rows, j))
+        return built[-1]
+
+    def lookahead(F, item):
+        keep = real_lookahead(F, item)
+        return lambda t: needed.append(t) or keep(t)
+
+    def logged(t):
+        needed.append(t)
+        return real_logged(t)
+
+    monkeypatch.setattr(theory._RowTheories, "__missing__", build)
+    monkeypatch.setattr(construction, "_rhd_lookahead", lookahead)
+    monkeypatch.setattr(construction, "LoggedTheory", logged)
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    assert satisfiable(IL, f) == Unsat()
+    assert built and {id(t) for t in built} <= {id(t) for t in needed}
+    quiet = len(built)
+    built.clear()
+    events = []
+    assert satisfiable(IL, f, observer=lambda ev, item, t: events.append(ev)) == Unsat()
+    assert events.count("skipped_root") and events.count("pruned")
+    assert len(built) > quiet
+
+
+def _per_row_nogoods(view, state, skipped, item=None, keep=None):
+    """The nogood walk one row at a time, as a reference: every theory of
+    the view is built, asked keep, and tested against each kept cube one
+    read at a time."""
+    from ilkit.theory import LoggedTheory
+
+    cubes = []
+    for t in view:
+        if keep is not None and not keep(t):
+            if state.observer is not None:
+                state.observer("pruned", item, t)
+        elif any(all(t.models(f) == v for f, v in cube) for cube in cubes):
+            if state.observer is not None:
+                state.observer(skipped, item, t)
+        else:
+            t, cuts = LoggedTheory(t), state.cuts
+            yield t
+            if state.cuts == cuts:
+                cubes.append(tuple(t.reads.items()))
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_mask_nogoods_match_the_per_row_reference(monkeypatch, logic):
+    # cubes and rejected lookahead classes dropped as row masks skip,
+    # prune and try exactly the rows a per-row walk does: the same
+    # seeded searches give the same events and answers
+    import ilkit.construction as construction
+    import ilkit.decide as decide
+
+    queries = _seeded_queries() + [Neg(parse("[]((q |> p) |> []bot)"))]
+    masks = [_search_events(logic, f) for f in queries]
+    monkeypatch.setattr(construction, "nogoods", _per_row_nogoods)
+    monkeypatch.setattr(decide, "nogoods", _per_row_nogoods)
+    assert [_search_events(logic, f) for f in queries] == masks
+    kinds = {ev for _, events in masks for ev, _, _ in events}
+    assert {"skipped", "skipped_root", "pruned"} <= kinds
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_every_row_passed_over_is_covered(monkeypatch, logic):
+    # each row a nogood walk reports as skipped agrees with every read of
+    # a theory the same walk tried before, and each row it reports as
+    # pruned is one the walk's lookahead rejects: a class or cube mask
+    # that took out more rows would show a skip no cube covers
+    import ilkit.construction as construction
+    import ilkit.decide as decide
+
+    real = construction.nogoods
+    seen = {"skipped": 0, "pruned": 0}
+
+    def checked(view, state, skipped, item=None, keep=None):
+        tried = []
+
+        def observer(ev, it, t):
+            if ev == "pruned":
+                assert not keep(t)
+            else:
+                assert any(all(t.models(f) == v for f, v in u.reads.items()) for u in tried), (ev, t)
+            seen["pruned" if ev == "pruned" else "skipped"] += 1
+            state.observer(ev, it, t)
+
+        class Watched:
+            cuts = property(lambda self: state.cuts)
+
+        watched = Watched()
+        watched.observer = observer
+        for t in real(view, watched, skipped, item, keep):
+            tried.append(t)
+            yield t
+
+    monkeypatch.setattr(construction, "nogoods", checked)
+    monkeypatch.setattr(decide, "nogoods", checked)
+    # and the refutation of the first query of test_budget_cut_reports
+    for f in _seeded_queries() + [Neg(parse("[]((q |> p) |> []bot)"))]:
+        _search_events(logic, f)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("logic", [GL, IL, ILM])
+def test_an_observer_leaves_verdicts_and_certificates_unchanged(monkeypatch, logic):
+    # with an observer the nogood walk builds and reports every row it
+    # passes over, without one it only tests the row's bit: the same
+    # seeded searches reach the same verdict and certificate either way
+    import json
+
+    import ilkit.decide as decide
+    from ilkit.semantics import model_to_dict
+
+    def certificate(res):
+        if isinstance(res, Sat):
+            return json.dumps({"model": model_to_dict(res.model), "world": res.world}, sort_keys=True)
+        return repr(res)
+
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    rng = random.Random(41)
+    if logic == GL:
+        queries = [Neg(random_formula(rng, 3, allow_rhd=False)) for _ in range(40)]
+    else:
+        queries = _seeded_queries()
+    budget = Budget(max_worlds=8, max_steps=150, max_backtracks=200)
+    passed = 0
+    for f in queries:
+        events = []
+        seen = satisfiable(logic, f, budget, observer=lambda ev, item, t: events.append(ev))
+        assert certificate(satisfiable(logic, f, budget)) == certificate(seen), f
+        passed += sum(ev.startswith("skipped") or ev == "pruned" for ev in events)
+    assert passed >= (1 if logic == GL else 100), passed
+
+
 def _keep_all(F, item):
     return lambda t: True
 

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import neg_chain, random_formula, reference_value
+from conftest import neg_chain, random_formula, reference_value, search_preference
 
 from ilkit import syntax, theory
 from ilkit.construction import (
@@ -31,6 +31,7 @@ from ilkit.syntax import (
 )
 from ilkit.theory import (
     DTheory,
+    LoggedTheory,
     TheoryError,
     TheoryQuery,
     TheoryView,
@@ -39,7 +40,6 @@ from ilkit.theory import (
     crit_succ,
     enumerate_theories,
     saturation_constraints,
-    search_preference,
     solve_theories,
     succ,
 )
@@ -461,6 +461,40 @@ def test_index_bits_match_evaluation(seed):
                 assert [k for k, m in enumerate(index.levels) if m >> j & 1] == [level]
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_cube_mask_is_the_rows_agreeing_with_its_reads(seed):
+    # a nogood cube is a LoggedTheory's reads; as one mask over an index
+    # (`narrow` from `full`) it holds exactly the valid rows whose theory
+    # gives every read formula the value the log has, on a table and
+    # above the cap
+    rng = random.Random(5000 + seed)
+    small = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
+    big = _seeded_adequate(seed, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)
+    for logic in (IL, ILM):
+        queries = (TheoryQuery(big, logic, _random_constraints(rng, big, 3)) for _ in range(50))
+        above = next(q for q in queries if not q.is_empty())
+        for index in (theory._theory_index(small, logic), above._answers()[0]):
+            rows = list(index.rows(index.valid))
+            for _ in range(4):
+                t = LoggedTheory(index.theory(rng.choice(rows)))
+                for f, _ in _random_constraints(rng, index.adequate, 2):
+                    t.models(f)
+                cube = index.narrow(index.full, t.reads.items())
+                for j in rows:
+                    u = index.theory(j)
+                    assert (cube >> j & 1) == all(u.models(f) == v for f, v in t.reads.items())
+
+
+def test_rows_are_a_masks_set_bits_ascending():
+    # a mask is walked 64 rows at a time: rows on both sides of a block
+    # boundary, across empty blocks and in the last, partial block
+    rng = random.Random(9)
+    masks = [0, 1, 1 << 63, 1 << 64, (1 << 64) - 1, (1 << 200) | (1 << 63) | 5]
+    masks += [rng.getrandbits(rng.randrange(1, 600)) for _ in range(50)]
+    for m in masks:
+        assert list(theory._TheoryIndex.rows(m)) == [j for j in range(m.bit_length()) if m >> j & 1]
+
+
 def test_an_empty_answer_above_the_cap():
     # no `_solve` answer: an index with no row, so every mask is 0, the
     # view has length 0 and every walk is empty
@@ -471,7 +505,7 @@ def test_an_empty_answer_above_the_cap():
         index, mask = q._answers()
         assert (list(index.keys), mask, index.full) == ([], 0, 0)
         assert not any(index.levels) and not any(index.mask(f) for f in D.sorted_members)
-        assert list(q) == list(q.preferred()) == []
+        assert list(q) == list(solve_theories(D, ILM, cs, walk=iter)) == []
         view = q.preferred_where(lambda boxes: True, {}, lambda k, boxes: True)
         assert isinstance(view, TheoryView) and len(view) == 0 and list(view) == []
 
@@ -520,11 +554,10 @@ def test_preferred_is_the_answers_in_preference_order(seed):
             for cs in queries:
                 q = TheoryQuery(D, logic, cs)
                 want = sorted(q, key=search_preference)
-                assert list(q.preferred()) == want, (logic, cs)
-                assert list(solve_theories(D, logic, cs, preferred=True)) == want
+                assert list(solve_theories(D, logic, cs, walk=iter)) == want, (logic, cs)
             if lo <= theory._CACHE_ATOMS:
                 q = TheoryQuery(D, logic)
-                assert list(q.preferred()) == sorted(q, key=search_preference)
+                assert list(solve_theories(D, logic, walk=iter)) == sorted(q, key=search_preference)
 
 
 def test_preferred_builds_only_the_first_answers_level():
@@ -533,7 +566,7 @@ def test_preferred_builds_only_the_first_answers_level():
     levels = {search_preference(t)[0] for t in q}
     index = theory._theory_index(D, ILM)
     index._theories.clear()
-    first = next(q.preferred())
+    first = next(solve_theories(D, ILM, walk=iter))
     level = search_preference(first)[0]
     assert level == min(levels) and len(levels) > 1
     # one theory of that level, and none of any other
@@ -590,7 +623,7 @@ def test_fresh_candidates_above_the_cap_are_a_view(monkeypatch):
     F = seed_frame(D, ILM, root)
     got = fresh_candidate_theories(F, F.worklist[0])
     assert isinstance(got, TheoryView)
-    assert len(got) == got._mask.bit_count() == len(list(got)) > 0
+    assert len(got) == got.mask.bit_count() == len(list(got)) > 0
     assert theory._theory_index(D, ILM) is None
 
 
