@@ -19,7 +19,6 @@ backtracking in the decision engine.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterable, Iterator, NamedTuple
 
 from .relation import find_cycle, fold, image, reach
@@ -263,12 +262,13 @@ def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
 def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, str]]) -> None:
     """Under ILM, obligations flow along S-transitions (the obligation set
     is the out-of-D part of the boxes, and S preserves boxes). The given
-    triples are examined first; a world whose obligations grow passes them
-    on along every S-transition out of it, read off F's index."""
+    triples whose source world has obligations are examined first (no
+    other can grow one); a world whose obligations grow passes them on
+    along every S-transition out of it, read off F's index."""
     if F.logic != ILM:
         return
     ob, s_any = F.obligations, _adjacency(F).s_any
-    todo = [(b, c) for _, b, c in triples]
+    todo = [(b, c) for _, b, c in triples if ob.get(b)]
     while todo:
         b, c = todo.pop()
         ob_b, ob_c = ob.get(b, frozenset()), ob.get(c, frozenset())
@@ -599,16 +599,19 @@ def _rhd_lookahead(F: LabeledFrame, item):
     cs += ((single_neg(a), True) for a in avoids)
     if isinstance(item, Deficiency) and F.logic == ILM:
         cs += ((f, True) for f in F.obligations[y])
-    base = cache(lambda: TheoryQuery(D, F.logic, cs))
+    base = None  # built on the first memo miss
     memo: dict[tuple[bool, ...], bool] = {}
 
     def keep(t: DTheory) -> bool:
+        nonlocal base
         false = [rho for rho in D.rhd_atoms if not t.values[rho]]
         if not false:
             return True
         key = tuple(t.values[a] for a in D.existential_atoms)
         if key not in memo:
-            q = base().where(_succ_constraints(t))
+            if base is None:
+                base = TheoryQuery(D, F.logic, cs)
+            q = base.where(_succ_constraints(t))
             memo[key] = not any(
                 q.where([(f, True) for f in crit_obligations(t, rho.right)] + [(rho.left, True)]).is_empty()
                 for rho in false
@@ -690,11 +693,18 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView:
     # needs an S_x exit with D
     rhos = [rho for rho in F.adequate.rhd_atoms if gx.models(rho)]
     cubes = {rho: ((rho.left, True), (rho.right, False)) for rho in rhos}
-    box_ok = cache(lambda boxes: _box_lookahead(F, boxes, box_base))
-    exit_ok = cache(lambda rho, boxes: _deficiency_lookahead(rho, boxes, deficiency_base))
-    ilm = F.logic == ILM
+    # a box class is asked about once; under IL an rhd's answer fits all
+    ilm, exits = F.logic == ILM, {}
+
+    def exit_ok(rho: Rhd, boxes: tuple) -> bool:
+        k = rho, boxes if ilm else ()
+        ok = exits.get(k)
+        if ok is None:
+            ok = exits[k] = _deficiency_lookahead(rho, k[1], deficiency_base)
+        return ok
+
     got = memo[key] = deficiency_base.where(own).preferred_where(
-        box_ok, cubes, lambda rho, boxes: exit_ok(rho, boxes if ilm else ())
+        lambda boxes: _box_lookahead(F, boxes, box_base), cubes, exit_ok
     )
     return got
 

@@ -2,8 +2,8 @@
 
 A relation is an iterable of pairs. Every closure, reachability walk,
 cycle check and adjacency join of the frame code goes through these
-helpers, and every bottom-up walk over a formula or a frame DAG goes
-through `fold`.
+helpers; `fold` is the bottom-up walk over a frame DAG. The formula
+evaluators run their own explicit-stack loops, with no callback per node.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 A frame is (worlds, R, S) with S stored as ordered triples (x, y, z)
 meaning y S_x z. Models add a valuation and cache what they force. Frames
-are immutable values; the operations are pure. Forcing is one bottom-up
-fold over a formula's subformulas, as in explicit-state model checking.
+are immutable values; the operations are pure. Forcing labels a formula's
+subformulas bottom-up from one explicit stack, as in explicit-state model
+checking.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import json
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .relation import find_cycle, fold, image
-from .syntax import Atom, Box, Formula, Implies, Rhd, _kids, atoms, truth_table
+from .relation import find_cycle, image
+from .syntax import Atom, Bot, Box, Formula, Implies, Rhd, atoms, truth_table
 
 GL = "gl"
 IL = "il"
@@ -178,29 +179,42 @@ def _extensions(frame: VeltmanFrame, fs, lanes: int, val, got: dict) -> dict:
     val gives it. bot is 0 and A -> B is ~A | B. A |> B holds at w in the
     lanes where every R-successor u of w has A false or an S_w-exit with
     B, and []A is ~A |> bot."""
-    ix = frame.index
+    ix, succ, exits = frame.index, frame.succ, frame.s_exits
     one, full = (1 << lanes) - 1, (1 << lanes * len(ix)) - 1
-
-    def value(g, v):
-        if isinstance(g, Implies):
-            return full & ~v[0] | v[1]
-        if isinstance(g, Atom):
-            return sum(one << i * lanes for w, i in ix.items() if g.name in val.get(w, ()))
-        if not isinstance(g, (Box, Rhd)):
-            return 0
-        a, b = (full & ~v[0], 0) if isinstance(g, Box) else v
-        out = full
-        for w, us in frame.succ.items():
-            m = one
-            for u in us:
-                exit_b = 0
-                for z in frame.s_exits.get((w, u), ()) if b else ():
-                    exit_b |= b >> ix[z] * lanes
-                m &= ~(a >> ix[u] * lanes) | exit_b
-            out &= ~((one & ~m) << ix[w] * lanes)
-        return out
-
-    return fold(fs, _kids, value, got)
+    stack = list(fs)
+    while stack:
+        g = stack[-1]
+        if g in got:
+            stack.pop()
+            continue
+        t = type(g)
+        if t is Atom:
+            v = sum(one << i * lanes for w, i in ix.items() if g.name in val.get(w, ()))
+        elif t is Bot:
+            v = 0
+        else:
+            k = g.body if t is Box else g.left
+            a, b = got.get(k), 0 if t is Box else got.get(g.right)
+            if a is None or b is None:
+                stack.append(k if a is None else g.right)
+                continue
+            if t is Implies:
+                v = full & ~a | b
+            else:
+                if t is Box:
+                    a = full & ~a
+                v = full
+                for w, us in succ.items():
+                    m = one
+                    for u in us:
+                        exit_b = 0
+                        for z in exits.get((w, u), ()) if b else ():
+                            exit_b |= b >> ix[z] * lanes
+                        m &= ~(a >> ix[u] * lanes) | exit_b
+                    v &= ~((one & ~m) << ix[w] * lanes)
+        got[g] = v
+        stack.pop()
+    return got
 
 
 def forces(model: VeltmanModel, w: str, f: Formula) -> bool:
@@ -215,9 +229,9 @@ def forces(model: VeltmanModel, w: str, f: Formula) -> bool:
 def frame_validates(frame: VeltmanFrame, f: Formula) -> bool:
     """True iff f holds at every world under every valuation of f's atoms.
 
-    One fold with a lane per valuation, the rows of the truth table over
-    the (world, atom) cells; raises BudgetExceededError beyond 2^16
-    valuations.
+    One `_extensions` pass with a lane per valuation, the rows of the
+    truth table over the (world, atom) cells; raises BudgetExceededError
+    beyond 2^16 valuations.
     """
     names = sorted(atoms(f))
     worlds = sorted(frame.worlds)

@@ -15,7 +15,7 @@ import weakref
 from functools import reduce
 from typing import Iterable
 
-from .relation import fold, reach
+from .relation import reach
 
 
 class Formula:
@@ -186,18 +186,26 @@ def modal_atoms_of(*fs: Formula) -> frozenset[Formula]:
 
 def eval3(f: Formula, assign) -> bool | None:
     """Three-valued evaluation under a partial assignment of modal atoms
-    (None = unknown)."""
-    return fold([f], _boolean_kids, _implies3, {BOT: False, **assign})[f]
-
-
-def _implies3(g: Formula, v: list) -> bool | None:
-    """A -> B from the values [A, B]; no values: a modal atom left open."""
-    if not v:
-        return None
-    a, b = v
-    if a is False or b is True:
-        return True
-    return None if a is None or b is None else False
+    (None = unknown). assign is read, never copied: its entry for any
+    formula is taken as given, and a modal atom it lacks is open. An
+    implication stays on an explicit stack under a child still to value."""
+    got: dict = {BOT: False}  # also the sentinel for "not valued yet"
+    if type(f) is not Implies or f in assign:
+        return assign.get(f, got.get(f))
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        l, r = g.left, g.right
+        a = assign.get(l, got.get(l, got if type(l) is Implies else None))
+        b = assign.get(r, got.get(r, got if type(r) is Implies else None))
+        if a is got:
+            stack.append(l)
+        elif b is got:
+            stack.append(r)
+        else:
+            got[g] = True if a is False or b is True else None if a is None or b is None else False
+            stack.pop()
+    return got[f]
 
 
 def truth_table(n: int) -> list[int]:
@@ -218,14 +226,26 @@ def truth_table(n: int) -> list[int]:
 def boolean_masks(fs, full: int, masks: dict) -> dict:
     """masks (modal atom -> mask of the rows of `full` where it holds),
     extended to fs and their Boolean subformulas: bot is 0 and A -> B is
-    full & ~A | B. A modal atom missing from masks raises KeyError."""
-
-    def value(g, v):
-        if v:
-            return full & ~v[0] | v[1]
-        return 0 if g is BOT else masks[g]
-
-    return fold(fs, _boolean_kids, value, masks)
+    full & ~A | B. An entry already in masks is taken as given, and a
+    modal atom missing from it raises KeyError. An implication stays on
+    an explicit stack under a child still to mask."""
+    stack = list(fs)
+    while stack:
+        g = stack[-1]
+        if g in masks:
+            stack.pop()
+        elif type(g) is Implies:
+            a, b = masks.get(g.left), masks.get(g.right)
+            if a is None or b is None:
+                stack.append(g.left if a is None else g.right)
+            else:
+                masks[g] = full & ~a | b
+                stack.pop()
+        elif g is BOT:
+            masks[g] = 0
+        else:
+            raise KeyError(g)
+    return masks
 
 
 def substitute(t: Formula, binding) -> Formula:

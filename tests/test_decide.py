@@ -188,7 +188,7 @@ def test_is_tautology():
 
 
 def test_deep_formula_decided_and_certified():
-    # forcing, the truth lemma and the theory index all fold from explicit
+    # forcing, the truth lemma and the theory index all evaluate from explicit
     # stacks, so a library-built 3,000-deep chain is decided and certified
     f = neg_chain(3000)
     res = satisfiable(GL, f)

@@ -469,7 +469,7 @@ def test_model_dot():
 
 
 def test_forcing_at_any_depth():
-    # the extension fold runs from an explicit stack, so a library-built
+    # extensions are computed from an explicit stack, so a library-built
     # formula nested far past the recursion limit is forced and validated
     m = VeltmanModel.make(["a", "b"], [("a", "b")], [("a", "b", "b")], {"a": {"p"}})
     even, odd = neg_chain(3000), neg_chain(3001)

@@ -649,7 +649,7 @@ def test_nothing_read_off_an_adequate_set_follows_creation_order(monkeypatch, ca
 
 
 def test_index_masks_at_any_depth():
-    # the index's Boolean mask fold runs from an explicit stack
+    # the index's Boolean masks are computed from an explicit stack
     f = neg_chain(3000)
     D = adequate_closure([f])
     assert [t.values for t in solve_theories(D, IL, [(f, True)])] == [{Atom("p"): True}]
