@@ -50,7 +50,6 @@ from .construction import (
     close,
     close_frame,
     critical_cone,
-    depth,
     generalized_cone,
     verify_truth_lemma,
 )

@@ -55,7 +55,7 @@ from .syntax import (
     substitute,
     truth_table,
 )
-from .theory import common_predecessor, solve_theories
+from .theory import _TheoryIndex, common_predecessor, solve_theories
 
 
 _parsed = lru_cache(maxsize=None)(parse)
@@ -296,9 +296,9 @@ def sigma1_countermodel(
         raise ValueError("formula is essentially Sigma_1; no countermodel exists")
 
     try:
-        for d0 in solve_theories(D, ILM, [(f, True)], walk=iter):
+        for d0 in solve_theories(D, ILM, [(f, True)], walk=_TheoryIndex.preferred):
             d1_cs = [(f, False)] + [(b, True) for b in d0.boxes()]
-            for d1 in solve_theories(D, ILM, d1_cs, walk=iter):
+            for d1 in solve_theories(D, ILM, d1_cs, walk=_TheoryIndex.preferred):
                 for gamma in common_predecessor(d0, d1):
                     R, S = {("m0", "l"), ("m0", "r")}, {("m0", "l", "r")}
                     nu = {"m0": gamma, "l": d0, "r": d1}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .relation import find_cycle, fold, image, reach
+from .relation import find_cycle, image, reach
 from .semantics import ILM, VeltmanFrame, VeltmanModel, _engine_logic
 from .syntax import (
     AdequateSet,
@@ -37,7 +37,7 @@ from .theory import (
     DTheory,
     LoggedTheory,
     TheoryQuery,
-    TheoryView,
+    _TheoryIndex,
     _WORD,
     _succ_constraints,
     box_incl,
@@ -362,15 +362,6 @@ def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
     return VeltmanFrame(frozenset(closed.worlds), frozenset(closed.R), frozenset(closed.S))
 
 
-def depth(F) -> int:
-    """Length of the longest R-chain (0 for edgeless frames)."""
-    if find_cycle(F.worlds, F.R):
-        raise ValueError("R has a cycle")
-    succ = image(F.R)
-    got = fold(F.worlds, lambda w: succ.get(w, ()), lambda w, ds: max(ds, default=-1) + 1, {})
-    return max(got.values(), default=0)
-
-
 # --- frame validation ---------------------------------------------------------
 
 
@@ -649,23 +640,26 @@ def _witness(F: LabeledFrame, item) -> tuple:
     return x, BOT, (body.body, False), ((body, True),), (), None, None, None
 
 
-def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView:
+def fresh_candidate_theories(F: LabeledFrame, item) -> tuple[_TheoryIndex, int]:
     """Theory-level candidates for eliminating the item with a fresh world,
-    in preference order. An empty answer means the item can never
-    be eliminated on any extension of F: the constraint set only grows as
-    the frame grows, and a reusable world's theory would itself be a
-    solution of it.
+    as the (index, mask) of their rows: counted by popcount, walked in
+    preference order (`_TheoryIndex.preferred`). An empty mask means the
+    item can never be eliminated on any extension of F: the constraint
+    set only grows as the frame grows, and a reusable world's theory
+    would itself be a solution of it.
 
     A candidate is a fresh witness (`_witness`) that meets x's successor
-    constraints and both lookaheads, each asked once per box class (per
-    rhd as well for the deficiency lookahead). The answer is a
-    `TheoryView`, counted by popcount; with a truth table its theories
-    are built only as it is iterated. It depends on F only through the
-    item's world theory, its criticality label, the inherited constraints
-    and, for an ILM deficiency, y's theory. It is memoised on those per
-    adequate set, so the most-constrained scan of every frame in a search
-    and the elimination that follows it share one answer; callers do not
-    mutate it.
+    constraints and both lookaheads. The mask is split by box class (the
+    true boxes) over D.boxed_members; in a class, the rows with C true
+    and D false for a rhd C |> D of x's theory go if
+    `_deficiency_lookahead` fails, then the rest if `_box_lookahead`
+    does. Each is asked only for a class with rows left to drop, once
+    per class (per rhd, and under IL not per class, for the deficiency
+    lookahead). The answer depends on F only through the item's world
+    theory, its criticality label, the inherited constraints and, for an
+    ILM deficiency, y's theory. It is memoised on those per adequate
+    set, so the most-constrained scan of every frame in a search and the
+    elimination that follows it share one answer.
 
     It reads those two theories only on their rhd and box atoms (`rhds()`
     through crit_obligations, `boxes()`, `models(rho)` for a rhd rho), the
@@ -689,38 +683,50 @@ def fresh_candidate_theories(F: LabeledFrame, item) -> TheoryView:
     own = [meets, *fresh]
     if boxes_of is not None:
         own += [(b, True) for b in boxes_of.boxes()]
+    index, mask = deficiency_base.where(own).answers()
+    classes = [(mask, ())]
+    for b in F.adequate.boxed_members:
+        on = index.mask(b)
+        classes = [
+            (part, boxes + (b,) * held)
+            for m, boxes in classes
+            for part, held in ((m & ~on, False), (m & on, True))
+            if part
+        ]
     # a witness with C true and D false for a rhd C |> D of x's theory
-    # needs an S_x exit with D
+    # needs an S_x exit with D; under IL an rhd's answer fits all classes
     rhos = [rho for rho in F.adequate.rhd_atoms if gx.models(rho)]
-    cubes = {rho: ((rho.left, True), (rho.right, False)) for rho in rhos}
-    # a box class is asked about once; under IL an rhd's answer fits all
-    ilm, exits = F.logic == ILM, {}
-
-    def exit_ok(rho: Rhd, boxes: tuple) -> bool:
-        k = rho, boxes if ilm else ()
-        ok = exits.get(k)
-        if ok is None:
-            ok = exits[k] = _deficiency_lookahead(rho, k[1], deficiency_base)
-        return ok
-
-    got = memo[key] = deficiency_base.where(own).preferred_where(
-        lambda boxes: _box_lookahead(F, boxes, box_base), cubes, exit_ok
-    )
+    ilm, exits, good = F.logic == ILM, {}, 0
+    for m, boxes in classes:
+        for rho in rhos:
+            rows = index.narrow(m, ((rho.left, True), (rho.right, False)))
+            if rows:
+                k = rho, boxes if ilm else ()
+                ok = exits.get(k)
+                if ok is None:
+                    ok = exits[k] = _deficiency_lookahead(rho, k[1], deficiency_base)
+                if not ok:
+                    m ^= rows
+        if m and _box_lookahead(F, boxes, box_base):
+            good |= m
+    got = memo[key] = index, good
     return got
 
 
-def nogoods(view: TheoryView, state, skipped: str, item=None, keep=None) -> Iterator[LoggedTheory]:
-    """The theories of the view a search tries, in order, each as a
-    LoggedTheory: all but those that agree with the read set of a failed
-    subtree (a cube) and, given keep, those it rejects. When the caller
-    asks for the next theory, the subtree of the last one has failed, and
-    its log is kept as a cube unless a budget cut happened while it ran
-    (`state.cuts` moved). The walk keeps a mask of the rows to try, and a
-    cube's rows leave it. keep (`_rhd_lookahead`) reads a theory only on
-    D.existential_atoms, so the rows that agree there with a row it
-    rejects leave too. Only a row the walk tries or asks keep about is
-    built, unless an observer is shown each row passed over:
-    ("pruned", item, theory) if keep rejects it, else (skipped, item, theory).
+def nogoods(index: _TheoryIndex, mask: int, state, item=None, keep=None) -> Iterator[LoggedTheory]:
+    """The theories of the mask's rows a search tries, in preference
+    order, each as a LoggedTheory: all but those that agree with the read
+    set of a failed subtree (a cube) and, given keep, those it rejects.
+    When the caller asks for the next theory, the subtree of the last one
+    has failed, and its log is kept as a cube unless a budget cut
+    happened while it ran (`state.cuts` moved). The walk keeps a mask of
+    the rows to try, and a cube's rows leave it. keep (`_rhd_lookahead`)
+    reads a theory only on D.existential_atoms, so the rows that agree
+    there with a row it rejects leave too. Only a row the walk tries or
+    asks keep about is built, unless an observer is shown each row passed
+    over: ("pruned", item, theory) if keep rejects it, else ("skipped",
+    item, theory), or ("skipped_root", None, theory) for a root (item
+    None).
 
     A cube holds the (formula, value) pairs a world's theory gave to every
     `models` read while the subtree that added the world ran. The search
@@ -732,11 +738,11 @@ def nogoods(view: TheoryView, state, skipped: str, item=None, keep=None) -> Iter
     answers and fails the same way: skipping it loses no model. A subtree
     cut by the budget did not fail on its reads, so it is never learned
     from."""
-    index, observer = view.index, state.observer
-    atoms, todo = index.adequate.existential_atoms, view.mask
+    observer, skipped = state.observer, "skipped_root" if item is None else "skipped"
+    atoms, todo = index.adequate.existential_atoms, mask
     for level in index.levels:
         at = -1  # the 64-row block whose bits of todo `live` holds
-        for j in index.rows(view.mask & level):
+        for j in index.rows(mask & level):
             if j >> 6 != at:
                 at, live = j >> 6, todo >> (j & ~63) & _WORD
             if not live >> (j & 63) & 1:
@@ -773,9 +779,9 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
 
     F is settled: closed, free of violations and with a worklist of
     exactly its open items. state is the search's `decide._State`. The
-    fresh candidates go through `nogoods`, which drops those
-    `_rhd_lookahead` rejects; it filters here, so the most-constrained
-    scan counts what it did without it. A frame of
+    fresh candidates' (index, mask) goes through `nogoods`, which drops
+    the rows `_rhd_lookahead` rejects; it filters here, so the
+    most-constrained scan's popcount counts them without it. A frame of
     `state.budget.max_worlds` worlds gets no fresh world."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     gx = F.nu[x]
@@ -798,7 +804,7 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
             if done is not None:
                 yield done
     keeps = [single_neg(a) for a in avoids]
-    for t in nogoods(fresh_candidate_theories(F, item), state, "skipped", item, _rhd_lookahead(F, item)):
+    for t in nogoods(*fresh_candidate_theories(F, item), state, item, _rhd_lookahead(F, item)):
         # F's world count is fixed here, so this cut fires at the first
         # candidate, before any cube is kept
         if len(F.worlds) >= state.budget.max_worlds:

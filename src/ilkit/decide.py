@@ -133,11 +133,11 @@ def _most_constrained(frame: LabeledFrame):
     """The open item with the fewest fresh candidates, the first of them on
     a tie; None if some item has none. Such an item can never be
     eliminated on any extension, so the frame is dead. It reads only the
-    length of each answer, a popcount, so with a truth table the scan
-    builds no candidate theory."""
+    popcount of each answer's mask, so with a truth table the scan builds
+    no candidate theory."""
     best = None
     for it in frame.worklist:
-        n = len(fresh_candidate_theories(frame, it))
+        n = fresh_candidate_theories(frame, it)[1].bit_count()
         if n == 0:
             return None
         if best is None or n < best[0]:
@@ -223,7 +223,7 @@ def satisfiable(
     st = _State(budget, observer)
     result: Sat | Unsat | Unknown | None = None
     try:
-        for root in solve_theories(D, eng, [(f, True)], walk=lambda view: nogoods(view, st, "skipped_root")):
+        for root in solve_theories(D, eng, [(f, True)], walk=lambda index, mask: nogoods(index, mask, st)):
             # a one-world seed has no edge, triple or label for any
             # invariant to read, so it needs no check
             frame = seed_frame(D, eng, root)
@@ -379,7 +379,8 @@ _LINE_RE = re.compile(r"\s*(\d+)\.\s*(.*?)\s*;\s*(\w+)\s*((?:\d+\s*)*)\s*$")
 
 
 def parse_proof(text: str) -> Proof:
-    """One line per step: `<index>. <formula> ; <rule>[ <premise indices>]`."""
+    """One line per step: `<index>. <formula> ; <rule>[ <premise indices>]`.
+    A text with no such line proves nothing and raises ValueError."""
     lines: list[ProofLine] = []
     for raw in text.splitlines():
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -393,6 +394,8 @@ def parse_proof(text: str) -> Proof:
         lines.append(
             ProofLine(parse(formula), rule, tuple(int(t) for t in prems.split()))
         )
+    if not lines:
+        raise ValueError("proof has no lines")
     return Proof(tuple(lines))
 
 

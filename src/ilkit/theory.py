@@ -5,8 +5,9 @@ box or rhd formula) of an adequate set D; membership of a D-formula is its
 Boolean value under that assignment, so exactly one of each complementary
 pair is a member. Enumeration additionally imposes local axiom saturation:
 every instance of a schema in SCHEMATA, the one table of the logics' axioms,
-whose modal atoms all lie in D must come out true. Saturation is a sound over-approximation of consistency; the decision
-engine's final truth-lemma certification is the arbiter.
+whose modal atoms all lie in D must come out true. Saturation is a sound
+over-approximation of consistency; the decision engine's final truth-lemma
+certification is the arbiter.
 """
 
 from __future__ import annotations
@@ -279,16 +280,17 @@ class _RowTheories(dict):
 class _TheoryIndex:
     """Theories of D as rows over its modal atoms: row j's theory has key
     `keys[j]`, and keys ascend. The rows are D's truth table
-    (`_theory_index`) or one `_solve` call's answers (`_answers`). A
-    formula's mask (`boolean_masks`) has the bits of the rows that make
-    it true, and `valid` those of the rows meeting the constraints given.
+    (`_theory_index`) or one `_solve` call's answers
+    (`TheoryQuery.answers`). A formula's mask (`boolean_masks`) has the
+    bits of the rows that make it true, and `valid` those of the rows
+    meeting the constraints given.
     `levels[k]` has the valid rows with exactly k false rhd and box
-    atoms, so walking the levels in turn, each in key order, is
-    preference order: fewest false rhd and box atoms (each an existential
-    still to witness) first, then by key. `theory(j)` is row j's
-    DTheory, unless given built from its key's bits on first use. Masks
-    never go through DTheory.models, so a theory's value map holds only
-    its modal atoms."""
+    atoms, so walking the levels in turn, each in key order (`preferred`),
+    is preference order: fewest false rhd and box atoms (each an
+    existential still to witness) first, then by key. `theory(j)` is row
+    j's DTheory, unless given built from its key's bits on first use.
+    Masks never go through DTheory.models, so a theory's value map holds
+    only its modal atoms."""
 
     __slots__ = ("adequate", "keys", "full", "valid", "levels", "theory", "_masks", "_theories")
 
@@ -338,6 +340,12 @@ class _TheoryIndex:
         """The theories of the rows in mask m, in key order."""
         return map(self.theory, self.rows(m))
 
+    def preferred(self, m: int) -> Iterator[DTheory]:
+        """The theories of the rows in mask m, in preference order: the
+        levels in turn, each in key order, so a row's DTheory is built
+        only when the walk reaches it."""
+        return (t for level in self.levels for t in self.walk(m & level))
+
 
 def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
     """The truth-table index of D, built on first use; None when D has
@@ -355,8 +363,8 @@ def _theory_index(D: AdequateSet, logic: str) -> _TheoryIndex | None:
 
 class TheoryQuery:
     """The DTheories of D meeting a conjunction of (formula, value)
-    constraints, in key order. Every answer is a mask over a `_TheoryIndex`
-    (`_answers`). With at most _CACHE_ATOMS modal atoms the query is that
+    constraints. Every answer is a mask over a `_TheoryIndex`
+    (`answers`). With at most _CACHE_ATOMS modal atoms the query is that
     mask over the truth table, and `where` ANDs only the new constraints,
     so a base shared by many candidates is built once. Above the cap it
     keeps its constraints, `where` and `is_empty` use the early-exit
@@ -392,7 +400,7 @@ class TheoryQuery:
             return not self._mask
         return next(_solve(self.adequate, self.logic, self._constraints), None) is None
 
-    def _answers(self) -> tuple[_TheoryIndex, int]:
+    def answers(self) -> tuple[_TheoryIndex, int]:
         """(index, mask) of the answers. Above the cap the index is new,
         with a row and a theory per `_solve` answer, all in the mask."""
         if self._index is not None:
@@ -406,77 +414,20 @@ class TheoryQuery:
         index = _TheoryIndex(D, keys, masks, theories=ts)
         return index, index.valid
 
-    def __iter__(self) -> Iterator[DTheory]:
-        return _TheoryIndex.walk(*self._answers())
-
-    def preferred_where(self, keep_class, cubes: dict, keep_cube) -> "TheoryView":
-        """The answers in preference order, less those a per-class
-        test drops. A class is the answers with the same true boxes (a
-        `DTheory.boxes()` tuple). Its answers meeting the constraints
-        cubes[k] go if not keep_cube(k, boxes), and the rest go if not
-        keep_class(boxes); each is asked only for a class with answers
-        left to drop. The answers' mask is split by class over
-        D.boxed_members."""
-        index, mask = self._answers()
-        classes = [(mask, ())]
-        for b in self.adequate.boxed_members:
-            on = index.mask(b)
-            classes = [
-                (part, boxes + (b,) * held)
-                for m, boxes in classes
-                for part, held in ((m & ~on, False), (m & on, True))
-                if part
-            ]
-        good = 0
-        for m, boxes in classes:
-            for k, cube in cubes.items():
-                rows = index.narrow(m, cube)
-                if rows and not keep_cube(k, boxes):
-                    m ^= rows
-            if m and keep_class(boxes):
-                good |= m
-        return TheoryView(index, good)
-
-
-class TheoryView:
-    """The theories of a mask's rows over a `_TheoryIndex`, read-only in
-    preference order: the length is a popcount, and iterating walks the
-    index's levels under the mask, so a table row's DTheory is built only
-    when the walk reaches it. Equal to any sequence or view of the same
-    theories in the same order."""
-
-    __slots__ = ("index", "mask")
-
-    def __init__(self, index: _TheoryIndex, mask: int):
-        self.index, self.mask = index, mask
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[DTheory]:
-        index, mask = self.index, self.mask
-        return (t for level in index.levels for t in index.walk(mask & level))
-
-    def __eq__(self, other):
-        if isinstance(other, (TheoryView, Sequence)):
-            return list(self) == list(other)
-        return NotImplemented
-
 
 def solve_theories(
     D: AdequateSet,
     logic: str,
     constraints: Iterable[tuple[Formula, bool]] = (),
-    walk: Callable[[TheoryView], Iterable[DTheory]] | None = None,
+    walk: Callable[[_TheoryIndex, int], Iterable[DTheory]] = _TheoryIndex.walk,
 ) -> Iterator[DTheory]:
-    """Stream of DTheories satisfying the constraints: in key order, or
-    what walk yields for the `TheoryView` of the answers (`iter` yields
-    them all, the search's `construction.nogoods` the roots it tries).
-    The search asks for its roots and the sigma1 drivers for their
-    theories here, so the theory layer's time and answers are counted in
-    one place."""
-    q = TheoryQuery(D, logic, constraints)
-    yield from q if walk is None else walk(TheoryView(*q._answers()))
+    """Stream of DTheories satisfying the constraints: what walk yields
+    for the (index, mask) of the answers, by default them all in key
+    order (`_TheoryIndex.preferred` gives preference order, the search's
+    `construction.nogoods` the roots it tries). The search asks for its
+    roots and the sigma1 drivers for their theories here, so the theory
+    layer's time and answers are counted in one place."""
+    yield from walk(*TheoryQuery(D, logic, constraints).answers())
 
 
 def enumerate_theories(

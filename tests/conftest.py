@@ -12,7 +12,7 @@ from ilkit.construction import (
     _witness,
     refresh_worklist,
 )
-from ilkit.relation import fold, image, reach
+from ilkit.relation import find_cycle, image, reach
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, frame_validates, validate
 from ilkit.syntax import (
     And,
@@ -56,6 +56,35 @@ def random_formula(rng, depth=2, atoms=("p", "q", "r"), allow_rhd=True):
     if k == 4:
         return Or(a, b)
     return Rhd(a, b)
+
+
+def fold(roots, kids, value, got):
+    """value(n, [the values of n's kids]) at each node n reached from roots
+    by kids, computed from the bottom up into got, which is returned; a node
+    already in got is not revisited. kids must return collections and
+    reach no cycle, and no node is a tuple: an expanded node goes back on
+    the stack as (node, kids) under its kids. The stack is explicit, so
+    long chains cannot exhaust Python's."""
+    stack = list(roots)
+    while stack:
+        n = stack.pop()
+        if type(n) is tuple:
+            n, ks = n
+            got[n] = value(n, [got[k] for k in ks])
+        elif n not in got:
+            ks = kids(n)
+            stack.append((n, ks))
+            stack.extend(ks)
+    return got
+
+
+def depth(F):
+    """Length of the longest R-chain (0 for edgeless frames)."""
+    if find_cycle(F.worlds, F.R):
+        raise ValueError("R has a cycle")
+    succ = image(F.R)
+    got = fold(F.worlds, lambda w: succ.get(w, ()), lambda w, ds: max(ds, default=-1) + 1, {})
+    return max(got.values(), default=0)
 
 
 def modal_depth(f):
@@ -284,7 +313,8 @@ def reference_fresh_candidates(F, item):
             if isinstance(bx, Box) and not t.models(bx)
         )
 
-    good = [t for t in deficiency_base.where(own) if deficiency_lookahead(t) and box_lookahead(t)]
+    index, mask = deficiency_base.where(own).answers()
+    good = [t for t in index.walk(mask) if deficiency_lookahead(t) and box_lookahead(t)]
     return sorted(good, key=search_preference)
 
 

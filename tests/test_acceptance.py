@@ -18,6 +18,7 @@ from conftest import (
     all_gl_formulas,
     check_mcone_invariance,
     close_trace,
+    depth,
     enumerate_il_frames,
     find_imperfections,
     random_formula,
@@ -34,7 +35,7 @@ from ilkit.classify import (
     is_tsg,
     sigma1_countermodel,
 )
-from ilkit.construction import depth, quasi_frame_violations, verify_truth_lemma
+from ilkit.construction import quasi_frame_violations, verify_truth_lemma
 from ilkit.decide import (
     Derivable,
     Refuted,

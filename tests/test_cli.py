@@ -362,6 +362,15 @@ def test_checkproof_cli(tmp_path):
     assert run_cli("checkproof", str(bad), "--logic", "gl")[0] == 1
 
 
+@pytest.mark.parametrize("text", ["", "# a comment\n\n   \n"])
+def test_checkproof_without_lines_is_an_error(tmp_path, capsys, text):
+    # a file with no proof line proves no formula: no answer, exit 3
+    proof = tmp_path / "empty.txt"
+    proof.write_text(text)
+    assert run_cli("checkproof", str(proof), "--logic", "gl") == (3, "")
+    assert capsys.readouterr().err == "error: proof has no lines\n"
+
+
 def test_export_dot_cli(tmp_path):
     model = tmp_path / "m.json"
     model.write_text(

@@ -7,6 +7,7 @@ from ilkit import theory
 from conftest import (
     check_mcone_invariance,
     close_trace,
+    depth,
     find_imperfections,
     labels_of,
     m_cone,
@@ -24,7 +25,6 @@ from ilkit.construction import (
     close,
     close_frame,
     critical_cone,
-    depth,
     eliminate,
     generalized_cone,
     quasi_frame_violations,
@@ -853,13 +853,15 @@ def test_fresh_candidates_meet_their_item(monkeypatch, logic):
             B = construction.criticality_label(F, item.x, item.y)
             meets = [(item.formula.right, True)]
         meets += construction._successor_constraints(F, x)
-        for t in got:
+        index, mask = got
+        ts = list(index.preferred(mask))
+        for t in ts:
             assert crit_succ(F.nu[x], B, t)
             assert all(t.models(f) == v for f, v in meets)
             if kind == "deficiency" and F.logic == ILM:
                 assert box_incl(F.nu[item.y], t)
-        assert got == sorted(got, key=search_preference)
-        seen[kind] += bool(got)
+        assert ts == sorted(ts, key=search_preference)
+        seen[kind] += bool(ts)
         return got
 
     monkeypatch.setattr(construction, "fresh_candidate_theories", checked)
@@ -890,9 +892,10 @@ def test_fresh_candidates_match_the_per_candidate_reference(monkeypatch, logic, 
     def checked(F, item):
         got = real(F, item)
         ref = reference_fresh_candidates(F, item)
-        assert got == ref
-        assert len(got) == len(ref) and bool(got) == bool(ref)
-        seen["lists"] += bool(got)
+        index, mask = got
+        assert list(index.preferred(mask)) == ref
+        assert mask.bit_count() == len(ref)
+        seen["lists"] += bool(ref)
         seen["deficiency"] += isinstance(item, Deficiency)
         return got
 
@@ -911,6 +914,54 @@ def test_fresh_candidates_match_the_per_candidate_reference(monkeypatch, logic, 
         for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Box(b)))):
             satisfiable(logic, f, budget, observer=lambda *event: None)
     assert seen["lists"] >= 50 and seen["deficiency"] >= 20, seen
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_each_lookahead_is_asked_once_per_class(monkeypatch, logic):
+    # within one fresh-candidate call, the box lookahead is asked at most
+    # once per box class, and the deficiency lookahead at most once per
+    # rhd and, under ILM, box class (under IL it is given no boxes)
+    import ilkit.decide as decide
+
+    real = construction.fresh_candidate_theories
+    real_box, real_exit = construction._box_lookahead, construction._deficiency_lookahead
+    asked = None  # the lookahead keys of the call running
+    seen = {"box": 0, "deficiency": 0}
+
+    def checked(F, item):
+        nonlocal asked
+        asked = {"box": [], "deficiency": []}
+        got = real(F, item)
+        for kind, keys in asked.items():
+            assert len(keys) == len(set(keys)), (kind, keys)
+            seen[kind] += len(keys)
+        asked = None
+        return got
+
+    def box(F, boxes, base):
+        asked["box"].append(boxes)
+        return real_box(F, boxes, base)
+
+    def exit_ok(rho, boxes, base):
+        assert logic == ILM or boxes == ()
+        asked["deficiency"].append((rho, boxes))
+        return real_exit(rho, boxes, base)
+
+    monkeypatch.setattr(construction, "fresh_candidate_theories", checked)
+    monkeypatch.setattr(decide, "fresh_candidate_theories", checked)
+    monkeypatch.setattr(construction, "_box_lookahead", box)
+    monkeypatch.setattr(construction, "_deficiency_lookahead", exit_ok)
+    # the queries of test_fresh_candidates_match_the_per_candidate_reference
+    for text in ("(p |> r & <>q) & <>p", "(p |> r & <>q) & <>(p & ~r)"):
+        satisfiable(logic, parse(text), observer=lambda *event: None)
+    rng = random.Random(7)
+    budget = Budget(max_worlds=8, max_steps=100, max_backtracks=100)
+    for _ in range(30):
+        a, b = random_formula(rng), random_formula(rng)
+        rhs = Implies(Diamond(a), Diamond(b)) if rng.random() < 0.5 else Implies(a, Or(b, Diamond(b)))
+        for f in (And(Rhd(a, b), Neg(rhs)), Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Box(b)))):
+            satisfiable(logic, f, budget, observer=lambda *event: None)
+    assert seen["box"] >= 250 and seen["deficiency"] >= 100, seen
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])
@@ -941,7 +992,8 @@ def test_most_constrained_scan_builds_no_candidate(monkeypatch, logic):
         item = _most_constrained(F)
         assert built == []
         if item is not None:
-            got = list(construction.fresh_candidate_theories(F, item))
+            index, mask = construction.fresh_candidate_theories(F, item)
+            got = list(index.preferred(mask))
             assert built == got == sorted(got, key=search_preference)
             built.clear()
             scanned += 1

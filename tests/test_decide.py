@@ -592,14 +592,15 @@ def test_nogoods_build_no_theory_for_a_row_passed_over(monkeypatch):
     assert len(built) > quiet
 
 
-def _per_row_nogoods(view, state, skipped, item=None, keep=None):
+def _per_row_nogoods(index, mask, state, item=None, keep=None):
     """The nogood walk one row at a time, as a reference: every theory of
-    the view is built, asked keep, and tested against each kept cube one
-    read at a time."""
+    the mask's rows is built in preference order, asked keep, and tested
+    against each kept cube one read at a time."""
     from ilkit.theory import LoggedTheory
 
+    skipped = "skipped_root" if item is None else "skipped"
     cubes = []
-    for t in view:
+    for t in index.preferred(mask):
         if keep is not None and not keep(t):
             if state.observer is not None:
                 state.observer("pruned", item, t)
@@ -642,7 +643,7 @@ def test_every_row_passed_over_is_covered(monkeypatch, logic):
     real = construction.nogoods
     seen = {"skipped": 0, "pruned": 0}
 
-    def checked(view, state, skipped, item=None, keep=None):
+    def checked(index, mask, state, item=None, keep=None):
         tried = []
 
         def observer(ev, it, t):
@@ -658,7 +659,7 @@ def test_every_row_passed_over_is_covered(monkeypatch, logic):
 
         watched = Watched()
         watched.observer = observer
-        for t in real(view, watched, skipped, item, keep):
+        for t in real(index, mask, watched, item, keep):
             tried.append(t)
             yield t
 

@@ -4,9 +4,9 @@ relations, cyclic ones included."""
 import itertools
 import random
 
-from conftest import transitive_closure_pairs
+from conftest import fold, transitive_closure_pairs
 
-from ilkit.relation import find_cycle, fold, image, reach
+from ilkit.relation import find_cycle, image, reach
 
 
 def random_relation(rng, n_nodes, p_edge):

@@ -34,7 +34,6 @@ from ilkit.theory import (
     LoggedTheory,
     TheoryError,
     TheoryQuery,
-    TheoryView,
     box_incl,
     common_predecessor,
     crit_succ,
@@ -216,9 +215,15 @@ def test_crit_succ_composition_with_expressible_boxes():
                 assert crit_succ(g, c, e), (c, g, d, e)
 
 
+def _walked(answer):
+    # the theories of a fresh-candidate answer, in preference order
+    index, mask = answer
+    return list(index.preferred(mask))
+
+
 def _problem_candidates(g, nf):
     # the fresh witnesses of a problem at the root of a one-world frame
-    return fresh_candidate_theories(seed_frame(g.adequate, ILM, g), Problem("w0", nf))
+    return _walked(fresh_candidate_theories(seed_frame(g.adequate, ILM, g), Problem("w0", nf)))
 
 
 def _deficiency_candidates(g, d, cd, label=None):
@@ -230,7 +235,7 @@ def _deficiency_candidates(g, d, cd, label=None):
     F.R = {("x", "y")}
     if label is not None:
         F.edge_label[("x", "y")] = label
-    return fresh_candidate_theories(F, Deficiency("x", "y", cd))
+    return _walked(fresh_candidate_theories(F, Deficiency("x", "y", cd)))
 
 
 def test_fresh_problem_rhd():
@@ -408,7 +413,8 @@ def _check_against_reference(D, rng, queries, least):
             # narrowing a shared base gives the same answer as one query
             cut = rng.randrange(len(cs) + 1)
             q = TheoryQuery(D, logic, cs[:cut]).where(cs[cut:])
-            assert [_assignment(t) for t in q] == want
+            index, mask = q.answers()
+            assert [_assignment(t) for t in index.walk(mask)] == want
             assert q.is_empty() == (not want)
 
 
@@ -447,7 +453,7 @@ def test_index_bits_match_evaluation(seed):
     for logic in (IL, ILM):
         queries = (TheoryQuery(big, logic, _random_constraints(rng, big, 3)) for _ in range(50))
         above = next(q for q in queries if not q.is_empty())
-        for index in (theory._theory_index(small, logic), above._answers()[0]):
+        for index in (theory._theory_index(small, logic), above.answers()[0]):
             keys, D = list(index.keys), index.adequate
             assert all(a < b for a, b in zip(keys, keys[1:]))
             rows = [j for j in range(len(keys)) if index.valid >> j & 1]
@@ -473,7 +479,7 @@ def test_a_cube_mask_is_the_rows_agreeing_with_its_reads(seed):
     for logic in (IL, ILM):
         queries = (TheoryQuery(big, logic, _random_constraints(rng, big, 3)) for _ in range(50))
         above = next(q for q in queries if not q.is_empty())
-        for index in (theory._theory_index(small, logic), above._answers()[0]):
+        for index in (theory._theory_index(small, logic), above.answers()[0]):
             rows = list(index.rows(index.valid))
             for _ in range(4):
                 t = LoggedTheory(index.theory(rng.choice(rows)))
@@ -496,18 +502,18 @@ def test_rows_are_a_masks_set_bits_ascending():
 
 
 def test_an_empty_answer_above_the_cap():
-    # no `_solve` answer: an index with no row, so every mask is 0, the
-    # view has length 0 and every walk is empty
+    # no `_solve` answer: an index with no row, so every mask is 0 and
+    # every walk is empty
     D = _seeded_adequate(0, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)
     a = D.modal_atoms[0]
     for cs in ([(BOT, True)], [(a, True), (a, False)]):
         q = TheoryQuery(D, ILM, cs)
-        index, mask = q._answers()
+        index, mask = q.answers()
         assert (list(index.keys), mask, index.full) == ([], 0, 0)
         assert not any(index.levels) and not any(index.mask(f) for f in D.sorted_members)
-        assert list(q) == list(solve_theories(D, ILM, cs, walk=iter)) == []
-        view = q.preferred_where(lambda boxes: True, {}, lambda k, boxes: True)
-        assert isinstance(view, TheoryView) and len(view) == 0 and list(view) == []
+        assert list(index.walk(mask)) == list(index.preferred(mask)) == []
+        preferred = solve_theories(D, ILM, cs, walk=theory._TheoryIndex.preferred)
+        assert list(solve_theories(D, ILM, cs)) == list(preferred) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -534,11 +540,12 @@ def test_index_builds_only_the_theories_walked(monkeypatch):
     monkeypatch.setattr(DTheory, "__init__", counting)
     q = TheoryQuery(D, ILM, [(D.modal_atoms[0], True), (D.modal_atoms[-1], False)])
     assert not q.is_empty() and not built
-    ts = list(q)
+    index, mask = q.answers()
+    ts = list(index.walk(mask))
     assert len(built) == len(ts)
     assert len(ts) < bin(theory._theory_index(D, ILM).valid).count("1")
     # a second walk reuses the theories the first one built
-    assert list(q) == ts and len(built) == len(ts)
+    assert list(index.walk(mask)) == ts and len(built) == len(ts)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -546,27 +553,26 @@ def test_preferred_is_the_answers_in_preference_order(seed):
     # on both sides of the truth-table cap, for random, empty and
     # contradictory queries
     rng = random.Random(3000 + seed)
+    preferred = theory._TheoryIndex.preferred
     for lo, hi, least in ((9, theory._CACHE_ATOMS, 0), (theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1, 3)):
         D = _seeded_adequate(seed, lo, hi)
         for logic in (IL, ILM):
             queries = [_random_constraints(rng, D, least) for _ in range(8)]
             queries += [[(BOT, True)], [(D.modal_atoms[0], True), (D.modal_atoms[0], False)]]
             for cs in queries:
-                q = TheoryQuery(D, logic, cs)
-                want = sorted(q, key=search_preference)
-                assert list(solve_theories(D, logic, cs, walk=iter)) == want, (logic, cs)
+                want = sorted(solve_theories(D, logic, cs), key=search_preference)
+                assert list(solve_theories(D, logic, cs, walk=preferred)) == want, (logic, cs)
             if lo <= theory._CACHE_ATOMS:
-                q = TheoryQuery(D, logic)
-                assert list(solve_theories(D, logic, walk=iter)) == sorted(q, key=search_preference)
+                want = sorted(solve_theories(D, logic), key=search_preference)
+                assert list(solve_theories(D, logic, walk=preferred)) == want
 
 
 def test_preferred_builds_only_the_first_answers_level():
     D = _seeded_adequate(0, theory._CACHE_ATOMS, theory._CACHE_ATOMS)
-    q = TheoryQuery(D, ILM)
-    levels = {search_preference(t)[0] for t in q}
+    levels = {search_preference(t)[0] for t in solve_theories(D, ILM)}
     index = theory._theory_index(D, ILM)
     index._theories.clear()
-    first = next(solve_theories(D, ILM, walk=iter))
+    first = next(solve_theories(D, ILM, walk=theory._TheoryIndex.preferred))
     level = search_preference(first)[0]
     assert level == min(levels) and len(levels) > 1
     # one theory of that level, and none of any other
@@ -595,10 +601,11 @@ def test_candidate_memo_follows_frame_content():
     root = next(iter(enumerate_theories(D, include=[parse("~(p |> q)")])))
     F = seed_frame(D, ILM, root)
     item = F.worklist[0]
-    cands = fresh_candidate_theories(F, item)
+    answer = fresh_candidate_theories(F, item)
+    cands = _walked(answer)
     assert cands
-    assert fresh_candidate_theories(F, item) is cands
-    assert fresh_candidate_theories(F.copy(), item) is cands
+    assert fresh_candidate_theories(F, item) is answer
+    assert fresh_candidate_theories(F.copy(), item) is answer
     # a new predecessor of the item's world adds an obligation that removes
     # the candidates carrying r: the copy must not get its parent's list
     r = Atom("r")
@@ -607,23 +614,24 @@ def test_candidate_memo_follows_frame_content():
     w = g.add_world(root, obligations=[Neg(r)])
     g.R.add((w, item.world))
     got = fresh_candidate_theories(g, item)
-    assert got is not cands
-    assert got and not any(t.models(r) for t in got)
+    assert got is not answer
+    ts = _walked(got)
+    assert ts and not any(t.models(r) for t in ts)
     # and the memoised answer is the one a cold computation gives
     D._sat_cache.pop(("__candidates__", ILM))
-    assert fresh_candidate_theories(g, item) == got
+    assert _walked(fresh_candidate_theories(g, item)) == ts
 
 
 def test_fresh_candidates_above_the_cap_are_a_view(monkeypatch):
     # without a truth table the answer is a mask over the index of one
-    # `_solve` call's answers too, so its length is the mask's popcount
+    # `_solve` call's answers too, so its count is the mask's popcount
     monkeypatch.setattr(theory, "_CACHE_ATOMS", 0)
     D = adequate_closure([parse("~(p |> q)"), parse("[]~r")])
     root = next(iter(enumerate_theories(D, include=[parse("~(p |> q)")])))
     F = seed_frame(D, ILM, root)
-    got = fresh_candidate_theories(F, F.worklist[0])
-    assert isinstance(got, TheoryView)
-    assert len(got) == got.mask.bit_count() == len(list(got)) > 0
+    index, mask = fresh_candidate_theories(F, F.worklist[0])
+    assert isinstance(index, theory._TheoryIndex)
+    assert mask.bit_count() == len(list(index.preferred(mask))) > 0
     assert theory._theory_index(D, ILM) is None
 
 
