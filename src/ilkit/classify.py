@@ -223,7 +223,7 @@ _WITNESS_CAP = 400
 
 
 def _witness_candidates(f: Formula) -> Iterator[Formula]:
-    subs = sorted(subformulas(f), key=lambda g: g.key())
+    subs = sorted(subformulas(f), key=Formula.key)
     base = [Top(), BOT] + subs + [Neg(s) for s in subs if not is_neg(s)]
     pool = list(dict.fromkeys(base))
     # built lazily: the witness loop mostly stops long before the cap
@@ -414,7 +414,7 @@ def canonical_modal_dnf(f: Formula) -> TsgDecomposition:
     """Reduced disjunctive normal form over the (at most 14) modal atoms of
     f, with the positive boxes of each disjunct merged into one box.
     Disjuncts that cannot fit the required shape are flagged, not repaired."""
-    modal = sorted(modal_atoms_of(f), key=lambda g: g.key())
+    modal = sorted(modal_atoms_of(f), key=Formula.key)
     n = len(modal)
     if n > 14:
         raise ValueError(f"too many modal atoms ({n})")

@@ -407,7 +407,7 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     eff: dict[str, list[Formula]] = {}
     for (x, y) in edges:
         if x not in eff:
-            eff[x] = sorted(F.effective_obligations(x), key=lambda f: f.key())
+            eff[x] = sorted(F.effective_obligations(x), key=Formula.key)
         for o in eff[x]:
             if not F.nu[y].models(o):
                 out.append(f"obligation {render(o)} of {x} fails at {y}")
@@ -538,7 +538,7 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
     x's ancestors that already contain x. Kept per frame and world."""
     got = F._constraints.get(x)
     if got is None:
-        extra = [(o, True) for o in sorted(F.effective_obligations(x), key=lambda f: f.key())]
+        extra = [(o, True) for o in sorted(F.effective_obligations(x), key=Formula.key)]
         adj = _adjacency(F)
         back = adj.pred.get(x, ())
         for a in F.worlds:

@@ -48,12 +48,11 @@ def _forget(ref: weakref.KeyedRef) -> None:
         del _NODES[ref.key]
 
 
-def _new(key: tuple, *fields: str) -> Formula:
-    """A node of class key[0] whose fields hold key[1:], put in the table."""
+def _new(key: tuple, size: int) -> Formula:
+    """A node of class key[0] and the given size, put in the table; the
+    caller sets its fields."""
     node = object.__new__(key[0])
-    node._render, node.size = None, 1 if key[0] is Atom else 1 + sum(a.size for a in key[1:])
-    for name, value in zip(fields, key[1:]):
-        setattr(node, name, value)
+    node._render, node.size = None, size
     _NODES[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -74,15 +73,27 @@ class Atom(Formula):
         ref = _NODES.get((cls, name))
         if ref is None and (not cls._NAME.match(name) or name in ("bot", "top")):
             raise ValueError(f"bad atom name: {name!r}")
-        return (ref and ref()) or _new((cls, name), "name")
+        node = ref and ref()
+        if node is None:
+            node = _new((cls, name), 1)
+            node.name = name
+        return node
 
 
 class _Binary(Formula):
     __slots__ = ("left", "right")
 
     def __new__(cls, left: Formula, right: Formula):
-        ref = _NODES.get((cls, left, right))
-        return (ref and ref()) or _new((cls, left, right), "left", "right")
+        # built inline: closure makes one implication per fresh negation
+        key = (cls, left, right)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            node._render, node.size = None, 1 + left.size + right.size
+            node.left, node.right = left, right
+            _NODES[key] = weakref.KeyedRef(node, _forget, key)
+        return node
 
 
 class Implies(_Binary):
@@ -98,10 +109,14 @@ class Box(Formula):
 
     def __new__(cls, body: Formula):
         ref = _NODES.get((cls, body))
-        return (ref and ref()) or _new((cls, body), "body")
+        node = ref and ref()
+        if node is None:
+            node = _new((cls, body), 1 + body.size)
+            node.body = body
+        return node
 
 
-BOT = _new((Bot,))
+BOT = _new((Bot,), 1)
 
 
 def Neg(a: Formula) -> Formula:
@@ -173,15 +188,17 @@ def is_rhd_free(f: Formula) -> bool:
     return not any(isinstance(g, Rhd) for g in subformulas(f))
 
 
-def _boolean_kids(f: Formula) -> tuple[Formula, ...]:
-    return (f.left, f.right) if isinstance(f, Implies) else ()
-
-
 def modal_atoms_of(*fs: Formula) -> frozenset[Formula]:
     """Maximal non-Boolean subformulas of fs: atoms, boxes and rhds reached
     by decomposing implications only."""
-    reached = reach(fs, _boolean_kids)
-    return frozenset(g for g in reached if not isinstance(g, (Bot, Implies)))
+    seen, stack = set(), list(fs)
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen.add(g)
+            if type(g) is Implies:
+                stack += (g.left, g.right)
+    return frozenset(g for g in seen if type(g) is not Implies and g is not BOT)
 
 
 def eval3(f: Formula, assign) -> bool | None:
@@ -298,28 +315,43 @@ def fresh_atoms(avoid: Formula, n: int) -> list[Formula]:
 class AdequateSet:
     """A finite set of formulas closed under subformulas and single
     negations. The closure step treats ~ as primitive: negations added for
-    closure do not re-trigger subformula closure."""
+    closure do not re-trigger subformula closure.
+
+    Only the modal atoms are sorted (by `Formula.key`) at construction;
+    `boxed_members`, `rhd_atoms` and `existential_atoms` filter them, so
+    they share that order. `sorted_members`, all members in key order, is
+    built on first use: the key renders a formula, and most members (the
+    fresh negations) are never printed. `modal_atoms`, when given, must be
+    `modal_atoms_of(*members)`; `adequate_closure` passes the ones it met
+    on its walk."""
 
     __slots__ = (
-        "members", "sorted_members", "modal_atoms", "boxed_members",
+        "members", "_sorted_members", "modal_atoms", "boxed_members",
         "rhd_atoms", "existential_atoms", "_sat_cache",
     )
 
-    def __init__(self, members: Iterable[Formula]):
+    def __init__(self, members: Iterable[Formula], modal_atoms: Iterable[Formula] | None = None):
         self.members = frozenset(members)
-        self.sorted_members = tuple(sorted(self.members, key=lambda f: f.key()))
-        self.modal_atoms = tuple(sorted(modal_atoms_of(*self.members), key=lambda f: f.key()))
-        self.boxed_members = tuple(f for f in self.sorted_members if isinstance(f, Box))
-        # the rhd atoms, and the rhd and box atoms, each in modal-atom order
-        self.rhd_atoms = tuple(a for a in self.modal_atoms if isinstance(a, Rhd))
-        self.existential_atoms = tuple(a for a in self.modal_atoms if isinstance(a, (Rhd, Box)))
+        self._sorted_members = None
+        if modal_atoms is None:
+            modal_atoms = modal_atoms_of(*self.members)
+        self.modal_atoms = atoms = tuple(sorted(modal_atoms, key=Formula.key))
+        self.boxed_members = tuple(a for a in atoms if isinstance(a, Box) and a in self.members)
+        self.rhd_atoms = tuple(a for a in atoms if isinstance(a, Rhd))
+        self.existential_atoms = tuple(a for a in atoms if isinstance(a, (Rhd, Box)))
         self._sat_cache = {}
+
+    @property
+    def sorted_members(self) -> tuple[Formula, ...]:
+        if self._sorted_members is None:
+            self._sorted_members = tuple(sorted(self.members, key=Formula.key))
+        return self._sorted_members
 
     def __contains__(self, f: Formula) -> bool:
         return f in self.members
 
     def __len__(self) -> int:
-        return len(self.sorted_members)
+        return len(self.members)
 
     def __eq__(self, other):
         return isinstance(other, AdequateSet) and self.members == other.members
@@ -331,15 +363,24 @@ class AdequateSet:
         return f"AdequateSet({len(self)} formulas)"
 
 
-def _closure_kids(f: Formula) -> tuple[Formula, ...]:
-    return (f.left,) if is_neg(f) else _kids(f)
-
-
 def adequate_closure(seed: Iterable[Formula]) -> AdequateSet:
     """Smallest superset of `seed` closed under subformulas and single
-    negations. Idempotent and monotone."""
-    subs = reach(seed, _closure_kids)
-    return AdequateSet(subs | {Neg(f) for f in subs if not is_neg(f)})
+    negations. Idempotent and monotone. One walk from an explicit stack
+    collects the subformulas, reading ~g as primitive (it pushes only g),
+    and the modal atoms among them; then each member that is not a
+    negation gets its negation."""
+    subs, modal, stack = set(), [], list(seed)
+    while stack:
+        f = stack.pop()
+        if f not in subs:
+            subs.add(f)
+            if type(f) is Implies:
+                stack += (f.left,) if f.right is BOT else (f.left, f.right)
+            elif f is not BOT:
+                modal.append(f)
+                stack += _kids(f)
+    subs.update([Implies(f, BOT) for f in subs if type(f) is not Implies or f.right is not BOT])
+    return AdequateSet(subs, modal)
 
 
 # --- parsing ---------------------------------------------------------------

@@ -152,7 +152,7 @@ class DTheory:
         return hash(self._key)
 
     def __repr__(self):
-        shown = ", ".join(repr(f) for f in sorted(self.members, key=lambda g: g.key()))
+        shown = ", ".join(repr(f) for f in sorted(self.members, key=Formula.key))
         return f"DTheory({{{shown}}})"
 
 
@@ -200,6 +200,8 @@ def saturation_constraints(D: AdequateSet, logic: str) -> tuple[Formula, ...]:
         by_type.setdefault(type(f), []).append(f)
     out: list[Formula] = []
     for template, plan in _SATURATED[logic]:
+        if any(type(g) not in by_type for g, _ in plan):
+            continue  # D has no modal atom of some type the plan reads
         bindings: list[dict[str, Formula]] = [{}]
         for g, bound in plan:
             if bound:

@@ -3,6 +3,8 @@ corpora are identical across runs."""
 
 import functools
 import itertools
+import random
+from types import SimpleNamespace
 
 from ilkit.construction import (
     _Adjacency,
@@ -23,11 +25,14 @@ from ilkit.syntax import (
     Neg,
     Or,
     Rhd,
-    _closure_kids,
     _kids,
+    is_neg,
+    match,
+    parse,
     single_neg,
+    substitute,
 )
-from ilkit.theory import TheoryQuery, _succ_constraints, crit_obligations
+from ilkit.theory import _SATURATED, TheoryQuery, _succ_constraints, crit_obligations
 
 
 def search_preference(t):
@@ -89,6 +94,77 @@ def depth(F):
 
 def modal_depth(f):
     return fold([f], _kids, lambda g, ds: max(ds, default=0) + isinstance(g, (Box, Rhd)), {})[f]
+
+
+def _closure_kids(f):
+    return (f.left,) if is_neg(f) else _kids(f)
+
+
+def boolean_kids(f):
+    return (f.left, f.right) if isinstance(f, Implies) else ()
+
+
+def reference_adequate_closure(seed):
+    """The adequate set of `seed` as `reach` over closure kids, with every
+    field of `syntax.AdequateSet` built eagerly: all members sorted by
+    key, the modal atoms found by decomposing implications, and the boxes
+    filtered from the sorted members."""
+    subs = reach(seed, _closure_kids)
+    members = frozenset(subs | {Neg(f) for f in subs if not is_neg(f)})
+    modal = [g for g in reach(members, boolean_kids) if not isinstance(g, Implies) and g != BOT]
+    modal_atoms = tuple(sorted(modal, key=lambda f: f.key()))
+    sorted_members = tuple(sorted(members, key=lambda f: f.key()))
+    return SimpleNamespace(
+        members=members,
+        sorted_members=sorted_members,
+        modal_atoms=modal_atoms,
+        boxed_members=tuple(f for f in sorted_members if isinstance(f, Box)),
+        rhd_atoms=tuple(a for a in modal_atoms if isinstance(a, Rhd)),
+        existential_atoms=tuple(a for a in modal_atoms if isinstance(a, (Rhd, Box))),
+    )
+
+
+def reference_saturation_constraints(D, logic):
+    """`theory.saturation_constraints` tries every template of the logic:
+    the bindings of each plan step are filtered by lookup or extended by
+    matching the modal atoms of the step's type, with no cache."""
+    by_type = {}
+    for f in D.modal_atoms:
+        by_type.setdefault(type(f), []).append(f)
+    out = []
+    for template, plan in _SATURATED[logic]:
+        bindings = [{}]
+        for g, bound in plan:
+            if bound:
+                bindings = [b for b in bindings if substitute(g, b) in D.members]
+            else:
+                bindings = [
+                    got
+                    for b in bindings
+                    for f in by_type.get(type(g), ())
+                    if (got := match(g, f, b)) is not None
+                ]
+        out.extend(substitute(template, b) for b in bindings)
+    return tuple(dict.fromkeys(out))
+
+
+def closure_seeds():
+    """Seeded queries for the adequate-set references: random formulas
+    without rhds (GL) and with them (IL, ILM), rhd-free and box-free ones,
+    one with neither, and a 3,000-deep chain of boxes, implications and
+    negations."""
+    rng = random.Random(34)
+    seeds = [
+        [random_formula(rng, depth, allow_rhd=rhd)]
+        for depth in (1, 2, 3)
+        for rhd in (False, True)
+        for _ in range(40)
+    ]
+    seeds += [[parse(t)] for t in ("[]p -> [][]p", "p |> q -> (p & r) |> ~q", "p -> q & ~r", "bot")]
+    f = Atom("p")
+    for i in range(3000):
+        f = (Box(f), Implies(f, Atom("q")), Neg(f))[i % 3]
+    return seeds + [[f]]
 
 
 def closure_subformulas(f):

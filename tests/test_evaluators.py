@@ -10,7 +10,7 @@ a theory's values), `semantics._extensions` (forcing, the truth lemma and
 import random
 
 import pytest
-from conftest import random_formula, random_transitive_dag, reference_value
+from conftest import boolean_kids, random_formula, random_transitive_dag, reference_value
 
 from ilkit.construction import close_frame
 from ilkit.relation import reach
@@ -22,7 +22,6 @@ from ilkit.syntax import (
     Implies,
     Neg,
     Rhd,
-    _boolean_kids,
     adequate_closure,
     boolean_masks,
     eval3,
@@ -64,13 +63,13 @@ def test_every_subformula_enters_the_map():
     rng = random.Random(32)
     for _ in range(200):
         f = random_formula(rng, 3)
-        modal = sorted(reach([f], _boolean_kids) - {BOT}, key=lambda g: g.key())
+        modal = sorted(reach([f], boolean_kids) - {BOT}, key=lambda g: g.key())
         modal = [g for g in modal if not isinstance(g, Implies)]
         rows = [{a: bool(r >> i & 1) for i, a in enumerate(modal)} for r in range(1 << len(modal))]
         masks = {a: sum(1 << r for r, row in enumerate(rows) if row[a]) for a in modal}
         got = boolean_masks([f], (1 << len(rows)) - 1, masks)
         assert got is masks
-        boolean = reach([f], _boolean_kids)
+        boolean = reach([f], boolean_kids)
         assert boolean <= got.keys()
         for g in boolean:
             assert got[g] == sum(1 << r for r, row in enumerate(rows) if reference_value(g, row))

@@ -4,7 +4,14 @@ import pickle
 import sys
 
 import pytest
-from conftest import closure_subformulas, modal_depth, reference_depth, reference_value
+from conftest import (
+    closure_seeds,
+    closure_subformulas,
+    modal_depth,
+    reference_adequate_closure,
+    reference_depth,
+    reference_value,
+)
 from hypothesis import given, strategies as st
 
 from ilkit import syntax
@@ -240,6 +247,26 @@ def test_closure_size_bound():
 def test_boxed_members_cache():
     d = adequate_closure([parse("[]p -> [][]p")])
     assert set(d.boxed_members) == {f for f in d.members if isinstance(f, Box)}
+
+
+def test_adequate_closure_matches_the_eager_reference():
+    for seed in closure_seeds():
+        D, ref = adequate_closure(seed), reference_adequate_closure(seed)
+        assert D.members == ref.members and len(D) == len(ref.members)
+        for field in ("modal_atoms", "boxed_members", "rhd_atoms", "existential_atoms"):
+            assert getattr(D, field) == getattr(ref, field), field
+        assert D.sorted_members == ref.sorted_members
+
+
+def test_building_an_adequate_set_renders_only_its_modal_atoms():
+    # fresh atom names, so no node here was rendered before; the modal
+    # atoms' sort key renders them and the subformulas inside them
+    f = parse("(xrender_a -> []~xrender_b) |> xrender_c -> ~[](xrender_a & xrender_c)")
+    D = adequate_closure([f])
+    inside = set().union(*map(subformulas, D.modal_atoms))
+    assert {g for g in D.members if g._render is not None} <= inside
+    assert f._render is None and Neg(f)._render is None
+    assert len(D.sorted_members) == len(D) and f._render is not None
 
 
 def test_fresh_atoms():

@@ -3,7 +3,14 @@ import itertools
 import random
 
 import pytest
-from conftest import neg_chain, random_formula, reference_value, search_preference
+from conftest import (
+    closure_seeds,
+    neg_chain,
+    random_formula,
+    reference_saturation_constraints,
+    reference_value,
+    search_preference,
+)
 
 from ilkit import syntax, theory
 from ilkit.construction import (
@@ -14,7 +21,7 @@ from ilkit.construction import (
     seed_frame,
 )
 from ilkit.decide import axiom_instance
-from ilkit.semantics import IL, ILM
+from ilkit.semantics import GL, IL, ILM
 from ilkit.syntax import (
     BOT,
     And,
@@ -142,6 +149,13 @@ def test_saturation_matches_brute_force():
             got = saturation_constraints(D, logic)
             assert len(set(got)) == len(got)
             assert set(got) == want, (D.sorted_members, logic)
+
+
+def test_saturation_matches_the_reference_that_tries_every_template():
+    for seed in closure_seeds():
+        D = adequate_closure(seed)
+        for logic in (GL, IL, ILM):
+            assert saturation_constraints(D, logic) == reference_saturation_constraints(D, logic)
 
 
 def test_succ():
