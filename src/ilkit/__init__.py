@@ -42,7 +42,6 @@ from .theory import (
     box_incl,
     common_predecessor,
     crit_succ,
-    enumerate_theories,
     succ,
 )
 from .construction import (

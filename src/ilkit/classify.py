@@ -362,23 +362,20 @@ class TsgDecomposition(NamedTuple):
 
 def _prime_implicants(n_atoms: int, minterms: list[int]) -> list[tuple[int, int]]:
     """Quine-McCluskey merge; implicants as (value, mask) with mask bits 1
-    where the atom is fixed."""
+    where the atom is fixed and value bits 0 where it is free. An
+    implicant's one partner on a fixed bit it has false is the implicant
+    with that bit true, so each merge is one set lookup."""
     full = (1 << n_atoms) - 1
     level = {(m, full) for m in minterms}
     primes: set[tuple[int, int]] = set()
     while level:
         merged: set[tuple[int, int]] = set()
         used: set[tuple[int, int]] = set()
-        items = sorted(level)
-        for i, (v1, m1) in enumerate(items):
-            for v2, m2 in items[i + 1 :]:
-                if m1 != m2:
-                    continue
-                diff = v1 ^ v2
-                if diff and (diff & (diff - 1)) == 0:
-                    merged.add((v1 & ~diff, m1 & ~diff))
-                    used.add((v1, m1))
-                    used.add((v2, m2))
+        for v, mask in level:
+            for bit in (1 << i for i in range(n_atoms)):
+                if mask & ~v & bit and (v | bit, mask) in level:
+                    merged.add((v, mask ^ bit))
+                    used.update(((v, mask), (v | bit, mask)))
         primes |= level - used
         level = merged
     return sorted(primes)

@@ -290,16 +290,21 @@ def model_from_json(text: str) -> VeltmanModel:
     return model_from_dict(json.loads(text))
 
 
+def _dot_escaped(name: str) -> str:
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def model_to_dot(model: VeltmanModel) -> str:
     """DOT export: R solid, S_x dashed labeled x, worlds labeled with their
-    true atoms."""
+    true atoms. Every name is escaped for a DOT quoted string."""
+    e = _dot_escaped
     lines = ["digraph veltman {"]
     for w in sorted(model.frame.worlds):
         tru = ",".join(sorted(model.val.get(w, ())))
-        lines.append(f'  "{w}" [label="{w}\\n{{{tru}}}"];')
+        lines.append(f'  "{e(w)}" [label="{e(w)}\\n{{{e(tru)}}}"];')
     for x, y in sorted(model.frame.R):
-        lines.append(f'  "{x}" -> "{y}";')
+        lines.append(f'  "{e(x)}" -> "{e(y)}";')
     for x, y, z in sorted(model.frame.S):
-        lines.append(f'  "{y}" -> "{z}" [style=dashed, label="{x}"];')
+        lines.append(f'  "{e(y)}" -> "{e(z)}" [style=dashed, label="{e(x)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -221,15 +221,14 @@ def saturation_constraints(D: AdequateSet, logic: str) -> tuple[Formula, ...]:
 
 def _solve(
     D: AdequateSet, logic: str, constraints: Iterable[tuple[Formula, bool]]
-) -> Iterator[dict[Formula, bool]]:
-    """Assignments over D's modal atoms satisfying saturation plus the given
-    (formula, value) constraints. Atoms are assigned rhds first, then
-    boxes, then propositional atoms, each kind in modal-atom order, which
-    lets the axiom constraints prune early; the answers come in
-    lexicographic order of that atom list with False before True. A
-    constraint is evaluated (`eval3`) at the root and after each step
-    that sets one of its modal atoms, the only steps that can change its
-    value."""
+) -> Iterator[int]:
+    """The keys (as DTheory's) of the assignments over D's modal atoms
+    satisfying saturation plus the given (formula, value) constraints, each
+    built a bit at a time as its atoms are assigned: rhds first, then boxes,
+    then propositional atoms, each kind in modal-atom order, which lets the
+    axiom constraints prune early, so the keys do not come in order. A
+    constraint is evaluated (`eval3`) at the root and after each step that
+    sets one of its modal atoms, the only steps that can change its value."""
     want: dict[Formula, bool] = {}
     for f, v in constraints:
         f, v = _norm_constraint(f, v)
@@ -239,10 +238,11 @@ def _solve(
         want[f] = v
     pending = [(f, True) for f in saturation_constraints(D, logic)]
     pending.extend(want.items())
+    n = len(D.modal_atoms)
+    bit = {a: 1 << n - 1 - i for i, a in enumerate(D.modal_atoms)}
     atoms = sorted(D.modal_atoms, key=lambda a: (Rhd, Box, Atom).index(type(a)))
-    n = len(atoms)
 
-    def rec(i: int, assign: dict[Formula, bool], todo: list[tuple[Formula, bool, frozenset]]):
+    def rec(i: int, key: int, assign: dict[Formula, bool], todo: list[tuple[Formula, bool, frozenset]]):
         still = []
         for c in todo:
             f, v, deps = c
@@ -252,15 +252,15 @@ def _solve(
             elif got != v:
                 return
         if i == n:
-            yield dict(assign)
+            yield key
             return
         a = atoms[i]
-        for val in (False, True):
+        for val, k in ((False, key), (True, key | bit[a])):
             assign[a] = val
-            yield from rec(i + 1, assign, still)
+            yield from rec(i + 1, k, assign, still)
         del assign[a]
 
-    yield from rec(0, {}, [(f, v, modal_atoms_of(f)) for f, v in pending])
+    yield from rec(0, 0, {}, [(f, v, modal_atoms_of(f)) for f, v in pending])
 
 
 class _RowTheories(dict):
@@ -268,8 +268,7 @@ class _RowTheories(dict):
 
     __slots__ = ("adequate", "row_keys")
 
-    def __init__(self, D: AdequateSet, keys: Sequence[int], theories: Iterable[DTheory]):
-        super().__init__(enumerate(theories))
+    def __init__(self, D: AdequateSet, keys: Sequence[int]):
         self.adequate, self.row_keys = D, keys
 
     def __missing__(self, j: int) -> DTheory:
@@ -290,18 +289,18 @@ class _TheoryIndex:
     atoms, so walking the levels in turn, each in key order (`preferred`),
     is preference order: fewest false rhd and box atoms (each an
     existential still to witness) first, then by key. `theory(j)` is row
-    j's DTheory, unless given built from its key's bits on first use.
+    j's DTheory, built from its key's bits on first use.
     Masks never go through DTheory.models, so a theory's value map holds
     only its modal atoms."""
 
     __slots__ = ("adequate", "keys", "full", "valid", "levels", "theory", "_masks", "_theories")
 
-    def __init__(self, D: AdequateSet, keys: Sequence[int], masks, constraints=(), theories=()):
+    def __init__(self, D: AdequateSet, keys: Sequence[int], masks, constraints=()):
         self.adequate, self.keys = D, keys
         self.full = (1 << len(keys)) - 1
         self._masks: dict[Formula, int] = dict(zip(D.modal_atoms, masks))
         self.valid = self.narrow(self.full, constraints)
-        self._theories = _RowTheories(D, keys, theories)
+        self._theories = _RowTheories(D, keys)
         self.theory = self._theories.__getitem__  # no Python call for a built row
         # a bit-parallel count of the false rhd and box atoms, one atom at
         # a time: a row moves up a level where the atom is false
@@ -370,7 +369,7 @@ class TheoryQuery:
     mask over the truth table, and `where` ANDs only the new constraints,
     so a base shared by many candidates is built once. Above the cap it
     keeps its constraints, `where` and `is_empty` use the early-exit
-    `_solve`, and an answer indexes one `_solve` call's theories."""
+    `_solve`, and an answer indexes one `_solve` call's keys."""
 
     __slots__ = ("adequate", "logic", "_index", "_mask", "_constraints")
 
@@ -403,17 +402,16 @@ class TheoryQuery:
         return next(_solve(self.adequate, self.logic, self._constraints), None) is None
 
     def answers(self) -> tuple[_TheoryIndex, int]:
-        """(index, mask) of the answers. Above the cap the index is new,
-        with a row and a theory per `_solve` answer, all in the mask."""
+        """(index, mask) of the answers. Above the cap the index is new: its
+        rows are one `_solve` call's keys, sorted, all in the mask."""
         if self._index is not None:
             return self._index, self._mask
         D = self.adequate
-        ts = sorted((DTheory(D, a) for a in _solve(D, self.logic, self._constraints)), key=DTheory.key)
-        keys, n = [t.key() for t in ts], len(D.modal_atoms)
+        keys, n = sorted(_solve(D, self.logic, self._constraints)), len(D.modal_atoms)
         # atom i's mask: column i of the keys' bits, the last row first
         cols = zip(*(f"{k:0{n}b}" for k in reversed(keys)))
         masks = [int("".join(c), 2) for c in cols] or [0] * n
-        index = _TheoryIndex(D, keys, masks, theories=ts)
+        index = _TheoryIndex(D, keys, masks)
         return index, index.valid
 
 
@@ -439,9 +437,9 @@ def enumerate_theories(
     logic: str = ILM,
 ) -> Iterator[DTheory]:
     """Every DTheory consistent with the membership/exclusion constraints,
-    in key order; empty stream if unsatisfiable. No part of ilkit calls
-    it: it stays because the package exports it and the benchmark's
-    tracer wraps it by name."""
+    in key order; empty stream if unsatisfiable. Neither ilkit nor its
+    tests call it, and the package does not export it: it stays only
+    because the benchmark's tracer wraps it by name."""
     cs = [(f, True) for f in include] + [(f, False) for f in exclude]
     return solve_theories(D, logic, cs)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -400,6 +401,32 @@ def test_dnf_cover_without_essential_primes():
     assert set().union(*covered) == minterms
     for i, c in enumerate(covered):
         assert c - set().union(*covered[:i], *covered[i + 1 :]), d.conjuncts[i]
+
+
+def _brute_force_primes(n, minterms):
+    """Every cube over n atoms (each atom false, true or free: 3^n cubes)
+    whose rows all lie in minterms, kept when freeing any one of its fixed
+    atoms gives a cube that does not."""
+    ms = set(minterms)
+    cubes = {
+        (sum(1 << i for i, d in enumerate(ds) if d == 1), sum(1 << i for i, d in enumerate(ds) if d is not None))
+        for ds in itertools.product((0, 1, None), repeat=n)
+    }
+    implicants = {(v, mask) for v, mask in cubes if all(r in ms for r in range(1 << n) if r & mask == v)}
+    return sorted(
+        (v, mask)
+        for v, mask in implicants
+        if not any((v & ~(1 << i), mask & ~(1 << i)) in implicants for i in range(n) if mask >> i & 1)
+    )
+
+
+def test_prime_implicants_match_brute_force():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        density = rng.random()
+        minterms = [m for m in range(1 << n) if rng.random() < density]
+        assert _prime_implicants(n, minterms) == _brute_force_primes(n, minterms), (n, minterms)
 
 
 def test_package_attribute_lookup():

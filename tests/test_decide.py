@@ -89,6 +89,27 @@ def test_derivable_25_atom_gl_theorem(monkeypatch):
     assert derivable(GL, f) == Derivable()
 
 
+def test_refuting_a_wide_conjunction_builds_only_the_roots_it_tries(monkeypatch):
+    # ~(p0 & ... & p13) has 2^14 - 1 roots, one per `_solve` answer above
+    # the truth-table cap; the first one tried has a model, so the search
+    # builds a handful of theories, not one per root
+    from ilkit import decide, theory
+
+    monkeypatch.setattr(theory, "_CACHE_ATOMS", 13)
+    monkeypatch.setattr(decide, "_sat_cache", {})
+    built = []
+    init = theory.DTheory.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(theory.DTheory, "__init__", counting)
+    v = derivable(ILM, parse(" & ".join(f"p{i}" for i in range(14))))
+    assert isinstance(v, Refuted)
+    assert 0 < len(built) <= 4, len(built)
+
+
 def test_refuted_with_chain_certificate():
     v = derivable(GL, parse("p -> []p"))
     assert isinstance(v, Refuted)
@@ -553,22 +574,23 @@ def test_nogoods_build_no_theory_for_a_row_passed_over(monkeypatch):
     # without an observer: the nogood walk builds a row's theory only to
     # try it or to ask the rhd lookahead about it, never for a row a cube
     # or a dropped class passed over. An observer is shown every such row,
-    # so with one the walk builds more
+    # so with one the walk builds more. Both hold on tables and above the
+    # truth-table cap, where every row is one `_solve` answer's key
     import ilkit.construction as construction
     import ilkit.decide as decide
     import ilkit.theory as theory
 
     f = Neg(parse("(p |> q) & (q |> r) & (r |> s) & (s |> t) -> p |> t"))
     built, needed = [], []
-    real_build, real_lookahead, real_logged = (
-        theory._RowTheories.__missing__,
+    real_init, real_lookahead, real_logged = (
+        theory.DTheory.__init__,
         construction._rhd_lookahead,
         construction.LoggedTheory,
     )
 
-    def build(rows, j):
-        built.append(real_build(rows, j))
-        return built[-1]
+    def build(t, *args):
+        built.append(t)
+        real_init(t, *args)
 
     def lookahead(F, item):
         keep = real_lookahead(F, item)
@@ -578,18 +600,22 @@ def test_nogoods_build_no_theory_for_a_row_passed_over(monkeypatch):
         needed.append(t)
         return real_logged(t)
 
-    monkeypatch.setattr(theory._RowTheories, "__missing__", build)
+    monkeypatch.setattr(theory.DTheory, "__init__", build)
     monkeypatch.setattr(construction, "_rhd_lookahead", lookahead)
     monkeypatch.setattr(construction, "LoggedTheory", logged)
-    monkeypatch.setattr(decide, "_sat_cache", {})
-    assert satisfiable(IL, f) == Unsat()
-    assert built and {id(t) for t in built} <= {id(t) for t in needed}
-    quiet = len(built)
-    built.clear()
-    events = []
-    assert satisfiable(IL, f, observer=lambda ev, item, t: events.append(ev)) == Unsat()
-    assert events.count("skipped_root") and events.count("pruned")
-    assert len(built) > quiet
+    for cache_atoms in (theory._CACHE_ATOMS, 0):
+        monkeypatch.setattr(theory, "_CACHE_ATOMS", cache_atoms)
+        monkeypatch.setattr(decide, "_sat_cache", {})
+        built.clear()
+        needed.clear()
+        assert satisfiable(IL, f) == Unsat()
+        assert built and {id(t) for t in built} <= {id(t) for t in needed}
+        quiet = len(built)
+        built.clear()
+        events = []
+        assert satisfiable(IL, f, observer=lambda ev, item, t: events.append(ev)) == Unsat()
+        assert events.count("skipped_root") and events.count("pruned")
+        assert len(built) > quiet
 
 
 def _per_row_nogoods(index, mask, state, item=None, keep=None):

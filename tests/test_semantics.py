@@ -20,6 +20,7 @@ from ilkit.semantics import (
     VeltmanModel,
     forces,
     frame_validates,
+    model_from_dict,
     model_from_json,
     model_to_dot,
     model_to_json,
@@ -466,6 +467,23 @@ def test_model_dot():
     assert '"w0" -> "w1";' in dot
     assert "style=dashed" in dot
     assert "digraph" in dot
+
+
+def test_model_dot_escapes_quotes_and_backslashes():
+    # a model file may name a world or an atom with any string
+    m = model_from_dict(
+        {"worlds": ['a"x', "b\\", "c"], "R": [['a"x', "b\\"]], "S": [['a"x', "b\\", "b\\"]],
+         "val": {'a"x': ['p"q', "r\\"]}}
+    )
+    assert model_to_dot(m).splitlines() == [
+        "digraph veltman {",
+        '  "a\\"x" [label="a\\"x\\n{p\\"q,r\\\\}"];',
+        '  "b\\\\" [label="b\\\\\\n{}"];',
+        '  "c" [label="c\\n{}"];',
+        '  "a\\"x" -> "b\\\\";',
+        '  "b\\\\" -> "b\\\\" [style=dashed, label="a\\"x"];',
+        "}",
+    ]
 
 
 def test_forcing_at_any_depth():

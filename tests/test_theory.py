@@ -44,7 +44,6 @@ from ilkit.theory import (
     box_incl,
     common_predecessor,
     crit_succ,
-    enumerate_theories,
     saturation_constraints,
     solve_theories,
     succ,
@@ -55,7 +54,8 @@ p, q = Atom("p"), Atom("q")
 
 def theories(seed, logic=ILM, include=(), exclude=()):
     D = adequate_closure(seed)
-    return D, list(enumerate_theories(D, include=include, exclude=exclude, logic=logic))
+    cs = [(f, True) for f in include] + [(f, False) for f in exclude]
+    return D, list(solve_theories(D, logic, cs))
 
 
 def test_enumerate_single_atom():
@@ -81,8 +81,8 @@ def test_enumerate_contradiction():
 
 def test_enumeration_is_deterministic():
     D = adequate_closure([parse("[]p -> p |> q")])
-    a = [t.key() for t in enumerate_theories(D)]
-    b = [t.key() for t in enumerate_theories(D)]
+    a = [t.key() for t in solve_theories(D, ILM)]
+    b = [t.key() for t in solve_theories(D, ILM)]
     assert a == b
     assert a == sorted(a)
 
@@ -276,9 +276,7 @@ def test_fresh_problem_bot_reduces_to_succ():
 def test_fresh_problem_contradiction_empty():
     # g with []~p and ~(p |> q): successor must contain ~p yet witness p
     D = adequate_closure([parse("[]~p"), parse("p |> q")])
-    ts = list(
-        enumerate_theories(D, include=[parse("[]~p"), Neg(parse("p |> q"))])
-    )
+    ts = list(solve_theories(D, ILM, [(parse("[]~p"), True), (parse("p |> q"), False)]))
     assert ts
     for g in ts:
         assert _problem_candidates(g, Neg(Rhd(p, q))) == []
@@ -309,8 +307,8 @@ def test_fresh_deficiency_ilm():
 
 def test_fresh_deficiency_preserves_boxes():
     D = adequate_closure([parse("p |> q"), parse("[]r")])
-    g = next(iter(enumerate_theories(D, include=[parse("p |> q")])))
-    d = next(iter(enumerate_theories(D, include=[p, parse("[]r")])))
+    g = next(solve_theories(D, ILM, [(parse("p |> q"), True)]))
+    d = next(solve_theories(D, ILM, [(p, True), (parse("[]r"), True)]))
     cands = _deficiency_candidates(g, d, Rhd(p, q))
     for t in cands:
         assert t.models(parse("[]r"))
@@ -339,8 +337,8 @@ def test_relation_algebra():
 
 def test_common_predecessor():
     D = adequate_closure([p, Box(p), Box(Neg(p))])
-    d0 = next(iter(enumerate_theories(D, include=[p])))
-    d1 = next(iter(enumerate_theories(D, include=[Neg(p)])))
+    d0 = next(solve_theories(D, ILM, [(p, True)]))
+    d1 = next(solve_theories(D, ILM, [(p, False)]))
     gs = list(common_predecessor(d0, d1))
     assert gs
     for g in gs:
@@ -414,11 +412,31 @@ def _assignment(t):
     return {a: t.values[a] for a in t.adequate.modal_atoms}
 
 
+def _key_assignment(D, key):
+    """The values on D's modal atoms that a key's bits give, the first atom
+    in the most significant bit."""
+    n = len(D.modal_atoms)
+    return {a: bool(key >> n - 1 - i & 1) for i, a in enumerate(D.modal_atoms)}
+
+
+# The index tests set the truth-table cap themselves (the `cap` fixture) and
+# size their sets from it: at most _CAP modal atoms get a table, more go to
+# `_solve`. So they check both paths at a cost that does not follow the
+# module's cap.
+_CAP = 10
+
+
+@pytest.fixture
+def cap(monkeypatch):
+    monkeypatch.setattr(theory, "_CACHE_ATOMS", _CAP)
+    return _CAP
+
+
 def _check_against_reference(D, rng, queries, least):
     materialised = len(D.modal_atoms) <= theory._CACHE_ATOMS
     assert (theory._theory_index(D, ILM) is not None) == materialised
     for logic in (IL, ILM):
-        assignments = list(theory._solve(D, logic, ()))
+        assignments = [_key_assignment(D, k) for k in theory._solve(D, logic, ())]
         for _ in range(queries):
             cs = _random_constraints(rng, D, least)
             want = _linear_reference(D, assignments, cs)
@@ -433,8 +451,8 @@ def _check_against_reference(D, rng, queries, least):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_index_matches_linear_filter(seed):
-    D = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
+def test_index_matches_linear_filter(seed, cap):
+    D = _seeded_adequate(seed, 9, cap)
     _check_against_reference(D, random.Random(1000 + seed), 25, 0)
 
 
@@ -448,26 +466,30 @@ def test_index_matches_linear_filter_under_axioms(text):
 
 
 @pytest.mark.parametrize("seed", range(2))
-def test_unmaterialised_matches_linear_filter(seed):
-    D = _seeded_adequate(seed, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 2)
-    # the pruned search builds a theory per answer: keep answers few
-    _check_against_reference(D, random.Random(2000 + seed), 4, 3)
+def test_unmaterialised_matches_linear_filter(seed, cap):
+    D = _seeded_adequate(seed, cap + 1, cap + 2)
+    _check_against_reference(D, random.Random(2000 + seed), 8, 3)
+
+
+def _table_and_above(cap, seed, logic, rng):
+    """A table index and the index of a non-empty query above the cap."""
+    small = _seeded_adequate(seed, 9, cap)
+    big = _seeded_adequate(seed, cap + 1, cap + 1)
+    queries = (TheoryQuery(big, logic, _random_constraints(rng, big, 3)) for _ in range(50))
+    above = next(q for q in queries if not q.is_empty())
+    return theory._theory_index(small, logic), above.answers()[0]
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_index_bits_match_evaluation(seed):
+def test_index_bits_match_evaluation(seed, cap):
     # an index reads row j's key off keys[j]: on the truth table row j is
     # key j, above the cap a row holds one `_solve` answer. Keys ascend,
     # every member's mask holds at a valid row exactly when the recursive
     # reference makes the member true in its theory, and the row sits in
     # the level of its count of false rhd and box atoms
     rng = random.Random(4000 + seed)
-    small = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
-    big = _seeded_adequate(seed, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)
     for logic in (IL, ILM):
-        queries = (TheoryQuery(big, logic, _random_constraints(rng, big, 3)) for _ in range(50))
-        above = next(q for q in queries if not q.is_empty())
-        for index in (theory._theory_index(small, logic), above.answers()[0]):
+        for index in _table_and_above(cap, seed, logic, rng):
             keys, D = list(index.keys), index.adequate
             assert all(a < b for a, b in zip(keys, keys[1:]))
             rows = [j for j in range(len(keys)) if index.valid >> j & 1]
@@ -482,18 +504,14 @@ def test_index_bits_match_evaluation(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_a_cube_mask_is_the_rows_agreeing_with_its_reads(seed):
+def test_a_cube_mask_is_the_rows_agreeing_with_its_reads(seed, cap):
     # a nogood cube is a LoggedTheory's reads; as one mask over an index
     # (`narrow` from `full`) it holds exactly the valid rows whose theory
     # gives every read formula the value the log has, on a table and
     # above the cap
     rng = random.Random(5000 + seed)
-    small = _seeded_adequate(seed, 9, theory._CACHE_ATOMS)
-    big = _seeded_adequate(seed, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)
     for logic in (IL, ILM):
-        queries = (TheoryQuery(big, logic, _random_constraints(rng, big, 3)) for _ in range(50))
-        above = next(q for q in queries if not q.is_empty())
-        for index in (theory._theory_index(small, logic), above.answers()[0]):
+        for index in _table_and_above(cap, seed, logic, rng):
             rows = list(index.rows(index.valid))
             for _ in range(4):
                 t = LoggedTheory(index.theory(rng.choice(rows)))
@@ -515,10 +533,10 @@ def test_rows_are_a_masks_set_bits_ascending():
         assert list(theory._TheoryIndex.rows(m)) == [j for j in range(m.bit_length()) if m >> j & 1]
 
 
-def test_an_empty_answer_above_the_cap():
+def test_an_empty_answer_above_the_cap(cap):
     # no `_solve` answer: an index with no row, so every mask is 0 and
     # every walk is empty
-    D = _seeded_adequate(0, theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)
+    D = _seeded_adequate(0, cap + 1, cap + 1)
     a = D.modal_atoms[0]
     for cs in ([(BOT, True)], [(a, True), (a, False)]):
         q = TheoryQuery(D, ILM, cs)
@@ -532,18 +550,20 @@ def test_an_empty_answer_above_the_cap():
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("logic", [IL, ILM])
-def test_theories_ascend_in_member_value_order(seed, logic):
+def test_theories_ascend_in_member_value_order(seed, logic, cap):
     # key order is the order of the values on D's sorted members, on both
     # sides of the truth-table cap
-    for lo, hi in ((9, theory._CACHE_ATOMS), (theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1)):
+    for lo, hi in ((9, cap), (cap + 1, cap + 1)):
         D = _seeded_adequate(seed, lo, hi)
         values = [_member_values(D, t.values) for t in solve_theories(D, logic)]
         assert values
         assert all(a < b for a, b in zip(values, values[1:])), D.sorted_members
 
 
-def test_index_builds_only_the_theories_walked(monkeypatch):
-    D = _seeded_adequate(0, theory._CACHE_ATOMS, theory._CACHE_ATOMS)
+def test_index_builds_only_the_theories_walked(monkeypatch, cap):
+    # on a table and above the cap (the same set under a lower cap), an
+    # answer builds no theory, and a walk builds only the rows it reaches
+    D = _seeded_adequate(0, cap, cap)
     built = []
     init = DTheory.__init__
 
@@ -552,45 +572,51 @@ def test_index_builds_only_the_theories_walked(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(DTheory, "__init__", counting)
-    q = TheoryQuery(D, ILM, [(D.modal_atoms[0], True), (D.modal_atoms[-1], False)])
-    assert not q.is_empty() and not built
-    index, mask = q.answers()
-    ts = list(index.walk(mask))
-    assert len(built) == len(ts)
-    assert len(ts) < bin(theory._theory_index(D, ILM).valid).count("1")
-    # a second walk reuses the theories the first one built
-    assert list(index.walk(mask)) == ts and len(built) == len(ts)
+    table = theory._theory_index(D, ILM)
+    for cache_atoms in (cap, cap - 1):
+        monkeypatch.setattr(theory, "_CACHE_ATOMS", cache_atoms)
+        built.clear()
+        q = TheoryQuery(D, ILM, [(D.modal_atoms[0], True), (D.modal_atoms[-1], False)])
+        assert not q.is_empty() and not built
+        index, mask = q.answers()
+        assert (index is table) == (cache_atoms == cap) and not built
+        ts = list(index.walk(mask))
+        assert len(built) == len(ts)
+        assert len(ts) < bin(table.valid).count("1")
+        # a second walk reuses the theories the first one built
+        assert list(index.walk(mask)) == ts and len(built) == len(ts)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_preferred_is_the_answers_in_preference_order(seed):
+def test_preferred_is_the_answers_in_preference_order(seed, cap):
     # on both sides of the truth-table cap, for random, empty and
     # contradictory queries
     rng = random.Random(3000 + seed)
     preferred = theory._TheoryIndex.preferred
-    for lo, hi, least in ((9, theory._CACHE_ATOMS, 0), (theory._CACHE_ATOMS + 1, theory._CACHE_ATOMS + 1, 3)):
+    for lo, hi, least in ((9, cap, 0), (cap + 1, cap + 1, 3)):
         D = _seeded_adequate(seed, lo, hi)
         for logic in (IL, ILM):
             queries = [_random_constraints(rng, D, least) for _ in range(8)]
             queries += [[(BOT, True)], [(D.modal_atoms[0], True), (D.modal_atoms[0], False)]]
+            queries += [[]]
             for cs in queries:
                 want = sorted(solve_theories(D, logic, cs), key=search_preference)
                 assert list(solve_theories(D, logic, cs, walk=preferred)) == want, (logic, cs)
-            if lo <= theory._CACHE_ATOMS:
-                want = sorted(solve_theories(D, logic), key=search_preference)
-                assert list(solve_theories(D, logic, walk=preferred)) == want
 
 
-def test_preferred_builds_only_the_first_answers_level():
-    D = _seeded_adequate(0, theory._CACHE_ATOMS, theory._CACHE_ATOMS)
-    levels = {search_preference(t)[0] for t in solve_theories(D, ILM)}
-    index = theory._theory_index(D, ILM)
-    index._theories.clear()
-    first = next(solve_theories(D, ILM, walk=theory._TheoryIndex.preferred))
-    level = search_preference(first)[0]
-    assert level == min(levels) and len(levels) > 1
-    # one theory of that level, and none of any other
-    assert list(index._theories.values()) == [first]
+def test_preferred_builds_only_the_first_answers_level(monkeypatch, cap):
+    # on a table and above the cap (the same set under a lower cap)
+    D = _seeded_adequate(0, cap, cap)
+    for cache_atoms in (cap, cap - 1):
+        monkeypatch.setattr(theory, "_CACHE_ATOMS", cache_atoms)
+        levels = {search_preference(t)[0] for t in solve_theories(D, ILM)}
+        index, mask = TheoryQuery(D, ILM).answers()
+        index._theories.clear()
+        first = next(index.preferred(mask))
+        level = search_preference(first)[0]
+        assert level == min(levels) and len(levels) > 1
+        # one theory of that level, and none of any other
+        assert list(index._theories.values()) == [first]
 
 
 def test_index_leaves_theory_caches_empty():
@@ -612,7 +638,7 @@ def test_search_preference_counts_false_existentials():
 
 def test_candidate_memo_follows_frame_content():
     D = adequate_closure([parse("~(p |> q)"), parse("[]~r")])
-    root = next(iter(enumerate_theories(D, include=[parse("~(p |> q)")])))
+    root = next(solve_theories(D, ILM, [(parse("p |> q"), False)]))
     F = seed_frame(D, ILM, root)
     item = F.worklist[0]
     answer = fresh_candidate_theories(F, item)
@@ -641,7 +667,7 @@ def test_fresh_candidates_above_the_cap_are_a_view(monkeypatch):
     # `_solve` call's answers too, so its count is the mask's popcount
     monkeypatch.setattr(theory, "_CACHE_ATOMS", 0)
     D = adequate_closure([parse("~(p |> q)"), parse("[]~r")])
-    root = next(iter(enumerate_theories(D, include=[parse("~(p |> q)")])))
+    root = next(solve_theories(D, ILM, [(parse("p |> q"), False)]))
     F = seed_frame(D, ILM, root)
     index, mask = fresh_candidate_theories(F, F.worklist[0])
     assert isinstance(index, theory._TheoryIndex)
