@@ -53,6 +53,7 @@ from .syntax import (
     render,
     subformulas,
     substitute,
+    TABLE_ATOMS,
     truth_table,
 )
 from .theory import _TheoryIndex, common_predecessor, solve_theories
@@ -360,72 +361,66 @@ class TsgDecomposition(NamedTuple):
         return disj([Box(c) for c in self.boxes])
 
 
-def _prime_implicants(n_atoms: int, minterms: list[int]) -> list[tuple[int, int]]:
-    """Quine-McCluskey merge; implicants as (value, mask) with mask bits 1
-    where the atom is fixed and value bits 0 where it is free. An
-    implicant's one partner on a fixed bit it has false is the implicant
-    with that bit true, so each merge is one set lookup."""
-    full = (1 << n_atoms) - 1
-    level = {(m, full) for m in minterms}
-    primes: set[tuple[int, int]] = set()
-    while level:
-        merged: set[tuple[int, int]] = set()
-        used: set[tuple[int, int]] = set()
-        for v, mask in level:
-            for bit in (1 << i for i in range(n_atoms)):
-                if mask & ~v & bit and (v | bit, mask) in level:
-                    merged.add((v, mask ^ bit))
-                    used.update(((v, mask), (v | bit, mask)))
-        primes |= level - used
-        level = merged
-    return sorted(primes)
+def _prime_implicants(n: int, m: int) -> list[tuple[int, int, int]]:
+    """The prime implicants of the function of n atoms whose truth-table
+    mask is m (atom i holds in row r when bit i of r is set), as (value,
+    mask, rows): mask bits 1 where the atom is fixed, value bits 0 where it
+    is free, and rows the mask of the rows the implicant covers. Blake's
+    canonical form by cofactors on the last atom x: the primes of f are
+    those of f0 & f1, with x free, and c & ~x or c & x for each prime c of
+    f0 or f1 whose rows are not inside f0 & f1."""
+
+    @lru_cache(maxsize=None)
+    def primes(k: int, f: int) -> list[tuple[int, int, int]]:
+        if not k:
+            return [(0, 0, 1)] if f else []
+        x = 1 << (k - 1)  # atom k-1's bit, and the number of rows where it is false
+        f0, f1 = f & ((1 << x) - 1), f >> x
+        both = f0 & f1
+        return [
+            *((v, mask, r | r << x) for v, mask, r in primes(k - 1, both)),
+            *((v, mask | x, r) for v, mask, r in primes(k - 1, f0) if r & ~both),
+            *((v | x, mask | x, r << x) for v, mask, r in primes(k - 1, f1) if r & ~both),
+        ]
+
+    return sorted(primes(n, m))
 
 
-def _covers(imp: tuple[int, int], m: int) -> bool:
-    v, mask = imp
-    return (m & mask) == (v & mask)
-
-
-def _min_cover(primes, minterms) -> list[tuple[int, int]]:
-    remaining = set(minterms)
-    chosen: list[tuple[int, int]] = []
-    # essential primes first
-    for m in sorted(remaining):
-        hits = [p for p in primes if _covers(p, m)]
-        if len(hits) == 1 and hits[0] not in chosen:
-            chosen.append(hits[0])
-    for p in chosen:
-        remaining -= {m for m in remaining if _covers(p, m)}
-    while remaining:
-        best = max(
-            primes,
-            key=lambda p: (len({m for m in remaining if _covers(p, m)}), -p[1], -p[0]),
-        )
-        got = {m for m in remaining if _covers(best, m)}
+def _min_cover(primes, m: int) -> list[tuple[int, int, int]]:
+    """The essential primes (the only prime covering some row of m), then
+    greedily the prime covering most rows still left, ties to the smallest
+    mask and then the smallest value."""
+    once = twice = 0
+    for *_, rows in primes:
+        twice |= once & rows
+        once |= rows
+    chosen = [p for p in primes if p[2] & ~twice]
+    left = m
+    for *_, rows in chosen:
+        left &= ~rows
+    while left:
+        best = max(primes, key=lambda p: ((p[2] & left).bit_count(), -p[1], -p[0]))
         chosen.append(best)
-        remaining -= got
+        left &= ~best[2]
     return chosen
 
 
 def canonical_modal_dnf(f: Formula) -> TsgDecomposition:
-    """Reduced disjunctive normal form over the (at most 14) modal atoms of
-    f, with the positive boxes of each disjunct merged into one box.
-    Disjuncts that cannot fit the required shape are flagged, not repaired."""
+    """Reduced disjunctive normal form over the (at most TABLE_ATOMS = 18)
+    modal atoms of f, with the positive boxes of each disjunct merged into
+    one box. Disjuncts that cannot fit the required shape are flagged, not
+    repaired."""
     modal = sorted(modal_atoms_of(f), key=Formula.key)
     n = len(modal)
-    if n > 14:
+    if n > TABLE_ATOMS:
         raise ValueError(f"too many modal atoms ({n})")
     # atom i holds in row r when bit i of r is set: truth_table's columns reversed
     m = boolean_masks([f], (1 << (1 << n)) - 1, dict(zip(modal, truth_table(n)[::-1])))[f]
-    minterms = [r for r in range(1 << n) if m >> r & 1]
-    if not minterms:
-        return TsgDecomposition((), (), ())
-    primes = _prime_implicants(n, minterms)
-    cover = _min_cover(primes, minterms)
+    cover = _min_cover(_prime_implicants(n, m), m)
     conjuncts = []
     boxes = []
     flags: list[str] = []
-    for v, mask in sorted(cover):
+    for v, mask, _ in sorted(cover):
         pos_boxes: list[Formula] = []
         lits: list[Formula] = []
         for i, a in enumerate(modal):

@@ -45,6 +45,7 @@ from .syntax import (
     parse,
     render,
     substitute,
+    TABLE_ATOMS,
     truth_table,
 )
 from .theory import AXIOMS, SCHEMATA, solve_theories
@@ -315,9 +316,9 @@ def _match_schema(name: str, f: Formula) -> bool:
 
 
 def is_tautology(f: Formula) -> bool:
-    """Propositional tautology over the modal atoms of f, at most 18."""
+    """Propositional tautology over the modal atoms of f, at most TABLE_ATOMS."""
     atoms = modal_atoms_of(f)
-    if len(atoms) > 18:
+    if len(atoms) > TABLE_ATOMS:
         raise ValueError(f"too many modal atoms ({len(atoms)})")
     full = (1 << (1 << len(atoms))) - 1
     return boolean_masks([f], full, dict(zip(atoms, truth_table(len(atoms)))))[f] == full

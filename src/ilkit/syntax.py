@@ -225,6 +225,9 @@ def eval3(f: Formula, assign) -> bool | None:
     return got[f]
 
 
+TABLE_ATOMS = 18  # the most atoms a truth table is built over: 2^18 rows, 32 KB a mask
+
+
 def truth_table(n: int) -> list[int]:
     """The truth table over n variables as column masks of its 2^n rows:
     row r gives variable i the value of bit n-1-i of r, so column i is

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -6,7 +7,6 @@ import pytest
 
 from conftest import glue_root, random_formula, reference_value
 from ilkit.classify import (
-    _covers,
     _prime_implicants,
     almost_loeb,
     canonical_modal_dnf,
@@ -21,7 +21,26 @@ from ilkit.classify import (
 )
 from ilkit.decide import CertificationError, Derivable, Refuted, derivable
 from ilkit.semantics import GL, ILM, forces, validate
-from ilkit.syntax import And, Atom, BOT, Box, Diamond, Iff, Neg, Or, Top, parse, render
+from ilkit.syntax import (
+    And,
+    Atom,
+    BOT,
+    Box,
+    Diamond,
+    Formula,
+    Iff,
+    Implies,
+    Neg,
+    Or,
+    Top,
+    boolean_masks,
+    conj,
+    disj,
+    modal_atoms_of,
+    parse,
+    render,
+    truth_table,
+)
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -389,9 +408,9 @@ def test_dnf_cover_without_essential_primes():
     f = parse("~(~p & q & r) & ~(p & ~q & ~r)")
     rows = [{a: bool(n >> i & 1) for i, a in enumerate((p, q, r))} for n in range(8)]
     minterms = {n for n, row in enumerate(rows) if reference_value(f, row)}
-    primes = _prime_implicants(3, sorted(minterms))
+    primes = _prime_implicants(3, sum(1 << n for n in minterms))
     assert len(minterms) == len(primes) == 6
-    assert all(sum(_covers(pr, m) for pr in primes) == 2 for m in minterms)
+    assert all(sum(pr_rows >> n & 1 for *_, pr_rows in primes) == 2 for n in minterms)
     d = canonical_modal_dnf(f)
     assert d.boxes == () and d.flags == ()
     covered = [
@@ -403,19 +422,37 @@ def test_dnf_cover_without_essential_primes():
         assert c - set().union(*covered[:i], *covered[i + 1 :]), d.conjuncts[i]
 
 
-def _brute_force_primes(n, minterms):
+def _table(f, modal):
+    """f's truth-table mask over the modal atoms modal, atom i true in row r
+    when bit i of r is set as in canonical_modal_dnf, and []top true in
+    every row."""
+    full = (1 << (1 << len(modal))) - 1
+    masks = dict(zip(modal, truth_table(len(modal))[::-1])) | {Box(Top()): full}
+    return boolean_masks([f], full, masks)[f]
+
+
+def _chain(n):
+    """The left-nested chain p0 -> []p1 -> p2 -> []p3 ... of n modal atoms."""
+    return functools.reduce(Implies, [Box(Atom(f"p{i}")) if i % 2 else Atom(f"p{i}") for i in range(n)])
+
+
+def _brute_force_primes(n, m):
     """Every cube over n atoms (each atom false, true or free: 3^n cubes)
-    whose rows all lie in minterms, kept when freeing any one of its fixed
-    atoms gives a cube that does not."""
-    ms = set(minterms)
-    cubes = {
-        (sum(1 << i for i, d in enumerate(ds) if d == 1), sum(1 << i for i, d in enumerate(ds) if d is not None))
-        for ds in itertools.product((0, 1, None), repeat=n)
-    }
-    implicants = {(v, mask) for v, mask in cubes if all(r in ms for r in range(1 << n) if r & mask == v)}
+    with the mask of its rows, an AND of truth-table columns, kept when its
+    rows lie inside m and freeing any one of its fixed atoms gives a cube
+    whose rows do not."""
+    cubes = [(0, 0, (1 << (1 << n)) - 1)]
+    for i, col in enumerate(truth_table(n)[::-1]):
+        b = 1 << i
+        cubes = [
+            cube
+            for v, mask, rows in cubes
+            for cube in ((v, mask, rows), (v, mask | b, rows & ~col), (v | b, mask | b, rows & col))
+        ]
+    implicants = {(v, mask): rows for v, mask, rows in cubes if not rows & ~m}
     return sorted(
-        (v, mask)
-        for v, mask in implicants
+        (v, mask, rows)
+        for (v, mask), rows in implicants.items()
         if not any((v & ~(1 << i), mask & ~(1 << i)) in implicants for i in range(n) if mask >> i & 1)
     )
 
@@ -425,8 +462,67 @@ def test_prime_implicants_match_brute_force():
     for _ in range(300):
         n = rng.randint(0, 6)
         density = rng.random()
-        minterms = [m for m in range(1 << n) if rng.random() < density]
-        assert _prime_implicants(n, minterms) == _brute_force_primes(n, minterms), (n, minterms)
+        m = sum(1 << r for r in range(1 << n) if rng.random() < density)
+        assert _prime_implicants(n, m) == _brute_force_primes(n, m), (n, m)
+    chain = _chain(10)
+    m = _table(chain, sorted(modal_atoms_of(chain), key=Formula.key))
+    assert _prime_implicants(10, m) == _brute_force_primes(10, m)
+
+
+def _reference_cover(primes, m):
+    """The cover by minterms: each minterm's prime when it has only one,
+    then greedily the prime covering most minterms still left, ties to the
+    smallest mask and then the smallest value."""
+    covers = lambda prime, r: r & prime[1] == prime[0]
+    left = {r for r in range(m.bit_length()) if m >> r & 1}
+    chosen = []
+    for r in sorted(left):
+        hits = [prime for prime in primes if covers(prime, r)]
+        if len(hits) == 1 and hits[0] not in chosen:
+            chosen.append(hits[0])
+    left = {r for r in left if not any(covers(prime, r) for prime in chosen)}
+    while left:
+        best = max(primes, key=lambda prime: (sum(covers(prime, r) for r in left), -prime[1], -prime[0]))
+        chosen.append(best)
+        left = {r for r in left if not covers(best, r)}
+    return chosen
+
+
+def test_dnf_matches_brute_force_primes_and_reference_cover(monkeypatch):
+    import ilkit.classify as classify
+
+    rng = random.Random(36)
+    cases = [random_formula(rng, rng.randint(2, 5), ("p", "q", "r", "s", "t")) for _ in range(60)]
+    for _ in range(40):
+        pool = [a for x in ("p", "q", "r", "s", "t") for a in (Atom(x), Box(Atom(x)))]
+        clause = lambda: disj([a if rng.random() < 0.5 else Neg(a) for a in rng.sample(pool, 3)])
+        cases.append(conj([clause() for _ in range(rng.randint(1, 12))]))
+    got = [canonical_modal_dnf(f) for f in cases]
+    monkeypatch.setattr(classify, "_prime_implicants", _brute_force_primes)
+    monkeypatch.setattr(classify, "_min_cover", _reference_cover)
+    for f, d in zip(cases, got):
+        assert len(modal_atoms_of(f)) <= 10
+        assert d == canonical_modal_dnf(f), render(f)
+
+
+def test_dnf_chain_pinned():
+    d = canonical_modal_dnf(_chain(12))
+    assert d.flags == ()
+    assert render(d.formula()) == (
+        "~p0 & ~p10 & ~p2 & ~p4 & ~p6 & ~p8 & []top | ~p10 & ~p2 & ~p4 & ~p6 & ~p8 & []p1"
+        " | ~p10 & ~p4 & ~p6 & ~p8 & []p3 | ~p10 & ~p6 & ~p8 & []p5 | ~p10 & ~p8 & []p7"
+        " | ~p10 & []p9 | []p11"
+    )
+
+
+def test_dnf_past_14_atoms_keeps_the_table():
+    f = _chain(16)
+    modal = sorted(modal_atoms_of(f), key=Formula.key)
+    d = canonical_modal_dnf(f)
+    assert (len(modal), len(d.conjuncts), len(d.boxes), d.flags) == (16, 8, 1, ())
+    assert _table(d.formula(), modal) == _table(f, modal)
+    with pytest.raises(ValueError, match="too many modal atoms"):
+        canonical_modal_dnf(conj([_chain(18), Atom("q")]))
 
 
 def test_package_attribute_lookup():
