@@ -10,6 +10,7 @@ Sigma-ness of f & []f, f & []~f and f.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -389,7 +390,9 @@ def _prime_implicants(n: int, m: int) -> list[tuple[int, int, int]]:
 def _min_cover(primes, m: int) -> list[tuple[int, int, int]]:
     """The essential primes (the only prime covering some row of m), then
     greedily the prime covering most rows still left, ties to the smallest
-    mask and then the smallest value."""
+    mask and then the smallest value: lazily, off a heap of (-count, mask,
+    value) whose counts only fall, so a popped count still current is the
+    greatest, and a stale one goes back brought up to date."""
     once = twice = 0
     for *_, rows in primes:
         twice |= once & rows
@@ -398,10 +401,16 @@ def _min_cover(primes, m: int) -> list[tuple[int, int, int]]:
     left = m
     for *_, rows in chosen:
         left &= ~rows
+    heap = [(-(p[2] & left).bit_count(), p[1], p[0], p) for p in primes]
+    heapq.heapify(heap)
     while left:
-        best = max(primes, key=lambda p: ((p[2] & left).bit_count(), -p[1], -p[0]))
-        chosen.append(best)
-        left &= ~best[2]
+        count, mask, v, p = heapq.heappop(heap)
+        now = (p[2] & left).bit_count()
+        if now == -count:
+            chosen.append(p)
+            left &= ~p[2]
+        elif now:
+            heapq.heappush(heap, (-now, mask, v, p))
     return chosen
 
 

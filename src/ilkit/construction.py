@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .relation import find_cycle, image, reach
+from .relation import _WORD, bits, close_rows, find_cycle, image, reach, to_rows
 from .semantics import ILM, VeltmanFrame, VeltmanModel, _engine_logic
 from .syntax import (
     AdequateSet,
@@ -38,7 +38,6 @@ from .theory import (
     LoggedTheory,
     TheoryQuery,
     _TheoryIndex,
-    _WORD,
     _succ_constraints,
     box_incl,
     crit_obligations,
@@ -73,13 +72,10 @@ class Deficiency(NamedTuple):
 class LabeledFrame:
     """Mutable working frame; value-semantic copies back the search.
 
-    A frame keeps its relation index (`_Adjacency`), which `close` builds
-    for the frame it returns, from the parent's relations when it settles
-    a search step, and any other frame on its first query, with a cone
-    table that starts empty, and, per world, the constraints a fresh
-    successor of that world must meet.
-    A copy starts without them and `add_world` drops them, so a caller
-    edits a copy of a closed or queried frame, never the frame itself. The
+    A frame keeps its relation index (`_Adjacency`, see there) and, per
+    world, the constraints a fresh successor of that world must meet. A
+    copy starts without them and `add_world` drops them, so a caller edits
+    a copy of a closed or queried frame, never the frame itself. The
     search edits only fresh copies.
     """
 
@@ -181,25 +177,16 @@ def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> Label
 
 
 class _Adjacency:
-    """The one index of a labeled frame's relations, from which the cone,
-    predecessor and label queries are answered; `labels` maps x to the
-    distinct labels of x's edges, ordered by edge, `s_to` and `s_into` are
-    the converse S maps `close` joins on, and `cones` is the cone table
-    that `cone` fills, empty in a new index. `close` builds the index of
-    the frame it returns, so each settled frame fills its own table. A
-    frame keeps it until it is copied or grows a world, so a caller edits
-    a copy of a closed frame."""
+    """The one index of a labeled frame's relations, for the cone,
+    predecessor and label queries: `succ`, `pred`, `s_at` and `s_any` map
+    R, its converse and S, `labels` maps x to the distinct labels of x's
+    edges, ordered by edge, and `cones` is the table `cone` fills. A frame
+    builds it on its first query, except that `close` given since grows
+    since's index (`grown`) by the facts since lacks."""
 
     def __init__(self, R: Iterable, S: Iterable, edge_label: dict[tuple[str, str], Formula]):
-        self.succ = image(R)
-        self.pred = image((b, a) for a, b in R)
-        self.s_at = image(((x, y), z) for x, y, z in S)  # y S_x z
-        self.s_any = image((y, z) for _, y, z in S)  # y S_x z for some x
-        self.s_to = image(((x, z), y) for x, y, z in S)  # (x, z) -> {y : y S_x z}
-        self.s_into = image((z, y) for _, y, z in S)  # z -> {y : y S_x z for some x}
-        self._label(edge_label)
-
-    def _label(self, edge_label: dict[tuple[str, str], Formula]) -> None:
+        self.succ, self.pred, self.s_at, self.s_any = {}, {}, {}, {}
+        self.add(R, S)
         self.seeds = image(((x, lab), y) for (x, y), lab in edge_label.items())
         self.labels: dict[str, list[Formula]] = {}
         for (x, _), lab in sorted(edge_label.items()):
@@ -208,11 +195,23 @@ class _Adjacency:
                 labs.append(lab)
         self.cones: dict[tuple[str, Formula], tuple[set[str], set[str]]] = {}
 
-    def copy(self) -> "_Adjacency":
-        """A copy of the six relation maps only: the caller labels it."""
-        adj = _Adjacency.__new__(_Adjacency)
-        for name in ("succ", "pred", "s_at", "s_any", "s_to", "s_into"):
+    def add(self, R: Iterable, S: Iterable) -> None:
+        """Enter R edges and S triples into the relation maps."""
+        succ, pred, s_at, s_any = self.succ, self.pred, self.s_at, self.s_any
+        for a, b in R:
+            succ.setdefault(a, set()).add(b)
+            pred.setdefault(b, set()).add(a)
+        for x, y, z in S:
+            s_at.setdefault((x, y), set()).add(z)  # y S_x z
+            s_any.setdefault(y, set()).add(z)  # y S_x z for some x
+
+    def grown(self, R: Iterable, S: Iterable, edge_label: dict[tuple[str, str], Formula]) -> "_Adjacency":
+        """A copy of the relation maps with R and S added, labeled anew,
+        with an empty cone table."""
+        adj = _Adjacency((), (), edge_label)
+        for name in ("succ", "pred", "s_at", "s_any"):
             setattr(adj, name, {k: set(v) for k, v in getattr(self, name).items()})
+        adj.add(R, S)
         return adj
 
     def cone(self, x: str, C: Formula) -> tuple[set[str], set[str]]:
@@ -246,16 +245,6 @@ def _adjacency(F: LabeledFrame) -> _Adjacency:
     return F._adj
 
 
-def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
-    """Worlds reached from a C-labeled edge of x via S_x and R steps."""
-    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[1])
-
-
-def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
-    """The critical cone closed under S steps with arbitrary index."""
-    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[0])
-
-
 # --- closure ------------------------------------------------------------------
 
 
@@ -264,11 +253,12 @@ def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, st
     is the out-of-D part of the boxes, and S preserves boxes). The given
     triples whose source world has obligations are examined first (no
     other can grow one); a world whose obligations grow passes them on
-    along every S-transition out of it, read off F's index."""
+    along every S-transition out of it, read off F's index if need be."""
     if F.logic != ILM:
         return
-    ob, s_any = F.obligations, _adjacency(F).s_any
+    ob = F.obligations
     todo = [(b, c) for _, b, c in triples if ob.get(b)]
+    s_any = _adjacency(F).s_any if todo else {}
     while todo:
         b, c = todo.pop()
         ob_b, ob_c = ob.get(b, frozenset()), ob.get(c, frozenset())
@@ -281,65 +271,21 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
     """The closure of F under its logic's frame conditions: same worlds and
     labels, R and S only grow, and `validate` reports no violation of
     `r_transitive`, `s_reflexive`, `s_transitive`, `r_inside_s` or, under
-    ILM, `ilm_condition`. The fixpoint is unique, so this worklist
-    computation agrees with adding one missing fact at a time.
-
-    Each edge and triple enters the returned frame's index (`_Adjacency`)
-    when it is taken off the worklist and is then joined, once, with every
-    rule premise indexed so far. Of any two premises that fire a rule, the
-    later one taken off finds the earlier in the index, so no conclusion is
-    missed. The frame keeps the index, so a caller edits a copy of it.
-
+    ILM, `ilm_condition`. `close_rows` closes F's relations as rows over
+    F.worlds, and the copy returned gains the facts the rows gained.
     since, when given, is a closed frame that F extends (F's R, S, labels
-    and obligations contain its own). The index starts as a copy of
-    since's relations, whose facts are not joined again, since any rule
-    they fire together already holds; only the facts it lacks go on the
-    worklist. Its labels are F's, and its cone table starts empty.
-    Without since every fact is new."""
-    g = F.copy()
-    R, S, logic = g.R, g.S, g.logic
-    old_R, old_S = (since.R, since.S) if since is not None else ((), ())
-    adj = _adjacency(since).copy() if since is not None else _Adjacency((), (), {})
-    adj._label(g.edge_label)
-    succ, pred, s_at, s_any, s_to, s_into = adj.succ, adj.pred, adj.s_at, adj.s_any, adj.s_to, adj.s_into
-    todo: list[tuple[str, ...]] = [*R.difference(old_R), *S.difference(old_S)]
-
-    def add(fact, into):
-        if fact not in into:
-            into.add(fact)
-            todo.append(fact)
-
-    while todo:
-        fact = todo.pop()
-        if len(fact) == 2:
-            a, b = fact
-            succ.setdefault(a, set()).add(b)
-            pred.setdefault(b, set()).add(a)
-            add((a, b, b), S)  # s_reflexive
-            for c in succ.get(b, ()):  # r_transitive, r_inside_s: a R b R c
-                add((a, c), R)
-                add((a, b, c), S)
-            for z in pred.get(a, ()):  # r_transitive, r_inside_s: z R a R b
-                add((z, b), R)
-                add((z, a, b), S)
-            if logic == ILM:  # ilm_condition, y S_x a R b
-                for y in s_into.get(a, ()):
-                    add((y, b), R)
-        else:
-            a, b, c = fact
-            s_at.setdefault((a, b), set()).add(c)
-            s_any.setdefault(b, set()).add(c)
-            s_to.setdefault((a, c), set()).add(b)
-            s_into.setdefault(c, set()).add(b)
-            for d in s_at.get((a, c), ()):  # s_transitive, b S_a c S_a d
-                add((a, b, d), S)
-            for u in s_to.get((a, b), ()):  # s_transitive, u S_a b S_a c
-                add((a, u, c), S)
-            if logic == ILM:  # ilm_condition, b S_a c R d
-                for d in succ.get(c, ()):
-                    add((b, d), R)
-    g._adj = adj
-    _propagate_obligations(g, S.difference(old_S))
+    and obligations contain its own); the copy's index is then since's
+    grown by the facts since lacks (`_Adjacency.grown`)."""
+    g, n = F.copy(), [*F.worlds, *sorted(set().union(*F.R, *F.S).difference(F.worlds))]
+    R0, S0 = to_rows(dict(zip(n, range(len(n)))), F.R, F.S)
+    R, S = R0[:], [row[:] for row in S0]
+    close_rows(R, S, g.logic == ILM)
+    for x in [x for x, (r, r0, Sx, Sx0) in enumerate(zip(R, R0, S, S0)) if r != r0 or Sx != Sx0]:
+        g.R.update([(n[x], n[y]) for y in bits(R[x] & ~R0[x])])
+        g.S.update([(n[x], n[y], n[z]) for y, (s, s0) in enumerate(zip(S[x], S0[x])) if s != s0 for z in bits(s & ~s0)])
+    if since is not None:
+        g._adj = _adjacency(since).grown(g.R.difference(since.R), g.S.difference(since.S), g.edge_label)
+    _propagate_obligations(g, g.S if since is None else g.S.difference(since.S))
     return g
 
 
@@ -742,7 +688,7 @@ def nogoods(index: _TheoryIndex, mask: int, state, item=None, keep=None) -> Iter
     atoms, todo = index.adequate.existential_atoms, mask
     for level in index.levels:
         at = -1  # the 64-row block whose bits of todo `live` holds
-        for j in index.rows(mask & level):
+        for j in bits(mask & level):
             if j >> 6 != at:
                 at, live = j >> 6, todo >> (j & ~63) & _WORD
             if not live >> (j & 63) & 1:

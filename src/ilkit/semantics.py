@@ -1,10 +1,10 @@
 """Finite Veltman frames and models.
 
 A frame is (worlds, R, S) with S stored as ordered triples (x, y, z)
-meaning y S_x z. Models add a valuation and cache what they force. Frames
-are immutable values; the operations are pure. Forcing labels a formula's
-subformulas bottom-up from one explicit stack, as in explicit-state model
-checking.
+meaning y S_x z, and `validate` and forcing read its int rows (R[x], and
+S[x][y] the z with y S_x z). Models add a valuation and cache what they
+force. Frames are immutable values; the operations are pure. Forcing
+labels subformulas bottom-up from one explicit stack.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .relation import find_cycle, image
+from .relation import bits, find_cycle, to_rows
 from .syntax import Atom, Bot, Box, Formula, Implies, Rhd, atoms, truth_table
 
 GL = "gl"
@@ -46,7 +46,7 @@ class _FrameFields(NamedTuple):
 
 class VeltmanFrame(_FrameFields):
     """An immutable frame, equal and hashed as the tuple (worlds, R, S).
-    Its `__dict__` holds the cached adjacency maps."""
+    Its `__dict__` holds the cached world index and rows."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -65,23 +65,17 @@ class VeltmanFrame(_FrameFields):
             frozenset((x, y, z) for x, y, z in S),
         )
 
-    # Adjacency maps, built on first use; the frame is immutable, so they
-    # never go stale. Callers read them and do not mutate them.
-    @cached_property
-    def succ(self) -> dict[str, set[str]]:
-        """w -> the R-successors of w."""
-        return image(self.R)
-
-    @cached_property
-    def s_exits(self) -> dict[tuple[str, str], set[str]]:
-        """(x, y) -> the z with y S_x z."""
-        return image(((x, y), z) for x, y, z in self.S)
-
     @cached_property
     def index(self) -> dict[str, int]:
         """Every world name that worlds, R and S contain -> its position in
-        sorted order, the place of its lanes in an extension."""
+        sorted order: its row, and the place of its lanes in an extension."""
         return {w: i for i, w in enumerate(sorted(self.worlds.union(*self.R, *self.S)))}
+
+    @cached_property
+    def rows(self) -> tuple[list[int], list[list[int]]]:
+        """(R, S) as rows over `index`, which callers do not mutate: R[x]
+        has bit y when x R y, and S[x][y] bit z when y S_x z."""
+        return to_rows(self.index, self.R, self.S)
 
 
 class VeltmanModel:
@@ -150,24 +144,31 @@ def validate(frame: VeltmanFrame, logic: str) -> ValidationReport:
     """Check the frame conditions of IL and, under ILM, the ILM condition
     y S_x z R u -> y R u; every violation is reported with a witness
     tuple, condition by condition and each condition's witnesses in
-    sorted order. Only the violations found are sorted. A transitive R
-    has a cycle iff it has a loop (w, w), so `find_cycle` runs only when
-    R is not transitive or has a loop, to give the cycle's witness."""
+    sorted order. Each check is a mask on the frame's rows, as R[y] & ~R[x]
+    for y in R[x] for r_transitive, and only its bits are named. A
+    transitive R has a cycle iff it has a loop (w, w), so `find_cycle`
+    runs only when R is not transitive or has a loop, to give the cycle's
+    witness."""
     check_logic(logic)
-    W, R, S, succ, exits = frame.worlds, frame.R, frame.S, frame.succ, frame.s_exits
-    trans = [(x, y, z) for x, y in R for z in succ.get(y, ()) if (x, z) not in R]
-    cyc = find_cycle(W, R) if trans or any(x == y for x, y in R) else None
+    W, n, (R, S) = frame.worlds, list(frame.index), frame.rows
+    pairs = [(x, y) for x, rx in enumerate(R) for y in bits(rx)]
+    rows = [(x, y, r) for x, Sx in enumerate(S) for y, r in enumerate(Sx) if r]
+    trans = [(n[x], n[y], n[z]) for x, y in pairs if (m := R[y] & ~R[x]) for z in bits(m)]
+    outside = [(n[x], n[y], n[z]) for x, y, r in rows for z in bits(r & ~R[x] if R[x] >> y & 1 else r)]
+    s_trans = [(n[x], n[u], n[v], n[w]) for x, u, r in rows for v in bits(r) if (m := S[x][v] & ~r) for w in bits(m)]
+    cyc = find_cycle(W, frame.R) if trans or any(x == y for x, y in pairs) else None
     groups = [
-        ("r_domain", [(x, y) for x, y in R if x not in W or y not in W]),
+        ("r_domain", [(x, y) for x, y in frame.R if x not in W or y not in W]),
         ("converse_well_founded", [cyc] if cyc else []),
         ("r_transitive", trans),
-        ("s_over_successors", [(x, y, z) for x, y, z in S if (x, y) not in R or (x, z) not in R]),
-        ("s_reflexive", [(x, y) for x, y in R if (x, y, y) not in S]),
-        ("r_inside_s", [(x, y, z) for x, y in R for z in succ.get(y, ()) if (x, y, z) not in S]),
-        ("s_transitive", [(x, u, v, w) for x, u, v in S for w in exits.get((x, v), ()) if (x, u, w) not in S]),
+        ("s_over_successors", outside),
+        ("s_reflexive", [(n[x], n[y]) for x, y in pairs if not S[x][y] >> y & 1]),
+        ("r_inside_s", [(n[x], n[y], n[z]) for x, y in pairs if (m := R[y] & ~S[x][y]) for z in bits(m)]),
+        ("s_transitive", s_trans),
     ]
     if logic == ILM:
-        groups.append(("ilm_condition", [(x, y, z, u) for x, y, z in S for u in succ.get(z, ()) if (y, u) not in R]))
+        ilm = [(n[x], n[y], n[z], n[u]) for x, y, r in rows for z in bits(r) if (m := R[z] & ~R[y]) for u in bits(m)]
+        groups.append(("ilm_condition", ilm))
     return ValidationReport(tuple(Violation(c, w) for c, ws in groups for w in sorted(ws)))
 
 
@@ -178,8 +179,9 @@ def _extensions(frame: VeltmanFrame, fs, lanes: int, val, got: dict) -> dict:
     valuation l. An atom not in got is true in every lane of the worlds
     val gives it. bot is 0 and A -> B is ~A | B. A |> B holds at w in the
     lanes where every R-successor u of w has A false or an S_w-exit with
-    B, and []A is ~A |> bot."""
-    ix, succ, exits = frame.index, frame.succ, frame.s_exits
+    B, and []A is ~A |> bot: on one lane, A |> B holds iff S[w][u] & B is
+    not 0 for each u in R[w] & A, and on more, exits are read bit by bit."""
+    ix, (R, S) = frame.index, frame.rows
     one, full = (1 << lanes) - 1, (1 << lanes * len(ix)) - 1
     stack = list(fs)
     while stack:
@@ -204,14 +206,18 @@ def _extensions(frame: VeltmanFrame, fs, lanes: int, val, got: dict) -> dict:
                 if t is Box:
                     a = full & ~a
                 v = full
-                for w, us in succ.items():
+                for w, (rw, Sw) in enumerate(zip(R, S)):
+                    if lanes == 1:
+                        if rw & a and not (b and all(Sw[u] & b for u in bits(rw & a))):
+                            v ^= 1 << w
+                        continue
                     m = one
-                    for u in us:
+                    for u in bits(rw):
                         exit_b = 0
-                        for z in exits.get((w, u), ()) if b else ():
-                            exit_b |= b >> ix[z] * lanes
-                        m &= ~(a >> ix[u] * lanes) | exit_b
-                    v &= ~((one & ~m) << ix[w] * lanes)
+                        for z in bits(Sw[u]) if b else ():
+                            exit_b |= b >> z * lanes
+                        m &= ~(a >> u * lanes) | exit_b
+                    v &= ~((one & ~m) << w * lanes)
         got[g] = v
         stack.pop()
     return got

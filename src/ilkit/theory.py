@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import Iterable, Iterator
 
+from .relation import bits
 from .semantics import GL, IL, ILM, check_logic
 from .syntax import (
     AdequateSet,
@@ -82,8 +83,6 @@ _SATURATED = {
 # an adequate set with at most this many modal atoms is answered from a truth
 # table (_TheoryIndex); larger ones use the pruned search per query
 _CACHE_ATOMS = 12
-
-_WORD = (1 << 64) - 1  # the rows a mask walk takes at a time
 
 
 class TheoryError(ValueError):
@@ -323,23 +322,9 @@ class _TheoryIndex:
             m &= fm if v else self.full ^ fm
         return m
 
-    @staticmethod
-    def rows(m: int) -> Iterator[int]:
-        """The rows in mask m, ascending. The mask is taken 64 rows at a
-        time, so a row costs the same on a mask of any width."""
-        off = -1
-        while m:
-            word = m & _WORD
-            m >>= 64
-            while word:
-                low = word & -word
-                word ^= low
-                yield low.bit_length() + off
-            off += 64
-
     def walk(self, m: int) -> Iterator[DTheory]:
         """The theories of the rows in mask m, in key order."""
-        return map(self.theory, self.rows(m))
+        return map(self.theory, bits(m))
 
     def preferred(self, m: int) -> Iterator[DTheory]:
         """The theories of the rows in mask m, in preference order: the

@@ -15,7 +15,16 @@ from ilkit.construction import (
     refresh_worklist,
 )
 from ilkit.relation import find_cycle, image, reach
-from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, frame_validates, validate
+from ilkit.semantics import (
+    IL,
+    ILM,
+    ValidationReport,
+    VeltmanFrame,
+    VeltmanModel,
+    Violation,
+    frame_validates,
+    validate,
+)
 from ilkit.syntax import (
     And,
     Atom,
@@ -26,6 +35,8 @@ from ilkit.syntax import (
     Or,
     Rhd,
     _kids,
+    conj,
+    disj,
     is_neg,
     match,
     parse,
@@ -195,6 +206,26 @@ def random_transitive_dag(rng, worlds, p_edge=0.5):
     return transitive_closure_pairs(R)
 
 
+def random_unclosed_frame(rng, n):
+    """A seeded frame that need not be closed, nor even a quasi-frame: n
+    worlds w0, w1, ... and up to two names x0, x1 outside them, forward R
+    edges and a few in any direction (so loops and R-cycles), sometimes a
+    ring through 3 to 5 names, S triples over each node's R-successors and
+    a few anywhere (so S triples outside R)."""
+    worlds = [f"w{i}" for i in range(n)]
+    names = worlds + [f"x{i}" for i in range(rng.choice((0, 0, 1, 2)))]
+    p = rng.choice((0.1, 0.25, 0.4))
+    R = {(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if rng.random() < p}
+    R |= {(a, b) for a in names for b in names if rng.random() < 0.01}
+    if rng.random() < 0.3:
+        ring = rng.sample(names, min(len(names), rng.randint(3, 5)))
+        R |= set(zip(ring, ring[1:] + ring[:1]))
+    succ = image(R)
+    S = {(x, y, z) for x in sorted(succ) for y in sorted(succ[x]) for z in sorted(succ[x]) if rng.random() < 0.2}
+    S |= {tuple(rng.choice(names) for _ in range(3)) for _ in range(rng.randint(0, 3))}
+    return VeltmanFrame.make(worlds, R, S)
+
+
 def enumerate_il_frames(n_max):
     """Every IL frame (up to world naming w0..wk) with at most n_max worlds."""
     out = []
@@ -243,6 +274,33 @@ def small_countermodel(f, frames):
     return next((fr for fr in frames if not frame_validates(fr, f)), None)
 
 
+def reference_greedy_cover(primes, m):
+    """`classify._min_cover` by a scan of every prime on every pick: the
+    essential primes (the only prime covering some row of m), then the
+    prime covering most rows still left, ties to the smallest mask and
+    then the smallest value."""
+    once = twice = 0
+    for *_, rows in primes:
+        twice |= once & rows
+        once |= rows
+    chosen = [p for p in primes if p[2] & ~twice]
+    left = m
+    for *_, rows in chosen:
+        left &= ~rows
+    while left:
+        best = max(primes, key=lambda p: ((p[2] & left).bit_count(), -p[1], -p[0]))
+        chosen.append(best)
+        left &= ~best[2]
+    return chosen
+
+
+def random_3cnf(rng, names, clauses):
+    """A conjunction of the given number of clauses, each the disjunction of
+    3 distinct literals drawn from the atoms named and their boxes."""
+    pool = [a for x in names for a in (Atom(x), Box(Atom(x)))]
+    return conj([disj([a if rng.random() < 0.5 else Neg(a) for a in rng.sample(pool, 3)]) for _ in range(clauses)])
+
+
 def neg_chain(n, f=Atom("p")):
     """f under n negations, nested n deep."""
     for _ in range(n):
@@ -272,6 +330,70 @@ def reference_value(f, assign):
     return None if a is None or b is None else False
 
 
+def reference_validate(frame, logic):
+    """`semantics.validate` by comprehensions over the frame's pairs and
+    triples and the adjacency maps `image` gives, condition by condition,
+    each condition's witnesses sorted."""
+    W, R, S = frame.worlds, frame.R, frame.S
+    succ, exits = image(R), image(((x, y), z) for x, y, z in S)
+    trans = [(x, y, z) for x, y in R for z in succ.get(y, ()) if (x, z) not in R]
+    cyc = find_cycle(W, R) if trans or any(x == y for x, y in R) else None
+    groups = [
+        ("r_domain", [(x, y) for x, y in R if x not in W or y not in W]),
+        ("converse_well_founded", [cyc] if cyc else []),
+        ("r_transitive", trans),
+        ("s_over_successors", [(x, y, z) for x, y, z in S if (x, y) not in R or (x, z) not in R]),
+        ("s_reflexive", [(x, y) for x, y in R if (x, y, y) not in S]),
+        ("r_inside_s", [(x, y, z) for x, y in R for z in succ.get(y, ()) if (x, y, z) not in S]),
+        ("s_transitive", [(x, u, v, w) for x, u, v in S for w in exits.get((x, v), ()) if (x, u, w) not in S]),
+    ]
+    if logic == ILM:
+        groups.append(("ilm_condition", [(x, y, z, u) for x, y, z in S for u in succ.get(z, ()) if (y, u) not in R]))
+    return ValidationReport(tuple(Violation(c, w) for c, ws in groups for w in sorted(ws)))
+
+
+def reference_extensions(frame, fs, lanes, val, got):
+    """`semantics._extensions` on the frame's adjacency maps: A |> B holds
+    at w in the lanes where every R-successor u of w has A false or an
+    S_w-exit with B, looked up successor by successor and exit by exit,
+    and []A is ~A |> bot."""
+    ix, succ, exits = frame.index, image(frame.R), image(((x, y), z) for x, y, z in frame.S)
+    one, full = (1 << lanes) - 1, (1 << lanes * len(ix)) - 1
+    stack = list(fs)
+    while stack:
+        g = stack[-1]
+        if g in got:
+            stack.pop()
+            continue
+        if isinstance(g, Atom):
+            v = sum(one << i * lanes for w, i in ix.items() if g.name in val.get(w, ()))
+        elif g == BOT:
+            v = 0
+        else:
+            k = g.body if isinstance(g, Box) else g.left
+            a, b = got.get(k), 0 if isinstance(g, Box) else got.get(g.right)
+            if a is None or b is None:
+                stack.append(k if a is None else g.right)
+                continue
+            if isinstance(g, Implies):
+                v = full & ~a | b
+            else:
+                if isinstance(g, Box):
+                    a = full & ~a
+                v = full
+                for w, us in succ.items():
+                    m = one
+                    for u in us:
+                        exit_b = 0
+                        for z in exits.get((w, u), ()) if b else ():
+                            exit_b |= b >> ix[z] * lanes
+                        m &= ~(a >> ix[u] * lanes) | exit_b
+                    v &= ~((one & ~m) << ix[w] * lanes)
+        got[g] = v
+        stack.pop()
+    return got
+
+
 # The closure conditions `validate` checks, each with the fact a violation's
 # witness lacks: an R edge or an S triple (x, y, z) for y S_x z. close_trace
 # removes the violations in this order.
@@ -286,12 +408,14 @@ CLOSURE_FACT = {
 
 def find_imperfections(F, logic=None):
     """The closure violations `validate` reports on F, a labeled or a plain
-    frame, ordered by condition as in CLOSURE_FACT, then by witness."""
+    frame, ordered by condition as in CLOSURE_FACT, then by witness. They
+    come from `reference_validate`, so `close_trace` shares no code with
+    the row kernel `close` runs."""
     logic = logic or getattr(F, "logic", IL)
     frame = F if isinstance(F, VeltmanFrame) else VeltmanFrame.make(F.worlds, F.R, F.S)
     order = list(CLOSURE_FACT)
     return sorted(
-        (v for v in validate(frame, logic).violations if v.condition in CLOSURE_FACT),
+        (v for v in reference_validate(frame, logic).violations if v.condition in CLOSURE_FACT),
         key=lambda v: (order.index(v.condition), v.witness),
     )
 
@@ -327,6 +451,17 @@ def m_cone(F, x, A):
             yield from adj.succ.get(u, ())
 
     return reach(adj.seeds.get((x, A), ()), step)
+
+
+def critical_cone(F, x, C):
+    """Worlds reached from a C-labeled edge of x via S_x and R steps, from
+    a fresh index of F."""
+    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[1])
+
+
+def generalized_cone(F, x, C):
+    """The critical cone closed under S steps with arbitrary index."""
+    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[0])
 
 
 def check_mcone_invariance(before, after):
@@ -406,7 +541,7 @@ def generated_submodel(model: VeltmanModel, m: str) -> VeltmanModel:
     preserved at every retained world."""
     if m not in model.frame.worlds:
         raise KeyError(f"unknown world {m!r}")
-    keep = {m} | model.frame.succ.get(m, set())
+    keep = {m} | image(model.frame.R).get(m, set())
     R = [e for e in model.frame.R if keep.issuperset(e)]
     S = [t for t in model.frame.S if keep.issuperset(t)]
     return VeltmanModel(VeltmanFrame.make(keep, R, S), {w: model.val.get(w, frozenset()) for w in keep})
@@ -473,7 +608,7 @@ def glue_above_world(model: VeltmanModel, m: str) -> tuple[VeltmanModel, str]:
     if m not in model.frame.worlds:
         raise KeyError(f"unknown world {m!r}")
     root = _fresh_root(set(model.frame.worlds))
-    above = {m} | model.frame.succ.get(m, set())
+    above = {m} | image(model.frame.R).get(m, set())
     R = set(model.frame.R) | {(root, x) for x in above}
     S = set(model.frame.S)
     S |= {(root, x, x) for x in above}

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from conftest import glue_root, random_formula, reference_value
+from conftest import glue_root, random_3cnf, random_formula, reference_greedy_cover, reference_value
 from ilkit.classify import (
+    _min_cover,
     _prime_implicants,
     almost_loeb,
     canonical_modal_dnf,
@@ -503,6 +504,31 @@ def test_dnf_matches_brute_force_primes_and_reference_cover(monkeypatch):
     for f, d in zip(cases, got):
         assert len(modal_atoms_of(f)) <= 10
         assert d == canonical_modal_dnf(f), render(f)
+
+
+def test_lazy_greedy_cover_matches_the_max_scan():
+    # the heap's picks are the scan's, pick for pick: on seeded 3-CNFs over
+    # atoms and their boxes (up to 12 modal atoms) and on random masks,
+    # sparse and dense, whose primes overlap and tie
+    rng = random.Random(37)
+    cases = []
+    for _ in range(40):
+        names = [f"p{i}" for i in range(rng.randint(2, 6))]
+        f = random_3cnf(rng, names, rng.randint(2, 4 * len(names)))
+        modal = sorted(modal_atoms_of(f), key=Formula.key)
+        cases.append((len(modal), _table(f, modal)))
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        density = rng.random()
+        cases.append((n, sum(1 << r for r in range(1 << n) if rng.random() < density)))
+    picked = 0
+    for n, m in cases:
+        primes = _prime_implicants(n, m)
+        got = _min_cover(primes, m)
+        assert got == reference_greedy_cover(primes, m), (n, m)
+        # with no row left to cover, the cover is the essential primes
+        picked += len(got) > len(_min_cover(primes, 0))
+    assert picked >= 20  # the greedy loop ran, not only the essential primes
 
 
 def test_dnf_chain_pinned():

@@ -7,12 +7,15 @@ from ilkit import theory
 from conftest import (
     check_mcone_invariance,
     close_trace,
+    critical_cone,
     depth,
     find_imperfections,
+    generalized_cone,
     labels_of,
     m_cone,
     open_items,
     random_formula,
+    random_unclosed_frame,
     reference_fresh_candidates,
     search_preference,
     transitive_closure_pairs,
@@ -22,21 +25,21 @@ from ilkit.construction import (
     LabeledFrame,
     Problem,
     _Adjacency,
+    _adjacency,
     close,
     close_frame,
-    critical_cone,
     eliminate,
-    generalized_cone,
     quasi_frame_violations,
     refresh_worklist,
     seed_frame,
     verify_truth_lemma,
 )
 from ilkit.decide import Budget, _State, satisfiable
-from ilkit.relation import find_cycle
+from ilkit.relation import find_cycle, image
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces, validate
 from ilkit.syntax import (
     BOT,
+    AdequateSet,
     And,
     Atom,
     Box,
@@ -246,6 +249,65 @@ def test_close_trace_matches_close(logic):
         assert stepped.R == batched.R and stepped.S == batched.S
         assert stepped.obligations == batched.obligations
     assert with_s >= 20
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_row_closure_matches_close_trace_on_unclosed_frames(logic):
+    # close's row kernel against one fact at a time (close_trace), on
+    # frames with names outside worlds, loops, R-cycles and S triples
+    # outside R, more than 16 worlds among them; and settled against a
+    # closed frame on part of the facts (since), whose index is since's
+    # copy plus the new facts, map by map the one a fresh build gives
+    rng = random.Random(38 + (logic == ILM))
+    seen = {"outside": 0, "loop": 0, "s outside R": 0, "wide": 0}
+    frames = [random_unclosed_frame(rng, rng.randint(1, 6)) for _ in range(60)]
+    for fr in frames + [_wide_frame(random.Random(38))]:
+        f = LabeledFrame(AdequateSet(()), logic, sorted(fr.worlds), fr.R, fr.S)
+        stepped = f
+        for _, stepped in close_trace(f, logic):
+            pass
+        whole = close(f)
+        assert (whole.R, whole.S) == (stepped.R, stepped.S), fr
+        part = f.copy()
+        part.R = {e for e in f.R if rng.random() < 0.5}
+        part.S = {t for t in f.S if rng.random() < 0.5}
+        parent = close(part)
+        child = parent.copy()
+        child.R |= f.R
+        child.S |= f.S
+        step = close(child, since=parent)
+        assert (step.R, step.S) == (whole.R, whole.S), fr
+        fresh = _Adjacency(step.R, step.S, step.edge_label)
+        for name, got in vars(step._adj).items():
+            assert got == getattr(fresh, name), name
+        seen["outside"] += len(fr.index) > len(fr.worlds)
+        seen["loop"] += any(x == y for x, y in whole.R)
+        seen["s outside R"] += any((x, y) not in fr.R or (x, z) not in fr.R for x, y, z in fr.S)
+        seen["wide"] += len(fr.worlds) > 16
+    assert seen["wide"] == 1 and min(seen["outside"], seen["loop"], seen["s outside R"]) >= 10, seen
+
+
+def _wide_frame(rng):
+    """17 worlds with forward R edges and S triples forward over each
+    world's successors, one name outside the worlds and a triple outside
+    R: about 400 triples once closed, so close_trace takes well under 1 s."""
+    worlds = [f"w{i:02d}" for i in range(17)]
+    R = {(a, b) for i, a in enumerate(worlds) for b in worlds[i + 1 :] if rng.random() < 0.3}
+    succ = image(R)
+    S = {(x, y, z) for x in sorted(succ) for y in sorted(succ[x]) for z in sorted(succ[x]) if y < z and rng.random() < 0.3}
+    return VeltmanFrame.make(worlds, R | {("w16", "x0")}, S | {("w00", "w16", "x0"), ("x0", "w03", "w01")})
+
+
+def test_close_builds_the_index_only_when_asked():
+    # without since, close leaves no index; under ILM it builds one only
+    # to push an obligation along S, and then the frame keeps it
+    D = small_D()
+    t = pick(D)
+    f = frame_with(D, ILM, ["a", "b", "c"], {("a", "b"), ("a", "c")}, {("a", "b", "c")}, dict.fromkeys("abc", t))
+    assert close(f)._adj is None
+    f.obligations["b"] = frozenset({p})
+    g = close(f)
+    assert g._adj is not None and g.obligations["c"] == frozenset({p})
 
 
 def test_close_trace_mcone_invariance():
@@ -556,8 +618,6 @@ def test_close_frame_names_the_input_cycle_before_the_closed_one():
 def _close_frame_error(frame, logic):
     """close_frame's error message, by searching the input and the closed R
     for a cycle on every frame, or None when it closes."""
-    from ilkit.syntax import AdequateSet
-
     for name, rel in (("R edge", frame.R), ("S triple", frame.S)):
         for e in sorted(rel):
             if not frame.worlds.issuperset(e):
@@ -709,8 +769,8 @@ def test_an_edited_copy_of_a_closed_frame_reads_a_fresh_index():
         labels={("x", "y"): p, ("x", "z"): q},
     )
     g = close(f)
-    assert g._adj is not None
     assert critical_cone(g, "x", p) == {"y"} and quasi_frame_violations(g) == []
+    assert g._adj is not None  # the query built the index and left it on g
     h = g.copy()
     h.R.add(("y", "z"))
     fresh = frame_with(D, IL, h.worlds, h.R, h.S, h.nu, h.edge_label)
@@ -775,13 +835,14 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
         assert since is not None, "a search step must pass its parent"
         step, whole = close(F, since=since), close(F)
         assert (step.R, step.S, step.obligations) == (whole.R, whole.S, whole.obligations)
+        # the index close leaves on the step, which the checks below
+        # read, and the one the whole frame builds on first use are the
+        # one a fresh build gives, map by map
         left = step._adj
+        assert left is not None
         for g in (step, whole):
-            # the index close leaves, which the checks below read, is the
-            # one a fresh build gives, map by map
-            assert g._adj is not None
             fresh = _Adjacency(g.R, g.S, g.edge_label)
-            for name, got in vars(g._adj).items():
+            for name, got in vars(_adjacency(g)).items():
                 if name != "cones":
                     assert got == getattr(fresh, name), name
         # the parent's table holds every labeled cone, which the checks

@@ -48,7 +48,7 @@ def test_frame_equality_is_by_field():
     b = VeltmanFrame.make(["b", "a"], [("a", "b")], [("a", "b", "b")])
     assert a == b and hash(a) == hash(b)
     assert a != VeltmanFrame.make(["a", "b"])
-    assert a.succ == {"a": {"b"}}  # the cached adjacency map lives beside the fields
+    assert a.rows == ([0b10, 0], [[0, 0b10], [0, 0]])  # the cached rows live beside the fields
 
 
 def test_model_equality_is_identity():
@@ -75,7 +75,7 @@ def test_fields_cannot_be_assigned(record, field):
 
 def test_frames_and_models_pickle():
     frame = VeltmanFrame.make(["a", "b"], [("a", "b")], [("a", "b", "b")])
-    assert frame.succ  # a cached map is not part of the pickled value
+    assert frame.rows  # the cached rows are not part of the pickled value
     assert pickle.loads(pickle.dumps(frame)) == frame
     model = pickle.loads(pickle.dumps(VeltmanModel(frame, {"a": frozenset({"p"}), "b": frozenset()})))
     assert (model.frame, model.val) == (frame, {"a": frozenset({"p"}), "b": frozenset()})

@@ -9,8 +9,14 @@ from conftest import (
     glue_selfprover,
     neg_chain,
     random_formula,
+    random_unclosed_frame,
+    reference_extensions,
+    reference_validate,
     transitive_closure_pairs,
 )
+
+import ilkit.semantics as semantics
+from ilkit.construction import LabeledFrame, close
 
 from ilkit.semantics import (
     IL,
@@ -18,6 +24,7 @@ from ilkit.semantics import (
     BudgetExceededError,
     VeltmanFrame,
     VeltmanModel,
+    _extensions,
     forces,
     frame_validates,
     model_from_dict,
@@ -26,7 +33,7 @@ from ilkit.semantics import (
     model_to_json,
     validate,
 )
-from ilkit.syntax import BOT, And, Atom, Box, Diamond, Implies, Neg, Rhd, Top, atoms, parse
+from ilkit.syntax import BOT, AdequateSet, And, Atom, Box, Diamond, Implies, Neg, Rhd, Top, atoms, parse
 
 p, q = Atom("p"), Atom("q")
 
@@ -625,3 +632,58 @@ def test_forces_reads_the_same_answer_cached_or_not():
                 want = forces(VeltmanModel(m.frame, m.val), w, f)
                 assert forces(m, w, f) == want, (m, w, f)
     assert hits >= 800
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_validate_on_rows_matches_the_set_reference(logic):
+    # unclosed frames with names outside worlds, loops, R-cycles, S triples
+    # outside R and up to 24 worlds, and every fourth one closed: the same
+    # report, witness for witness
+    rng = random.Random(370 + (logic == ILM))
+    seen, wide = set(), 0
+    for i in range(160):
+        frame = random_unclosed_frame(rng, rng.randint(1, 24))
+        if i % 4 == 0:
+            g = close(LabeledFrame(AdequateSet(()), logic, sorted(frame.worlds), frame.R, frame.S))
+            frame = VeltmanFrame.make(frame.worlds, g.R, g.S)
+        got = validate(frame, logic)
+        assert got == reference_validate(frame, logic), frame
+        seen.update(v.condition for v in got.violations)
+        wide += len(frame.index) > 16
+    conditions = {"r_domain", "converse_well_founded", "r_transitive", "s_over_successors", "s_reflexive"}
+    conditions |= {"r_inside_s", "s_transitive"} | ({"ilm_condition"} if logic == ILM else set())
+    assert seen == conditions and wide >= 40, (seen, wide)
+
+
+def test_extensions_on_rows_match_the_set_reference():
+    # every subformula's extension on one lane and on several, on the
+    # frames above: the valuation may give names outside worlds atoms
+    rng = random.Random(372)
+    wide = 0
+    for _ in range(160):
+        frame = random_unclosed_frame(rng, rng.randint(1, 24))
+        names = list(frame.index)
+        val = {w: frozenset(a for a in "pqr" if rng.random() < 0.5) for w in names if rng.random() < 0.9}
+        fs = [random_formula(rng, 3) for _ in range(4)]
+        assert _extensions(frame, fs, 1, val, {}) == reference_extensions(frame, fs, 1, val, {}), frame
+        lanes = rng.randint(2, 5)
+        masks = {Atom(a): rng.getrandbits(lanes * len(names)) for a in "pqr"}
+        got = _extensions(frame, fs, lanes, {}, dict(masks))
+        assert got == reference_extensions(frame, fs, lanes, {}, dict(masks)), frame
+        wide += len(names) > 16
+    assert wide >= 40
+
+
+def test_frame_validates_on_rows_matches_the_set_reference(monkeypatch):
+    # a lane per valuation: the same answers with the reference evaluator
+    rng = random.Random(373)
+    cases = []
+    while len(cases) < 150:
+        frame = random_unclosed_frame(rng, rng.randint(1, 5))
+        f = random_formula(rng, 3, atoms=("p", "q"))
+        if 1 < len(atoms(f)) * len(frame.worlds) <= 12:
+            cases.append((frame, f))
+    got = [frame_validates(frame, f) for frame, f in cases]
+    monkeypatch.setattr(semantics, "_extensions", reference_extensions)
+    assert got == [frame_validates(frame, f) for frame, f in cases]
+    assert 20 <= sum(got) <= 130

@@ -21,6 +21,7 @@ from ilkit.construction import (
     seed_frame,
 )
 from ilkit.decide import axiom_instance
+from ilkit.relation import bits
 from ilkit.semantics import GL, IL, ILM
 from ilkit.syntax import (
     BOT,
@@ -512,7 +513,7 @@ def test_a_cube_mask_is_the_rows_agreeing_with_its_reads(seed, cap):
     rng = random.Random(5000 + seed)
     for logic in (IL, ILM):
         for index in _table_and_above(cap, seed, logic, rng):
-            rows = list(index.rows(index.valid))
+            rows = list(bits(index.valid))
             for _ in range(4):
                 t = LoggedTheory(index.theory(rng.choice(rows)))
                 for f, _ in _random_constraints(rng, index.adequate, 2):
@@ -530,7 +531,7 @@ def test_rows_are_a_masks_set_bits_ascending():
     masks = [0, 1, 1 << 63, 1 << 64, (1 << 64) - 1, (1 << 200) | (1 << 63) | 5]
     masks += [rng.getrandbits(rng.randrange(1, 600)) for _ in range(50)]
     for m in masks:
-        assert list(theory._TheoryIndex.rows(m)) == [j for j in range(m.bit_length()) if m >> j & 1]
+        assert list(bits(m)) == [j for j in range(m.bit_length()) if m >> j & 1]
 
 
 def test_an_empty_answer_above_the_cap(cap):
