@@ -48,6 +48,8 @@ from .construction import (
     LabeledFrame,
     close,
     close_frame,
+    critical_cone,
+    generalized_cone,
     verify_truth_lemma,
 )
 from .decide import (

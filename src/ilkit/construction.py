@@ -72,7 +72,8 @@ class Deficiency(NamedTuple):
 class LabeledFrame:
     """Mutable working frame; value-semantic copies back the search.
 
-    A frame keeps its relation index (`_Adjacency`, see there) and, per
+    A frame keeps the closed rows `close` left on it (`_rows`), its
+    relation index (`_Adjacency`, built on its first query) and, per
     world, the constraints a fresh successor of that world must meet. A
     copy starts without them and `add_world` drops them, so a caller edits
     a copy of a closed or queried frame, never the frame itself. The
@@ -118,6 +119,7 @@ class LabeledFrame:
 
     def _forget(self) -> None:
         """Drop what queries derived from the frame (see the class doc)."""
+        self._rows: tuple[list[str], list[int], list[list[int]]] | None = None  # names, R, S
         self._adj: _Adjacency | None = None
         self._constraints: dict[str, tuple[tuple[Formula, bool], ...]] = {}
 
@@ -152,7 +154,9 @@ class LabeledFrame:
         return frozenset(out)
 
     def to_frame(self) -> VeltmanFrame:
-        return VeltmanFrame(frozenset(self.worlds), frozenset(self.R), frozenset(self.S))
+        """The plain frame, offered the closed rows the frame kept."""
+        frame = VeltmanFrame(frozenset(self.worlds), frozenset(self.R), frozenset(self.S))
+        return frame.with_rows(*self._rows) if self._rows else frame
 
     def to_model(self) -> VeltmanModel:
         val = {}
@@ -169,6 +173,7 @@ class LabeledFrame:
 def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> LabeledFrame:
     f = LabeledFrame(adequate, logic)
     f.add_world(root_theory)
+    f._rows = f.worlds[:], [0], [[0]]  # one world and no R or S: closed
     refresh_worklist(f)
     return f
 
@@ -181,12 +186,14 @@ class _Adjacency:
     predecessor and label queries: `succ`, `pred`, `s_at` and `s_any` map
     R, its converse and S, `labels` maps x to the distinct labels of x's
     edges, ordered by edge, and `cones` is the table `cone` fills. A frame
-    builds it on its first query, except that `close` given since grows
-    since's index (`grown`) by the facts since lacks."""
+    builds it on its first query and keeps it until it is copied or grows
+    a world, so each settled frame fills its own table."""
 
     def __init__(self, R: Iterable, S: Iterable, edge_label: dict[tuple[str, str], Formula]):
-        self.succ, self.pred, self.s_at, self.s_any = {}, {}, {}, {}
-        self.add(R, S)
+        self.succ = image(R)
+        self.pred = image((b, a) for a, b in R)
+        self.s_at = image(((x, y), z) for x, y, z in S)  # y S_x z
+        self.s_any = image((y, z) for _, y, z in S)  # y S_x z for some x
         self.seeds = image(((x, lab), y) for (x, y), lab in edge_label.items())
         self.labels: dict[str, list[Formula]] = {}
         for (x, _), lab in sorted(edge_label.items()):
@@ -194,25 +201,6 @@ class _Adjacency:
             if lab not in labs:
                 labs.append(lab)
         self.cones: dict[tuple[str, Formula], tuple[set[str], set[str]]] = {}
-
-    def add(self, R: Iterable, S: Iterable) -> None:
-        """Enter R edges and S triples into the relation maps."""
-        succ, pred, s_at, s_any = self.succ, self.pred, self.s_at, self.s_any
-        for a, b in R:
-            succ.setdefault(a, set()).add(b)
-            pred.setdefault(b, set()).add(a)
-        for x, y, z in S:
-            s_at.setdefault((x, y), set()).add(z)  # y S_x z
-            s_any.setdefault(y, set()).add(z)  # y S_x z for some x
-
-    def grown(self, R: Iterable, S: Iterable, edge_label: dict[tuple[str, str], Formula]) -> "_Adjacency":
-        """A copy of the relation maps with R and S added, labeled anew,
-        with an empty cone table."""
-        adj = _Adjacency((), (), edge_label)
-        for name in ("succ", "pred", "s_at", "s_any"):
-            setattr(adj, name, {k: set(v) for k, v in getattr(self, name).items()})
-        adj.add(R, S)
-        return adj
 
     def cone(self, x: str, C: Formula) -> tuple[set[str], set[str]]:
         """x's C-generalized cone (R and S steps of any index) and C-critical
@@ -239,10 +227,20 @@ _NO_CONE = (frozenset(), frozenset())
 
 
 def _adjacency(F: LabeledFrame) -> _Adjacency:
-    """F's index: the one `close` left, else built on first use and kept."""
+    """F's index, built on first use and kept."""
     if F._adj is None:
         F._adj = _Adjacency(F.R, F.S, F.edge_label)
     return F._adj
+
+
+def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
+    """Worlds reached from a C-labeled edge of x via S_x and R steps."""
+    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[1])
+
+
+def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
+    """The critical cone closed under S steps with arbitrary index."""
+    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[0])
 
 
 # --- closure ------------------------------------------------------------------
@@ -272,19 +270,28 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
     labels, R and S only grow, and `validate` reports no violation of
     `r_transitive`, `s_reflexive`, `s_transitive`, `r_inside_s` or, under
     ILM, `ilm_condition`. `close_rows` closes F's relations as rows over
-    F.worlds, and the copy returned gains the facts the rows gained.
+    F.worlds, then any other name they hold, sorted; the copy returned
+    reads its R and S off the closed rows and keeps them.
     since, when given, is a closed frame that F extends (F's R, S, labels
-    and obligations contain its own); the copy's index is then since's
-    grown by the facts since lacks (`_Adjacency.grown`)."""
-    g, n = F.copy(), [*F.worlds, *sorted(set().union(*F.R, *F.S).difference(F.worlds))]
-    R0, S0 = to_rows(dict(zip(n, range(len(n)))), F.R, F.S)
-    R, S = R0[:], [row[:] for row in S0]
+    and obligations contain its own). If since kept rows over the first of
+    F.worlds, the rows start as a copy of since's with only the facts
+    since lacks added, and only the triples since lacks are examined for
+    obligations."""
+    g = F.copy()
+    base, n = since._rows if since is not None else None, g.worlds
+    if base and base[0] == n[: len(base[0])]:
+        facts = F.R.difference(since.R), F.S.difference(since.S), base[1:]
+    else:
+        facts = F.R, F.S, None
+    try:
+        R, S = to_rows(dict(zip(n, range(len(n)))), *facts)
+    except KeyError:  # a fact names a node outside F.worlds
+        n = [*n, *sorted(set().union(*F.R, *F.S).difference(n))]
+        R, S = to_rows(dict(zip(n, range(len(n)))), F.R, F.S)
     close_rows(R, S, g.logic == ILM)
-    for x in [x for x, (r, r0, Sx, Sx0) in enumerate(zip(R, R0, S, S0)) if r != r0 or Sx != Sx0]:
-        g.R.update([(n[x], n[y]) for y in bits(R[x] & ~R0[x])])
-        g.S.update([(n[x], n[y], n[z]) for y, (s, s0) in enumerate(zip(S[x], S0[x])) if s != s0 for z in bits(s & ~s0)])
-    if since is not None:
-        g._adj = _adjacency(since).grown(g.R.difference(since.R), g.S.difference(since.S), g.edge_label)
+    g.R = {(n[x], n[y]) for x, r in enumerate(R) if r for y in bits(r)}
+    g.S = {(n[x], n[y], n[z]) for x, Sx in enumerate(S) for y, s in enumerate(Sx) if s for z in bits(s)}
+    g._rows = n, R, S
     _propagate_obligations(g, g.S if since is None else g.S.difference(since.S))
     return g
 
@@ -295,7 +302,8 @@ def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
     (the first such in sorted order), or when R, before or after closing,
     has a cycle: no Veltman frame extends such a frame. The closed R is
     transitive, so it has a cycle iff it has a loop; only then does
-    `find_cycle` run, for a witness from the input R if it has one."""
+    `find_cycle` run, for a witness from the input R if it has one. The
+    frame returned caches the kernel's closed rows (`to_frame`)."""
     for name, rel in (("R edge", frame.R), ("S triple", frame.S)):
         outside = [e for e in rel if not frame.worlds.issuperset(e)]
         if outside:
@@ -305,7 +313,7 @@ def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
     if any(x == y for x, y in closed.R):
         cycle = find_cycle(g.worlds, frame.R) or find_cycle(g.worlds, closed.R)
         raise ValueError("R has a cycle: " + " -> ".join(cycle))
-    return VeltmanFrame(frozenset(closed.worlds), frozenset(closed.R), frozenset(closed.S))
+    return closed.to_frame()
 
 
 # --- frame validation ---------------------------------------------------------

@@ -19,7 +19,11 @@ def image(pairs: Iterable[Pair]) -> dict[Hashable, set]:
     outgoing pair are absent, so callers look up with .get(a, ())."""
     out: dict[Hashable, set] = {}
     for a, b in pairs:
-        out.setdefault(a, set()).add(b)
+        bs = out.get(a)
+        if bs is None:
+            out[a] = {b}
+        else:
+            bs.add(b)
     return out
 
 
@@ -37,10 +41,13 @@ def bits(m: int) -> Iterator[int]:
         off += 64
 
 
-def to_rows(ix: dict, pairs: Iterable, triples: Iterable) -> tuple[list[int], list[list[int]]]:
+def to_rows(ix: dict, pairs: Iterable, triples: Iterable, rows=None) -> tuple[list[int], list[list[int]]]:
     """Rows over the numbering ix: R[x] has bit y per pair (x, y), S[x][y]
-    bit z per triple (x, y, z)."""
-    R, S = [0] * len(ix), [[0] * len(ix) for _ in ix]
+    bit z per triple (x, y, z), added to a copy of rows, (R, S) over the
+    first names of ix, when given."""
+    R0, S0 = rows or ([], [])
+    pad = [0] * (len(ix) - len(R0))
+    R, S = R0 + pad, [Sx + pad for Sx in S0] + [[0] * len(ix) for _ in pad]
     for x, y in pairs:
         R[ix[x]] |= 1 << ix[y]
     for x, y, z in triples:
@@ -79,7 +86,8 @@ def close_rows(R: list[int], S: list[list[int]], ilm: bool) -> None:
     for Sx, rx in zip(S, R):
         for y in bits(rx):
             Sx[y] |= 1 << y | R[y]
-        _transitive(Sx)
+        if rx or any(Sx):
+            _transitive(Sx)
 
 
 def reach(seed: Iterable[Hashable], step: Callable[[Hashable], Iterable[Hashable]]) -> set:

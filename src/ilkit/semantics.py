@@ -77,6 +77,13 @@ class VeltmanFrame(_FrameFields):
         has bit y when x R y, and S[x][y] bit z when y S_x z."""
         return to_rows(self.index, self.R, self.S)
 
+    def with_rows(self, names: list[str], R: list[int], S: list[list[int]]) -> "VeltmanFrame":
+        """self, caching R and S, the frame's rows over names (every name
+        it holds), as its index and rows when names are in sorted order."""
+        if names == sorted(names):
+            self.__dict__.update(index=dict(zip(names, range(len(names)))), rows=(R, S))
+        return self
+
 
 class VeltmanModel:
     """A frame with a valuation; equal only to itself, since `val` is a
@@ -144,30 +151,44 @@ def validate(frame: VeltmanFrame, logic: str) -> ValidationReport:
     """Check the frame conditions of IL and, under ILM, the ILM condition
     y S_x z R u -> y R u; every violation is reported with a witness
     tuple, condition by condition and each condition's witnesses in
-    sorted order. Each check is a mask on the frame's rows, as R[y] & ~R[x]
-    for y in R[x] for r_transitive, and only its bits are named. A
-    transitive R has a cycle iff it has a loop (w, w), so `find_cycle`
-    runs only when R is not transitive or has a loop, to give the cycle's
-    witness."""
+    sorted order. One pass over the frame's rows tests each condition as
+    a mask, as R[y] & ~R[x] for y in R[x] for r_transitive, and names
+    only its bits. A transitive R has a cycle iff it has a loop (w, w), so
+    `find_cycle` runs only when R is not transitive or has a loop, to
+    give the cycle's witness."""
     check_logic(logic)
     W, n, (R, S) = frame.worlds, list(frame.index), frame.rows
-    pairs = [(x, y) for x, rx in enumerate(R) for y in bits(rx)]
-    rows = [(x, y, r) for x, Sx in enumerate(S) for y, r in enumerate(Sx) if r]
-    trans = [(n[x], n[y], n[z]) for x, y in pairs if (m := R[y] & ~R[x]) for z in bits(m)]
-    outside = [(n[x], n[y], n[z]) for x, y, r in rows for z in bits(r & ~R[x] if R[x] >> y & 1 else r)]
-    s_trans = [(n[x], n[u], n[v], n[w]) for x, u, r in rows for v in bits(r) if (m := S[x][v] & ~r) for w in bits(m)]
-    cyc = find_cycle(W, frame.R) if trans or any(x == y for x, y in pairs) else None
+    loop, trans, refl, inside, outside, s_trans, ilm = False, [], [], [], [], [], []
+    for x, (rx, Sx) in enumerate(zip(R, S)):
+        for y in bits(rx):  # x R y
+            loop |= x == y
+            if m := R[y] & ~rx:
+                trans += [(n[x], n[y], n[z]) for z in bits(m)]
+            if not Sx[y] >> y & 1:
+                refl.append((n[x], n[y]))
+            if m := R[y] & ~Sx[y]:
+                inside += [(n[x], n[y], n[z]) for z in bits(m)]
+        for y, r in enumerate(Sx):
+            if not r:
+                continue
+            if m := r & ~rx if rx >> y & 1 else r:
+                outside += [(n[x], n[y], n[z]) for z in bits(m)]
+            for z in bits(r):  # y S_x z
+                if m := Sx[z] & ~r:
+                    s_trans += [(n[x], n[y], n[z], n[w]) for w in bits(m)]
+                if logic == ILM and (m := R[z] & ~R[y]):
+                    ilm += [(n[x], n[y], n[z], n[u]) for u in bits(m)]
+    cyc = find_cycle(W, frame.R) if trans or loop else None
     groups = [
         ("r_domain", [(x, y) for x, y in frame.R if x not in W or y not in W]),
         ("converse_well_founded", [cyc] if cyc else []),
         ("r_transitive", trans),
         ("s_over_successors", outside),
-        ("s_reflexive", [(n[x], n[y]) for x, y in pairs if not S[x][y] >> y & 1]),
-        ("r_inside_s", [(n[x], n[y], n[z]) for x, y in pairs if (m := R[y] & ~S[x][y]) for z in bits(m)]),
+        ("s_reflexive", refl),
+        ("r_inside_s", inside),
         ("s_transitive", s_trans),
     ]
     if logic == ILM:
-        ilm = [(n[x], n[y], n[z], n[u]) for x, y, r in rows for z in bits(r) if (m := R[z] & ~R[y]) for u in bits(m)]
         groups.append(("ilm_condition", ilm))
     return ValidationReport(tuple(Violation(c, w) for c, ws in groups for w in sorted(ws)))
 

@@ -453,17 +453,6 @@ def m_cone(F, x, A):
     return reach(adj.seeds.get((x, A), ()), step)
 
 
-def critical_cone(F, x, C):
-    """Worlds reached from a C-labeled edge of x via S_x and R steps, from
-    a fresh index of F."""
-    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[1])
-
-
-def generalized_cone(F, x, C):
-    """The critical cone closed under S steps with arbitrary index."""
-    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[0])
-
-
 def check_mcone_invariance(before, after):
     """True iff every labeled M-cone of before is the same on after."""
     return all(

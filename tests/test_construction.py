@@ -7,10 +7,8 @@ from ilkit import theory
 from conftest import (
     check_mcone_invariance,
     close_trace,
-    critical_cone,
     depth,
     find_imperfections,
-    generalized_cone,
     labels_of,
     m_cone,
     open_items,
@@ -28,7 +26,9 @@ from ilkit.construction import (
     _adjacency,
     close,
     close_frame,
+    critical_cone,
     eliminate,
+    generalized_cone,
     quasi_frame_violations,
     refresh_worklist,
     seed_frame,
@@ -252,14 +252,18 @@ def test_close_trace_matches_close(logic):
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])
-def test_row_closure_matches_close_trace_on_unclosed_frames(logic):
+def test_row_closure_matches_close_trace_on_unclosed_frames(monkeypatch, logic):
     # close's row kernel against one fact at a time (close_trace), on
     # frames with names outside worlds, loops, R-cycles and S triples
     # outside R, more than 16 worlds among them; and settled against a
-    # closed frame on part of the facts (since), whose index is since's
-    # copy plus the new facts, map by map the one a fresh build gives
+    # closed frame on part of the facts (since), from since's rows when F
+    # names no world outside F.worlds, else from scratch: either way the
+    # rows kept are the closed frame's, and no index is built
     rng = random.Random(38 + (logic == ILM))
-    seen = {"outside": 0, "loop": 0, "s outside R": 0, "wide": 0}
+    seen = {"outside": 0, "loop": 0, "s outside R": 0, "wide": 0, "from since's rows": 0}
+    grown = []
+    real_to_rows = construction.to_rows
+    monkeypatch.setattr(construction, "to_rows", lambda *a: grown.append(len(a) > 3 and a[3]) or real_to_rows(*a))
     frames = [random_unclosed_frame(rng, rng.randint(1, 6)) for _ in range(60)]
     for fr in frames + [_wide_frame(random.Random(38))]:
         f = LabeledFrame(AdequateSet(()), logic, sorted(fr.worlds), fr.R, fr.S)
@@ -277,14 +281,34 @@ def test_row_closure_matches_close_trace_on_unclosed_frames(logic):
         child.S |= f.S
         step = close(child, since=parent)
         assert (step.R, step.S) == (whole.R, whole.S), fr
-        fresh = _Adjacency(step.R, step.S, step.edge_label)
-        for name, got in vars(step._adj).items():
-            assert got == getattr(fresh, name), name
+        assert step._rows == whole._rows, fr
+        n, R, S = step._rows
+        assert (R, S) == real_to_rows(dict(zip(n, range(len(n)))), step.R, step.S)
+        assert step._adj is whole._adj is None
         seen["outside"] += len(fr.index) > len(fr.worlds)
         seen["loop"] += any(x == y for x, y in whole.R)
         seen["s outside R"] += any((x, y) not in fr.R or (x, z) not in fr.R for x, y, z in fr.S)
         seen["wide"] += len(fr.worlds) > 16
-    assert seen["wide"] == 1 and min(seen["outside"], seen["loop"], seen["s outside R"]) >= 10, seen
+        seen["from since's rows"] += bool(grown[-1])
+        # since's rows are taken only when no name lies outside the worlds
+        assert bool(grown[-1]) == (len(fr.index) == len(fr.worlds)), fr
+        if len(fr.index) == len(fr.worlds) and not any(x == y for x, y in whole.R):
+            # close_frame hands the kernel's rows on as the frame's cache
+            out = close_frame(fr, logic)
+            fresh = VeltmanFrame.make(*out)
+            assert (out.index, out.rows) == (fresh.index, fresh.rows), fr
+    assert seen.pop("wide") == 1 and min(seen.values()) >= 10, seen
+
+
+def test_to_frame_hands_on_rows_only_in_sorted_order():
+    # a plain frame numbers its names in sorted order, so the closed rows
+    # of a frame whose worlds are not in sorted order stay behind
+    for worlds in (["a", "b", "c"], ["c", "a", "b"]):
+        f = LabeledFrame(AdequateSet(()), IL, worlds, {("c", "a"), ("a", "b")}, ())
+        frame = close(f).to_frame()
+        fresh = VeltmanFrame.make(*frame)
+        assert (frame.index, frame.rows) == (fresh.index, fresh.rows), worlds
+        assert validate(frame, IL) == validate(fresh, IL)
 
 
 def _wide_frame(rng):
@@ -299,12 +323,16 @@ def _wide_frame(rng):
 
 
 def test_close_builds_the_index_only_when_asked():
-    # without since, close leaves no index; under ILM it builds one only
-    # to push an obligation along S, and then the frame keeps it
+    # with since or without, close leaves no index; under ILM it builds
+    # one only to push an obligation along S, and then the frame keeps it
     D = small_D()
     t = pick(D)
     f = frame_with(D, ILM, ["a", "b", "c"], {("a", "b"), ("a", "c")}, {("a", "b", "c")}, dict.fromkeys("abc", t))
-    assert close(f)._adj is None
+    g = close(f)
+    assert g._adj is None
+    h = g.copy()
+    h.S.add(("a", "c", "b"))
+    assert close(h, since=g)._adj is None
     f.obligations["b"] = frozenset({p})
     g = close(f)
     assert g._adj is not None and g.obligations["c"] == frozenset({p})
@@ -835,11 +863,11 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
         assert since is not None, "a search step must pass its parent"
         step, whole = close(F, since=since), close(F)
         assert (step.R, step.S, step.obligations) == (whole.R, whole.S, whole.obligations)
-        # the index close leaves on the step, which the checks below
-        # read, and the one the whole frame builds on first use are the
-        # one a fresh build gives, map by map
-        left = step._adj
-        assert left is not None
+        # the step's rows start from since's and end as the whole frame's
+        assert since._rows is not None and step._rows == whole._rows
+        # the index each frame builds on first use, which the checks
+        # below read, is the one a fresh build gives, map by map
+        left = _adjacency(step)
         for g in (step, whole):
             fresh = _Adjacency(g.R, g.S, g.edge_label)
             for name, got in vars(_adjacency(g)).items():
@@ -864,7 +892,11 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
             refresh_worklist(step, since=since)
             refresh_worklist(whole)
             assert step.worklist == whole.worklist
-        assert step._adj is left, "the checks must read the index close left"
+        assert step._adj is left, "the checks must read the index built above"
+        # the plain frame's rows, handed on or built, are a fresh frame's
+        frame = step.to_frame()
+        fresh = VeltmanFrame.make(*frame)
+        assert (frame.index, frame.rows) == (fresh.index, fresh.rows)
         seen["steps"] += 1
         seen["rejected"] += bad
         return real(F, since)
