@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .relation import _WORD, bits, close_rows, find_cycle, image, reach, to_rows
+from .relation import _WORD, bits, close_rows, find_cycle, image, reach_rows, to_rows
 from .semantics import ILM, VeltmanFrame, VeltmanModel, _engine_logic
 from .syntax import (
     AdequateSet,
@@ -72,12 +72,12 @@ class Deficiency(NamedTuple):
 class LabeledFrame:
     """Mutable working frame; value-semantic copies back the search.
 
-    A frame keeps the closed rows `close` left on it (`_rows`), its
-    relation index (`_Adjacency`, built on its first query) and, per
-    world, the constraints a fresh successor of that world must meet. A
-    copy starts without them and `add_world` drops them, so a caller edits
-    a copy of a closed or queried frame, never the frame itself. The
-    search edits only fresh copies.
+    A frame keeps the rows of its R and S (`_rows`: the closed rows
+    `close` left on it, or those its first query built), its cone table
+    (`_cones`) and, per world, the constraints a fresh successor of that
+    world must meet. A copy starts without them and `add_world` drops
+    them, so a caller edits a copy of a closed or queried frame, never
+    the frame itself. The search edits only fresh copies.
     """
 
     def __init__(
@@ -103,24 +103,14 @@ class LabeledFrame:
         self._forget()
 
     def copy(self) -> "LabeledFrame":
-        g = LabeledFrame.__new__(LabeledFrame)
-        g.adequate = self.adequate
-        g.logic = self.logic
-        g.worlds = list(self.worlds)
-        g.R = set(self.R)
-        g.S = set(self.S)
-        g.nu = dict(self.nu)
-        g.edge_label = dict(self.edge_label)
-        g.obligations = dict(self.obligations)
-        g.exempt_root = self.exempt_root
-        g.worklist = list(self.worklist)
-        g._forget()
+        g = LabeledFrame(self.adequate, self.logic, self.worlds, self.R, self.S, self.nu, self.exempt_root)
+        g.edge_label, g.obligations, g.worklist = dict(self.edge_label), dict(self.obligations), list(self.worklist)
         return g
 
     def _forget(self) -> None:
         """Drop what queries derived from the frame (see the class doc)."""
         self._rows: tuple[list[str], list[int], list[list[int]]] | None = None  # names, R, S
-        self._adj: _Adjacency | None = None
+        self._cones: dict[str, dict[Formula, tuple[int, int]]] | None = None
         self._constraints: dict[str, tuple[tuple[Formula, bool], ...]] = {}
 
     def order(self) -> dict[str, int]:
@@ -141,9 +131,11 @@ class LabeledFrame:
     def effective_obligations(self, w: str) -> frozenset[Formula]:
         """Constraints on every R-successor of w: w's own obligations plus
         those of all its R-predecessors (R is kept transitive)."""
-        out = set(self.obligations.get(w, ()))
-        for a in _adjacency(self).pred.get(w, ()):
-            out |= self.obligations.get(a, frozenset())
+        n, R, _ = _frame_rows(self)
+        out, bit = set(self.obligations.get(w, ())), 1 << n.index(w) if w in n else 0
+        for a, r in zip(n, R):
+            if r & bit:
+                out |= self.obligations.get(a, frozenset())
         return frozenset(out)
 
     def effective_boxes(self, w: str) -> frozenset[Formula]:
@@ -154,7 +146,7 @@ class LabeledFrame:
         return frozenset(out)
 
     def to_frame(self) -> VeltmanFrame:
-        """The plain frame, offered the closed rows the frame kept."""
+        """The plain frame, offered the rows the frame kept."""
         frame = VeltmanFrame(frozenset(self.worlds), frozenset(self.R), frozenset(self.S))
         return frame.with_rows(*self._rows) if self._rows else frame
 
@@ -178,69 +170,67 @@ def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> Label
     return f
 
 
-# --- cones -------------------------------------------------------------------
+# --- rows and cones ------------------------------------------------------------
 
 
-class _Adjacency:
-    """The one index of a labeled frame's relations, for the cone,
-    predecessor and label queries: `succ`, `pred`, `s_at` and `s_any` map
-    R, its converse and S, `labels` maps x to the distinct labels of x's
-    edges, ordered by edge, and `cones` is the table `cone` fills. A frame
-    builds it on its first query and keeps it until it is copied or grows
-    a world, so each settled frame fills its own table."""
-
-    def __init__(self, R: Iterable, S: Iterable, edge_label: dict[tuple[str, str], Formula]):
-        self.succ = image(R)
-        self.pred = image((b, a) for a, b in R)
-        self.s_at = image(((x, y), z) for x, y, z in S)  # y S_x z
-        self.s_any = image((y, z) for _, y, z in S)  # y S_x z for some x
-        self.seeds = image(((x, lab), y) for (x, y), lab in edge_label.items())
-        self.labels: dict[str, list[Formula]] = {}
-        for (x, _), lab in sorted(edge_label.items()):
-            labs = self.labels.setdefault(x, [])
-            if lab not in labs:
-                labs.append(lab)
-        self.cones: dict[tuple[str, Formula], tuple[set[str], set[str]]] = {}
-
-    def cone(self, x: str, C: Formula) -> tuple[set[str], set[str]]:
-        """x's C-generalized cone (R and S steps of any index) and C-critical
-        cone (R and S_x steps), kept in the table and never mutated; empty
-        if no edge of x carries C. On a closed ILM frame the critical cone
-        is also the M-cone, whose extra step goes along S steps of any
-        index, then one R step: y S_a1 z1 ... zk R u. There z R u whenever
-        z S_a z' R u (`ilm_condition`), so applying the rule backwards along
-        the S-path gives y R u, which the R step takes."""
-        got = self.cones.get((x, C))
-        if got is None:
-            seeds = self.seeds.get((x, C))
-            if seeds is None:
-                return _NO_CONE
-            succ, s_at, s_any = self.succ, self.s_at, self.s_any
-            got = self.cones[x, C] = (
-                reach(seeds, lambda y: (*succ.get(y, ()), *s_any.get(y, ()))),
-                reach(seeds, lambda y: (*succ.get(y, ()), *s_at.get((x, y), ()))),
-            )
-        return got
+def _frame_rows(F: LabeledFrame, since: LabeledFrame | None = None) -> tuple[list[str], list[int], list[list[int]]]:
+    """F's rows (names, R, S), built on first use and kept: R and S over
+    F.worlds, then any other name they hold, sorted. So world i of
+    F.worlds is row i. since, when given, is a frame F extends (F's R and
+    S contain its own); if since kept rows over the first of F.worlds,
+    F's start as a copy of them with only the facts since lacks added."""
+    if F._rows is None:
+        n, base = F.worlds, since._rows if since is not None else None
+        if base and base[0] == n[: len(base[0])]:
+            facts = F.R.difference(since.R), F.S.difference(since.S), base[1:]
+        else:
+            facts = F.R, F.S
+        try:
+            F._rows = n, *to_rows(dict(zip(n, range(len(n)))), *facts)
+        except KeyError:  # a fact names a node outside F.worlds
+            n = [*n, *sorted(set().union(*F.R, *F.S).difference(n))]
+            F._rows = n, *to_rows(dict(zip(n, range(len(n)))), F.R, F.S)
+    return F._rows
 
 
-_NO_CONE = (frozenset(), frozenset())
+def _cones(F: LabeledFrame) -> dict[str, dict[Formula, tuple[int, int]]]:
+    """F's cone table, built on first use and kept: x -> each distinct
+    label C of x's edges, ordered by edge, -> x's C-generalized cone (R
+    and S steps of any index) and C-critical cone (R and S_x steps) from
+    the targets of C's edges, as masks over F's rows. On a closed ILM
+    frame the critical cone is also the M-cone, whose extra step goes
+    along S steps of any index, then one R step: y S_a1 z1 ... zk R u.
+    There z R u whenever z S_a z' R u (`ilm_condition`), so applying the
+    rule backwards along the S-path gives y R u, which the R step takes."""
+    if F._cones is None:
+        n, R, S = _frame_rows(F)
+        seeds: dict[str, dict[Formula, int]] = {}
+        for (x, y), lab in sorted(F.edge_label.items()):
+            at = seeds.setdefault(x, {})
+            at[lab] = at.get(lab, 0) | 1 << n.index(y)
+        F._cones = {
+            x: {lab: (reach_rows(m, R, *S), reach_rows(m, R, S[n.index(x)])) for lab, m in at.items()}
+            for x, at in seeds.items()
+        }
+    return F._cones
 
 
-def _adjacency(F: LabeledFrame) -> _Adjacency:
-    """F's index, built on first use and kept."""
-    if F._adj is None:
-        F._adj = _Adjacency(F.R, F.S, F.edge_label)
-    return F._adj
+def _cone_worlds(F: LabeledFrame, x: str, C: Formula) -> tuple[set[str], set[str]]:
+    """x's C-cones as names, read off a copy of F: the frame as it is now,
+    and F keeps no rows or table the caller's later edits would outdate."""
+    g = F.copy()
+    n = _frame_rows(g)[0]
+    return tuple({n[i] for i in bits(m)} for m in _cones(g).get(x, {}).get(C, (0, 0)))
 
 
 def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """Worlds reached from a C-labeled edge of x via S_x and R steps."""
-    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[1])
+    return _cone_worlds(F, x, C)[1]
 
 
 def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
     """The critical cone closed under S steps with arbitrary index."""
-    return set(_Adjacency(F.R, F.S, F.edge_label).cone(x, C)[0])
+    return _cone_worlds(F, x, C)[0]
 
 
 # --- closure ------------------------------------------------------------------
@@ -248,50 +238,35 @@ def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
 
 def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, str]]) -> None:
     """Under ILM, obligations flow along S-transitions (the obligation set
-    is the out-of-D part of the boxes, and S preserves boxes). The given
-    triples whose source world has obligations are examined first (no
-    other can grow one); a world whose obligations grow passes them on
-    along every S-transition out of it, read off F's index if need be."""
+    is the out-of-D part of the boxes, and S preserves boxes). Only the
+    given triples add a flow: each y S_x z passes y's obligations to all
+    that S steps of any index reach from z, z included (F's rows), so
+    also past a y whose obligations another triple grows."""
     if F.logic != ILM:
         return
-    ob = F.obligations
-    todo = [(b, c) for _, b, c in triples if ob.get(b)]
-    s_any = _adjacency(F).s_any if todo else {}
-    while todo:
-        b, c = todo.pop()
-        ob_b, ob_c = ob.get(b, frozenset()), ob.get(c, frozenset())
-        if not ob_b <= ob_c:
-            ob[c] = ob_c | ob_b
-            todo.extend((c, d) for d in s_any.get(c, ()))
+    ob, (n, _, S) = F.obligations, _frame_rows(F)
+    for _, y, z in triples:
+        if ob.get(y):
+            for d in bits(reach_rows(1 << n.index(z), *S)):
+                ob[n[d]] = ob.get(n[d], frozenset()) | ob[y]
 
 
 def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
     """The closure of F under its logic's frame conditions: same worlds and
     labels, R and S only grow, and `validate` reports no violation of
     `r_transitive`, `s_reflexive`, `s_transitive`, `r_inside_s` or, under
-    ILM, `ilm_condition`. `close_rows` closes F's relations as rows over
-    F.worlds, then any other name they hold, sorted; the copy returned
-    reads its R and S off the closed rows and keeps them.
+    ILM, `ilm_condition`. `close_rows` closes the rows of F's relations
+    (`_frame_rows`); the copy returned reads its R and S off the closed
+    rows and keeps them.
     since, when given, is a closed frame that F extends (F's R, S, labels
-    and obligations contain its own). If since kept rows over the first of
-    F.worlds, the rows start as a copy of since's with only the facts
-    since lacks added, and only the triples since lacks are examined for
-    obligations."""
+    and obligations contain its own). The rows then start from since's
+    where `_frame_rows` can, and only the triples since lacks are
+    examined for obligations."""
     g = F.copy()
-    base, n = since._rows if since is not None else None, g.worlds
-    if base and base[0] == n[: len(base[0])]:
-        facts = F.R.difference(since.R), F.S.difference(since.S), base[1:]
-    else:
-        facts = F.R, F.S, None
-    try:
-        R, S = to_rows(dict(zip(n, range(len(n)))), *facts)
-    except KeyError:  # a fact names a node outside F.worlds
-        n = [*n, *sorted(set().union(*F.R, *F.S).difference(n))]
-        R, S = to_rows(dict(zip(n, range(len(n)))), F.R, F.S)
+    n, R, S = _frame_rows(g, since)
     close_rows(R, S, g.logic == ILM)
     g.R = {(n[x], n[y]) for x, r in enumerate(R) if r for y in bits(r)}
     g.S = {(n[x], n[y], n[z]) for x, Sx in enumerate(S) for y, s in enumerate(Sx) if s for z in bits(s)}
-    g._rows = n, R, S
     _propagate_obligations(g, g.S if since is None else g.S.difference(since.S))
     return g
 
@@ -324,9 +299,9 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     Checks the quasi-frame conditions, the ILM additions when applicable,
     obligation satisfaction, and strict box growth along R. F must be
     closed. Criticality is checked over the critical cone in both logics:
-    under ILM the M-cone of a closed frame is the same cone
-    (`_Adjacency.cone`). Under ILM, obligations need no check along S:
-    `close` pushes them along every S triple (`_propagate_obligations`).
+    under ILM the M-cone of a closed frame is the same cone (`_cones`).
+    Under ILM, obligations need no check along S: `close` pushes them
+    along every S triple (`_propagate_obligations`).
 
     R is transitive in a closed frame, so an R-cycle is a self-loop. No
     cycle of the composition R;S+ needs its own check. Under ILM a closed
@@ -341,7 +316,9 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     cone grew: criticality at the worlds a critical cone gained, overlap at
     worlds with a grown generalized cone. Cones only grow and since had no
     violation, so the list can be shorter than a whole-frame call's, but
-    it is empty exactly when that one is. Without since all is new."""
+    it is empty exactly when that one is. Without since all is new. A
+    settled frame names no node outside its worlds, so since's rows
+    number the first of F's and its cones read as masks over F's rows."""
     old_R, old_S = (since.R, since.S) if since is not None else ((), ())
     old_ob = since.obligations if since is not None else {}
     new_R, new_S = F.R.difference(old_R), F.S.difference(old_S)
@@ -375,26 +352,25 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
         bx, by = boxes[x], boxes[y]
         if not (bx <= by and bx != by):
             out.append(f"no box growth on edge {(x, y)}")
-    adj = _adjacency(F)
-    old = _adjacency(since) if since is not None else _Adjacency((), (), {})
+    n, table, old = _frame_rows(F)[0], _cones(F), _cones(since) if since is not None else {}
     for x in F.worlds:
-        labs = adj.labels.get(x)
-        if labs is None:
+        at = table.get(x)
+        if at is None:
             continue
-        cones = [adj.cone(x, lab) for lab in labs]
-        was = [old.cone(x, lab) for lab in labs]
+        labs, cones = list(at), list(at.values())
+        was = [old.get(x, {}).get(lab, (0, 0)) for lab in labs]
         # The overlap check is no consequence of the others: on
         # tests/differential.json, 3,827 of 4,820 IL rejections and 3 of
         # 312 ILM rejections report only the overlap, and without it the
         # refuted IL row ((p |> (bot -> r)) |> (r & p) & (r |> bot)) |> bot
         # & []bot gets another countermodel.
-        if any(len(c[0]) > len(w[0]) for c, w in zip(cones, was)):
+        if any(c[0] & ~w[0] for c, w in zip(cones, was)):
             for i, a in enumerate(labs):
                 for b, c in zip(labs[i + 1 :], cones[i + 1 :]):
                     if cones[i][0] & c[0]:
                         out.append(f"generalized cones overlap at {x}: {render(a)} / {render(b)}")
         for lab, (_, crit), (_, crit_was) in zip(labs, cones, was):
-            for y in sorted(crit.difference(crit_was)):
+            for y in sorted(n[i] for i in bits(crit & ~crit_was)):
                 if not crit_succ(F.nu[x], lab, F.nu[y]):
                     out.append(f"criticality {render(lab)} fails at {y} (cone of {x})")
     if F.logic == ILM:
@@ -435,17 +411,18 @@ def _deficiencies_on(F: LabeledFrame, edges) -> Iterator[Deficiency]:
                         yield Deficiency(x, y, a)
 
 
-def _is_open(F: LabeledFrame, adj: _Adjacency, item) -> bool:
+def _is_open(F: LabeledFrame, item) -> bool:
     """No witness yet: for ~(A |> B) no A world in the B-critical cone, for
     ~[]A no ~A successor, for a deficiency no S_x exit to a D world. It
     reads theories in F.worlds order, so no log hangs on a set's order."""
+    n, R, S = _frame_rows(F)
     if isinstance(item, Deficiency):
-        near, want = adj.s_at.get((item.x, item.y), ()), item.formula.right
+        near, want = S[n.index(item.x)][n.index(item.y)], item.formula.right
     elif isinstance(item.formula.left, Rhd):
-        near, want = adj.cone(item.world, item.formula.left.right)[1], item.formula.left.left
+        near, want = _cones(F).get(item.world, {}).get(item.formula.left.right, (0, 0))[1], item.formula.left.left
     else:
-        near, want = adj.succ.get(item.world, ()), Neg(item.formula.left.body)
-    return not any(F.nu[w].models(want) for w in F.worlds if w in near)
+        near, want = R[n.index(item.world)], Neg(item.formula.left.body)
+    return not any(F.nu[n[i]].models(want) for i in bits(near) if i < len(F.worlds))
 
 
 def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None:
@@ -465,8 +442,7 @@ def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None
         *_problems_at(F, [w for w in F.worlds if w not in old_nu]),
         *_deficiencies_on(F, F.R.difference(old_R)),
     ]
-    adj = _adjacency(F)
-    current = {it for it in maybe if _is_open(F, adj, it)}
+    current = {it for it in maybe if _is_open(F, it)}
     kept = [it for it in F.worklist if it in current]
     order = F.order()
     F.worklist = kept + sorted(current.difference(kept), key=lambda i: i.key(order))
@@ -493,12 +469,11 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
     got = F._constraints.get(x)
     if got is None:
         extra = [(o, True) for o in sorted(F.effective_obligations(x), key=Formula.key)]
-        adj = _adjacency(F)
-        back = adj.pred.get(x, ())
-        for a in F.worlds:
-            if a in back:
-                for lab in adj.labels.get(a, ()):
-                    if x in adj.cone(a, lab)[1]:
+        bit = 1 << F.worlds.index(x)  # world i is row i
+        for a, r in zip(F.worlds, _frame_rows(F)[1]):
+            if r & bit:
+                for lab, (_, crit) in _cones(F).get(a, {}).items():
+                    if crit & bit:
                         extra += [(f, True) for f in crit_obligations(F.nu[a], lab)]
         got = F._constraints[x] = tuple(extra)
     return got
@@ -568,8 +543,9 @@ def _rhd_lookahead(F: LabeledFrame, item):
 
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
     """The formula B with y in the B-critical cone of x; bot if none."""
-    adj = _adjacency(F)
-    return next((lab for lab in adj.labels.get(x, ()) if y in adj.cone(x, lab)[1]), BOT)
+    n = _frame_rows(F)[0]
+    bit = 1 << n.index(y) if y in n else 0
+    return next((lab for lab, (_, crit) in _cones(F).get(x, {}).items() if crit & bit), BOT)
 
 
 def _witness(F: LabeledFrame, item) -> tuple:
@@ -739,7 +715,7 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
     `state.budget.max_worlds` worlds gets no fresh world."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     gx = F.nu[x]
-    back = {x} | _adjacency(F).pred.get(x, set())  # R is transitive on F
+    bit = 1 << F.worlds.index(x)  # w reaches x iff R[w] has it: R is transitive on F
 
     def link(g, w):
         g.R.add((x, w))
@@ -749,9 +725,9 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
             g.S.add((x, y, w))
         return _finish(g, F)
 
-    for w in F.worlds:
+    for w, r in zip(F.worlds, _frame_rows(F)[1]):
         t = F.nu[w]
-        if w in back or (label is not None and (x, w) in F.edge_label):
+        if w == x or r & bit or (label is not None and (x, w) in F.edge_label):
             continue
         if t.models(f) == v and crit_succ(gx, B, t) and (boxes_of is None or box_incl(boxes_of, t)):
             done = link(F.copy(), w)

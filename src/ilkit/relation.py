@@ -102,6 +102,19 @@ def reach(seed: Iterable[Hashable], step: Callable[[Hashable], Iterable[Hashable
     return out
 
 
+def reach_rows(seed: int, *steps: list[int]) -> int:
+    """`reach` on rows: the least superset of the node mask seed that holds
+    rows[i] for each member i and each of the row lists steps."""
+    out = todo = seed
+    while todo:
+        i = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        for rows in steps:
+            todo |= rows[i] & ~out
+        out |= todo
+    return out
+
+
 def find_cycle(nodes: Iterable[Hashable], pairs: Iterable[Pair]) -> tuple | None:
     """A cycle of the relation as (n, ..., n), or None if it has none.
 

@@ -7,8 +7,6 @@ import random
 from types import SimpleNamespace
 
 from ilkit.construction import (
-    _Adjacency,
-    _adjacency,
     _propagate_obligations,
     _successor_constraints,
     _witness,
@@ -437,20 +435,44 @@ def close_trace(F, logic=None):
         yield imps[0], g
 
 
+def reference_relations(F):
+    """The set-based maps of F's R and S the row queries of `construction`
+    are tested against: successors, predecessors, S_x exits (keyed by
+    (x, y)) and S exits of any index."""
+    return SimpleNamespace(
+        succ=image(F.R),
+        pred=image((b, a) for a, b in F.R),
+        s_at=image(((x, y), z) for x, y, z in F.S),
+        s_any=image((y, z) for _, y, z in F.S),
+    )
+
+
+def reference_cones(F, x, A):
+    """x's A-generalized and A-critical cones as `reach` over the set-based
+    maps: from the targets of x's A-labeled edges, along R and S steps of
+    any index, or along R and S_x steps."""
+    rel = reference_relations(F)
+    seeds = [y for (a, y), lab in F.edge_label.items() if a == x and lab == A]
+    return (
+        reach(seeds, lambda y: (*rel.succ.get(y, ()), *rel.s_any.get(y, ()))),
+        reach(seeds, lambda y: (*rel.succ.get(y, ()), *rel.s_at.get((x, y), ()))),
+    )
+
+
 def m_cone(F, x, A):
     """The critical cone of x's A-labeled edges, closed also under a step
     along one or more S steps of any index and then one R step. On a
     frame closed under ILM it is the critical cone."""
-    adj = _Adjacency(F.R, F.S, F.edge_label)
-    s_step = lambda n: adj.s_any.get(n, ())
+    rel = reference_relations(F)
+    s_step = lambda n: rel.s_any.get(n, ())
 
     def step(y):
-        yield from adj.succ.get(y, ())
-        yield from adj.s_at.get((x, y), ())
+        yield from rel.succ.get(y, ())
+        yield from rel.s_at.get((x, y), ())
         for u in reach(s_step(y), s_step):
-            yield from adj.succ.get(u, ())
+            yield from rel.succ.get(u, ())
 
-    return reach(adj.seeds.get((x, A), ()), step)
+    return reach([y for (a, y), lab in F.edge_label.items() if a == x and lab == A], step)
 
 
 def check_mcone_invariance(before, after):
@@ -465,7 +487,7 @@ def check_mcone_invariance(before, after):
 def labels_of(F, x):
     """The distinct labels of x's edges in the labeled frame F, ordered by
     edge."""
-    return _adjacency(F).labels.get(x, [])
+    return list(dict.fromkeys(lab for (a, _), lab in sorted(F.edge_label.items()) if a == x))
 
 
 def open_items(F):

@@ -14,7 +14,9 @@ from conftest import (
     open_items,
     random_formula,
     random_unclosed_frame,
+    reference_cones,
     reference_fresh_candidates,
+    reference_relations,
     search_preference,
     transitive_closure_pairs,
 )
@@ -22,8 +24,8 @@ from ilkit.construction import (
     Deficiency,
     LabeledFrame,
     Problem,
-    _Adjacency,
-    _adjacency,
+    _cones,
+    _frame_rows,
     close,
     close_frame,
     critical_cone,
@@ -35,7 +37,7 @@ from ilkit.construction import (
     verify_truth_lemma,
 )
 from ilkit.decide import Budget, _State, satisfiable
-from ilkit.relation import find_cycle, image
+from ilkit.relation import bits, find_cycle, image
 from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces, validate
 from ilkit.syntax import (
     BOT,
@@ -258,7 +260,7 @@ def test_row_closure_matches_close_trace_on_unclosed_frames(monkeypatch, logic):
     # outside R, more than 16 worlds among them; and settled against a
     # closed frame on part of the facts (since), from since's rows when F
     # names no world outside F.worlds, else from scratch: either way the
-    # rows kept are the closed frame's, and no index is built
+    # rows kept are the closed frame's, and no cone is built
     rng = random.Random(38 + (logic == ILM))
     seen = {"outside": 0, "loop": 0, "s outside R": 0, "wide": 0, "from since's rows": 0}
     grown = []
@@ -284,7 +286,7 @@ def test_row_closure_matches_close_trace_on_unclosed_frames(monkeypatch, logic):
         assert step._rows == whole._rows, fr
         n, R, S = step._rows
         assert (R, S) == real_to_rows(dict(zip(n, range(len(n)))), step.R, step.S)
-        assert step._adj is whole._adj is None
+        assert step._cones is whole._cones is None
         seen["outside"] += len(fr.index) > len(fr.worlds)
         seen["loop"] += any(x == y for x, y in whole.R)
         seen["s outside R"] += any((x, y) not in fr.R or (x, z) not in fr.R for x, y, z in fr.S)
@@ -323,19 +325,20 @@ def _wide_frame(rng):
 
 
 def test_close_builds_the_index_only_when_asked():
-    # with since or without, close leaves no index; under ILM it builds
-    # one only to push an obligation along S, and then the frame keeps it
+    # with since or without, close leaves no cone table; under ILM
+    # it pushes an obligation along S, reading the closed rows
     D = small_D()
     t = pick(D)
     f = frame_with(D, ILM, ["a", "b", "c"], {("a", "b"), ("a", "c")}, {("a", "b", "c")}, dict.fromkeys("abc", t))
     g = close(f)
-    assert g._adj is None
+    assert g._cones is None
     h = g.copy()
     h.S.add(("a", "c", "b"))
-    assert close(h, since=g)._adj is None
+    stepped = close(h, since=g)
+    assert stepped._cones is None
     f.obligations["b"] = frozenset({p})
     g = close(f)
-    assert g._adj is not None and g.obligations["c"] == frozenset({p})
+    assert g._cones is None and g.obligations["c"] == frozenset({p})
 
 
 def test_close_trace_mcone_invariance():
@@ -798,7 +801,7 @@ def test_an_edited_copy_of_a_closed_frame_reads_a_fresh_index():
     )
     g = close(f)
     assert critical_cone(g, "x", p) == {"y"} and quasi_frame_violations(g) == []
-    assert g._adj is not None  # the query built the index and left it on g
+    assert g._cones  # the check filled g's cone table and left it on g
     h = g.copy()
     h.R.add(("y", "z"))
     fresh = frame_with(D, IL, h.worlds, h.R, h.S, h.nu, h.edge_label)
@@ -806,6 +809,99 @@ def test_an_edited_copy_of_a_closed_frame_reads_a_fresh_index():
     got = quasi_frame_violations(h)
     assert got == quasi_frame_violations(fresh)
     assert "generalized cones overlap at x: p / q" in got
+
+
+def test_cone_functions_read_the_frame_as_it_is_now():
+    # critical_cone and generalized_cone leave no rows or cone table on
+    # the frame they are given, so a caller that edits it in place between
+    # two calls reads the edit, on a closed frame that kept its rows too
+    D = adequate_closure([Box(p)])
+    t = pick(D, IL)
+    f = frame_with(D, IL, ["x", "y", "z", "u"], {("x", "y"), ("x", "z"), ("x", "u")}, (), dict.fromkeys("xyzu", t), {("x", "y"): p})
+    assert critical_cone(f, "x", p) == generalized_cone(f, "x", p) == {"y"}
+    assert f._rows is f._cones is None
+    g = close(f)
+    rows = g._rows
+    assert critical_cone(g, "x", p) == {"y"}
+    g.R.add(("y", "z"))
+    assert critical_cone(g, "x", p) == generalized_cone(g, "x", p) == {"y", "z"}
+    g.S.add(("u", "z", "u"))  # z S_u u: a step of another index than x
+    assert critical_cone(g, "x", p) == {"y", "z"} and generalized_cone(g, "x", p) == {"y", "z", "u"}
+    assert g._rows is rows and g._cones is None
+
+
+def _search_frames(logic, rng, count):
+    """The settled frames of seeded searches, each with the rows close
+    left on it."""
+    frames = []
+    budget = Budget(max_worlds=6, max_steps=60, max_backtracks=60)
+    for _ in range(200):
+        a, b = random_formula(rng), random_formula(rng)
+        f = rng.choice((Neg(Rhd(a, b)), And(Rhd(a, b), Neg(Rhd(b, Diamond(a))))))
+        satisfiable(logic, f, budget, lambda ev, item, got: ev in ("root", "eliminated") and frames.append(got))
+        if len(frames) >= count:
+            return frames[:count]
+    raise AssertionError(f"{len(frames)} settled frames")
+
+
+@pytest.mark.parametrize("logic", [IL, ILM])
+def test_row_queries_match_the_set_reference(logic):
+    # what construction reads off a frame's rows (successors, predecessors
+    # through effective_obligations, S exits of one index and of any,
+    # labels, cones, criticality labels) against set-based maps and reach,
+    # on unclosed frames with R loops, names outside the worlds, S triples
+    # outside R and random labels, and on the settled frames of searches.
+    # A name no frame holds gets an empty cone, the label bot and only its
+    # own obligations
+    from ilkit.construction import criticality_label
+
+    rng = random.Random(17 + (logic == ILM))
+    D = small_D()
+    t = pick(D)
+    unclosed = []
+    for _ in range(80):
+        fr = random_unclosed_frame(rng, rng.randint(1, 6))
+        edges = sorted(fr.R)
+        labels = {e: rng.choice((p, q, Neg(p))) for e in rng.sample(edges, min(len(edges), rng.randint(0, 4)))}
+        unclosed.append(frame_with(D, logic, sorted(fr.worlds), fr.R, fr.S, dict.fromkeys(fr.worlds, t), labels))
+    seen = {"outside": 0, "s outside R": 0, "labeled": 0, "labeled search frame": 0, "crit < gen": 0}
+    searched = _search_frames(logic, rng, 60)
+    for F in unclosed + searched:
+        for w in F.worlds:
+            F.obligations[w] = F.obligations[w] | {Atom(f"o_{w}")}
+        F.obligations["nowhere"] = frozenset({Atom("o_nowhere")})
+        ref = reference_relations(F)
+        n, R, S = _frame_rows(F)
+        assert n[: len(F.worlds)] == F.worlds and n[len(F.worlds) :] == sorted(set(n) - set(F.worlds))
+        assert set(n) == set(F.worlds).union(*F.R, *F.S)
+        for a in n:
+            i = n.index(a)
+            assert _worlds(F, R[i], *S[i]) == (ref.succ.get(a, set()), *(ref.s_at.get((a, y), set()) for y in n))
+            s_any = 0
+            for Sx in S:
+                s_any |= Sx[i]
+            assert _worlds(F, s_any) == (ref.s_any.get(a, set()),)
+            own = F.obligations.get(a, frozenset())
+            assert F.effective_obligations(a) == own.union(*(F.obligations.get(b, ()) for b in ref.pred.get(a, ())))
+        for x in {x for x, _ in F.edge_label}:
+            assert list(_cones(F)[x]) == labels_of(F, x)
+            for lab in labels_of(F, x):
+                gen, crit = reference_cones(F, x, lab)
+                assert _worlds(F, *_cones(F)[x][lab]) == (gen, crit)
+                assert (generalized_cone(F, x, lab), critical_cone(F, x, lab)) == (gen, crit)
+                seen["crit < gen"] += crit < gen
+            for y in n:
+                want = next((lab for lab in labels_of(F, x) if y in reference_cones(F, x, lab)[1]), BOT)
+                assert criticality_label(F, x, y) == want
+        seen["outside"] += len(n) > len(F.worlds)
+        seen["s outside R"] += any((x, y) not in F.R or (x, z) not in F.R for x, y, z in F.S)
+        seen["labeled"] += bool(F.edge_label)
+        seen["labeled search frame"] += bool(F.edge_label) and F in searched
+        assert critical_cone(F, "nowhere", p) == generalized_cone(F, "nowhere", p) == set()
+        assert "nowhere" not in _cones(F)
+        assert criticality_label(F, "nowhere", F.worlds[0]) == criticality_label(F, F.worlds[0], "nowhere") == BOT
+        assert F.effective_obligations("nowhere") == {Atom("o_nowhere")}
+    assert min(seen.values()) >= 10, seen
 
 
 def test_mcone_invariance_across_ilm_condition_step():
@@ -850,6 +946,22 @@ def test_criticality_label_recovery():
     assert criticality_label(f, "a", "c") == BOT
 
 
+def _worlds(F, *masks):
+    """Each mask over F's rows as the names it holds."""
+    n = _frame_rows(F)[0]
+    return tuple({n[i] for i in bits(m)} for m in masks)
+
+
+def _labeled(F):
+    """The (x, label) pairs of F's labeled edges."""
+    return {(x, lab) for (x, _), lab in F.edge_label.items()}
+
+
+def _table(F):
+    """The (x, label) pairs F's cone table holds."""
+    return {(x, lab) for x, at in (F._cones or {}).items() for lab in at}
+
+
 @pytest.mark.parametrize("logic", [IL, ILM])
 def test_step_settling_matches_whole_frame(monkeypatch, logic):
     # every search step settles its child against the parent; settling the
@@ -865,18 +977,11 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
         assert (step.R, step.S, step.obligations) == (whole.R, whole.S, whole.obligations)
         # the step's rows start from since's and end as the whole frame's
         assert since._rows is not None and step._rows == whole._rows
-        # the index each frame builds on first use, which the checks
-        # below read, is the one a fresh build gives, map by map
-        left = _adjacency(step)
-        for g in (step, whole):
-            fresh = _Adjacency(g.R, g.S, g.edge_label)
-            for name, got in vars(_adjacency(g)).items():
-                if name != "cones":
-                    assert got == getattr(fresh, name), name
+        left = step._rows
         # the parent's table holds every labeled cone, which the checks
-        # read as the old cones; the step's own table starts empty
-        assert since._adj.cones.keys() == since._adj.seeds.keys()
-        assert step._adj.cones == {}
+        # read as the old cones; the step's own table is not built yet
+        assert _table(since) == _labeled(since)
+        assert step._cones is None
         if logic == ILM:
             # close pushes obligations along S, so no check of them is needed
             for g in (step, whole):
@@ -884,15 +989,19 @@ def test_step_settling_matches_whole_frame(monkeypatch, logic):
         bad = bool(quasi_frame_violations(step, since=since))
         assert bad == bool(quasi_frame_violations(whole))
         # entry by entry, the step's table is the one settled from scratch
-        assert step._adj.cones == whole._adj.cones
-        assert whole._adj.cones.keys() == whole._adj.seeds.keys()
-        for (x, lab), cones in whole._adj.cones.items():
-            assert cones == (generalized_cone(whole, x, lab), critical_cone(whole, x, lab))
+        # (their rows are equal, so the masks are too) and the set-based one
+        assert step._cones == whole._cones
+        assert _table(whole) == _labeled(whole)
+        for x, at in whole._cones.items():
+            assert list(at) == labels_of(whole, x)
+            for lab, cones in at.items():
+                assert _worlds(whole, *cones) == (generalized_cone(whole, x, lab), critical_cone(whole, x, lab))
+                assert _worlds(whole, *cones) == reference_cones(whole, x, lab)
         if not bad:
             refresh_worklist(step, since=since)
             refresh_worklist(whole)
             assert step.worklist == whole.worklist
-        assert step._adj is left, "the checks must read the index built above"
+        assert step._rows is left, "the checks must read the rows close kept"
         # the plain frame's rows, handed on or built, are a fresh frame's
         frame = step.to_frame()
         fresh = VeltmanFrame.make(*frame)
@@ -1215,15 +1324,16 @@ def test_step_check_covers_a_label_put_on_an_old_edge():
     f = frame_with(D, IL, ["x", "y", "u"], {("x", "y"), ("x", "u")}, (), {"x": root, "y": ty, "u": tu}, {("x", "y"): p})
     parent = close(f)
     assert quasi_frame_violations(parent) == []
-    assert parent._adj.cones[("x", p)] == ({"y"}, {"y"})
+    assert _worlds(parent, *parent._cones["x"][p]) == ({"y"}, {"y"})
     child = parent.copy()
     child.edge_label[("x", "u")] = p
     step = close(child, since=parent)
     assert (step.R, step.S) == (parent.R, parent.S)
     whole = quasi_frame_violations(close(child))
     assert whole == ["criticality p fails at u (cone of x)"]
+    assert step._cones is None  # the step's table starts empty
     assert quasi_frame_violations(step, since=parent) == whole
-    assert step._adj.cones[("x", p)] == ({"y", "u"}, {"y", "u"})
+    assert _worlds(step, *step._cones["x"][p]) == ({"y", "u"}, {"y", "u"})
 
 
 def test_rs_composition_cycle_in_a_closed_ilm_frame():
