@@ -275,20 +275,23 @@ def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
     """Closure of a plain frame under the same conditions. Raises ValueError
     when an R edge or S triple names a world outside the frame's worlds
     (the first such in sorted order), or when R, before or after closing,
-    has a cycle: no Veltman frame extends such a frame. The closed R is
-    transitive, so it has a cycle iff it has a loop; only then does
+    has a cycle: no Veltman frame extends such a frame. `close_rows` closes
+    a copy of the frame's rows once; the closed R is transitive, so it has
+    a cycle iff its rows' diagonal has a bit, and only then does
     `find_cycle` run, for a witness from the input R if it has one. The
-    frame returned caches the kernel's closed rows (`to_frame`)."""
-    for name, rel in (("R edge", frame.R), ("S triple", frame.S)):
-        outside = [e for e in rel if not frame.worlds.issuperset(e)]
-        if outside:
-            raise ValueError(f"{name} {min(outside)} names a world outside worlds")
-    g = LabeledFrame(AdequateSet(()), logic, sorted(frame.worlds), frame.R, frame.S)
-    closed = close(g)
-    if any(x == y for x, y in closed.R):
-        cycle = find_cycle(g.worlds, frame.R) or find_cycle(g.worlds, closed.R)
+    frame returned caches the closed rows."""
+    if len(frame.index) > len(frame.worlds):
+        for name, rel in (("R edge", frame.R), ("S triple", frame.S)):
+            if outside := [e for e in rel if not frame.worlds.issuperset(e)]:
+                raise ValueError(f"{name} {min(outside)} names a world outside worlds")
+    n, R, S = list(frame.index), frame.rows[0][:], [Sx[:] for Sx in frame.rows[1]]
+    close_rows(R, S, _engine_logic(logic) == ILM)
+    pairs = frozenset((n[x], n[y]) for x, r in enumerate(R) if r for y in bits(r))
+    if any(r >> x & 1 for x, r in enumerate(R)):
+        cycle = find_cycle(frame.worlds, frame.R) or find_cycle(frame.worlds, pairs)
         raise ValueError("R has a cycle: " + " -> ".join(cycle))
-    return closed.to_frame()
+    triples = frozenset((n[x], n[y], n[z]) for x, Sx in enumerate(S) for y, s in enumerate(Sx) if s for z in bits(s))
+    return VeltmanFrame(frame.worlds, pairs, triples).with_rows(n, R, S)
 
 
 # --- frame validation ---------------------------------------------------------
@@ -753,8 +756,12 @@ def verify_truth_lemma(model: VeltmanModel, nu: dict[str, DTheory], D: AdequateS
     """For every world and every D formula: forced iff in the label. Both
     sides are Boolean in D's modal atoms (forcing A -> B is, and a theory's
     members are what its assignment makes true), so comparing the modal
-    atoms compares all of D."""
+    atoms compares all of D. Worlds are read in sorted order, so what a
+    `LoggedTheory` label logs does not depend on string hashing."""
     got, ix = model.extensions(D.modal_atoms), model.frame.index
-    return all(
-        (got[a] >> ix[w] & 1) == nu[w].models(a) for w in model.frame.worlds for a in D.modal_atoms
-    )
+    for w in sorted(model.frame.worlds):
+        i, t = ix[w], nu[w]
+        for a in D.modal_atoms:
+            if (got[a] >> i & 1) != t.models(a):
+                return False
+    return True

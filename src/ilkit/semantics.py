@@ -153,9 +153,11 @@ def validate(frame: VeltmanFrame, logic: str) -> ValidationReport:
     tuple, condition by condition and each condition's witnesses in
     sorted order. One pass over the frame's rows tests each condition as
     a mask, as R[y] & ~R[x] for y in R[x] for r_transitive, and names
-    only its bits. A transitive R has a cycle iff it has a loop (w, w), so
-    `find_cycle` runs only when R is not transitive or has a loop, to
-    give the cycle's witness."""
+    only its bits; for r = S[x][y] one walk ORs S[x][z] and R[z] over z
+    in r, and s_transitive and ilm_condition are named z by z only when
+    that OR leaves r or R[y]. A transitive R has a cycle iff it has a
+    loop (w, w), so `find_cycle` runs only when R is not transitive or
+    has a loop, to give the cycle's witness."""
     check_logic(logic)
     W, n, (R, S) = frame.worlds, list(frame.index), frame.rows
     loop, trans, refl, inside, outside, s_trans, ilm = False, [], [], [], [], [], []
@@ -173,11 +175,18 @@ def validate(frame: VeltmanFrame, logic: str) -> ValidationReport:
                 continue
             if m := r & ~rx if rx >> y & 1 else r:
                 outside += [(n[x], n[y], n[z]) for z in bits(m)]
-            for z in bits(r):  # y S_x z
-                if m := Sx[z] & ~r:
-                    s_trans += [(n[x], n[y], n[z], n[w]) for w in bits(m)]
-                if logic == ILM and (m := R[z] & ~R[y]):
-                    ilm += [(n[x], n[y], n[z], n[u]) for u in bits(m)]
+            s_out, r_out, m = 0, 0, r
+            while m:  # y S_x z
+                z = (m & -m).bit_length() - 1
+                m &= m - 1
+                s_out |= Sx[z]
+                r_out |= R[z]
+            if s_out & ~r or logic == ILM and r_out & ~R[y]:
+                for z in bits(r):  # name the failing z
+                    if m := Sx[z] & ~r:
+                        s_trans += [(n[x], n[y], n[z], n[w]) for w in bits(m)]
+                    if logic == ILM and (m := R[z] & ~R[y]):
+                        ilm += [(n[x], n[y], n[z], n[u]) for u in bits(m)]
     cyc = find_cycle(W, frame.R) if trans or loop else None
     groups = [
         ("r_domain", [(x, y) for x, y in frame.R if x not in W or y not in W]),
@@ -229,7 +238,10 @@ def _extensions(frame: VeltmanFrame, fs, lanes: int, val, got: dict) -> dict:
                 v = full
                 for w, (rw, Sw) in enumerate(zip(R, S)):
                     if lanes == 1:
-                        if rw & a and not (b and all(Sw[u] & b for u in bits(rw & a))):
+                        m = rw & a
+                        while m and Sw[(m & -m).bit_length() - 1] & b:
+                            m &= m - 1  # u, m's low bit, has an S_w-exit in B
+                        if m:  # some u in R[w] & A has none
                             v ^= 1 << w
                         continue
                     m = one

@@ -38,7 +38,7 @@ from ilkit.construction import (
 )
 from ilkit.decide import Budget, _State, satisfiable
 from ilkit.relation import bits, find_cycle, image
-from ilkit.semantics import IL, ILM, VeltmanFrame, VeltmanModel, forces, validate
+from ilkit.semantics import GL, IL, ILM, LOGICS, VeltmanFrame, VeltmanModel, forces, validate
 from ilkit.syntax import (
     BOT,
     AdequateSet,
@@ -54,7 +54,7 @@ from ilkit.syntax import (
     parse,
     single_neg,
 )
-from ilkit.theory import box_incl, crit_succ, solve_theories
+from ilkit.theory import LoggedTheory, box_incl, crit_succ, solve_theories
 
 p, q = Atom("p"), Atom("q")
 
@@ -682,6 +682,89 @@ def test_close_frame_errors_match_a_search_on_every_frame():
             else:
                 seen["input cycle" if find_cycle(frame.worlds, frame.R) else "closure cycle"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _random_closable_frame(rng, n):
+    """n worlds in a shuffled order of names, forward R edges (so acyclic)
+    and sometimes a loop, forward S triples over each node's R-successors
+    and a few anywhere (so S triples outside R, and ILM closures with
+    cycles)."""
+    worlds = rng.sample([f"w{i}" for i in range(n)], n)
+    p = rng.choice((0.1, 0.25, 0.4))
+    R = {(a, b) for i, a in enumerate(worlds) for b in worlds[i + 1 :] if rng.random() < p}
+    if rng.random() < 0.15:
+        a = rng.choice(worlds)
+        R.add((a, a))
+    succ, pos = image(R), {w: i for i, w in enumerate(worlds)}
+    S = {(x, y, z) for x in sorted(succ) for y in sorted(succ[x]) for z in sorted(succ[x]) if pos[y] <= pos[z]}
+    S = {t for t in sorted(S) if rng.random() < 0.2}
+    S |= {tuple(rng.choice(worlds) for _ in range(3)) for _ in range(rng.choice((0, 0, 1, 2)))}
+    return VeltmanFrame.make(worlds, R, S)
+
+
+@pytest.mark.parametrize("logic", [GL, IL, ILM])
+def test_close_frame_equals_the_labeled_path(logic):
+    # the rows close_frame closes are a copy: the input frame's cached rows
+    # are left as they were, and the frame returned is the labeled path's,
+    # its index and rows too
+    rng = random.Random(390 + LOGICS.index(logic))
+    seen = {"closed": 0, "cycle": 0, "s outside R": 0, "wide": 0}
+    for _ in range(150):
+        frame = _random_closable_frame(rng, rng.randint(1, 24))
+        before = [list(frame.rows[0]), [list(Sx) for Sx in frame.rows[1]]]
+        ref = close(LabeledFrame(AdequateSet(()), logic, sorted(frame.worlds), frame.R, frame.S)).to_frame()
+        if any(x == y for x, y in ref.R):
+            with pytest.raises(ValueError, match="^R has a cycle: "):
+                close_frame(frame, logic)
+            seen["cycle"] += 1
+        else:
+            out = close_frame(frame, logic)
+            assert out == ref and type(out.R) is type(out.S) is frozenset, frame
+            assert "rows" in out.__dict__ and (out.index, out.rows) == (ref.index, ref.rows), frame
+            seen["closed"] += 1
+            seen["wide"] += len(frame.worlds) > 16
+        assert [frame.rows[0], frame.rows[1]] == before, frame
+        seen["s outside R"] += any((x, y) not in frame.R or (x, z) not in frame.R for x, y, z in frame.S)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_close_frame_closes_the_rows_once_without_close(monkeypatch):
+    # one kernel run per frame, and no labeled frame's `close`
+    calls = []
+    real = construction.close_rows
+    monkeypatch.setattr(construction, "close_rows", lambda *a: calls.append("close_rows") or real(*a))
+    monkeypatch.setattr(construction, "close", lambda *a: calls.append("close"))
+    rng = random.Random(393)
+    for i in range(40):
+        frame = _random_closable_frame(rng, rng.randint(1, 8))
+        try:
+            close_frame(frame, (IL, ILM)[i % 2])
+        except ValueError:
+            pass
+        assert calls == ["close_rows"], frame
+        calls.clear()
+
+
+def test_truth_lemma_reads_the_worlds_in_sorted_order():
+    # the lemma fails at m1 (on q) and at x6 (on p): each label logs the
+    # reads of a walk in sorted order that stops at the first mismatch,
+    # whatever order the frame's frozenset of worlds iterates in
+    r = Atom("r")
+    D = adequate_closure([Implies(p, Implies(q, r))])
+    t = next(solve_theories(D, IL, [(p, False), (q, False), (r, False)]))
+    worlds = ["k0", "b3", "m1", "z9", "a2", "c7", "q4", "e5", "x6", "g8"]
+    val = {w: frozenset() for w in worlds} | {"m1": frozenset({"q"}), "x6": frozenset({"p"})}
+    model = VeltmanModel(VeltmanFrame.make(worlds), val)
+    nu = {w: LoggedTheory(t) for w in worlds}
+    assert not verify_truth_lemma(model, nu, D)
+    want = {w: LoggedTheory(t) for w in worlds}
+    got = model.extensions(D.modal_atoms)
+    for w in sorted(worlds):
+        i = model.frame.index[w]
+        if not all((got[a] >> i & 1) == want[w].models(a) for a in D.modal_atoms):
+            break
+    assert {w: list(nu[w].reads.items()) for w in worlds} == {w: list(want[w].reads.items()) for w in worlds}
+    assert [w for w in sorted(worlds) if nu[w].reads] == ["a2", "b3", "c7", "e5", "g8", "k0", "m1"]
 
 
 def test_m_cone_equals_critical_cone_on_full_ilm_frames():

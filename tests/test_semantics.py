@@ -674,6 +674,28 @@ def test_extensions_on_rows_match_the_set_reference():
     assert wide >= 40
 
 
+def test_validate_and_forcing_on_rows_wider_than_a_word():
+    # 65-80 worlds, so the inline walks over S[x][y] and R[w] & A cross a
+    # 64-bit word; every other frame is the IL closure of a sparse acyclic
+    # part, which holds s_transitive and fails ilm_condition
+    rng = random.Random(374)
+    for i in range(6):
+        frame = random_unclosed_frame(rng, rng.randint(65, 80))
+        if i % 2:
+            ix = frame.index
+            R = {(a, b) for a, b in sorted(frame.R) if ix[a] < ix[b] and rng.random() < 0.15}
+            S = {t for t in sorted(frame.S) if rng.random() < 0.15}
+            g = close(LabeledFrame(AdequateSet(()), IL, sorted(frame.worlds), R, S))
+            frame = VeltmanFrame.make(frame.worlds, g.R, g.S)
+        for logic in (IL, ILM):
+            assert validate(frame, logic) == reference_validate(frame, logic), frame
+        names = list(frame.index)
+        assert len(names) > 64
+        val = {w: frozenset(a for a in "pqr" if rng.random() < 0.5) for w in names}
+        fs = [random_formula(rng, 3) for _ in range(6)]
+        assert _extensions(frame, fs, 1, val, {}) == reference_extensions(frame, fs, 1, val, {}), frame
+
+
 def test_frame_validates_on_rows_matches_the_set_reference(monkeypatch):
     # a lane per valuation: the same answers with the reference evaluator
     rng = random.Random(373)
