@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .relation import _WORD, bits, close_rows, find_cycle, image, reach_rows, to_rows
+from .relation import _WORD, bits, close_rows, find_cycle, from_rows, reach_rows, to_rows
 from .semantics import ILM, VeltmanFrame, VeltmanModel, _engine_logic
 from .syntax import (
     AdequateSet,
@@ -72,12 +72,13 @@ class Deficiency(NamedTuple):
 class LabeledFrame:
     """Mutable working frame; value-semantic copies back the search.
 
-    A frame keeps the rows of its R and S (`_rows`: the closed rows
-    `close` left on it, or those its first query built), its cone table
-    (`_cones`) and, per world, the constraints a fresh successor of that
-    world must meet. A copy starts without them and `add_world` drops
-    them, so a caller edits a copy of a closed or queried frame, never
-    the frame itself. The search edits only fresh copies.
+    Its rows (`_rows`: names, R, S) are the only store of its relations:
+    `R` and `S` are read-only views of them, and `add_world` and `link`
+    edit them. The names are the worlds, then any other name given R and S
+    hold, sorted, then each added world, so the worlds keep their order.
+    A frame also keeps its cone table (`_cones`) and, per world, the
+    constraints a fresh successor of that world must meet; a copy starts
+    without them and an edit drops them. The search edits only copies.
     """
 
     def __init__(
@@ -85,16 +86,17 @@ class LabeledFrame:
         adequate: AdequateSet,
         logic: str,
         worlds: list[str] | None = None,
-        R: set[tuple[str, str]] | None = None,
-        S: set[tuple[str, str, str]] | None = None,
+        R: Iterable[tuple[str, str]] | None = None,
+        S: Iterable[tuple[str, str, str]] | None = None,
         nu: dict[str, DTheory] | None = None,
         exempt_root: str | None = None,
     ):
         self.adequate = adequate
         self.logic = _engine_logic(logic)
         self.worlds = list(worlds or [])
-        self.R = set(R or ())
-        self.S = set(S or ())
+        R, S = set(R or ()), set(S or ())
+        n = [*self.worlds, *sorted(set().union(*R, *S).difference(self.worlds))]
+        self._rows: tuple[list[str], list[int], list[list[int]]] = (n, *to_rows(dict(zip(n, range(len(n)))), R, S))
         self.nu = dict(nu or {})
         self.edge_label: dict[tuple[str, str], Formula] = {}
         self.obligations: dict[str, frozenset[Formula]] = dict.fromkeys(self.worlds, frozenset())
@@ -102,14 +104,23 @@ class LabeledFrame:
         self.worklist: list = []
         self._forget()
 
+    R = property(lambda self: from_rows(self._rows[0], self._rows[1]), doc="x R y as name pairs, read off the rows.")
+    S = property(lambda self: from_rows(self._rows[0], self._rows[2]), doc="y S_x z as triples (x, y, z), read off the rows.")
+
     def copy(self) -> "LabeledFrame":
-        g = LabeledFrame(self.adequate, self.logic, self.worlds, self.R, self.S, self.nu, self.exempt_root)
-        g.edge_label, g.obligations, g.worklist = dict(self.edge_label), dict(self.obligations), list(self.worklist)
+        """self's fields, each mutable one copied. It lists every field
+        `__init__` sets, in the same order: reading `__dict__` instead
+        would turn both frames' attribute reads into dict lookups."""
+        g = object.__new__(LabeledFrame)
+        n, R, S = self._rows
+        g.adequate, g.logic, g.worlds, g._rows = self.adequate, self.logic, self.worlds[:], (n[:], R[:], [Sx[:] for Sx in S])
+        g.nu, g.edge_label, g.obligations = dict(self.nu), dict(self.edge_label), dict(self.obligations)
+        g.exempt_root, g.worklist = self.exempt_root, list(self.worklist)
+        g._forget()
         return g
 
     def _forget(self) -> None:
         """Drop what queries derived from the frame (see the class doc)."""
-        self._rows: tuple[list[str], list[int], list[list[int]]] | None = None  # names, R, S
         self._cones: dict[str, dict[Formula, tuple[int, int]]] | None = None
         self._constraints: dict[str, tuple[tuple[Formula, bool], ...]] = {}
 
@@ -117,38 +128,48 @@ class LabeledFrame:
         return {w: i for i, w in enumerate(self.worlds)}
 
     def add_world(self, theory: DTheory, obligations: Iterable[Formula] = ()) -> str:
+        n, R, S = self._rows
         k = len(self.worlds)
         name = f"w{k}"
-        while name in self.nu:
+        while name in self.nu or name in n:
             k += 1
             name = f"w{k}"
         self.worlds.append(name)
         self.nu[name] = theory
         self.obligations[name] = frozenset(obligations)
+        n.append(name)
+        R.append(0)
+        for Sx in S:
+            Sx.append(0)
+        S.append([0] * len(n))
         self._forget()
         return name
+
+    def link(self, x: str, w: str, label: Formula | None = None, y: str | None = None) -> None:
+        """Add x R w and, when given, the edge's label and y S_x w."""
+        n, R, S = self._rows
+        i, j = n.index(x), n.index(w)
+        R[i] |= 1 << j
+        if label is not None:
+            self.edge_label[(x, w)] = label
+        if y is not None:
+            S[i][n.index(y)] |= 1 << j
+        self._forget()
 
     def effective_obligations(self, w: str) -> frozenset[Formula]:
         """Constraints on every R-successor of w: w's own obligations plus
         those of all its R-predecessors (R is kept transitive)."""
-        n, R, _ = _frame_rows(self)
+        n, R, _ = self._rows
         out, bit = set(self.obligations.get(w, ())), 1 << n.index(w) if w in n else 0
         for a, r in zip(n, R):
             if r & bit:
                 out |= self.obligations.get(a, frozenset())
         return frozenset(out)
 
-    def effective_boxes(self, w: str) -> frozenset[Formula]:
-        """Formulas boxed at w: bodies of box members plus all obligations
-        in force at w."""
-        out = {b.body for b in self.nu[w].boxes()}
-        out |= self.effective_obligations(w)
-        return frozenset(out)
-
     def to_frame(self) -> VeltmanFrame:
-        """The plain frame, offered the rows the frame kept."""
-        frame = VeltmanFrame(frozenset(self.worlds), frozenset(self.R), frozenset(self.S))
-        return frame.with_rows(*self._rows) if self._rows else frame
+        """The plain frame, offered a copy of the frame's rows."""
+        n, R, S = self._rows
+        return VeltmanFrame(frozenset(self.worlds), self.R, self.S).with_rows(n[:], R[:], [Sx[:] for Sx in S])
 
     def to_model(self) -> VeltmanModel:
         val = {}
@@ -163,34 +184,12 @@ class LabeledFrame:
 
 
 def seed_frame(adequate: AdequateSet, logic: str, root_theory: DTheory) -> LabeledFrame:
-    f = LabeledFrame(adequate, logic)
-    f.add_world(root_theory)
-    f._rows = f.worlds[:], [0], [[0]]  # one world and no R or S: closed
+    f = LabeledFrame(adequate, logic, ["w0"], nu={"w0": root_theory})
     refresh_worklist(f)
     return f
 
 
 # --- rows and cones ------------------------------------------------------------
-
-
-def _frame_rows(F: LabeledFrame, since: LabeledFrame | None = None) -> tuple[list[str], list[int], list[list[int]]]:
-    """F's rows (names, R, S), built on first use and kept: R and S over
-    F.worlds, then any other name they hold, sorted. So world i of
-    F.worlds is row i. since, when given, is a frame F extends (F's R and
-    S contain its own); if since kept rows over the first of F.worlds,
-    F's start as a copy of them with only the facts since lacks added."""
-    if F._rows is None:
-        n, base = F.worlds, since._rows if since is not None else None
-        if base and base[0] == n[: len(base[0])]:
-            facts = F.R.difference(since.R), F.S.difference(since.S), base[1:]
-        else:
-            facts = F.R, F.S
-        try:
-            F._rows = n, *to_rows(dict(zip(n, range(len(n)))), *facts)
-        except KeyError:  # a fact names a node outside F.worlds
-            n = [*n, *sorted(set().union(*F.R, *F.S).difference(n))]
-            F._rows = n, *to_rows(dict(zip(n, range(len(n)))), F.R, F.S)
-    return F._rows
 
 
 def _cones(F: LabeledFrame) -> dict[str, dict[Formula, tuple[int, int]]]:
@@ -203,7 +202,7 @@ def _cones(F: LabeledFrame) -> dict[str, dict[Formula, tuple[int, int]]]:
     There z R u whenever z S_a z' R u (`ilm_condition`), so applying the
     rule backwards along the S-path gives y R u, which the R step takes."""
     if F._cones is None:
-        n, R, S = _frame_rows(F)
+        n, R, S = F._rows
         seeds: dict[str, dict[Formula, int]] = {}
         for (x, y), lab in sorted(F.edge_label.items()):
             at = seeds.setdefault(x, {})
@@ -216,11 +215,10 @@ def _cones(F: LabeledFrame) -> dict[str, dict[Formula, tuple[int, int]]]:
 
 
 def _cone_worlds(F: LabeledFrame, x: str, C: Formula) -> tuple[set[str], set[str]]:
-    """x's C-cones as names, read off a copy of F: the frame as it is now,
-    and F keeps no rows or table the caller's later edits would outdate."""
-    g = F.copy()
-    n = _frame_rows(g)[0]
-    return tuple({n[i] for i in bits(m)} for m in _cones(g).get(x, {}).get(C, (0, 0)))
+    """x's C-cones as names, read off a copy of F, so F keeps no table
+    that a later edit of its labels would outdate."""
+    n = F._rows[0]
+    return tuple({n[i] for i in bits(m)} for m in _cones(F.copy()).get(x, {}).get(C, (0, 0)))
 
 
 def critical_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
@@ -236,16 +234,16 @@ def generalized_cone(F: LabeledFrame, x: str, C: Formula) -> set[str]:
 # --- closure ------------------------------------------------------------------
 
 
-def _propagate_obligations(F: LabeledFrame, triples: Iterable[tuple[str, str, str]]) -> None:
+def _propagate_obligations(F: LabeledFrame, old_S: list | tuple = ()) -> None:
     """Under ILM, obligations flow along S-transitions (the obligation set
     is the out-of-D part of the boxes, and S preserves boxes). Only the
-    given triples add a flow: each y S_x z passes y's obligations to all
-    that S steps of any index reach from z, z included (F's rows), so
-    also past a y whose obligations another triple grows."""
+    triples F's S rows gained over old_S add a flow: each y S_x z passes
+    y's obligations to all that S steps of any index reach from z, z
+    included, so also past a y whose obligations another triple grows."""
     if F.logic != ILM:
         return
-    ob, (n, _, S) = F.obligations, _frame_rows(F)
-    for _, y, z in triples:
+    ob, (n, _, S) = F.obligations, F._rows
+    for _, y, z in from_rows(n, S, old_S):
         if ob.get(y):
             for d in bits(reach_rows(1 << n.index(z), *S)):
                 ob[n[d]] = ob.get(n[d], frozenset()) | ob[y]
@@ -255,19 +253,13 @@ def close(F: LabeledFrame, since: LabeledFrame | None = None) -> LabeledFrame:
     """The closure of F under its logic's frame conditions: same worlds and
     labels, R and S only grow, and `validate` reports no violation of
     `r_transitive`, `s_reflexive`, `s_transitive`, `r_inside_s` or, under
-    ILM, `ilm_condition`. `close_rows` closes the rows of F's relations
-    (`_frame_rows`); the copy returned reads its R and S off the closed
-    rows and keeps them.
-    since, when given, is a closed frame that F extends (F's R, S, labels
-    and obligations contain its own). The rows then start from since's
-    where `_frame_rows` can, and only the triples since lacks are
-    examined for obligations."""
+    ILM, `ilm_condition`: a copy of F whose rows `close_rows` closed.
+    since, when given, is a closed frame that F extends (F's rows, labels
+    and obligations contain its own, and since's rows number the first of
+    F's). Only the triples since lacks are then examined for obligations."""
     g = F.copy()
-    n, R, S = _frame_rows(g, since)
-    close_rows(R, S, g.logic == ILM)
-    g.R = {(n[x], n[y]) for x, r in enumerate(R) if r for y in bits(r)}
-    g.S = {(n[x], n[y], n[z]) for x, Sx in enumerate(S) for y, s in enumerate(Sx) if s for z in bits(s)}
-    _propagate_obligations(g, g.S if since is None else g.S.difference(since.S))
+    close_rows(g._rows[1], g._rows[2], g.logic == ILM)
+    _propagate_obligations(g, since._rows[2] if since is not None else ())
     return g
 
 
@@ -286,12 +278,11 @@ def close_frame(frame: VeltmanFrame, logic: str) -> VeltmanFrame:
                 raise ValueError(f"{name} {min(outside)} names a world outside worlds")
     n, R, S = list(frame.index), frame.rows[0][:], [Sx[:] for Sx in frame.rows[1]]
     close_rows(R, S, _engine_logic(logic) == ILM)
-    pairs = frozenset((n[x], n[y]) for x, r in enumerate(R) if r for y in bits(r))
+    pairs = from_rows(n, R)
     if any(r >> x & 1 for x, r in enumerate(R)):
         cycle = find_cycle(frame.worlds, frame.R) or find_cycle(frame.worlds, pairs)
         raise ValueError("R has a cycle: " + " -> ".join(cycle))
-    triples = frozenset((n[x], n[y], n[z]) for x, Sx in enumerate(S) for y, s in enumerate(Sx) if s for z in bits(s))
-    return VeltmanFrame(frame.worlds, pairs, triples).with_rows(n, R, S)
+    return VeltmanFrame(frame.worlds, pairs, from_rows(n, S)).with_rows(n, R, S)
 
 
 # --- frame validation ---------------------------------------------------------
@@ -313,55 +304,51 @@ def quasi_frame_violations(F: LabeledFrame, since: LabeledFrame | None = None) -
     each S-chain, gives b0 R b1 R ... R b0: a cycle of R, so a self-loop.
 
     since, when given, is a settled frame and F the closure of a child of
-    it. The checks of single edges and triples then run only where F
-    differs from since: on new edges and triples, and on edges at worlds
-    whose effective obligations changed, and the cone checks only where a
-    cone grew: criticality at the worlds a critical cone gained, overlap at
-    worlds with a grown generalized cone. Cones only grow and since had no
+    it. since's rows number the first of F's, so the bits F's rows gained
+    over since's are its new edges and triples, and since's cones read as
+    masks over F's rows. The checks of single edges and triples then run
+    only on new edges and triples, and on edges at worlds whose effective
+    obligations changed, and the cone checks only where a cone grew:
+    criticality at the worlds a critical cone gained, overlap at worlds
+    with a grown generalized cone. Cones only grow and since had no
     violation, so the list can be shorter than a whole-frame call's, but
-    it is empty exactly when that one is. Without since all is new. A
-    settled frame names no node outside its worlds, so since's rows
-    number the first of F's and its cones read as masks over F's rows."""
-    old_R, old_S = (since.R, since.S) if since is not None else ((), ())
-    old_ob = since.obligations if since is not None else {}
-    new_R, new_S = F.R.difference(old_R), F.S.difference(old_S)
+    it is empty exactly when that one is. Without since all is new."""
+    n, R, S = F._rows
+    old_R, old_S, old_ob = (*since._rows[1:], since.obligations) if since is not None else ((), (), {})
+    pairs, new_R, new_S = from_rows(n, R), from_rows(n, R, old_R), from_rows(n, S, old_S)
     grown = {w for w in F.worlds if F.obligations.get(w) != old_ob.get(w)}
     # worlds whose effective obligations may differ from since's
-    moved = grown.union((b for _, b in new_R), (b for a, b in F.R if a in grown))
-    edges = sorted(new_R.union(e for e in old_R if e[0] in moved or e[1] in moved))
+    moved = grown.union((b for _, b in new_R), (b for a, b in pairs if a in grown))
+    edges = sorted(new_R.union(e for e in pairs if e[0] in moved or e[1] in moved))
     out: list[str] = []
     if any(a == b for a, b in new_R):
         out.append("R has a cycle")
     for (x, y, z) in sorted(new_S):
-        if (x, y) not in F.R or (x, z) not in F.R:
+        if (x, y) not in pairs or (x, z) not in pairs:
             out.append(f"S triple outside R: {(x, y, z)}")
     for (x, y) in sorted(new_R):
         if not succ(F.nu[x], F.nu[y]):
             out.append(f"succ fails on edge {(x, y)}")
-    eff: dict[str, list[Formula]] = {}
+    eff = {w: F.effective_obligations(w) for e in edges for w in e}
     for (x, y) in edges:
-        if x not in eff:
-            eff[x] = sorted(F.effective_obligations(x), key=Formula.key)
-        for o in eff[x]:
+        for o in sorted(eff[x], key=Formula.key):
             if not F.nu[y].models(o):
                 out.append(f"obligation {render(o)} of {x} fails at {y}")
-    boxes: dict[str, frozenset[Formula]] = {}
+    # formulas boxed at w: bodies of box members plus all obligations in force at w
+    boxes = {w: frozenset({b.body for b in F.nu[w].boxes()}.union(eff[w])) for w in eff}
     for (x, y) in edges:
         if F.exempt_root is not None and x == F.exempt_root:
             continue
-        for w in (x, y):
-            if w not in boxes:
-                boxes[w] = F.effective_boxes(w)
         bx, by = boxes[x], boxes[y]
         if not (bx <= by and bx != by):
             out.append(f"no box growth on edge {(x, y)}")
-    n, table, old = _frame_rows(F)[0], _cones(F), _cones(since) if since is not None else {}
+    table, old_table = _cones(F), _cones(since) if since is not None else {}
     for x in F.worlds:
         at = table.get(x)
         if at is None:
             continue
         labs, cones = list(at), list(at.values())
-        was = [old.get(x, {}).get(lab, (0, 0)) for lab in labs]
+        was = [old_table.get(x, {}).get(lab, (0, 0)) for lab in labs]
         # The overlap check is no consequence of the others: on
         # tests/differential.json, 3,827 of 4,820 IL rejections and 3 of
         # 312 ILM rejections report only the overlap, and without it the
@@ -398,34 +385,34 @@ def _problems_at(F: LabeledFrame, worlds) -> Iterator[Problem]:
                 yield Problem(x, Neg(a))
 
 
-def _deficiencies_on(F: LabeledFrame, edges) -> Iterator[Deficiency]:
-    """Every rhd member C |> D of x with C at y, for the given edges x R y,
-    answered or not; ordered by x, then the rhd, then y."""
-    succ = image(edges)
-    for x in F.worlds:
-        ys = succ.get(x)
-        if not ys:
-            continue
-        t = F.nu[x]
-        for a in F.adequate.rhd_atoms:
-            if t.models(a):
-                for y in F.worlds:
-                    if y in ys and F.nu[y].models(a.left):
-                        yield Deficiency(x, y, a)
+def _deficiencies_on(F: LabeledFrame, rows: list[int]) -> Iterator[Deficiency]:
+    """Every rhd member C |> D of x with C at y, for the edges x R y of the
+    given R rows over F's names, answered or not; ordered by x, then the
+    rhd, then y (row order, which is F.worlds order among the worlds)."""
+    n, nu = F._rows[0], F.nu
+    for x, ys in zip(n, rows):
+        if ys and x in nu:
+            t = nu[x]
+            for a in F.adequate.rhd_atoms:
+                if t.models(a):
+                    for y in bits(ys):
+                        if n[y] in nu and nu[n[y]].models(a.left):
+                            yield Deficiency(x, n[y], a)
 
 
 def _is_open(F: LabeledFrame, item) -> bool:
     """No witness yet: for ~(A |> B) no A world in the B-critical cone, for
     ~[]A no ~A successor, for a deficiency no S_x exit to a D world. It
-    reads theories in F.worlds order, so no log hangs on a set's order."""
-    n, R, S = _frame_rows(F)
+    reads theories in row order, which is F.worlds order among the worlds,
+    so no log hangs on a set's order."""
+    n, R, S = F._rows
     if isinstance(item, Deficiency):
         near, want = S[n.index(item.x)][n.index(item.y)], item.formula.right
     elif isinstance(item.formula.left, Rhd):
         near, want = _cones(F).get(item.world, {}).get(item.formula.left.right, (0, 0))[1], item.formula.left.left
     else:
         near, want = R[n.index(item.world)], Neg(item.formula.left.body)
-    return not any(F.nu[n[i]].models(want) for i in bits(near) if i < len(F.worlds))
+    return not any(F.nu[n[i]].models(want) for i in bits(near) if n[i] in F.nu)
 
 
 def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None:
@@ -435,15 +422,16 @@ def refresh_worklist(F: LabeledFrame, since: LabeledFrame | None = None) -> None
 
     since, when given, is a settled frame whose worklist F carries and
     which F extends by worlds, edges and triples. Only since's items and
-    the items of new worlds and new edges are examined then: an item
-    closed on since stays closed, because its witnesses (a cone, the
-    successors, the S-exits) only grow with R, S and the labels. Without
-    since every world and edge is new."""
-    old_nu, old_R, old_items = (since.nu, since.R, since.worklist) if since is not None else ({}, (), [])
+    the items of new worlds and new edges (the bits F's R rows gained over
+    since's) are examined then: an item closed on since stays closed,
+    because its witnesses (a cone, the successors, the S-exits) only grow
+    with R, S and the labels. Without since every world and edge is new."""
+    old_nu, old_items, old_R = (since.nu, since.worklist, since._rows[1]) if since is not None else ({}, [], ())
+    R = F._rows[1]
     maybe = [
         *old_items,
         *_problems_at(F, [w for w in F.worlds if w not in old_nu]),
-        *_deficiencies_on(F, F.R.difference(old_R)),
+        *_deficiencies_on(F, [r & ~o for r, o in zip(R, old_R)] + R[len(old_R) :]),
     ]
     current = {it for it in maybe if _is_open(F, it)}
     kept = [it for it in F.worklist if it in current]
@@ -472,8 +460,9 @@ def _successor_constraints(F: LabeledFrame, x: str) -> tuple[tuple[Formula, bool
     got = F._constraints.get(x)
     if got is None:
         extra = [(o, True) for o in sorted(F.effective_obligations(x), key=Formula.key)]
-        bit = 1 << F.worlds.index(x)  # world i is row i
-        for a, r in zip(F.worlds, _frame_rows(F)[1]):
+        n, R, _ = F._rows
+        bit = 1 << n.index(x)
+        for a, r in zip(n, R):
             if r & bit:
                 for lab, (_, crit) in _cones(F).get(a, {}).items():
                     if crit & bit:
@@ -546,7 +535,7 @@ def _rhd_lookahead(F: LabeledFrame, item):
 
 def criticality_label(F: LabeledFrame, x: str, y: str) -> Formula:
     """The formula B with y in the B-critical cone of x; bot if none."""
-    n = _frame_rows(F)[0]
+    n = F._rows[0]
     bit = 1 << n.index(y) if y in n else 0
     return next((lab for lab, (_, crit) in _cones(F).get(x, {}).items() if crit & bit), BOT)
 
@@ -718,23 +707,16 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
     `state.budget.max_worlds` worlds gets no fresh world."""
     x, B, (f, v), _, avoids, label, y, boxes_of = _witness(F, item)
     gx = F.nu[x]
-    bit = 1 << F.worlds.index(x)  # w reaches x iff R[w] has it: R is transitive on F
-
-    def link(g, w):
-        g.R.add((x, w))
-        if label is not None:
-            g.edge_label[(x, w)] = label
-        if y is not None:
-            g.S.add((x, y, w))
-        return _finish(g, F)
-
-    for w, r in zip(F.worlds, _frame_rows(F)[1]):
-        t = F.nu[w]
-        if w == x or r & bit or (label is not None and (x, w) in F.edge_label):
+    n, R, _ = F._rows
+    bit = 1 << n.index(x)  # w reaches x iff R[w] has it: R is transitive on F
+    for w, r in zip(n, R):
+        t = F.nu.get(w)
+        if t is None or w == x or r & bit or (label is not None and (x, w) in F.edge_label):
             continue
         if t.models(f) == v and crit_succ(gx, B, t) and (boxes_of is None or box_incl(boxes_of, t)):
-            done = link(F.copy(), w)
-            if done is not None:
+            g = F.copy()
+            g.link(x, w, label, y)
+            if (done := _finish(g, F)) is not None:
                 yield done
     keeps = [single_neg(a) for a in avoids]
     for t in nogoods(*fresh_candidate_theories(F, item), state, item, _rhd_lookahead(F, item)):
@@ -744,8 +726,8 @@ def eliminate(F: LabeledFrame, item, state) -> Iterator[LabeledFrame]:
             state.cut_by("max_worlds")
             break
         g = F.copy()
-        done = link(g, g.add_world(t, keeps))
-        if done is not None:
+        g.link(x, g.add_world(t, keeps), label, y)
+        if (done := _finish(g, F)) is not None:
             yield done
 
 

@@ -41,18 +41,31 @@ def bits(m: int) -> Iterator[int]:
         off += 64
 
 
-def to_rows(ix: dict, pairs: Iterable, triples: Iterable, rows=None) -> tuple[list[int], list[list[int]]]:
+def to_rows(ix: dict, pairs: Iterable, triples: Iterable) -> tuple[list[int], list[list[int]]]:
     """Rows over the numbering ix: R[x] has bit y per pair (x, y), S[x][y]
-    bit z per triple (x, y, z), added to a copy of rows, (R, S) over the
-    first names of ix, when given."""
-    R0, S0 = rows or ([], [])
-    pad = [0] * (len(ix) - len(R0))
-    R, S = R0 + pad, [Sx + pad for Sx in S0] + [[0] * len(ix) for _ in pad]
+    bit z per triple (x, y, z)."""
+    R, S = [0] * len(ix), [[0] * len(ix) for _ in ix]
     for x, y in pairs:
         R[ix[x]] |= 1 << ix[y]
     for x, y, z in triples:
         S[ix[x]][ix[y]] |= 1 << ix[z]
     return R, S
+
+
+def from_rows(n: list, rows: list, old: list | tuple = ()) -> frozenset:
+    """`to_rows` read back over the names n: the pairs (x, y) of R rows
+    (ints), or the triples (x, y, z) of S rows (lists of ints), less those
+    of old, rows over the first of n (so a row past old's is all new)."""
+    k = len(old)
+    if rows and type(rows[0]) is list:
+        return frozenset(
+            (n[x], n[y], n[z])
+            for x, Sx in enumerate(rows)
+            for y, s in enumerate(Sx)
+            if (m := s & ~old[x][y] if x < k and y < k else s)
+            for z in bits(m)
+        )
+    return frozenset((n[x], n[y]) for x, r in enumerate(rows) if (m := r & ~old[x] if x < k else r) for y in bits(m))
 
 
 def _transitive(rows: list[int]) -> None:

@@ -7,6 +7,7 @@ import random
 from types import SimpleNamespace
 
 from ilkit.construction import (
+    LabeledFrame,
     _propagate_obligations,
     _successor_constraints,
     _witness,
@@ -421,17 +422,20 @@ def find_imperfections(F, logic=None):
 def close_trace(F, logic=None):
     """The reference closure `close` is tested against: each step adds the
     fact the first imperfection lacks and yields that imperfection and the
-    frame it leaves. The last frame yielded is the closure."""
+    frame it leaves. The last frame yielded is the closure. Each frame is
+    built by the constructor from F's sets and the facts added, so no
+    code that edits rows is shared with `close`."""
     logic = logic or F.logic
-    g = F.copy()
+    g = F
     while True:
         imps = find_imperfections(g, logic)
         if not imps:
             return
         fact = CLOSURE_FACT[imps[0].condition](*imps[0].witness)
-        g = g.copy()
-        (g.R if len(fact) == 2 else g.S).add(fact)
-        _propagate_obligations(g, g.S)
+        R, S = (g.R | {fact}, g.S) if len(fact) == 2 else (g.R, g.S | {fact})
+        prev, g = g, LabeledFrame(g.adequate, g.logic, g.worlds, R, S, g.nu, g.exempt_root)
+        g.edge_label, g.obligations, g.worklist = dict(prev.edge_label), dict(prev.obligations), list(prev.worklist)
+        _propagate_obligations(g)
         yield imps[0], g
 
 

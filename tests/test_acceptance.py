@@ -297,15 +297,12 @@ def _random_quasi_ilm_frame(rng, D, n_worlds):
     theories = {
         w: DTheory(D, {a: forces(model, w, a) for a in D.modal_atoms}) for w in worlds
     }
-    f = LabeledFrame(D, ILM)
-    f.worlds = list(worlds)
-    f.nu = dict(theories)
-    f.obligations = {w: frozenset() for w in worlds}
-    f.R = set(R)
+    S = set()
     for (x, y) in sorted(R):
         for (x2, z) in sorted(R):
             if x2 == x and rng.random() < 0.3 and box_incl(theories[y], theories[z]):
-                f.S.add((x, y, z))
+                S.add((x, y, z))
+    f = LabeledFrame(D, ILM, worlds, R, S, theories)
     for (x, y) in sorted(R):
         if rng.random() < 0.3:
             f.edge_label[(x, y)] = BOT
@@ -370,7 +367,7 @@ def test_criterion_8_construction_internals():
             for (x, y) in frame.R:
                 if frame.exempt_root is not None and x == frame.exempt_root:
                     continue
-                bx, by = frame.effective_boxes(x), frame.effective_boxes(y)
+                bx, by = ({b.body for b in frame.nu[w].boxes()} | frame.effective_obligations(w) for w in (x, y))
                 assert bx <= by and bx != by, (x, y)
     assert eliminations >= 200, f"traces too shallow: {eliminations} eliminations"
     _report(

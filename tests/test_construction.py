@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -25,7 +26,6 @@ from ilkit.construction import (
     LabeledFrame,
     Problem,
     _cones,
-    _frame_rows,
     close,
     close_frame,
     critical_cone,
@@ -64,13 +64,7 @@ def small_D():
 
 
 def frame_with(D, logic, worlds, R, S, theories, labels=None):
-    f = LabeledFrame(D, logic)
-    for w in worlds:
-        f.worlds.append(w)
-        f.nu[w] = theories[w]
-        f.obligations[w] = frozenset()
-    f.R = set(R)
-    f.S = set(S)
+    f = LabeledFrame(D, logic, worlds, R, S, {w: theories[w] for w in worlds})
     f.edge_label = dict(labels or {})
     return f
 
@@ -254,18 +248,17 @@ def test_close_trace_matches_close(logic):
 
 
 @pytest.mark.parametrize("logic", [IL, ILM])
-def test_row_closure_matches_close_trace_on_unclosed_frames(monkeypatch, logic):
+def test_row_closure_matches_close_trace_on_unclosed_frames(logic):
     # close's row kernel against one fact at a time (close_trace), on
     # frames with names outside worlds, loops, R-cycles and S triples
     # outside R, more than 16 worlds among them; and settled against a
-    # closed frame on part of the facts (since), from since's rows when F
-    # names no world outside F.worlds, else from scratch: either way the
-    # rows kept are the closed frame's, and no cone is built
+    # closed frame on part of the facts (since), to a copy of which `link`
+    # adds the rest: since holds every fact that names a node outside the
+    # worlds or that link cannot add (a triple y S_x z without x R z), so
+    # its rows number all of the frame's names. The step's rows end as the
+    # whole frame's, and no cone is built
     rng = random.Random(38 + (logic == ILM))
-    seen = {"outside": 0, "loop": 0, "s outside R": 0, "wide": 0, "from since's rows": 0}
-    grown = []
-    real_to_rows = construction.to_rows
-    monkeypatch.setattr(construction, "to_rows", lambda *a: grown.append(len(a) > 3 and a[3]) or real_to_rows(*a))
+    seen = {"outside": 0, "loop": 0, "s outside R": 0, "wide": 0, "linked": 0}
     frames = [random_unclosed_frame(rng, rng.randint(1, 6)) for _ in range(60)]
     for fr in frames + [_wide_frame(random.Random(38))]:
         f = LabeledFrame(AdequateSet(()), logic, sorted(fr.worlds), fr.R, fr.S)
@@ -274,26 +267,25 @@ def test_row_closure_matches_close_trace_on_unclosed_frames(monkeypatch, logic):
             pass
         whole = close(f)
         assert (whole.R, whole.S) == (stepped.R, stepped.S), fr
-        part = f.copy()
-        part.R = {e for e in f.R if rng.random() < 0.5}
-        part.S = {t for t in f.S if rng.random() < 0.5}
+        linkable = lambda fact: fr.worlds.issuperset(fact) and (fact[0], fact[-1]) in fr.R
+        later = [fact for fact in sorted(fr.R) + sorted(fr.S) if linkable(fact) and rng.random() < 0.5]
+        part = LabeledFrame(AdequateSet(()), logic, sorted(fr.worlds), fr.R - set(later), fr.S - set(later))
         parent = close(part)
+        assert parent._rows[0] == f._rows[0], fr
         child = parent.copy()
-        child.R |= f.R
-        child.S |= f.S
+        for fact in later:
+            child.link(fact[0], fact[-1], y=fact[1] if len(fact) == 3 else None)
         step = close(child, since=parent)
         assert (step.R, step.S) == (whole.R, whole.S), fr
         assert step._rows == whole._rows, fr
         n, R, S = step._rows
-        assert (R, S) == real_to_rows(dict(zip(n, range(len(n)))), step.R, step.S)
+        assert (R, S) == construction.to_rows(dict(zip(n, range(len(n)))), step.R, step.S)
         assert step._cones is whole._cones is None
         seen["outside"] += len(fr.index) > len(fr.worlds)
         seen["loop"] += any(x == y for x, y in whole.R)
         seen["s outside R"] += any((x, y) not in fr.R or (x, z) not in fr.R for x, y, z in fr.S)
         seen["wide"] += len(fr.worlds) > 16
-        seen["from since's rows"] += bool(grown[-1])
-        # since's rows are taken only when no name lies outside the worlds
-        assert bool(grown[-1]) == (len(fr.index) == len(fr.worlds)), fr
+        seen["linked"] += bool(later)
         if len(fr.index) == len(fr.worlds) and not any(x == y for x, y in whole.R):
             # close_frame hands the kernel's rows on as the frame's cache
             out = close_frame(fr, logic)
@@ -333,7 +325,7 @@ def test_close_builds_the_index_only_when_asked():
     g = close(f)
     assert g._cones is None
     h = g.copy()
-    h.S.add(("a", "c", "b"))
+    h.link("a", "b", y="c")  # a R b is in g already
     stepped = close(h, since=g)
     assert stepped._cones is None
     f.obligations["b"] = frozenset({p})
@@ -374,7 +366,7 @@ def test_mcone_invariance_negative_control():
         labels={("a", "b"): q},
     )
     broken = f.copy()
-    broken.R.add(("b", "c"))  # hand-injected edge extends the cone
+    broken.link("b", "c")  # hand-injected edge extends the cone
     assert not check_mcone_invariance(f, broken)
 
 
@@ -533,12 +525,13 @@ def _random_quasi_ilm_frame(rng, D, n_worlds):
         from ilkit.theory import DTheory
 
         theories[w] = DTheory(D, assign)
-    f = frame_with(D, ILM, worlds, R, set(), theories)
+    S = set()
     for (x, y) in sorted(R):
         for (x2, z) in sorted(R):
             if x2 == x and rng.random() < 0.3:
                 if box_incl(theories[y], theories[z]):
-                    f.S.add((x, y, z))
+                    S.add((x, y, z))
+    f = frame_with(D, ILM, worlds, R, S, theories)
     for (x, y) in sorted(R):
         if rng.random() < 0.3:
             f.edge_label[(x, y)] = BOT
@@ -886,7 +879,7 @@ def test_an_edited_copy_of_a_closed_frame_reads_a_fresh_index():
     assert critical_cone(g, "x", p) == {"y"} and quasi_frame_violations(g) == []
     assert g._cones  # the check filled g's cone table and left it on g
     h = g.copy()
-    h.R.add(("y", "z"))
+    h.link("y", "z")
     fresh = frame_with(D, IL, h.worlds, h.R, h.S, h.nu, h.edge_label)
     assert critical_cone(h, "x", p) == critical_cone(fresh, "x", p) == {"y", "z"}
     got = quasi_frame_violations(h)
@@ -894,21 +887,54 @@ def test_an_edited_copy_of_a_closed_frame_reads_a_fresh_index():
     assert "generalized cones overlap at x: p / q" in got
 
 
+def test_an_edited_copy_leaves_its_parent_as_it_was():
+    # the rows are a frame's only store of R and S, so a copy takes its own
+    # rows, each S row too: a world, a labeled edge with a triple and an
+    # obligation added to the copy leave the parent's rows, relations and
+    # cone table as they were. The relations are read-only views
+    D = small_D()
+    t = pick(D)
+    f = frame_with(D, ILM, ["a", "b", "c"], {("a", "b"), ("a", "c")}, {("a", "b", "c")}, dict.fromkeys("abc", t), {("a", "b"): q})
+    parent = close(f)
+    assert critical_cone(parent, "a", q) == {"b", "c"} and _cones(parent)
+    rows, R, S, cones = copy.deepcopy(parent._rows), parent.R, parent.S, copy.deepcopy(parent._cones)
+    table = parent._cones
+    child = parent.copy()
+    assert vars(child).keys() == vars(f).keys()  # copy lists every field __init__ sets
+    w = child.add_world(t)
+    child.link("b", w, p, y="c")
+    child.link("a", "b", y="c")  # a R b is there already; c S_a b is new
+    child.obligations["a"] = frozenset({p})
+    assert (child.R - R, child.S - S) == ({("b", w)}, {("b", "c", w), ("a", "c", "b")})
+    assert child.edge_label[("b", w)] == p and ("b", w) not in parent.edge_label
+    assert parent._rows == rows and (parent.R, parent.S) == (R, S)
+    assert parent._cones is table and table == cones
+    assert parent.worlds == ["a", "b", "c"] and parent.obligations["a"] == frozenset()
+    with pytest.raises(AttributeError):
+        parent.R = set()
+    with pytest.raises(AttributeError):
+        parent.R.add(("c", "a"))
+    with pytest.raises(AttributeError):
+        parent.S.add(("a", "c", "b"))
+    assert parent._rows == rows
+
+
 def test_cone_functions_read_the_frame_as_it_is_now():
-    # critical_cone and generalized_cone leave no rows or cone table on
-    # the frame they are given, so a caller that edits it in place between
-    # two calls reads the edit, on a closed frame that kept its rows too
+    # critical_cone and generalized_cone leave no cone table on the frame
+    # they are given, so a caller that edits it in place between two calls
+    # reads the edit, on a closed frame too, whose rows the edits change in
+    # place
     D = adequate_closure([Box(p)])
     t = pick(D, IL)
     f = frame_with(D, IL, ["x", "y", "z", "u"], {("x", "y"), ("x", "z"), ("x", "u")}, (), dict.fromkeys("xyzu", t), {("x", "y"): p})
     assert critical_cone(f, "x", p) == generalized_cone(f, "x", p) == {"y"}
-    assert f._rows is f._cones is None
+    assert f._cones is None
     g = close(f)
     rows = g._rows
     assert critical_cone(g, "x", p) == {"y"}
-    g.R.add(("y", "z"))
+    g.link("y", "z")
     assert critical_cone(g, "x", p) == generalized_cone(g, "x", p) == {"y", "z"}
-    g.S.add(("u", "z", "u"))  # z S_u u: a step of another index than x
+    g.link("u", "u", y="z")  # z S_u u (and u R u): a step of another index than x
     assert critical_cone(g, "x", p) == {"y", "z"} and generalized_cone(g, "x", p) == {"y", "z", "u"}
     assert g._rows is rows and g._cones is None
 
@@ -931,16 +957,20 @@ def _search_frames(logic, rng, count):
 def test_row_queries_match_the_set_reference(logic):
     # what construction reads off a frame's rows (successors, predecessors
     # through effective_obligations, S exits of one index and of any,
-    # labels, cones, criticality labels) against set-based maps and reach,
-    # on unclosed frames with R loops, names outside the worlds, S triples
-    # outside R and random labels, and on the settled frames of searches.
+    # labels, cones, criticality labels, open items) against set-based
+    # maps and reach, on unclosed frames with R loops, names outside the
+    # worlds, S triples outside R and random labels, and on the settled
+    # frames of searches. A frame whose rows name a node outside its
+    # worlds numbers a world it adds after that node, and its copy, given
+    # a world and a link to it, must still read the same as the sets.
     # A name no frame holds gets an empty cone, the label bot and only its
     # own obligations
-    from ilkit.construction import criticality_label
+    from ilkit.construction import _is_open, criticality_label
 
-    rng = random.Random(17 + (logic == ILM))
+    rng, edits = random.Random(17 + (logic == ILM)), random.Random(40)
     D = small_D()
     t = pick(D)
+    theories = list(solve_theories(D, logic))
     unclosed = []
     for _ in range(80):
         fr = random_unclosed_frame(rng, rng.randint(1, 6))
@@ -948,14 +978,11 @@ def test_row_queries_match_the_set_reference(logic):
         labels = {e: rng.choice((p, q, Neg(p))) for e in rng.sample(edges, min(len(edges), rng.randint(0, 4)))}
         unclosed.append(frame_with(D, logic, sorted(fr.worlds), fr.R, fr.S, dict.fromkeys(fr.worlds, t), labels))
     seen = {"outside": 0, "s outside R": 0, "labeled": 0, "labeled search frame": 0, "crit < gen": 0}
-    searched = _search_frames(logic, rng, 60)
-    for F in unclosed + searched:
-        for w in F.worlds:
-            F.obligations[w] = F.obligations[w] | {Atom(f"o_{w}")}
-        F.obligations["nowhere"] = frozenset({Atom("o_nowhere")})
+    seen |= {"edited": 0, "open": 0, "witnessed": 0}
+
+    def check(F):
         ref = reference_relations(F)
-        n, R, S = _frame_rows(F)
-        assert n[: len(F.worlds)] == F.worlds and n[len(F.worlds) :] == sorted(set(n) - set(F.worlds))
+        n, R, S = F._rows
         assert set(n) == set(F.worlds).union(*F.R, *F.S)
         for a in n:
             i = n.index(a)
@@ -976,6 +1003,28 @@ def test_row_queries_match_the_set_reference(logic):
             for y in n:
                 want = next((lab for lab in labels_of(F, x) if y in reference_cones(F, x, lab)[1]), BOT)
                 assert criticality_label(F, x, y) == want
+        items = [Problem(w, Neg(a)) for w in F.worlds for a in F.adequate.existential_atoms]
+        items += [Deficiency(x, y, rho) for x, y in sorted(F.R) if x in F.nu and y in F.nu for rho in F.adequate.rhd_atoms]
+        for item in items:
+            got = _is_open(F, item)
+            assert got == _reference_open(F, item), item
+            seen["open" if got else "witnessed"] += 1
+
+    searched = _search_frames(logic, rng, 60)
+    for F in unclosed + searched:
+        for w in F.worlds:
+            F.obligations[w] = F.obligations[w] | {Atom(f"o_{w}")}
+        F.obligations["nowhere"] = frozenset({Atom("o_nowhere")})
+        n = F._rows[0]
+        assert n[: len(F.worlds)] == F.worlds and n[len(F.worlds) :] == sorted(set(n) - set(F.worlds))
+        check(F)
+        if len(n) > len(F.worlds):
+            G = F.copy()
+            w = G.add_world(edits.choice(theories))
+            G.link(edits.choice(F.worlds), w, edits.choice((None, p, q)), edits.choice(n))
+            assert G._rows[0] == [*n, w]
+            check(G)
+            seen["edited"] += 1
         seen["outside"] += len(n) > len(F.worlds)
         seen["s outside R"] += any((x, y) not in F.R or (x, z) not in F.R for x, y, z in F.S)
         seen["labeled"] += bool(F.edge_label)
@@ -985,6 +1034,20 @@ def test_row_queries_match_the_set_reference(logic):
         assert criticality_label(F, "nowhere", F.worlds[0]) == criticality_label(F, F.worlds[0], "nowhere") == BOT
         assert F.effective_obligations("nowhere") == {Atom("o_nowhere")}
     assert min(seen.values()) >= 10, seen
+
+
+def _reference_open(F, item):
+    """`_is_open` on the set-based maps: no world among the item's possible
+    witnesses (the S_x exits of a deficiency, the B-critical cone of
+    ~(A |> B), the successors of ~[]E) has what a witness needs."""
+    rel = reference_relations(F)
+    if isinstance(item, Deficiency):
+        near, want = rel.s_at.get((item.x, item.y), ()), item.formula.right
+    elif isinstance(item.formula.left, Rhd):
+        near, want = reference_cones(F, item.world, item.formula.left.right)[1], item.formula.left.left
+    else:
+        near, want = rel.succ.get(item.world, ()), Neg(item.formula.left.body)
+    return not any(F.nu[z].models(want) for z in near if z in F.worlds)
 
 
 def test_mcone_invariance_across_ilm_condition_step():
@@ -1031,7 +1094,7 @@ def test_criticality_label_recovery():
 
 def _worlds(F, *masks):
     """Each mask over F's rows as the names it holds."""
-    n = _frame_rows(F)[0]
+    n = F._rows[0]
     return tuple({n[i] for i in bits(m)} for m in masks)
 
 
@@ -1389,7 +1452,7 @@ def test_step_check_covers_old_edges_whose_obligations_grew():
     parent.obligations["w"] = frozenset([p])
     assert close(parent).R == parent.R and quasi_frame_violations(parent) == []
     child = parent.copy()
-    child.R.add(("w", "x"))
+    child.link("w", "x")
     whole = quasi_frame_violations(close(child))
     assert whole == ["no box growth on edge ('x', 'y')"]
     assert quasi_frame_violations(close(child, since=parent), since=parent) == whole

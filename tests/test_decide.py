@@ -763,12 +763,7 @@ def test_rhd_lookahead_drops_only_subtrees_without_a_model(monkeypatch, logic):
     for F, item, t in dropped:
         x, _, _, _, avoids, label, y, _ = construction._witness(F, item)
         g = F.copy()
-        w = g.add_world(t, [single_neg(a) for a in avoids])
-        g.R.add((x, w))
-        if label is not None:
-            g.edge_label[(x, w)] = label
-        if y is not None:
-            g.S.add((x, y, w))
+        g.link(x, g.add_world(t, [single_neg(a) for a in avoids]), label, y)
         child = construction._finish(g, F)
         if child is None or (child.worklist and _most_constrained(child) is None):
             continue

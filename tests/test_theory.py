@@ -244,10 +244,7 @@ def _problem_candidates(g, nf):
 def _deficiency_candidates(g, d, cd, label=None):
     # the fresh S-exits for x R y, y carrying d; a label on the edge puts y
     # in x's critical cone for it
-    F = LabeledFrame(g.adequate, ILM)
-    F.worlds, F.nu = ["x", "y"], {"x": g, "y": d}
-    F.obligations = {"x": frozenset(), "y": frozenset()}
-    F.R = {("x", "y")}
+    F = LabeledFrame(g.adequate, ILM, ["x", "y"], {("x", "y")}, nu={"x": g, "y": d})
     if label is not None:
         F.edge_label[("x", "y")] = label
     return _walked(fresh_candidate_theories(F, Deficiency("x", "y", cd)))
@@ -652,8 +649,7 @@ def test_candidate_memo_follows_frame_content():
     r = Atom("r")
     assert any(t.models(r) for t in cands)
     g = F.copy()
-    w = g.add_world(root, obligations=[Neg(r)])
-    g.R.add((w, item.world))
+    g.link(g.add_world(root, obligations=[Neg(r)]), item.world)
     got = fresh_candidate_theories(g, item)
     assert got is not answer
     ts = _walked(got)
